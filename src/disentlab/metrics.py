@@ -4,7 +4,8 @@ The vote-based factor metric, Lasso-importance disentanglement (DCI), the
 kernel independence score dHSIC, inception score, and reverse KL all operate
 on plain arrays plus a small Encoder interface, so closed-form linear models
 and table fixtures exercise the same code paths. Spearman rank correlation
-and a dense coordinate-descent Lasso solver are shared statistical kernels.
+and a covariance-update coordinate-descent Lasso solver are shared
+statistical kernels.
 """
 from __future__ import annotations
 
@@ -413,9 +414,7 @@ def dci_disentanglement(
         raise ValueError(f"need at least {10 * k} rows to regress {k} codes, got {ds.n}")
     x = _standardize_columns(codes)
     y = _standardize_columns(ds.factors)
-    relevance = np.empty((k, k_hat))
-    for j in range(k_hat):
-        relevance[:, j] = np.abs(lasso_fit(x, y[:, j], lasso_lambda))
+    relevance = np.abs(lasso_fit(x, y, lasso_lambda))
     row_sum = relevance.sum(axis=1)
     live = row_sum > 0.0
     if not np.any(live):
@@ -526,12 +525,66 @@ def spearman_rho(a, b) -> float:
     return float(da @ db) / denom
 
 
-def _soft_threshold(value: float, level: float) -> float:
-    if value > level:
-        return value - level
-    if value < -level:
-        return value + level
-    return 0.0
+def lasso_gram_fit(
+    gram: np.ndarray,
+    cross: np.ndarray,
+    lam: float,
+    max_iters: int = LASSO_MAX_ITERS,
+    tol: float = LASSO_TOL,
+) -> np.ndarray:
+    """Lasso weights for a stack of designs, each shared by several targets.
+
+    gram (P, q, q) holds XᵀX/n of each design and cross (P, q, T) holds XᵀY/n
+    of its T targets; the result (P, q, T) minimizes (1/2n)‖y - Xw‖² + λ‖w‖₁
+    for every (design, target) pair. Covariance-update coordinate descent
+    (Friedman, Hastie & Tibshirani 2010, §2.2) keeps g = Xᵀ(y - Xw)/n, so a
+    sweep costs O(q²) per fit whatever n is. Coordinates are visited in
+    order and a zero column (zero Gram diagonal) is never moved. Each fit is
+    frozen after the first sweep whose largest |Δw| is below tol; a fit still
+    running after max_iters sweeps raises NumericFailure.
+    """
+    gram = np.asarray(gram, dtype=float)
+    cross = np.asarray(cross, dtype=float)
+    if cross.ndim != 3 or gram.shape != (cross.shape[0], cross.shape[1], cross.shape[1]):
+        raise ValueError(f"incompatible shapes {gram.shape} and {cross.shape}")
+    if lam < 0.0:
+        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    p, q, t = cross.shape
+    out = np.zeros((p * t, q))
+    # One row per (design, target) fit; rows are dropped as their fits converge.
+    fit = np.arange(p * t)
+    design = fit // t
+    grad = cross.transpose(0, 2, 1).reshape(p * t, q).copy()
+    w = np.zeros((p * t, q))
+    diag = np.diagonal(gram, axis1=1, axis2=2)[design]
+    scale = np.where(diag > 0.0, diag, np.inf)
+    gram_cols = np.ascontiguousarray(gram.transpose(0, 2, 1))
+    worst = np.full(p * t, np.inf)
+    for _ in range(max_iters):
+        if fit.size == 0:
+            break
+        worst = np.zeros(fit.size)
+        for j in range(q):
+            rho = grad[:, j] + diag[:, j] * w[:, j]
+            shrunk = np.abs(rho) - lam
+            new = np.where(shrunk > 0.0, np.copysign(shrunk, rho), 0.0) / scale[:, j]
+            delta = new - w[:, j]
+            w[:, j] = new
+            grad -= gram_cols[design, j] * delta[:, None]
+            np.maximum(worst, np.abs(delta), out=worst)
+        done = worst < tol
+        if np.any(done):
+            out[fit[done]] = w[done]
+            keep = ~done
+            fit, design, grad, w, diag, scale, worst = (
+                a[keep] for a in (fit, design, grad, w, diag, scale, worst)
+            )
+    if fit.size:
+        raise NumericFailure(
+            f"coordinate descent left {fit.size} of {p * t} fits unconverged after "
+            f"{max_iters} sweeps; largest final |Δw| {worst.max():.3g} (tol {tol:g})"
+        )
+    return out.reshape(p, t, q).transpose(0, 2, 1)
 
 
 def lasso_fit(
@@ -544,30 +597,14 @@ def lasso_fit(
     """Coordinate-descent minimizer of (1/2n)‖y - Xw‖² + λ‖w‖₁.
 
     Columns are used exactly as given — no internal standardization — so the
-    univariate closed form w = soft(xᵀy/n, λ)/(xᵀx/n) holds verbatim.
+    univariate closed form w = soft(xᵀy/n, λ)/(xᵀx/n) holds verbatim. A y of
+    shape (n, T) gives weights (q, T), one fit per column, solved together.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0] or x.shape[0] < 1:
+    if x.ndim != 2 or y.ndim not in (1, 2) or x.shape[0] != y.shape[0] or x.shape[0] < 1:
         raise ValueError(f"incompatible shapes {x.shape} and {y.shape}")
-    if lam < 0.0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
     n, q = x.shape
-    col_sq = (x * x).sum(axis=0) / n
-    w = np.zeros(q)
-    residual = y.copy()
-    for _ in range(max_iters):
-        worst = 0.0
-        for j in range(q):
-            if col_sq[j] == 0.0:
-                continue
-            rho = float(x[:, j] @ residual) / n + col_sq[j] * w[j]
-            new = _soft_threshold(rho, lam) / col_sq[j]
-            delta = new - w[j]
-            if delta != 0.0:
-                residual -= delta * x[:, j]
-                w[j] = new
-                worst = max(worst, abs(delta))
-        if worst < tol:
-            return w
-    raise NumericFailure(f"coordinate descent did not converge in {max_iters} sweeps")
+    cross = (x.T @ y / n).reshape(1, q, -1)
+    w = lasso_gram_fit((x.T @ x / n)[None], cross, lam, max_iters, tol)[0]
+    return w[:, 0] if y.ndim == 1 else w

@@ -23,9 +23,10 @@ from .metrics import (
     FactorVaeConfig,
     GeneratorSampler,
     LinearEncoder,
+    _fractional_ranks,
     _standardize_columns,
     factorvae_metric,
-    lasso_fit,
+    lasso_gram_fit,
     spearman_rho,
 )
 
@@ -103,6 +104,8 @@ class SelectionReport:
         scores = np.asarray(self.scores, dtype=float)
         if scores.ndim != 1 or scores.size < 1:
             raise ValueError("scores must be a nonempty vector")
+        if not np.all(np.isfinite(scores)):
+            raise ValueError("scores must be finite")
         if self.selected != int(np.argmax(scores)):
             raise ValueError(
                 f"selected index {self.selected} is not the argmax of the scores"
@@ -111,6 +114,8 @@ class SelectionReport:
             stderr = np.asarray(self.stderr, dtype=float)
             if stderr.shape != scores.shape:
                 raise ValueError("stderr must align with scores")
+            if not np.all(np.isfinite(stderr)):
+                raise ValueError("stderr must be finite")
             object.__setattr__(self, "stderr", stderr)
         if self.labels and len(self.labels) != scores.size:
             raise ValueError("labels must align with scores")
@@ -221,6 +226,63 @@ def subsampled_centrality(
 # pairwise-relevance baselines
 
 
+def _pool_relevance(
+    encoders, samples: np.ndarray, variant: str, lasso_lambda: float
+) -> np.ndarray:
+    """(N, N, k, k) relevances; block [i, j] scores encoder j's codes for encoder i's.
+
+    Each encoder runs once. Its codes are standardized (lasso) or ranked
+    (spearman) into one (n, N·k) array, and one cross-product of that array
+    serves every pair. Lasso: pair (i, j) regresses each code of i on the
+    codes of j, so its Gram matrix is block (j, j) of ZᵀZ/n and its cross
+    term block (j, i); all N(N-1)·k fits share one solver call. Spearman:
+    |ρ| of every code pair from the centered ranks, 0 for a constant code.
+    """
+    if variant not in UDR_VARIANTS:
+        raise ValueError(f"variant must be one of {UDR_VARIANTS}, got {variant!r}")
+    x = np.asarray(samples, dtype=float)
+    n_models = len(encoders)
+    k = encoders[0].code_dim
+    n = x.shape[0]
+    if n < 10 * k:
+        raise ValueError(f"need at least {10 * k} samples for {k} codes, got {n}")
+    cols = np.empty((n, n_models * k))
+    for m, enc in enumerate(encoders):
+        codes = enc.encode(x)
+        if codes.shape[1] != k:
+            raise ValueError(f"encoders disagree on code dimension: {k} vs {codes.shape[1]}")
+        dead = [a for a in range(k) if np.ptp(codes[:, a]) == 0.0]
+        if dead:
+            warnings.warn(
+                f"encoder {m} has zero-variance codes {dead}; "
+                "their relevance rows/columns are zeroed"
+            )
+        block = cols[:, m * k:(m + 1) * k]
+        if variant == "lasso":
+            block[:] = _standardize_columns(codes)
+        else:
+            for a in range(k):
+                block[:, a] = _fractional_ranks(codes[:, a])
+    if variant == "spearman":
+        # Centered ranks are multiples of 1/2, so for n below about 2e5 these
+        # cross-products are exact and |ρ| equals spearman_rho's bit for bit.
+        cols -= cols.mean(axis=0)
+        c = cols.T @ cols
+        ss = np.diagonal(c)
+        denom = np.sqrt(np.outer(ss, ss))
+        rho = np.divide(np.abs(c), denom, out=np.zeros_like(c), where=denom > 0.0)
+        return rho.reshape(n_models, k, n_models, k).transpose(0, 2, 1, 3)
+    blocks = (cols.T @ cols / n).reshape(n_models, k, n_models, k)
+    others = [[i for i in range(n_models) if i != j] for j in range(n_models)]
+    gram = np.stack([blocks[j, :, j] for j in range(n_models)])
+    cross = np.stack([blocks[j][:, others[j]].reshape(k, -1) for j in range(n_models)])
+    w = lasso_gram_fit(gram, cross, lasso_lambda)
+    relevance = np.zeros((n_models, n_models, k, k))
+    for j in range(n_models):
+        relevance[others[j], j] = np.abs(w[j].reshape(k, n_models - 1, k).transpose(1, 2, 0))
+    return relevance
+
+
 def udr_relevance(
     q_i: Encoder,
     q_j: Encoder,
@@ -235,31 +297,7 @@ def udr_relevance(
     correlations. Zero-variance codes produce zero rows/columns with a
     warning.
     """
-    if variant not in UDR_VARIANTS:
-        raise ValueError(f"variant must be one of {UDR_VARIANTS}, got {variant!r}")
-    x = np.asarray(samples, dtype=float)
-    ci = q_i.encode(x)
-    cj = q_j.encode(x)
-    if ci.shape[1] != cj.shape[1]:
-        raise ValueError(f"encoders disagree on code dimension: {ci.shape[1]} vs {cj.shape[1]}")
-    k = ci.shape[1]
-    if x.shape[0] < 10 * k:
-        raise ValueError(f"need at least {10 * k} samples for {k} codes, got {x.shape[0]}")
-    dead = [a for a in range(k) if np.ptp(ci[:, a]) == 0.0 or np.ptp(cj[:, a]) == 0.0]
-    if dead:
-        warnings.warn(f"zero-variance codes {dead}; their relevance rows/columns are zeroed")
-    relevance = np.zeros((k, k))
-    if variant == "lasso":
-        zi = _standardize_columns(ci)
-        zj = _standardize_columns(cj)
-        for a in range(k):
-            relevance[a] = np.abs(lasso_fit(zj, zi[:, a], lasso_lambda))
-    else:
-        for a in range(k):
-            for b in range(k):
-                rho = spearman_rho(ci[:, a], cj[:, b])
-                relevance[a, b] = 0.0 if math.isnan(rho) else abs(rho)
-    return relevance
+    return _pool_relevance((q_i, q_j), samples, variant, lasso_lambda)[0, 1]
 
 
 def udr_score(relevance) -> float:
@@ -282,15 +320,15 @@ def udr_pair_scores(
 ) -> np.ndarray:
     """All-pairs relevance scores; entry (i, j) scores encoder i probed by j."""
     n = pool.size
+    relevance = _pool_relevance(
+        [pool.encoder(m) for m in range(n)], samples, variant, lasso_lambda
+    )
     pair_scores = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            relevance = udr_relevance(
-                pool.encoder(i), pool.encoder(j), samples, variant, lasso_lambda
-            )
-            pair_scores[i, j] = udr_score(relevance)
+            pair_scores[i, j] = udr_score(relevance[i, j])
     return pair_scores
 
 

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from disentlab.errors import DegenerateEncoder
+from disentlab.errors import DegenerateEncoder, NumericFailure
 from disentlab.lingauss import OptimizerConfig, optimize_generator
 from disentlab.linalg import SymMatrix
 from disentlab.metrics import (
+    LASSO_TOL,
     Encoder,
     FactorDataset,
     FactorVaeConfig,
@@ -424,11 +425,50 @@ class TestLassoFit:
         col_sq = float(x[:, 0] @ x[:, 0]) / 20
         assert w[0] == pytest.approx(1.0 - 0.01 / col_sq, abs=1e-9)
 
+    @staticmethod
+    def _multi_target_design(seed=4, n=200):
+        # Correlated columns, one all-zero column, three targets.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, 6)) @ (np.eye(6) + 0.4 * rng.standard_normal((6, 6)))
+        x[:, 3] = 0.0
+        w_true = rng.standard_normal((6, 3)) * (rng.random((6, 3)) < 0.5)
+        return x, x @ w_true + 0.5 * rng.standard_normal((n, 3))
+
+    def test_kkt_conditions_multi_target(self):
+        for seed, lam in ((4, 0.05), (5, 0.3)):
+            x, y = self._multi_target_design(seed)
+            w = lasso_fit(x, y, lam)
+            assert w.shape == (6, 3)
+            assert np.all(w[3] == 0.0)
+            grad = x.T @ (y - x @ w) / x.shape[0]
+            zero = w == 0.0
+            assert np.all(np.abs(grad[zero]) <= lam + 1e-9)
+            assert np.abs(grad[~zero] - lam * np.sign(w[~zero])).max() <= 1e-9
+            # both conditions are exercised on the live columns
+            assert np.any(zero[[0, 1, 2, 4, 5]]) and np.any(~zero)
+
+    def test_batched_targets_match_single_fits(self):
+        x, y = self._multi_target_design()
+        w = lasso_fit(x, y, 0.05)
+        for t in range(y.shape[1]):
+            assert np.abs(w[:, t] - lasso_fit(x, y[:, t], 0.05)).max() <= 1e-12
+
+    def test_nonconvergence_reports_count_and_step(self):
+        x, y = self._multi_target_design()
+        with pytest.raises(
+            NumericFailure, match=r"left 3 of 3 fits unconverged after 1 sweeps"
+        ) as info:
+            lasso_fit(x, y, 0.05, max_iters=1)
+        step = float(str(info.value).split("|Δw| ")[1].split(" ")[0])
+        assert step > LASSO_TOL
+
     def test_validation(self):
         with pytest.raises(ValueError):
             lasso_fit(np.zeros((3, 2)), np.zeros(4), 0.1)
         with pytest.raises(ValueError):
             lasso_fit(np.zeros((3, 2)), np.zeros(3), -0.1)
+        with pytest.raises(ValueError):
+            lasso_fit(np.zeros((3, 2)), np.zeros((3, 2, 1)), 0.1)
 
 
 class TestMetricReport:

@@ -8,8 +8,12 @@ from disentlab.linalg import SymMatrix
 from disentlab.lingauss import matched_generator, rank_r_truncation
 from disentlab.metrics import (
     FactorVaeConfig,
+    FunctionEncoder,
     LinearEncoder,
     PseudoNoiseEncoder,
+    _standardize_columns,
+    lasso_fit,
+    spearman_rho,
 )
 from disentlab.selection import (
     ModelPool,
@@ -20,6 +24,7 @@ from disentlab.selection import (
     noisy_linear_pool,
     rank_correlation_analysis,
     subsampled_centrality,
+    udr_pair_scores,
     udr_relevance,
     udr_score,
     udr_select,
@@ -116,6 +121,15 @@ class TestSelectionReport:
     def test_tie_breaks_low(self):
         report = SelectionReport("model_centrality", np.array([0.5, 0.5]), 0)
         assert report.selected == 0
+
+    def test_non_finite_rejected(self):
+        # argmax would pick the NaN at index 0
+        with pytest.raises(ValueError):
+            SelectionReport("model_centrality", np.array([math.nan, 0.5]), 0)
+        with pytest.raises(ValueError):
+            SelectionReport("model_centrality", np.array([0.5, math.inf]), 1)
+        with pytest.raises(ValueError):
+            SelectionReport("model_centrality", np.array([0.9, 0.1]), 0, np.array([0.0, math.nan]))
 
 
 class TestModelCentrality:
@@ -218,6 +232,19 @@ class TestUdrRelevance:
         r = udr_relevance(enc, enc, samples, variant="lasso", lasso_lambda=0.001)
         assert r == pytest.approx(np.eye(3), abs=0.05)
 
+    def test_lasso_matches_direct_regression(self):
+        # Row a holds |weights| of q_j's codes when regressing code a of q_i.
+        rng = np.random.default_rng(7)
+        samples = rng.standard_normal((300, 4))
+        q_i = LinearEncoder(rng.standard_normal((3, 4)))
+        q_j = LinearEncoder(rng.standard_normal((3, 4)))
+        r = udr_relevance(q_i, q_j, samples, variant="lasso", lasso_lambda=0.05)
+        zi = _standardize_columns(q_i.encode(samples))
+        zj = _standardize_columns(q_j.encode(samples))
+        expected = np.abs(lasso_fit(zj, zi, 0.05)).T
+        assert np.abs(r - expected).max() <= 1e-12
+        assert np.abs(r - r.T).max() > 1e-3
+
     def test_permutation_spearman(self):
         # Full factorial grid: distinct coordinates are exactly rank-balanced,
         # so off-permutation correlations vanish identically.
@@ -255,6 +282,52 @@ class TestUdrRelevance:
             udr_relevance(enc, enc, samples, variant="forest")
         with pytest.raises(ValueError):
             udr_relevance(enc, enc, samples[:5], variant="lasso")
+
+
+class TestUdrPairScores:
+    def _pool_and_samples(self):
+        sigma = SymMatrix(np.diag([4.0, 2.0, 1.0, 0.5]))
+        pool = noisy_linear_pool(sigma, 3, [0.0, 0.4, 1.0, 2.5], seed=5)
+        samples = np.random.default_rng(5).multivariate_normal(
+            np.zeros(4), np.asarray(sigma), size=300
+        )
+        return pool, samples
+
+    def test_entries_are_pairwise_relevance_scores(self):
+        pool, samples = self._pool_and_samples()
+        for variant in ("lasso", "spearman"):
+            scores = udr_pair_scores(pool, samples, variant)
+            assert np.all(np.diag(scores) == 0.0)
+            for i in range(pool.size):
+                for j in range(pool.size):
+                    if i != j:
+                        r = udr_relevance(pool.encoder(i), pool.encoder(j), samples, variant)
+                        assert scores[i, j] == pytest.approx(udr_score(r), abs=1e-12)
+        # lasso relevance is not transpose-symmetric, so the loop above pins
+        # which model's codes are the regression targets
+        lasso = udr_pair_scores(pool, samples, "lasso")
+        assert np.abs(lasso - lasso.T).max() > 1e-3
+
+    def test_spearman_matches_scalar_rho(self):
+        rng = np.random.default_rng(6)
+        samples = rng.standard_normal((250, 4))
+        w_i = rng.standard_normal((3, 4))
+        w_j = rng.standard_normal((3, 4))
+        # rounding makes ties; the third code of q_i is constant
+        q_i = FunctionEncoder(
+            lambda x: np.column_stack([np.round(x @ w_i[:2].T, 1), np.full(len(x), 2.0)]), 3
+        )
+        q_j = FunctionEncoder(lambda x: np.round(x @ w_j.T, 0), 3)
+        with pytest.warns(UserWarning, match="zero-variance"):
+            r = udr_relevance(q_i, q_j, samples, variant="spearman")
+        ci, cj = q_i.encode(samples), q_j.encode(samples)
+        for a in range(3):
+            for b in range(3):
+                rho = spearman_rho(ci[:, a], cj[:, b])
+                expected = 0.0 if math.isnan(rho) else abs(rho)
+                assert r[a, b] == pytest.approx(expected, abs=1e-12)
+        assert np.all(r[2] == 0.0)
+        assert np.all(r[:2] > 0.0)
 
 
 class TestUdrScore:
