@@ -44,9 +44,11 @@ from .errors import DisentLabError
 from .linalg import SymMatrix, spd_sqrt
 from .lingauss import (
     LOG_2PI,
+    MATCHED_RTOL,
     LinearGenerator,
     OptimizerConfig,
     bias_decomposition,
+    is_distribution_matched,
     matched_generator,
     optimize_generator,
     posterior,
@@ -212,13 +214,22 @@ def _save_model(path: Path, gen: LinearGenerator, extra: dict) -> None:
 
 
 def _load_model(path_str) -> tuple[LinearGenerator, LinearEncoder]:
+    """Generator and encoder of a model file, rejecting non-finite or unmatched models."""
     obj = _load_json(path_str)
     try:
         gen = LinearGenerator.from_dict(obj)
+        weight = np.asarray(obj.get("encoder", []), dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{path_str}: not a valid model file ({exc})") from None
+    entries = {"B": gen.B, "A": gen.A, "sigma": gen.sigma.entries, "encoder": weight}
+    for name, values in entries.items():
+        if not np.all(np.isfinite(values)):
+            raise CliError(f"{path_str}: {name} holds non-finite entries")
+    if not is_distribution_matched(gen):
+        raise CliError(
+            f"{path_str}: BBᵀ + AAᵀ does not match sigma (relative tolerance {MATCHED_RTOL:g})"
+        )
     if "encoder" in obj:
-        weight = np.asarray(obj["encoder"], dtype=float)
         if weight.size != gen.r * gen.d:
             raise CliError(f"{path_str}: encoder must hold {gen.r * gen.d} weights")
         return gen, LinearEncoder(weight.reshape(gen.r, gen.d))
@@ -645,7 +656,7 @@ def cmd_select(args) -> int:
         "method": report.method,
         "selected": int(report.selected),
         "label": report.labels[report.selected],
-        "score": float(report.scores[report.selected]),
+        "score": float(_fmt(report.scores[report.selected])),
     }
     with open(out / "selection.json", "w", newline="") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

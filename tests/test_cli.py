@@ -189,6 +189,25 @@ class TestGenData:
                 "--out", str(tmp_path / "x")]
         assert main(args) == 2
 
+    @pytest.mark.parametrize("field", ["B", "A", "sigma", "encoder"])
+    def test_non_finite_model_exits_2(self, model_dir, tmp_path, capsys, field):
+        model = json.loads((model_dir / "model.json").read_text())
+        model[field][0] = float("nan") if field != "encoder" else float("inf")
+        path = _write_json(tmp_path / "bad.json", model)
+        args = ["gen-data", "--linear-gaussian", "--model", path, "--out", str(tmp_path / "x")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert path in err and f"{field} holds non-finite entries" in err
+
+    def test_unmatched_model_exits_2(self, model_dir, tmp_path, capsys):
+        model = json.loads((model_dir / "model.json").read_text())
+        model["sigma"][0] *= 1.01
+        path = _write_json(tmp_path / "unmatched.json", model)
+        args = ["metrics", "--model", path, "--metrics", "factorvae", "--out", str(tmp_path / "x")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert path in err and "does not match sigma" in err
+
     def test_kind_flag_is_required(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["gen-data", "--out", str(tmp_path / "x")])
@@ -317,6 +336,15 @@ class TestSelect:
                 assert m[i][j] == m[j][i]
         svg = (out / "similarity.svg").read_text()
         assert ET.fromstring(svg).tag.endswith("svg")
+
+    def test_selection_score_matches_scores_csv(self, pool_dir, tmp_path):
+        # udr-lasso scores are sums of lasso weights, which need all 17 digits
+        for method in ("model-centrality", "udr-lasso"):
+            out = tmp_path / method
+            assert self._run(pool_dir, out, ("--method", method, "--fraction", "0.5")) == 0
+            selection = json.loads((out / "selection.json").read_text())
+            row = _read_rows(out / "scores.csv")[1 + selection["selected"]]
+            assert selection["score"] == float(row[2])
 
     def test_subsampling_reports_spread(self, pool_dir, tmp_path):
         out = tmp_path / "sel"

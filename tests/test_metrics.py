@@ -145,6 +145,96 @@ class TestSamplers:
         assert fixed[0] < 0.5 * free[0]
 
 
+def _linear_generator(seed: int = 0):
+    sigma = SymMatrix(np.diag([4.0, 2.0, 1.0, 0.5, 0.25]))
+    gen, _ = optimize_generator(sigma, 3, OptimizerConfig(objective="cr_frobenius", seed=seed))
+    return gen
+
+
+def _tanh_mix(f: np.ndarray) -> np.ndarray:
+    mix = np.array([[1.0, 0.3, -0.2, 0.5], [0.1, -1.0, 0.4, 0.2], [0.6, 0.2, 1.0, -0.3]])
+    return np.tanh(f) @ mix + 0.1 * f[:, :1] ** 3
+
+
+class TestBatchedGroups:
+    @pytest.mark.parametrize(
+        "sampler",
+        [GeneratorSampler(_linear_generator()), SyntheticFactorSampler(3, _tanh_mix)],
+        ids=["generator", "synthetic"],
+    )
+    @pytest.mark.parametrize("groups,size", [(1, 5), (7, 3), (12, 35)])
+    def test_sample_groups_equals_successive_single_groups(self, sampler, groups, size):
+        batch = sampler.sample_groups(1, groups, size, np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        single = np.stack([sampler.sample_group(1, size, rng) for _ in range(groups)])
+        assert batch.shape == single.shape
+        assert np.array_equal(batch, single)
+
+    def test_generator_groups_follow_per_group_stream_order(self):
+        gen = _linear_generator()
+        batch = GeneratorSampler(gen).sample_groups(2, 6, 9, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        for group in batch:
+            c = rng.standard_normal((9, gen.r))
+            c[:, 2] = rng.standard_normal()
+            z = rng.standard_normal((9, gen.d))
+            assert np.array_equal(group, c @ gen.B.T + z @ gen.A.T)
+
+    def test_synthetic_groups_follow_per_group_stream_order(self):
+        sampler = SyntheticFactorSampler(3, _tanh_mix)
+        batch = sampler.sample_groups(0, 6, 9, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        for group in batch:
+            f = rng.uniform(-1.0, 1.0, size=(9, 3))
+            f[:, 0] = rng.uniform(-1.0, 1.0)
+            assert np.array_equal(group, _tanh_mix(f))
+
+
+def _reference_votes(sampler, enc, cfg: FactorVaeConfig) -> np.ndarray:
+    """The vote matrix from one draw, encode and variance per group."""
+    rng = np.random.default_rng(cfg.seed)
+    ref_var = enc.encode(sampler.sample_reference(cfg.reference_samples, rng)).var(axis=0)
+    active = ref_var >= cfg.variance_floor
+    votes = np.zeros((enc.code_dim, sampler.n_factors))
+    for factor in range(sampler.n_factors):
+        for _ in range(cfg.groups_per_factor):
+            group = enc.encode(sampler.sample_group(factor, cfg.group_size, rng))
+            ratio = np.full(enc.code_dim, np.inf)
+            ratio[active] = group.var(axis=0)[active] / ref_var[active]
+            votes[int(np.argmin(ratio)), factor] += 1.0
+    return votes
+
+
+class TestFactorVaeMetricOracle:
+    def test_generator_votes_match_per_group_loop(self):
+        gen = _linear_generator(1)
+        rng = np.random.default_rng(8)
+        enc = LinearEncoder.from_generator(gen)
+        noisy = LinearEncoder(enc.weight + 0.8 * rng.standard_normal(enc.weight.shape))
+        cfg = FactorVaeConfig(groups_per_factor=30, group_size=12, reference_samples=500, seed=3)
+        for e in (enc, noisy):
+            report = factorvae_metric(GeneratorSampler(gen), e, cfg)
+            assert np.array_equal(report.matrix, _reference_votes(GeneratorSampler(gen), e, cfg))
+        # the noisy encoder must split its votes, or the comparison is trivial
+        assert np.count_nonzero(report.matrix) > gen.r
+
+    def test_nonlinear_synthetic_votes_match_per_group_loop(self):
+        sampler = SyntheticFactorSampler(3, _tanh_mix)
+        enc = LinearEncoder(np.random.default_rng(5).standard_normal((5, 4)))
+        cfg = FactorVaeConfig(groups_per_factor=25, group_size=10, reference_samples=400, seed=7)
+        report = factorvae_metric(sampler, enc, cfg)
+        assert np.array_equal(report.matrix, _reference_votes(sampler, enc, cfg))
+        assert report.matrix.sum() == 3 * cfg.groups_per_factor
+
+    def test_inactive_codes_never_vote(self):
+        weight = np.vstack([np.eye(3), np.zeros((1, 3))])
+        cfg = FactorVaeConfig(groups_per_factor=20, group_size=10, reference_samples=300, seed=2)
+        sampler, enc = _identity_sampler(3), LinearEncoder(weight)
+        report = factorvae_metric(sampler, enc, cfg)
+        assert np.array_equal(report.matrix, _reference_votes(sampler, enc, cfg))
+        assert not report.matrix[3].any()
+
+
 class TestFactorVaeMetric:
     def test_perfect_encoder_scores_one(self):
         report = factorvae_metric(_identity_sampler(3), LinearEncoder(np.eye(3)), SMALL_CFG)
