@@ -2,9 +2,9 @@
 
 Closed-form mutual-information and pair-coupling objectives over linear
 Gaussian generators, projected-gradient optimizers that recover their
-maximizers, a contrastive latent sampler with discrete divergence machinery,
-a disentanglement metric suite, and unsupervised model selection over pools
-of (generator, encoder) pairs.
+maximizers, the discrete discrimination objective and its Jensen-Shannon
+identity, a disentanglement metric suite, and unsupervised model selection
+over pools of (generator, encoder) pairs.
 """
 
 __version__ = "0.1.0"

@@ -608,9 +608,7 @@ def cmd_select(args) -> int:
     if args.method == "model-centrality":
         cfg = _factorvae_config(config, args.seed)
         sim, _ = model_centrality(pool, cfg, threads=args.threads)
-        report = subsampled_centrality(
-            pool, args.fraction, args.trials, args.seed, sim=sim
-        )
+        report = subsampled_centrality(pool, sim, args.fraction, args.trials, args.seed)
         matrix = sim.b
     else:
         variant = args.method.removeprefix("udr-")
@@ -618,16 +616,7 @@ def cmd_select(args) -> int:
             pool.generator(0), int(udr_cfg["samples"]), args.seed
         ).samples
         matrix = udr_pair_scores(pool, samples, variant, float(udr_cfg["lasso_lambda"]))
-        report = udr_select(
-            pool,
-            samples,
-            variant,
-            float(udr_cfg["lasso_lambda"]),
-            args.fraction,
-            args.trials,
-            args.seed,
-            pair_scores=matrix,
-        )
+        report = udr_select(pool, matrix, variant, args.fraction, args.trials, args.seed)
 
     stderr = report.stderr if report.stderr is not None else np.zeros_like(report.scores)
     _write_csv(

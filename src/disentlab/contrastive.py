@@ -1,166 +1,21 @@
-"""Contrastive-pair machinery over latent codes and finite distribution families.
+"""Contrastive discrimination over finite distribution families.
 
-Coupled latent pairs share one coordinate and keep all others at least a gap g
-apart (or the reverse in shared-rest modes). Over a finite family of k
-discrete distributions, the k-way discrimination objective has the analytic
-maximum d_JS - log k where d_JS is the generalized Jensen-Shannon divergence,
-attained at the normalized-density discriminator; a plain gradient ascent on
-the logits verifies the identity numerically.
+Over a finite family of k discrete distributions, the k-way discrimination
+objective has the analytic maximum d_JS - log k where d_JS is the generalized
+Jensen-Shannon divergence, attained at the normalized-density discriminator;
+a plain gradient ascent on the logits verifies the identity numerically.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleGap, NumericFailure
-
-COUPLING_MODES = (
-    "shared_noise_shared_rest",
-    "shared_noise_random_rest",
-    "random_noise_shared_rest",
-    "random_noise_random_rest",
-)
-DEFAULT_MODE = "shared_noise_random_rest"
+from .errors import NumericFailure
 
 # One row of stochastic-matrix probabilities may deviate from 1 by round-off.
 _ROW_SUM_TOL = 1e-12
-
-
-def _check_gap(gap: float) -> float:
-    gap = float(gap)
-    if gap > 2.0:
-        raise InfeasibleGap(f"gap {gap} exceeds the width of the latent box [-1, 1]")
-    if gap < 0.0 or not math.isfinite(gap):
-        raise ValueError(f"gap must lie in [0, 2], got {gap}")
-    return gap
-
-
-@dataclass(frozen=True)
-class CouplingConfig:
-    """Settings for coupled latent sampling.
-
-    schedule holds (step_threshold, gap) pairs with ascending thresholds and
-    non-increasing gaps, evaluated as a piecewise-constant function of the
-    training step.
-    """
-
-    k: int
-    gap: float = 0.0
-    mode: str = DEFAULT_MODE
-    schedule: tuple[tuple[int, float], ...] = ()
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
-        if self.mode not in COUPLING_MODES:
-            raise ValueError(f"mode must be one of {COUPLING_MODES}, got {self.mode!r}")
-        _check_gap(self.gap)
-        sched = tuple((int(t), float(g)) for t, g in self.schedule)
-        for _, g in sched:
-            _check_gap(g)
-        thresholds = [t for t, _ in sched]
-        if thresholds != sorted(thresholds):
-            raise ValueError("schedule thresholds must be ascending")
-        gaps = [g for _, g in sched]
-        if any(b > a for a, b in zip(gaps, gaps[1:])):
-            raise ValueError("schedule gaps must be non-increasing")
-        object.__setattr__(self, "schedule", sched)
-
-
-@dataclass(frozen=True)
-class PairedLatentBatch:
-    """Coupled latent code pairs, one row per draw.
-
-    In random-rest modes c1[n, fixed_index[n]] == c2[n, fixed_index[n]] and
-    every other coordinate pair differs by at least the gap; shared-rest modes
-    swap the two roles. Noise rows are present only when requested.
-    """
-
-    c1: np.ndarray
-    c2: np.ndarray
-    fixed_index: np.ndarray
-    z1: np.ndarray | None = None
-    z2: np.ndarray | None = None
-
-    @property
-    def size(self) -> int:
-        return self.c1.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.c1.shape[1]
-
-    def csv_rows(self):
-        """Rows in the layout I, c1_1..c1_k, c2_1..c2_k."""
-        for i in range(self.size):
-            yield (int(self.fixed_index[i]), *self.c1[i], *self.c2[i])
-
-
-def sample_coupled_latents(
-    cfg: CouplingConfig, seed, n: int = 1, noise_dim: int = 0
-) -> PairedLatentBatch:
-    """Draw n coupled latent pairs.
-
-    One coordinate index I per row is drawn uniformly; its shared value is
-    uniform on [-1, 1]. Every gapped coordinate pair starts as two draws from
-    [-1 + g/2, 1 - g/2]; the larger is pushed up by g/2 and the smaller down
-    by g/2, so the pair differs by at least g and stays inside the box.
-    """
-    gap = _check_gap(cfg.gap)
-    rng = np.random.default_rng(seed)
-    k, half = cfg.k, 0.5 * gap
-    fixed = rng.integers(0, k, size=n)
-    shared = rng.uniform(-1.0, 1.0, size=n)
-    rows = np.arange(n)
-
-    if cfg.mode.endswith("random_rest"):
-        a = rng.uniform(-1.0 + half, 1.0 - half, size=(n, k))
-        b = rng.uniform(-1.0 + half, 1.0 - half, size=(n, k))
-        up = a > b
-        c1 = np.where(up, a + half, a - half)
-        c2 = np.where(up, b - half, b + half)
-        c1[rows, fixed] = shared
-        c2[rows, fixed] = shared
-    else:
-        base = rng.uniform(-1.0, 1.0, size=(n, k))
-        c1 = base.copy()
-        c2 = base.copy()
-        a = rng.uniform(-1.0 + half, 1.0 - half, size=n)
-        b = rng.uniform(-1.0 + half, 1.0 - half, size=n)
-        up = a > b
-        c1[rows, fixed] = np.where(up, a + half, a - half)
-        c2[rows, fixed] = np.where(up, b - half, b + half)
-
-    z1 = z2 = None
-    if noise_dim > 0:
-        z1 = rng.standard_normal((n, noise_dim))
-        z2 = z1.copy() if cfg.mode.startswith("shared_noise") else rng.standard_normal(
-            (n, noise_dim)
-        )
-    return PairedLatentBatch(c1, c2, fixed, z1, z2)
-
-
-def gap_schedule(cfg: CouplingConfig, step: int) -> float:
-    """Gap of the last schedule entry whose threshold is <= step.
-
-    Steps before the first threshold use the first entry's gap.
-    """
-    if not cfg.schedule:
-        raise ValueError("schedule is empty")
-    gap = cfg.schedule[0][1]
-    for threshold, g in cfg.schedule:
-        if threshold <= step:
-            gap = g
-        else:
-            break
-    return gap
-
-
-def scheduled_config(cfg: CouplingConfig, step: int) -> CouplingConfig:
-    """Copy of cfg with the gap the schedule assigns to the given step."""
-    return replace(cfg, gap=gap_schedule(cfg, step))
 
 
 @dataclass(frozen=True)
@@ -188,24 +43,6 @@ class DiscreteDistributionFamily:
     @property
     def support_size(self) -> int:
         return self.probs.shape[1]
-
-    def to_csv(self) -> str:
-        lines = [f"{self.k},{self.support_size}"]
-        for row in self.probs:
-            lines.append(",".join(f"{v:.17g}" for v in row))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "DiscreteDistributionFamily":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        k, m = (int(v) for v in lines[0].split(","))
-        if len(lines) != k + 1:
-            raise ValueError(f"expected {k} probability rows, got {len(lines) - 1}")
-        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-        p = np.asarray(rows, dtype=float)
-        if p.shape != (k, m):
-            raise ValueError(f"expected shape {(k, m)}, got {p.shape}")
-        return cls(p)
 
 
 @dataclass(frozen=True)
@@ -279,16 +116,14 @@ def train_discriminator(
     family: DiscreteDistributionFamily,
     iters: int = 30_000,
     step: float = 0.5,
-    seed=None,
 ) -> SoftmaxDiscriminator:
     """Full-batch gradient ascent on the logits of the discrimination objective.
 
-    Deterministic: logits start at zero and the gradient is exact, so `seed`
-    is accepted only for interface uniformity. Stops early once the gradient
-    is numerically zero; raises NumericFailure if the objective decreases
-    persistently (which a correct gradient cannot do at this step size).
+    Deterministic: logits start at zero and the gradient is exact. Stops
+    early once the gradient is numerically zero; raises NumericFailure if the
+    objective decreases persistently (which a correct gradient cannot do at
+    this step size).
     """
-    del seed  # reserved; the ascent has no stochastic component
     q = family.probs
     k = family.k
     z = q.sum(axis=0)  # (m,)

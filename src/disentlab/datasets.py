@@ -1,5 +1,5 @@
-"""Synthetic dataset generation: rasterized disc sprites, linear-Gaussian
-factor datasets, and latent traversals.
+"""Synthetic dataset generation: rasterized disc sprites and linear-Gaussian
+factor datasets.
 
 The disc dataset sweeps a small disc over a polar grid of placements on a
 64×64 canvas; generation is pure arithmetic, so outputs are bit-identical
@@ -166,40 +166,3 @@ def gen_linear_gaussian_dataset(gen: LinearGenerator, n: int, seed) -> FactorDat
     z = rng.standard_normal((n, gen.d))
     x = c @ gen.B.T + z @ gen.A.T
     return FactorDataset(x, c)
-
-
-@dataclass(frozen=True)
-class TraversalSpec:
-    """One-coordinate sweep of a base code over an interval inside [-1, 1]."""
-
-    base: np.ndarray
-    index: int
-    lo: float = -1.0
-    hi: float = 1.0
-    steps: int = 8
-
-    def __post_init__(self):
-        base = np.asarray(self.base, dtype=float)
-        if base.ndim != 1 or base.size < 1:
-            raise ValueError("base code must be a nonempty vector")
-        if not 0 <= self.index < base.size:
-            raise ValueError(f"index {self.index} out of range for {base.size} codes")
-        if not (-1.0 <= self.lo < self.hi <= 1.0):
-            raise ValueError(f"endpoints ({self.lo}, {self.hi}) must be ordered within [-1, 1]")
-        if self.steps < 2:
-            raise ValueError(f"need at least 2 steps, got {self.steps}")
-        object.__setattr__(self, "base", base)
-
-
-def latent_traversal(gen: LinearGenerator, spec: TraversalSpec) -> np.ndarray:
-    """Outputs B·c with c[index] swept over evenly spaced values, noise at zero.
-
-    Row t is x_base + (t_value - base[index])·b^(index): affine in the swept
-    value with all components orthogonal to that column unchanged.
-    """
-    if spec.base.size != gen.r:
-        raise ValueError(f"base code has {spec.base.size} entries, generator expects {gen.r}")
-    values = np.linspace(spec.lo, spec.hi, spec.steps)
-    codes = np.tile(spec.base, (spec.steps, 1))
-    codes[:, spec.index] = values
-    return codes @ gen.B.T

@@ -25,9 +25,5 @@ class UndefinedDivergence(DisentLabError):
     """The requested divergence is undefined for the given dimensions."""
 
 
-class InfeasibleGap(DisentLabError):
-    """A contrastive gap larger than the width of the latent box was requested."""
-
-
 class DegenerateEncoder(DisentLabError):
     """An encoder produced no usable code dimensions for the requested metric."""

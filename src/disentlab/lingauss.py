@@ -140,14 +140,18 @@ class OptimizerConfig:
             raise ValueError("max_iters must be at least 1")
 
 
-def _pd_inverse(sigma: SymMatrix) -> np.ndarray:
-    """Inverse of a positive definite matrix via its eigendecomposition."""
+def _pd_eig(sigma: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a covariance that must be invertible.
+
+    Raises SingularCovariance when the smallest eigenvalue is not positive or
+    falls below 1e-14 times the largest.
+    """
     w, v = eig_sym(sigma)
     if w[-1] <= 0.0 or w[-1] <= 1e-14 * w[0]:
         raise SingularCovariance(
             f"covariance is singular or nearly so (min eigenvalue {w[-1]:.6e})"
         )
-    return (v / w) @ v.T
+    return w, v
 
 
 def matched_generator(sigma: SymMatrix, b) -> LinearGenerator:
@@ -166,29 +170,16 @@ def is_distribution_matched(gen: LinearGenerator, rtol: float = MATCHED_RTOL) ->
     return bool(np.linalg.norm(gap) <= rtol * np.linalg.norm(gen.sigma.entries))
 
 
-def generated_covariance(gen: LinearGenerator) -> SymMatrix:
-    """Covariance B Bᵀ + A Aᵀ of the generated samples."""
-    return SymMatrix(gen.B @ gen.B.T + gen.A @ gen.A.T)
-
-
 def posterior(gen: LinearGenerator) -> ConditionalGaussian:
     """Closed-form conditional law of the codes given a generated sample.
 
     For a matched generator, c | x is Gaussian with mean Bᵀ Σ⁻¹ x and
     covariance S = I - Bᵀ Σ⁻¹ B.
     """
-    inv = _pd_inverse(gen.sigma)
-    mean_map = gen.B.T @ inv
+    w, v = _pd_eig(gen.sigma)
+    mean_map = gen.B.T @ ((v / w) @ v.T)
     cov = SymMatrix(np.eye(gen.r) - mean_map @ gen.B)
     return ConditionalGaussian(mean_map, cov)
-
-
-def conditional_mean(gen: LinearGenerator, x) -> np.ndarray:
-    """E[c | x] = Bᵀ Σ⁻¹ x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (gen.d,):
-        raise ValueError(f"x must have length {gen.d}, got shape {x.shape}")
-    return posterior(gen).mean_map @ x
 
 
 def infogan_objective(gen: LinearGenerator) -> float:
@@ -201,11 +192,7 @@ def infogan_objective(gen: LinearGenerator) -> float:
     semi-orthonormal B̃ = Σ^{-1/2} B.
     """
     r = gen.r
-    w, v = eig_sym(gen.sigma)
-    if w[-1] <= 0.0 or w[-1] <= 1e-14 * w[0]:
-        raise SingularCovariance(
-            f"covariance is singular or nearly so (min eigenvalue {w[-1]:.6e})"
-        )
+    w, v = _pd_eig(gen.sigma)
     b_tilde = (v / np.sqrt(w)) @ (v.T @ gen.B)
     primal = 0.5 * float(np.sum(b_tilde * b_tilde)) - 0.5 * r * (1.0 + LOG_2PI)
 
@@ -218,18 +205,7 @@ def infogan_objective(gen: LinearGenerator) -> float:
     return primal
 
 
-def kl_to_standard_gaussian(cov: SymMatrix) -> float:
-    """KL divergence of N(0, cov) from N(0, I): (1/2)(tr S - r - log det S)."""
-    w = eig_sym(cov).eigenvalues
-    if w[-1] <= 0.0:
-        raise DegenerateConditional(
-            f"covariance must be positive definite, min eigenvalue {w[-1]:.6e}"
-        )
-    r = cov.dim
-    return 0.5 * float(np.sum(w) - r - np.sum(np.log(w)))
-
-
-def bias_decomposition(gen: LinearGenerator, degenerate_ok: bool = False) -> BiasDecomposition:
+def bias_decomposition(gen: LinearGenerator) -> BiasDecomposition:
     """Split the recognition objective into information and bias terms.
 
     mutual_information = -(1/2)·log det S, latent_entropy = (r/2)(1 + log 2π),
@@ -238,20 +214,17 @@ def bias_decomposition(gen: LinearGenerator, degenerate_ok: bool = False) -> Bia
     equals infogan_objective(gen).
 
     A singular S (the semi-orthonormal optimum) makes the mutual information
-    diverge; by default that raises DegenerateConditional, while
-    degenerate_ok=True reports +inf sentinels for the two divergent terms.
+    diverge, which raises DegenerateConditional.
     """
     r = gen.r
     loss = infogan_objective(gen)
     entropy = 0.5 * r * (1.0 + LOG_2PI)
     w = eig_sym(posterior(gen).cov).eigenvalues
     if w[-1] < _SINGULAR_S_TOL:
-        if not degenerate_ok:
-            raise DegenerateConditional(
-                f"conditional covariance is singular (min eigenvalue {w[-1]:.6e}); "
-                "mutual information diverges at this limit"
-            )
-        return BiasDecomposition(math.inf, entropy, math.inf, loss)
+        raise DegenerateConditional(
+            f"conditional covariance is singular (min eigenvalue {w[-1]:.6e}); "
+            "mutual information diverges at this limit"
+        )
     log_w = np.log(w)
     mi = -0.5 * float(np.sum(log_w))
     bias = 0.5 * float(np.sum(w) - r - np.sum(log_w))

@@ -1,11 +1,10 @@
-"""Disentanglement and sample-quality metrics over encoded factor datasets.
+"""Disentanglement metrics over encoded factor datasets.
 
-The vote-based factor metric, Lasso-importance disentanglement (DCI), the
-kernel independence score dHSIC, inception score, and reverse KL all operate
-on plain arrays plus a small Encoder interface, so closed-form linear models
-and table fixtures exercise the same code paths. Spearman rank correlation
-and a covariance-update coordinate-descent Lasso solver are shared
-statistical kernels.
+The vote-based factor metric, Lasso-importance disentanglement (DCI) and the
+kernel independence score dHSIC operate on plain arrays plus a small Encoder
+interface, so closed-form linear models and table fixtures exercise the same
+code paths. Spearman rank correlation and a covariance-update
+coordinate-descent Lasso solver are shared statistical kernels.
 """
 from __future__ import annotations
 
@@ -24,7 +23,6 @@ from .lingauss import LinearGenerator, posterior
 LASSO_TOL = 1e-10
 LASSO_MAX_ITERS = 100_000
 _ZERO_STD_TOL = 1e-15
-_ROW_SUM_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -33,15 +31,10 @@ _ROW_SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class FactorDataset:
-    """Samples paired row-by-row with ground-truth factor values.
-
-    factor_cardinalities lists the number of distinct grid values per factor;
-    0 marks a continuous factor.
-    """
+    """Samples paired row-by-row with finite ground-truth factor values."""
 
     samples: np.ndarray  # (n, p)
     factors: np.ndarray  # (n, k_hat)
-    factor_cardinalities: tuple[int, ...] = ()
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)
@@ -52,16 +45,11 @@ class FactorDataset:
             raise ValueError(
                 f"need equal, positive row counts, got {s.shape[0]} and {f.shape[0]}"
             )
-        cards = tuple(int(c) for c in self.factor_cardinalities)
-        if not cards:
-            cards = (0,) * f.shape[1]
-        if len(cards) != f.shape[1]:
-            raise ValueError(
-                f"expected {f.shape[1]} cardinalities, got {len(cards)}"
-            )
+        for name, m in (("samples", s), ("factors", f)):
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"{name} hold non-finite entries")
         object.__setattr__(self, "samples", s)
         object.__setattr__(self, "factors", f)
-        object.__setattr__(self, "factor_cardinalities", cards)
 
     @property
     def n(self) -> int:
@@ -396,19 +384,6 @@ def factorvae_metric(
     return MetricReport("factorvae", score, detail, votes)
 
 
-def metric_matrix_reduction(m: np.ndarray, normalized: bool = True) -> float:
-    """Sum of the top k̂ row maxima of a k×k̂ score matrix, optionally / k̂."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {m.shape}")
-    k, k_hat = m.shape
-    if k < k_hat:
-        raise ValueError(f"need at least as many codes as factors, got {k} < {k_hat}")
-    row_max = np.sort(m.max(axis=1))[::-1]
-    total = float(row_max[:k_hat].sum())
-    return total / k_hat if normalized else total
-
-
 # ---------------------------------------------------------------------------
 # Lasso-importance disentanglement
 
@@ -461,7 +436,7 @@ def dci_disentanglement(
 
 
 # ---------------------------------------------------------------------------
-# independence and sample-quality scores
+# kernel independence score
 
 
 def dhsic(samples: np.ndarray) -> float:
@@ -493,35 +468,6 @@ def dhsic(samples: np.ndarray) -> float:
     t1 = joint.sum() / (n * n)
     t3 = 2.0 * row_products.mean()
     return float(t1 + product_term - t3)
-
-
-def inception_score(p: np.ndarray) -> float:
-    """exp(mean KL(row ‖ column mean)) of an n×L row-stochastic matrix."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 2 or p.shape[0] < 1:
-        raise ValueError(f"expected an n x L matrix, got shape {p.shape}")
-    if np.any(p < 0.0) or np.any(np.abs(p.sum(axis=1) - 1.0) > _ROW_SUM_TOL):
-        raise ValueError("rows must be probability vectors")
-    marginal = p.mean(axis=0)
-    mask = p > 0.0
-    ratio = np.divide(p, marginal[None, :], out=np.ones_like(p), where=mask)
-    kl_rows = np.where(mask, p * np.log(ratio, out=np.zeros_like(p), where=mask), 0.0).sum(axis=1)
-    return float(np.exp(kl_rows.mean()))
-
-
-def reverse_kl(gen_counts, true_counts, smoothing: float = 1e-9) -> float:
-    """KL(generated label law ‖ true label law) after additive count smoothing."""
-    g = np.asarray(gen_counts, dtype=float)
-    t = np.asarray(true_counts, dtype=float)
-    if g.shape != t.shape or g.ndim != 1:
-        raise ValueError("count vectors must share one length")
-    if np.any(g < 0.0) or np.any(t < 0.0) or g.sum() <= 0.0 or t.sum() <= 0.0:
-        raise ValueError("counts must be nonnegative with a positive total each")
-    g = g + smoothing
-    t = t + smoothing
-    g /= g.sum()
-    t /= t.sum()
-    return float(np.sum(g * np.log(g / t)))
 
 
 # ---------------------------------------------------------------------------

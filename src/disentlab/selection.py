@@ -201,21 +201,16 @@ def _subsampled_row_means(
 
 def subsampled_centrality(
     pool: ModelPool,
+    sim: SimilarityMatrix,
     fraction: float = 0.8,
     trials: int = 100,
     seed=0,
-    cfg: FactorVaeConfig | None = None,
-    metric=cross_score,
-    sim: SimilarityMatrix | None = None,
-    threads: int = 1,
 ) -> SelectionReport:
     """Centrality scores where each row mean uses a random subset of the others.
 
-    Cross-scores are computed once (or taken from a precomputed similarity
-    matrix); only the averaging is resampled, per model and per trial.
+    The cross-scores come from model_centrality's similarity matrix; only the
+    averaging is resampled, per model and per trial.
     """
-    if sim is None:
-        sim, _ = model_centrality(pool, cfg if cfg is not None else FactorVaeConfig(), metric, threads)
     means, stderr = _subsampled_row_means(sim.b, fraction, trials, seed)
     return SelectionReport(
         "model_centrality", means, int(np.argmax(means)), stderr, pool.labels
@@ -334,21 +329,17 @@ def udr_pair_scores(
 
 def udr_select(
     pool: ModelPool,
-    samples: np.ndarray,
+    pair_scores: np.ndarray,
     variant: str = "lasso",
-    lasso_lambda: float = 0.01,
     fraction: float = 1.0,
     trials: int = 1,
     seed=0,
-    pair_scores: np.ndarray | None = None,
 ) -> SelectionReport:
     """Rank pool models by their mean pairwise relevance score against the rest.
 
-    A precomputed `pair_scores` matrix skips the all-pairs evaluation; the
-    averaging (and any subsampling) still runs on top of it.
+    pair_scores is udr_pair_scores' matrix for the pool; the averaging (and
+    any subsampling) runs on top of it.
     """
-    if pair_scores is None:
-        pair_scores = udr_pair_scores(pool, samples, variant, lasso_lambda)
     means, stderr = _subsampled_row_means(pair_scores, fraction, trials, seed)
     return SelectionReport(
         f"udr_{variant}", means, int(np.argmax(means)), stderr, pool.labels

@@ -299,6 +299,29 @@ class TestMetrics:
                 "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "met")]
         assert main(args) == 2
 
+    @pytest.mark.parametrize(
+        "metrics, name",
+        [("dhsic", "samples.csv"), ("factorvae,dci,dhsic", "samples.csv"),
+         ("factorvae,dci,dhsic", "factors.csv")],
+    )
+    def test_non_finite_data_exits_2_before_any_metric(self, model_dir, data_dir, tmp_path,
+                                                       capsys, metrics, name):
+        poisoned = tmp_path / "poisoned"
+        poisoned.mkdir()
+        for csv_name in ("samples.csv", "factors.csv"):
+            lines = (data_dir / csv_name).read_text().splitlines()
+            if csv_name == name:
+                lines[1] = "nan," + lines[1].split(",", 1)[1]
+            (poisoned / csv_name).write_text("\n".join(lines) + "\n")
+        out = tmp_path / "met"
+        config = _write_json(tmp_path / "cfg.json", SMALL_FACTORVAE)
+        args = ["metrics", "--model", str(model_dir / "model.json"), "--metrics", metrics,
+                "--data", str(poisoned), "--out", str(out), "--config", config]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "could not load dataset" in err and "hold non-finite entries" in err
+        assert list(out.iterdir()) == []
+
 
 class TestSelect:
     def _run(self, pool_dir, out, extra=()):

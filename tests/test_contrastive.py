@@ -1,24 +1,17 @@
-"""Tests for coupled latent sampling and the discrete discrimination objective."""
+"""Tests for the discrete discrimination objective."""
 import math
 
 import numpy as np
 import pytest
 
 from disentlab.contrastive import (
-    COUPLING_MODES,
-    CouplingConfig,
     DiscreteDistributionFamily,
-    PairedLatentBatch,
     SoftmaxDiscriminator,
     cross_entropy_objective,
-    gap_schedule,
     js_divergence,
     optimal_discriminator,
-    sample_coupled_latents,
-    scheduled_config,
     train_discriminator,
 )
-from disentlab.errors import InfeasibleGap
 
 LOG_2 = 0.6931471805599453
 LOG_3 = 1.0986122886681098
@@ -36,175 +29,6 @@ def _random_family(rng, k: int, m: int) -> DiscreteDistributionFamily:
     return DiscreteDistributionFamily(p / p.sum(axis=1, keepdims=True))
 
 
-class TestCouplingConfig:
-    def test_defaults(self):
-        cfg = CouplingConfig(k=4)
-        assert cfg.gap == 0.0
-        assert cfg.mode == "shared_noise_random_rest"
-
-    def test_bad_k(self):
-        with pytest.raises(ValueError):
-            CouplingConfig(k=0)
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            CouplingConfig(k=2, mode="independent")
-
-    def test_gap_too_wide(self):
-        with pytest.raises(InfeasibleGap):
-            CouplingConfig(k=2, gap=2.5)
-
-    def test_negative_gap(self):
-        with pytest.raises(ValueError):
-            CouplingConfig(k=2, gap=-0.1)
-
-    def test_schedule_threshold_order(self):
-        with pytest.raises(ValueError):
-            CouplingConfig(k=2, schedule=((100, 1.0), (50, 0.5)))
-
-    def test_schedule_gap_monotone(self):
-        with pytest.raises(ValueError):
-            CouplingConfig(k=2, schedule=((0, 0.5), (100, 1.0)))
-
-    def test_schedule_gap_validated(self):
-        with pytest.raises(InfeasibleGap):
-            CouplingConfig(k=2, schedule=((0, 3.0),))
-
-
-class TestSampleCoupledLatents:
-    def test_shapes_and_box(self):
-        cfg = CouplingConfig(k=5, gap=0.4)
-        batch = sample_coupled_latents(cfg, seed=0, n=200)
-        assert batch.c1.shape == (200, 5)
-        assert batch.c2.shape == (200, 5)
-        assert batch.fixed_index.shape == (200,)
-        assert batch.size == 200 and batch.k == 5
-        assert np.all(batch.c1 >= -1.0) and np.all(batch.c1 <= 1.0)
-        assert np.all(batch.c2 >= -1.0) and np.all(batch.c2 <= 1.0)
-        assert batch.z1 is None and batch.z2 is None
-
-    @pytest.mark.parametrize("mode", [m for m in COUPLING_MODES if m.endswith("random_rest")])
-    def test_random_rest_structure(self, mode):
-        cfg = CouplingConfig(k=4, gap=0.6, mode=mode)
-        batch = sample_coupled_latents(cfg, seed=7, n=500)
-        rows = np.arange(batch.size)
-        shared = batch.c1[rows, batch.fixed_index]
-        assert np.array_equal(shared, batch.c2[rows, batch.fixed_index])
-        diff = np.abs(batch.c1 - batch.c2)
-        diff[rows, batch.fixed_index] = np.inf
-        assert diff.min() >= 0.6 - 1e-12
-
-    @pytest.mark.parametrize("mode", [m for m in COUPLING_MODES if m.endswith("shared_rest")])
-    def test_shared_rest_structure(self, mode):
-        cfg = CouplingConfig(k=4, gap=0.6, mode=mode)
-        batch = sample_coupled_latents(cfg, seed=7, n=500)
-        rows = np.arange(batch.size)
-        gap_diff = np.abs(batch.c1[rows, batch.fixed_index] - batch.c2[rows, batch.fixed_index])
-        assert gap_diff.min() >= 0.6 - 1e-12
-        rest1 = batch.c1.copy()
-        rest2 = batch.c2.copy()
-        rest1[rows, batch.fixed_index] = 0.0
-        rest2[rows, batch.fixed_index] = 0.0
-        assert np.array_equal(rest1, rest2)
-
-    def test_maximal_gap_pins_endpoints(self):
-        cfg = CouplingConfig(k=3, gap=2.0)
-        batch = sample_coupled_latents(cfg, seed=11, n=50)
-        rows = np.arange(batch.size)
-        hi = np.maximum(batch.c1, batch.c2)
-        lo = np.minimum(batch.c1, batch.c2)
-        hi[rows, batch.fixed_index] = 1.0
-        lo[rows, batch.fixed_index] = -1.0
-        assert np.array_equal(hi, np.ones_like(hi))
-        assert np.array_equal(lo, -np.ones_like(lo))
-
-    def test_wide_gap_lands_in_end_bands(self):
-        cfg = CouplingConfig(k=2, gap=1.9)
-        batch = sample_coupled_latents(cfg, seed=3, n=400)
-        rows = np.arange(batch.size)
-        for arr in (batch.c1, batch.c2):
-            rest = arr.copy()
-            rest[rows, batch.fixed_index] = 1.0
-            assert np.all(np.abs(rest) >= 0.9 - 1e-12)
-
-    def test_shared_value_uniform(self):
-        # Kolmogorov-Smirnov against U[-1, 1]; 1.63/sqrt(n) is the 1% critical value.
-        n = 10_000
-        cfg = CouplingConfig(k=3, gap=1.9)
-        batch = sample_coupled_latents(cfg, seed=5, n=n)
-        shared = np.sort(batch.c1[np.arange(n), batch.fixed_index])
-        cdf = (shared + 1.0) / 2.0
-        empirical = np.arange(1, n + 1) / n
-        dn = max(np.abs(empirical - cdf).max(), np.abs(cdf - (np.arange(n) / n)).max())
-        assert dn < 1.63 / math.sqrt(n)
-
-    def test_fixed_index_covers_all_coordinates(self):
-        cfg = CouplingConfig(k=6)
-        batch = sample_coupled_latents(cfg, seed=2, n=3000)
-        counts = np.bincount(batch.fixed_index, minlength=6)
-        assert counts.min() > 0
-        assert counts.max() < 2 * counts.min()
-
-    def test_noise_modes(self):
-        for mode in COUPLING_MODES:
-            cfg = CouplingConfig(k=3, mode=mode)
-            batch = sample_coupled_latents(cfg, seed=1, n=20, noise_dim=4)
-            assert batch.z1.shape == (20, 4)
-            assert batch.z2.shape == (20, 4)
-            if mode.startswith("shared_noise"):
-                assert np.array_equal(batch.z1, batch.z2)
-                assert batch.z1 is not batch.z2
-            else:
-                assert not np.array_equal(batch.z1, batch.z2)
-
-    def test_deterministic_per_seed(self):
-        cfg = CouplingConfig(k=4, gap=0.3)
-        a = sample_coupled_latents(cfg, seed=99, n=64, noise_dim=2)
-        b = sample_coupled_latents(cfg, seed=99, n=64, noise_dim=2)
-        assert np.array_equal(a.c1, b.c1)
-        assert np.array_equal(a.c2, b.c2)
-        assert np.array_equal(a.fixed_index, b.fixed_index)
-        assert np.array_equal(a.z1, b.z1)
-        c = sample_coupled_latents(cfg, seed=100, n=64, noise_dim=2)
-        assert not np.array_equal(a.c1, c.c1)
-
-    def test_csv_rows_layout(self):
-        batch = PairedLatentBatch(
-            c1=np.array([[0.5, -0.5]]),
-            c2=np.array([[0.5, 0.25]]),
-            fixed_index=np.array([0]),
-        )
-        rows = list(batch.csv_rows())
-        assert rows == [(0, 0.5, -0.5, 0.5, 0.25)]
-
-
-class TestGapSchedule:
-    CFG = CouplingConfig(k=2, schedule=((10, 1.0), (100, 0.5), (1000, 0.0)))
-
-    def test_empty_schedule(self):
-        with pytest.raises(ValueError):
-            gap_schedule(CouplingConfig(k=2), step=0)
-
-    def test_before_first_threshold(self):
-        assert gap_schedule(self.CFG, 0) == 1.0
-
-    def test_exact_thresholds(self):
-        assert gap_schedule(self.CFG, 10) == 1.0
-        assert gap_schedule(self.CFG, 100) == 0.5
-        assert gap_schedule(self.CFG, 1000) == 0.0
-
-    def test_between_and_beyond(self):
-        assert gap_schedule(self.CFG, 99) == 1.0
-        assert gap_schedule(self.CFG, 500) == 0.5
-        assert gap_schedule(self.CFG, 10**9) == 0.0
-
-    def test_scheduled_config(self):
-        cfg = scheduled_config(self.CFG, 500)
-        assert cfg.gap == 0.5
-        assert cfg.schedule == self.CFG.schedule
-        assert self.CFG.gap == 0.0
-
-
 class TestDistributionFamily:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -217,18 +41,6 @@ class TestDistributionFamily:
     def test_properties(self):
         fam = _hand_family()
         assert fam.k == 2 and fam.support_size == 2
-
-    def test_csv_round_trip(self):
-        rng = np.random.default_rng(0)
-        fam = _random_family(rng, k=3, m=7)
-        text = fam.to_csv()
-        assert text.splitlines()[0] == "3,7"
-        back = DiscreteDistributionFamily.from_csv(text)
-        assert np.array_equal(back.probs, fam.probs)
-
-    def test_csv_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            DiscreteDistributionFamily.from_csv("2,2\n1,0\n")
 
 
 class TestJsDivergence:
@@ -332,6 +144,6 @@ class TestTrainDiscriminator:
 
     def test_deterministic(self):
         fam = _hand_family()
-        a = train_discriminator(fam, iters=500, seed=0)
-        b = train_discriminator(fam, iters=500, seed=12345)
+        a = train_discriminator(fam, iters=500)
+        b = train_discriminator(fam, iters=500)
         assert np.array_equal(a.logits, b.logits)

@@ -1,20 +1,18 @@
-"""Tests for dataset generation, PGM IO, and latent traversals."""
+"""Tests for dataset generation and PGM IO."""
 import numpy as np
 import pytest
 
 from disentlab.datasets import (
     CircularSpec,
-    TraversalSpec,
     gen_circular_dsprites,
     gen_linear_gaussian_dataset,
-    latent_traversal,
     rasterize_disc,
     read_pgm,
     write_circular_dataset,
     write_pgm,
 )
 from disentlab.linalg import SymMatrix, spd_sqrt
-from disentlab.lingauss import generated_covariance, matched_generator
+from disentlab.lingauss import matched_generator
 
 # lattice points with x² + y² ≤ 25
 DISC_5_PIXELS = 81
@@ -187,11 +185,9 @@ class TestLinearGaussianDataset:
         gen = _gen()
         n = 100_000
         ds = gen_linear_gaussian_dataset(gen, n, seed=11)
-        assert np.abs(ds.samples.mean(axis=0)).max() <= 4.0 * np.sqrt(
-            np.diag(np.asarray(generated_covariance(gen))).max() / n
-        )
+        target = gen.B @ gen.B.T + gen.A @ gen.A.T
+        assert np.abs(ds.samples.mean(axis=0)).max() <= 4.0 * np.sqrt(np.diag(target).max() / n)
         emp = ds.samples.T @ ds.samples / n
-        target = np.asarray(generated_covariance(gen))
         se = np.sqrt(
             (np.outer(np.diag(target), np.diag(target)) + target**2) / n
         )
@@ -207,41 +203,3 @@ class TestLinearGaussianDataset:
         with pytest.raises(ValueError):
             gen_linear_gaussian_dataset(_gen(), 0, seed=0)
 
-
-class TestLatentTraversal:
-    def test_endpoints_only(self):
-        gen = _gen(d=4, r=2)
-        spec = TraversalSpec(base=np.array([0.25, -0.5]), index=0, steps=2)
-        out = latent_traversal(gen, spec)
-        assert out.shape == (2, 4)
-        assert out[0] == pytest.approx(gen.B @ np.array([-1.0, -0.5]), abs=1e-12)
-        assert out[1] == pytest.approx(gen.B @ np.array([1.0, -0.5]), abs=1e-12)
-
-    def test_equal_increments(self):
-        gen = _gen(d=5, r=3)
-        spec = TraversalSpec(base=np.zeros(3), index=1, steps=9)
-        out = latent_traversal(gen, spec)
-        diffs = np.diff(out, axis=0)
-        expected = (2.0 / 8.0) * gen.B[:, 1]
-        assert diffs == pytest.approx(np.tile(expected, (8, 1)), abs=1e-12)
-
-    def test_orthogonal_component_fixed(self):
-        gen = _gen(d=4, r=2)
-        spec = TraversalSpec(base=np.array([0.1, 0.9]), index=0, steps=7)
-        out = latent_traversal(gen, spec)
-        b = gen.B[:, 0]
-        proj = np.eye(4) - np.outer(b, b) / (b @ b)
-        residual = out @ proj.T
-        assert np.ptp(residual, axis=0).max() <= 1e-12
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            TraversalSpec(base=np.zeros(2), index=2)
-        with pytest.raises(ValueError):
-            TraversalSpec(base=np.zeros(2), index=0, lo=-1.5)
-        with pytest.raises(ValueError):
-            TraversalSpec(base=np.zeros(2), index=0, lo=0.5, hi=0.5)
-        with pytest.raises(ValueError):
-            TraversalSpec(base=np.zeros(2), index=0, steps=1)
-        with pytest.raises(ValueError):
-            latent_traversal(_gen(d=4, r=2), TraversalSpec(base=np.zeros(3), index=0))

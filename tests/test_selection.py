@@ -355,7 +355,7 @@ class TestUdrSelect:
         samples = np.random.default_rng(0).multivariate_normal(
             np.zeros(3), np.asarray(sigma), size=300
         )
-        report = udr_select(pool, samples, variant="spearman")
+        report = udr_select(pool, udr_pair_scores(pool, samples, "spearman"), variant="spearman")
         assert report.selected == 0
         assert np.all(report.scores > 0.95)
         assert report.method == "udr_spearman"
@@ -367,7 +367,7 @@ class TestUdrSelect:
             np.zeros(3), np.asarray(sigma), size=400
         )
         for variant in ("lasso", "spearman"):
-            report = udr_select(pool, samples, variant=variant)
+            report = udr_select(pool, udr_pair_scores(pool, samples, variant), variant=variant)
             assert np.argmin(report.scores) == 2
 
     def test_minimal_pool(self):
@@ -376,7 +376,7 @@ class TestUdrSelect:
         samples = np.random.default_rng(2).multivariate_normal(
             np.zeros(2), np.asarray(sigma), size=100
         )
-        report = udr_select(pool, samples, variant="spearman")
+        report = udr_select(pool, udr_pair_scores(pool, samples, "spearman"), variant="spearman")
         assert report.scores.shape == (2,)
 
 
