@@ -42,6 +42,18 @@ class TestDistributionFamily:
         fam = _hand_family()
         assert fam.k == 2 and fam.support_size == 2
 
+    def test_csv_round_trip(self):
+        rng = np.random.default_rng(0)
+        fam = _random_family(rng, k=3, m=7)
+        text = fam.to_csv()
+        assert text.splitlines()[0] == "3,7"
+        back = DiscreteDistributionFamily.from_csv(text)
+        assert np.array_equal(back.probs, fam.probs)
+
+    def test_csv_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            DiscreteDistributionFamily.from_csv("2,2\n1,0\n")
+
 
 class TestJsDivergence:
     def test_identical_rows_zero(self):

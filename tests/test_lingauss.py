@@ -97,6 +97,30 @@ class TestConditionalMean:
         assert np.all(np.abs(m_hat - post.mean_map) <= 3.0 * se)
 
 
+class TestGeneratedCovariance:
+    def test_direct_products(self):
+        gen = LinearGenerator(
+            np.array([[1.0], [0.0]]), np.diag([0.0, 1.0]), SymMatrix(np.eye(2))
+        )
+        assert np.allclose(gen.B @ gen.B.T + gen.A @ gen.A.T, np.eye(2), atol=1e-15)
+        assert is_distribution_matched(gen)
+        gen2 = LinearGenerator(np.zeros((2, 1)), np.eye(2), SymMatrix(np.eye(2)))
+        assert np.allclose(gen2.B @ gen2.B.T + gen2.A @ gen2.A.T, np.eye(2), atol=1e-15)
+        assert is_distribution_matched(gen2)
+
+    def test_monte_carlo(self):
+        rng = np.random.default_rng(9)
+        b = rng.standard_normal((3, 2))
+        a = rng.standard_normal((3, 3))
+        gen = LinearGenerator(b, a, SymMatrix(np.eye(3)))
+        cov = gen.B @ gen.B.T + gen.A @ gen.A.T
+        n = 100_000
+        x, _ = _sample(gen, n, rng)
+        emp = x.T @ x / n
+        se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
+        assert np.all(np.abs(emp - cov) <= 3.0 * se)
+
+
 class TestInfoganObjective:
     def test_zero_code_map(self):
         gen = matched_generator(SymMatrix(np.eye(2)), np.zeros((2, 1)))

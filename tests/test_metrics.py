@@ -22,7 +22,10 @@ from disentlab.metrics import (
     dci_disentanglement,
     dhsic,
     factorvae_metric,
+    inception_score,
     lasso_fit,
+    metric_matrix_reduction,
+    reverse_kl,
     spearman_rho,
 )
 
@@ -281,6 +284,24 @@ class TestFactorVaeMetric:
             FactorVaeConfig(variance_floor=0.0)
 
 
+class TestMetricMatrixReduction:
+    def test_identity(self):
+        assert metric_matrix_reduction(np.eye(3), normalized=False) == 3.0
+        assert metric_matrix_reduction(np.eye(3)) == 1.0
+
+    def test_hand_case(self):
+        m = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
+        assert metric_matrix_reduction(m, normalized=False) == pytest.approx(1.7, abs=1e-15)
+        assert metric_matrix_reduction(m) == pytest.approx(0.85, abs=1e-15)
+
+    def test_zero_matrix(self):
+        assert metric_matrix_reduction(np.zeros((4, 2))) == 0.0
+
+    def test_more_factors_than_codes(self):
+        with pytest.raises(ValueError):
+            metric_matrix_reduction(np.zeros((2, 3)))
+
+
 class TestDci:
     def _dataset(self, rng, n=400, k_hat=3):
         factors = rng.standard_normal((n, k_hat))
@@ -374,6 +395,53 @@ class TestDhsic:
             dhsic(np.ones((1, 3)))
         with pytest.raises(ValueError):
             dhsic(np.ones((5, 1)))
+
+
+class TestInceptionScore:
+    def test_uniform_rows(self):
+        assert inception_score(np.full((7, 4), 0.25)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_hot_covering(self):
+        assert inception_score(np.eye(5)) == pytest.approx(5.0, abs=1e-12)
+
+    def test_collapsed_one_hot(self):
+        p = np.zeros((6, 3))
+        p[:, 1] = 1.0
+        assert inception_score(p) == pytest.approx(1.0, abs=1e-12)
+
+    def test_range(self):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            p = rng.uniform(0.0, 1.0, size=(10, 6))
+            p /= p.sum(axis=1, keepdims=True)
+            score = inception_score(p)
+            assert 1.0 - 1e-12 <= score <= 6.0 + 1e-12
+
+    def test_non_stochastic_rejected(self):
+        with pytest.raises(ValueError):
+            inception_score(np.array([[0.5, 0.6]]))
+        with pytest.raises(ValueError):
+            inception_score(np.array([[1.5, -0.5]]))
+
+
+class TestReverseKl:
+    def test_identical(self):
+        assert reverse_kl([3.0, 3.0], [6.0, 6.0]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_missing_mode(self):
+        value = reverse_kl([10.0, 0.0], [5.0, 5.0], smoothing=1e-9)
+        assert value == pytest.approx(math.log(2.0), abs=1e-6)
+
+    def test_asymmetry(self):
+        a = reverse_kl([10.0, 0.0], [5.0, 5.0])
+        b = reverse_kl([5.0, 5.0], [10.0, 0.0])
+        assert a != b
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            reverse_kl([1.0, -1.0], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            reverse_kl([0.0, 0.0], [1.0, 1.0])
 
 
 class TestSpearman:
