@@ -11,8 +11,8 @@ analyze           rank-correlation matrix across score CSVs
 
 Report CSVs carry 12 significant digits with LF line endings, and every
 subcommand is byte-identical across reruns with the same inputs, seed, and
-any --threads value. Exit codes: 0 success, 1 failed verification check,
-2 usage or I/O error.
+any --threads value; only select --method model-centrality uses threads.
+Exit codes: 0 success, 1 failed verification check, 2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -126,14 +125,6 @@ def _fmt(v) -> str:
     return f"{float(v):.12g}"
 
 
-def _build(factory, /, *args, **kwargs):
-    """Construct a validated object, converting rejections into usage errors."""
-    try:
-        return factory(*args, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise CliError(str(exc)) from None
-
-
 def _out_dir(path_str: str) -> Path:
     path = Path(path_str)
     if path.is_dir():
@@ -196,14 +187,6 @@ def _section(config: dict, name: str, defaults: dict) -> dict:
     return merged
 
 
-def _run_jobs(fn, jobs, threads: int) -> list:
-    """Map fn over jobs, preserving input order for any thread count."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
-
-
 def _save_model(path: Path, gen: LinearGenerator, extra: dict) -> None:
     obj = gen.to_dict()
     obj["encoder"] = [float(v) for v in posterior(gen).mean_map.ravel()]
@@ -238,12 +221,24 @@ def _load_model(path_str) -> tuple[LinearGenerator, LinearEncoder]:
 
 def _factorvae_config(config: dict, seed: int) -> FactorVaeConfig:
     section = _section(config, "factorvae", _FACTORVAE_DEFAULTS)
-    return _build(
-        FactorVaeConfig,
+    return FactorVaeConfig(
         groups_per_factor=int(section["groups_per_factor"]),
         group_size=int(section["group_size"]),
         reference_samples=int(section["reference_samples"]),
         variance_floor=float(section["variance_floor"]),
+        seed=seed,
+    )
+
+
+def _optimizer_config(section: dict, objective: str, seed: int) -> OptimizerConfig:
+    """OptimizerConfig from a merged optimizer section; absent weights keep their defaults."""
+    return OptimizerConfig(
+        objective,
+        lam=float(section.get("lam", OptimizerConfig.lam)),
+        alpha=float(section.get("alpha", OptimizerConfig.alpha)),
+        step_size=float(section["step_size"]),
+        max_iters=int(section["max_iters"]),
+        rel_tol=float(section["rel_tol"]),
         seed=seed,
     )
 
@@ -265,47 +260,30 @@ def cmd_verify_theorems(args) -> int:
         status = "pass" if value <= threshold else "fail"
         rows.append([suite, case, quantity, _fmt(value), _fmt(threshold), status])
 
-    def opt_cfg(objective: str, seed: int) -> OptimizerConfig:
-        return _build(
-            OptimizerConfig,
-            objective,
-            step_size=float(opt["step_size"]),
-            max_iters=int(opt["max_iters"]),
-            rel_tol=float(opt["rel_tol"]),
-            seed=seed,
-        )
-
     # recovered code maps are semi-orthonormal and hit the closed-form optimum
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0]))
     d, r = int(suites["d"]), int(suites["r"])
-    jobs = []
+    optimum = -0.5 * r * LOG_2PI
     for m_idx in range(int(suites["matrices"])):
         m = rng.standard_normal((d, d))
         sigma = SymMatrix(m @ m.T + 0.5 * np.eye(d))
         for s_idx in range(int(suites["seeds"])):
-            jobs.append((f"sigma{m_idx:02d}_seed{s_idx:02d}", sigma, s_idx))
-
-    def run_semi(job):
-        case, sigma, s_idx = job
-        _, report = optimize_generator(sigma, r, opt_cfg("infogan", s_idx))
-        return case, report
-
-    optimum = -0.5 * r * LOG_2PI
-    for case, report in _run_jobs(run_semi, jobs, args.threads):
-        check(
-            "semi_orthonormal",
-            case,
-            "orthonormality_residual",
-            report.orthonormality_residual,
-            thresholds["orthonormality_residual"],
-        )
-        check(
-            "semi_orthonormal",
-            case,
-            "objective_gap",
-            abs(report.objective_value - optimum),
-            thresholds["objective_gap"],
-        )
+            _, report = optimize_generator(sigma, r, _optimizer_config(opt, "infogan", s_idx))
+            case = f"sigma{m_idx:02d}_seed{s_idx:02d}"
+            check(
+                "semi_orthonormal",
+                case,
+                "orthonormality_residual",
+                report.orthonormality_residual,
+                thresholds["orthonormality_residual"],
+            )
+            check(
+                "semi_orthonormal",
+                case,
+                "objective_gap",
+                abs(report.objective_value - optimum),
+                thresholds["objective_gap"],
+            )
 
     # the coupling objective recovers the top principal components
     spectrum = np.asarray(suites["spectrum"], dtype=float)
@@ -316,12 +294,10 @@ def cmd_verify_theorems(args) -> int:
     w_desc = np.sort(spectrum)[::-1]
     trunc = rank_r_truncation(sigma, pca_r).entries
 
-    def run_pca(seed):
-        return seed, optimize_generator(sigma, pca_r, opt_cfg("cr_frobenius", seed))
-
-    for seed, (gen, report) in _run_jobs(
-        run_pca, range(int(suites["pca_seeds"])), args.threads
-    ):
+    for seed in range(int(suites["pca_seeds"])):
+        gen, report = optimize_generator(
+            sigma, pca_r, _optimizer_config(opt, "cr_frobenius", seed)
+        )
         case = f"seed{seed:02d}"
         check(
             "pca_recovery",
@@ -420,8 +396,7 @@ def cmd_verify_theorems(args) -> int:
 def cmd_gen_data(args) -> int:
     out = _out_dir(args.out)
     if args.circular:
-        spec = _build(
-            CircularSpec,
+        spec = CircularSpec(
             canvas_size=args.canvas,
             disc_radius=args.radius,
             n_radii=args.n_radii,
@@ -452,7 +427,7 @@ def _read_sigma(args) -> SymMatrix:
             raise CliError(
                 f"--sigma-diag must be comma-separated numbers, got {args.sigma_diag!r}"
             ) from None
-        return _build(SymMatrix, np.diag(values))
+        return SymMatrix(np.diag(values))
     path = Path(args.sigma)
     if not path.is_file():
         raise CliError(f"missing input file {path}")
@@ -462,7 +437,7 @@ def _read_sigma(args) -> SymMatrix:
         m = np.asarray([[float(v) for v in row] for row in raw], dtype=float)
     except ValueError:
         raise CliError(f"{path} must hold a plain numeric matrix") from None
-    return _build(SymMatrix, m)
+    return SymMatrix(m)
 
 
 def cmd_optimize(args) -> int:
@@ -478,21 +453,10 @@ def cmd_optimize(args) -> int:
     if args.restarts < 1:
         raise CliError(f"--restarts must be positive, got {args.restarts}")
     seeds = [args.seed + i for i in range(args.restarts)]
-
-    def run(seed: int):
-        cfg = _build(
-            OptimizerConfig,
-            objective,
-            lam=float(opt["lam"]),
-            alpha=float(opt["alpha"]),
-            step_size=float(opt["step_size"]),
-            max_iters=int(opt["max_iters"]),
-            rel_tol=float(opt["rel_tol"]),
-            seed=seed,
-        )
-        return optimize_generator(sigma, args.r, cfg)
-
-    results = _run_jobs(run, seeds, args.threads)
+    results = [
+        optimize_generator(sigma, args.r, _optimizer_config(opt, objective, seed))
+        for seed in seeds
+    ]
     best = max(range(len(seeds)), key=lambda i: results[i][1].objective_value)
     gen, report = results[best]
     _save_model(out / "model.json", gen, {"objective": objective, "seed": seeds[best]})
@@ -603,7 +567,7 @@ def cmd_select(args) -> int:
         gen, enc = _load_model(manifest_path.parent / str(rel))
         label = str(labels[idx]) if labels else str(rel).removesuffix(".json")
         entries.append((gen, enc, label))
-    pool = _build(ModelPool, tuple(entries))
+    pool = ModelPool(tuple(entries))
 
     if args.method == "model-centrality":
         cfg = _factorvae_config(config, args.seed)
@@ -618,14 +582,13 @@ def cmd_select(args) -> int:
         matrix = udr_pair_scores(pool, samples, variant, float(udr_cfg["lasso_lambda"]))
         report = udr_select(pool, matrix, variant, args.fraction, args.trials, args.seed)
 
-    stderr = report.stderr if report.stderr is not None else np.zeros_like(report.scores)
     _write_csv(
         out / "scores.csv",
         ["model", "label", "score", "stderr"],
         [
             [str(i), label, _fmt(score), _fmt(err)]
             for i, (label, score, err) in enumerate(
-                zip(report.labels, report.scores, stderr)
+                zip(report.labels, report.scores, report.stderr)
             )
         ],
     )
@@ -689,7 +652,7 @@ def cmd_analyze(args) -> int:
         if vector.size < 2:
             raise CliError(f"{path} needs at least two score rows")
         named.append((name, vector))
-    corr = _build(rank_correlation_analysis, named)
+    corr = rank_correlation_analysis(named)
     names = [name for name, _ in named]
     _write_matrix_report(out / "rank_correlation.csv", names, corr.entries)
     write_svg(
@@ -712,7 +675,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--config", help="JSON file with parameter overrides")
     common.add_argument(
-        "--threads", type=int, default=1, help="worker threads for independent sub-runs"
+        "--threads",
+        type=int,
+        default=1,
+        help="worker threads; only select --method model-centrality uses them, "
+        "and results are identical for any value",
     )
 
     parser = argparse.ArgumentParser(
@@ -801,9 +768,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DisentLabError, ValueError) as exc:
+    except (CliError, DisentLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -465,3 +465,17 @@ class TestCommonPlumbing:
         blocker = tmp_path / "taken"
         blocker.write_text("occupied")
         assert main(["verify-theorems", "--out", str(blocker)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen-data", "--circular", "--radius", "40"],
+             "largest disc reaches 66 pixels from center, over the 31 limit"),
+            (["optimize", "--r", "1", "--sigma-diag", "9,-1"],
+             "target covariance must be positive definite (min eigenvalue -1.000000e+00)"),
+        ],
+    )
+    def test_rejected_input_prints_its_message_and_exits_2(self, tmp_path, capsys, argv,
+                                                           message):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"

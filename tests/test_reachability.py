@@ -4,13 +4,20 @@ A public module-level definition is live when cli.py names it, or when the
 source of a live definition names it (a fixed point over the AST). Names the
 tests substitute in, that outside tooling looks up, or that no workflow has
 an option for yet are kept on purpose and listed in KEPT with the reason.
+
+The traced benchmark run wraps the functions and methods that
+perfbench/tracer.py lists in TARGETS; each of them must exist in the package.
 """
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import disentlab
 
 PACKAGE = Path(disentlab.__file__).parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 KEPT = {
     "FunctionEncoder": "the Encoder adapter for an arbitrary batch map, used to plug fixtures in",
@@ -78,3 +85,31 @@ def test_kept_names_exist_and_are_not_live():
     assert set(KEPT) <= set(defs), sorted(set(KEPT) - set(defs))
     stale = sorted(set(KEPT) & live)
     assert not stale, f"reachable from the CLI, drop from KEPT: {stale}"
+
+
+def _tracer_targets() -> list[tuple[str, str]]:
+    """(module, attribute) of each TARGETS entry, read from the source without importing it."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    raise AssertionError(f"{TRACER} defines no TARGETS")
+
+
+def test_benchmark_trace_targets_resolve():
+    if not TRACER.is_file():
+        pytest.skip("perfbench/tracer.py is absent")
+    missing = []
+    for module, attribute in _tracer_targets():
+        mod = importlib.import_module(f"disentlab.{module}")
+        if "." in attribute:
+            # the tracer wraps methods found in the class __dict__, not inherited ones
+            cls_name, meth = attribute.split(".")
+            cls = getattr(mod, cls_name, None)
+            found = cls is not None and meth in vars(cls)
+        else:
+            found = hasattr(mod, attribute)
+        if not found:
+            missing.append(f"{module}.{attribute}")
+    assert not missing, f"benchmark trace targets missing from disentlab: {missing}"
