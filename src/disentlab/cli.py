@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -92,7 +93,6 @@ _VERIFY_SUITES = {
     "bias_d": 4,
     "bias_r": 2,
 }
-_VERIFY_OPTIMIZER = {"step_size": 0.1, "max_iters": 100_000, "rel_tol": 1e-10}
 _VERIFY_THRESHOLDS = {
     "orthonormality_residual": 1e-4,
     "objective_gap": 1e-4,
@@ -103,12 +103,6 @@ _VERIFY_THRESHOLDS = {
     "js_training_gap": 1e-4,
     "decomposition_residual": 1e-10,
     "bias_negative_part": 0.0,
-}
-_FACTORVAE_DEFAULTS = {
-    "groups_per_factor": 100,
-    "group_size": 100,
-    "reference_samples": 10_000,
-    "variance_floor": 1e-10,
 }
 _METRIC_NAMES = ("factorvae", "dci", "dhsic")
 
@@ -175,7 +169,28 @@ def _load_config(arg, allowed: tuple[str, ...]) -> dict:
     return config
 
 
+def _typed(key: str, value, default):
+    """A config value converted to the type of its default; any other value exits 2.
+
+    Integer defaults take integers and integral floats such as 1e5, float
+    defaults take any number, and list defaults take a list of numbers.
+    """
+    if isinstance(default, list):
+        if isinstance(value, list):
+            return [_typed(f"{key}[{i}]", v, 0.0) for i, v in enumerate(value)]
+        want = "a list of numbers"
+    else:
+        want = "a number" if isinstance(default, float) else "an integer"
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            if isinstance(default, float):
+                return float(value)
+            if value % 1 == 0:  # nan and inf leave a nan remainder
+                return int(value)
+    raise CliError(f"config value {key} must be {want}, got {json.dumps(value)}")
+
+
 def _section(config: dict, name: str, defaults: dict) -> dict:
+    """Defaults of one config section, overridden by the given values of the same types."""
     given = config.get(name, {})
     if not isinstance(given, dict):
         raise CliError(f"config section {name!r} must be an object")
@@ -183,8 +198,14 @@ def _section(config: dict, name: str, defaults: dict) -> dict:
     if unknown:
         raise CliError(f"unknown keys in config section {name!r}: {', '.join(unknown)}")
     merged = dict(defaults)
-    merged.update(given)
+    merged.update((key, _typed(f"{name}.{key}", v, defaults[key])) for key, v in given.items())
     return merged
+
+
+def _defaults(cls, *omit: str) -> dict:
+    """Config defaults of a dataclass: every field but the seed, the objective and `omit`."""
+    skip = ("seed", "objective", *omit)
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.name not in skip}
 
 
 def _save_model(path: Path, gen: LinearGenerator, extra: dict) -> None:
@@ -220,171 +241,121 @@ def _load_model(path_str) -> tuple[LinearGenerator, LinearEncoder]:
 
 
 def _factorvae_config(config: dict, seed: int) -> FactorVaeConfig:
-    section = _section(config, "factorvae", _FACTORVAE_DEFAULTS)
-    return FactorVaeConfig(
-        groups_per_factor=int(section["groups_per_factor"]),
-        group_size=int(section["group_size"]),
-        reference_samples=int(section["reference_samples"]),
-        variance_floor=float(section["variance_floor"]),
-        seed=seed,
-    )
-
-
-def _optimizer_config(section: dict, objective: str, seed: int) -> OptimizerConfig:
-    """OptimizerConfig from a merged optimizer section; absent weights keep their defaults."""
-    return OptimizerConfig(
-        objective,
-        lam=float(section.get("lam", OptimizerConfig.lam)),
-        alpha=float(section.get("alpha", OptimizerConfig.alpha)),
-        step_size=float(section["step_size"]),
-        max_iters=int(section["max_iters"]),
-        rel_tol=float(section["rel_tol"]),
-        seed=seed,
-    )
+    return FactorVaeConfig(**_section(config, "factorvae", _defaults(FactorVaeConfig)), seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # verify-theorems
 
 
-def cmd_verify_theorems(args) -> int:
-    config = _load_config(args.config, ("suites", "optimizer", "thresholds"))
-    suites = _section(config, "suites", _VERIFY_SUITES)
-    opt = _section(config, "optimizer", _VERIFY_OPTIMIZER)
-    thresholds = _section(config, "thresholds", _VERIFY_THRESHOLDS)
-    out = _out_dir(args.out)
-
-    rows: list[list[str]] = []
-
-    def check(suite: str, case: str, quantity: str, value: float, threshold: float):
-        status = "pass" if value <= threshold else "fail"
-        rows.append([suite, case, quantity, _fmt(value), _fmt(threshold), status])
-
-    # recovered code maps are semi-orthonormal and hit the closed-form optimum
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0]))
-    d, r = int(suites["d"]), int(suites["r"])
+def _semi_orthonormal(seed, suites, opt, thresholds):
+    """Recovered code maps are semi-orthonormal and hit the closed-form optimum."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    d, r = suites["d"], suites["r"]
     optimum = -0.5 * r * LOG_2PI
-    for m_idx in range(int(suites["matrices"])):
+    for m_idx in range(suites["matrices"]):
         m = rng.standard_normal((d, d))
         sigma = SymMatrix(m @ m.T + 0.5 * np.eye(d))
-        for s_idx in range(int(suites["seeds"])):
-            _, report = optimize_generator(sigma, r, _optimizer_config(opt, "infogan", s_idx))
+        for s_idx in range(suites["seeds"]):
+            _, report = optimize_generator(sigma, r, OptimizerConfig("infogan", **opt, seed=s_idx))
             case = f"sigma{m_idx:02d}_seed{s_idx:02d}"
-            check(
-                "semi_orthonormal",
-                case,
-                "orthonormality_residual",
-                report.orthonormality_residual,
-                thresholds["orthonormality_residual"],
-            )
-            check(
-                "semi_orthonormal",
-                case,
-                "objective_gap",
-                abs(report.objective_value - optimum),
-                thresholds["objective_gap"],
-            )
+            yield (case, "orthonormality_residual", report.orthonormality_residual,
+                   thresholds["orthonormality_residual"])
+            yield (case, "objective_gap", abs(report.objective_value - optimum),
+                   thresholds["objective_gap"])
 
-    # the coupling objective recovers the top principal components
-    spectrum = np.asarray(suites["spectrum"], dtype=float)
-    if spectrum.ndim != 1 or spectrum.size < 2:
-        raise CliError("suites.spectrum must list at least two eigenvalues")
-    pca_r = int(suites["pca_r"])
+
+def _pca_recovery(seed, suites, opt, thresholds):
+    """The coupling objective recovers the top principal components."""
+    spectrum = np.asarray(suites["spectrum"])
+    pca_r = suites["pca_r"]
     sigma = SymMatrix(np.diag(spectrum))
     w_desc = np.sort(spectrum)[::-1]
     trunc = rank_r_truncation(sigma, pca_r).entries
-
-    for seed in range(int(suites["pca_seeds"])):
-        gen, report = optimize_generator(
-            sigma, pca_r, _optimizer_config(opt, "cr_frobenius", seed)
-        )
-        case = f"seed{seed:02d}"
-        check(
-            "pca_recovery",
-            case,
-            "alignment_gap",
-            1.0 - float(report.pca_alignment.min()),
-            thresholds["alignment_gap"],
-        )
+    for s_idx in range(suites["pca_seeds"]):
+        cfg = OptimizerConfig("cr_frobenius", **opt, seed=s_idx)
+        gen, report = optimize_generator(sigma, pca_r, cfg)
+        case = f"seed{s_idx:02d}"
+        yield (case, "alignment_gap", 1.0 - report.pca_alignment.min(),
+               thresholds["alignment_gap"])
         relative = report.norm_errors / w_desc[list(report.permutation)]
-        check(
-            "pca_recovery",
-            case,
-            "norm_relative_error",
-            float(relative.max()),
-            thresholds["norm_relative_error"],
-        )
-        check(
-            "pca_recovery",
-            case,
-            "truncation_gap",
-            float(np.linalg.norm(gen.B @ gen.B.T - trunc)),
-            thresholds["truncation_gap"],
-        )
+        yield case, "norm_relative_error", relative.max(), thresholds["norm_relative_error"]
+        yield (case, "truncation_gap", np.linalg.norm(gen.B @ gen.B.T - trunc),
+               thresholds["truncation_gap"])
 
-    # the best discrimination value equals the mixture divergence minus log k,
-    # and plain gradient ascent attains it
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed, 2]))
-    for f_idx in range(int(suites["families"])):
-        k = int(rng.integers(2, int(suites["k_max"]) + 1))
-        support = int(rng.integers(2, int(suites["support_max"]) + 1))
+
+def _js_identity(seed, suites, opt, thresholds):
+    """The best discrimination value is the mixture divergence minus log k; ascent attains it."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+    for f_idx in range(suites["families"]):
+        k = int(rng.integers(2, suites["k_max"] + 1))
+        support = int(rng.integers(2, suites["support_max"] + 1))
         probs = rng.uniform(0.2, 1.0, (k, support))
         probs /= probs.sum(axis=1, keepdims=True)
         family = DiscreteDistributionFamily(probs)
         case = f"family{f_idx:03d}"
         best = cross_entropy_objective(family, optimal_discriminator(family))
-        check(
-            "js_identity",
-            case,
-            "identity_gap",
-            abs(best - (js_divergence(family) - math.log(k))),
-            thresholds["js_identity_gap"],
-        )
+        yield (case, "identity_gap", abs(best - (js_divergence(family) - math.log(k))),
+               thresholds["js_identity_gap"])
         trained = cross_entropy_objective(family, train_discriminator(family))
-        check("js_identity", case, "training_gap", best - trained, thresholds["js_training_gap"])
+        yield case, "training_gap", best - trained, thresholds["js_training_gap"]
 
-    # the recognition loss splits into information minus entropy minus a
-    # nonnegative bias
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed, 3]))
-    d_b, r_b = int(suites["bias_d"]), int(suites["bias_r"])
-    for c_idx in range(int(suites["bias_cases"])):
-        m = rng.standard_normal((d_b, d_b))
-        sigma = SymMatrix(m @ m.T + 0.5 * np.eye(d_b))
-        bt = rng.standard_normal((d_b, r_b))
+
+def _bias_identity(seed, suites, opt, thresholds):
+    """The recognition loss splits into information minus entropy minus a nonnegative bias."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+    d, r = suites["bias_d"], suites["bias_r"]
+    for c_idx in range(suites["bias_cases"]):
+        m = rng.standard_normal((d, d))
+        sigma = SymMatrix(m @ m.T + 0.5 * np.eye(d))
+        bt = rng.standard_normal((d, r))
         bt *= 0.9 / np.linalg.svd(bt, compute_uv=False)[0]
-        gen = matched_generator(sigma, spd_sqrt(sigma).entries @ bt)
-        dec = bias_decomposition(gen)
+        dec = bias_decomposition(matched_generator(sigma, spd_sqrt(sigma).entries @ bt))
         case = f"case{c_idx:03d}"
-        residual = abs(
-            dec.info_loss
-            - (dec.mutual_information - dec.latent_entropy - dec.implicit_bias)
-        )
-        check(
-            "bias_identity",
-            case,
-            "decomposition_residual",
-            residual,
-            thresholds["decomposition_residual"],
-        )
-        check(
-            "bias_identity",
-            case,
-            "bias_negative_part",
-            max(0.0, -dec.implicit_bias),
-            thresholds["bias_negative_part"],
-        )
+        split = dec.mutual_information - dec.latent_entropy - dec.implicit_bias
+        yield (case, "decomposition_residual", abs(dec.info_loss - split),
+               thresholds["decomposition_residual"])
+        yield (case, "bias_negative_part", max(0.0, -dec.implicit_bias),
+               thresholds["bias_negative_part"])
 
+
+# Each suite yields (case, quantity, value, threshold); a check passes when
+# value <= threshold, so a NaN value fails.
+_VERIFY = {
+    "semi_orthonormal": _semi_orthonormal,
+    "pca_recovery": _pca_recovery,
+    "js_identity": _js_identity,
+    "bias_identity": _bias_identity,
+}
+
+
+def cmd_verify_theorems(args) -> int:
+    config = _load_config(args.config, ("suites", "optimizer", "thresholds"))
+    suites = _section(config, "suites", _VERIFY_SUITES)
+    opt = _section(config, "optimizer", _defaults(OptimizerConfig, "lam", "alpha"))
+    thresholds = _section(config, "thresholds", _VERIFY_THRESHOLDS)
+    for key in ("matrices", "seeds", "pca_seeds", "families", "bias_cases"):
+        if suites[key] < 1:
+            raise CliError(f"config value suites.{key} must be at least 1, got {suites[key]}")
+    if len(suites["spectrum"]) < 2:
+        raise CliError("config value suites.spectrum must list at least two eigenvalues")
+    out = _out_dir(args.out)
+
+    rows = []
+    for suite, checks in _VERIFY.items():
+        for case, quantity, value, threshold in checks(args.seed, suites, opt, thresholds):
+            status = "pass" if value <= threshold else "fail"
+            rows.append([suite, case, quantity, _fmt(value), _fmt(threshold), status])
     _write_csv(
         out / "theorem_checks.csv",
         ["suite", "case", "quantity", "value", "threshold", "status"],
         rows,
     )
     failures = 0
-    for suite in ("semi_orthonormal", "pca_recovery", "js_identity", "bias_identity"):
-        suite_rows = [row for row in rows if row[0] == suite]
-        failed = sum(row[5] == "fail" for row in suite_rows)
-        failures += failed
-        print(f"{suite}: {len(suite_rows)} checks, {failed} failures")
+    for suite in _VERIFY:
+        statuses = [row[5] for row in rows if row[0] == suite]
+        failures += statuses.count("fail")
+        print(f"{suite}: {len(statuses)} checks, {statuses.count('fail')} failures")
     print(f"wrote {out / 'theorem_checks.csv'}")
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
@@ -421,40 +392,39 @@ def cmd_gen_data(args) -> int:
 
 def _read_sigma(args) -> SymMatrix:
     if args.sigma_diag is not None:
+        source = "--sigma-diag"
         try:
-            values = [float(v) for v in args.sigma_diag.split(",")]
+            m = np.diag([float(v) for v in args.sigma_diag.split(",")])
         except ValueError:
             raise CliError(
                 f"--sigma-diag must be comma-separated numbers, got {args.sigma_diag!r}"
             ) from None
-        return SymMatrix(np.diag(values))
-    path = Path(args.sigma)
-    if not path.is_file():
-        raise CliError(f"missing input file {path}")
-    with open(path, newline="") as fh:
-        raw = [row for row in csv.reader(fh) if row]
-    try:
-        m = np.asarray([[float(v) for v in row] for row in raw], dtype=float)
-    except ValueError:
-        raise CliError(f"{path} must hold a plain numeric matrix") from None
+    else:
+        source = Path(args.sigma)
+        if not source.is_file():
+            raise CliError(f"missing input file {source}")
+        with open(source, newline="") as fh:
+            raw = [row for row in csv.reader(fh) if row]
+        try:
+            m = np.asarray([[float(v) for v in row] for row in raw], dtype=float)
+        except ValueError:
+            raise CliError(f"{source} must hold a plain numeric matrix") from None
+    if not np.all(np.isfinite(m)):
+        raise CliError(f"{source} holds non-finite entries")
     return SymMatrix(m)
 
 
 def cmd_optimize(args) -> int:
     out = _out_dir(args.out)
     config = _load_config(args.config, ("optimizer",))
-    opt = _section(
-        config,
-        "optimizer",
-        {**_VERIFY_OPTIMIZER, "lam": 1.0, "alpha": 1.0},
-    )
+    opt = _section(config, "optimizer", _defaults(OptimizerConfig))
     sigma = _read_sigma(args)
     objective = {"cr": "cr_frobenius"}.get(args.objective, args.objective)
     if args.restarts < 1:
         raise CliError(f"--restarts must be positive, got {args.restarts}")
     seeds = [args.seed + i for i in range(args.restarts)]
     results = [
-        optimize_generator(sigma, args.r, _optimizer_config(opt, objective, seed))
+        optimize_generator(sigma, args.r, OptimizerConfig(objective, **opt, seed=seed))
         for seed in seeds
     ]
     best = max(range(len(seeds)), key=lambda i: results[i][1].objective_value)
@@ -502,6 +472,7 @@ def cmd_metrics(args) -> int:
     out = _out_dir(args.out)
     config = _load_config(args.config, ("factorvae", "dci"))
     dci_cfg = _section(config, "dci", {"lasso_lambda": 0.01})
+    factorvae_cfg = _factorvae_config(config, args.seed)
     names = [v.strip() for v in args.metrics.split(",") if v.strip()]
     if not names:
         raise CliError("--metrics must list at least one metric")
@@ -526,10 +497,9 @@ def cmd_metrics(args) -> int:
     reports = []
     for name in names:
         if name == "factorvae":
-            cfg = _factorvae_config(config, args.seed)
-            report = factorvae_metric(GeneratorSampler(gen), enc, cfg)
+            report = factorvae_metric(GeneratorSampler(gen), enc, factorvae_cfg)
         elif name == "dci":
-            report = dci_disentanglement(ds, enc, lasso_lambda=float(dci_cfg["lasso_lambda"]))
+            report = dci_disentanglement(ds, enc, lasso_lambda=dci_cfg["lasso_lambda"])
         else:
             report = MetricReport("dhsic", dhsic(enc.encode(ds.samples)))
         reports.append(report)
@@ -553,6 +523,7 @@ def cmd_select(args) -> int:
     out = _out_dir(args.out)
     config = _load_config(args.config, ("factorvae", "udr"))
     udr_cfg = _section(config, "udr", {"samples": 10_000, "lasso_lambda": 0.01})
+    factorvae_cfg = _factorvae_config(config, args.seed)
 
     manifest_path = Path(args.pool)
     manifest = _load_json(manifest_path)
@@ -570,16 +541,15 @@ def cmd_select(args) -> int:
     pool = ModelPool(tuple(entries))
 
     if args.method == "model-centrality":
-        cfg = _factorvae_config(config, args.seed)
-        sim, _ = model_centrality(pool, cfg, threads=args.threads)
+        sim, _ = model_centrality(pool, factorvae_cfg, threads=args.threads)
         report = subsampled_centrality(pool, sim, args.fraction, args.trials, args.seed)
         matrix = sim.b
     else:
         variant = args.method.removeprefix("udr-")
         samples = gen_linear_gaussian_dataset(
-            pool.generator(0), int(udr_cfg["samples"]), args.seed
+            pool.generator(0), udr_cfg["samples"], args.seed
         ).samples
-        matrix = udr_pair_scores(pool, samples, variant, float(udr_cfg["lasso_lambda"]))
+        matrix = udr_pair_scores(pool, samples, variant, udr_cfg["lasso_lambda"])
         report = udr_select(pool, matrix, variant, args.fraction, args.trials, args.seed)
 
     _write_csv(
@@ -633,9 +603,12 @@ def _read_score_column(path: Path) -> np.ndarray:
         raise CliError(f"{path} has no 'score' column")
     col = rows[0].index("score")
     try:
-        return np.asarray([float(row[col]) for row in rows[1:]], dtype=float)
+        scores = np.asarray([float(row[col]) for row in rows[1:]], dtype=float)
     except (ValueError, IndexError):
         raise CliError(f"{path} has malformed score rows") from None
+    if not np.all(np.isfinite(scores)):
+        raise CliError(f"{path} holds non-finite scores")
+    return scores
 
 
 def cmd_analyze(args) -> int:

@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from disentlab.cli import main
+from disentlab.cli import _VERIFY, main
 from disentlab.datasets import read_pgm
 
 SMALL_VERIFY = {
@@ -127,6 +127,32 @@ class TestVerifyTheorems:
         assert main(["verify-theorems", "--out", str(out), "--config", bad_section]) == 2
         bad_key = _write_json(tmp_path / "b.json", {"thresholds": {"typo": 1.0}})
         assert main(["verify-theorems", "--out", str(out), "--config", bad_key]) == 2
+
+    def test_summary_has_one_line_per_suite_in_table_order(self, tmp_path, capsys):
+        config = _write_json(tmp_path / "cfg.json", SMALL_VERIFY)
+        out = tmp_path / "report"
+        assert main(["verify-theorems", "--out", str(out), "--config", config]) == 0
+        rows = _read_rows(out / "theorem_checks.csv")[1:]
+        assert list(dict.fromkeys(row[0] for row in rows)) == list(_VERIFY)
+        expected = [
+            f"{suite}: {sum(row[0] == suite for row in rows)} checks, 0 failures"
+            for suite in _VERIFY
+        ]
+        assert capsys.readouterr().out.splitlines()[:-1] == expected
+
+    @pytest.mark.parametrize(
+        "key, count",
+        [("matrices", 0), ("seeds", 0), ("pca_seeds", -3), ("families", 0), ("bias_cases", 0)],
+    )
+    def test_suite_count_below_1_exits_2(self, tmp_path, capsys, key, count):
+        config = _write_json(
+            tmp_path / "cfg.json", {"suites": {**SMALL_VERIFY["suites"], key: count}}
+        )
+        out = tmp_path / "report"
+        assert main(["verify-theorems", "--out", str(out), "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config value suites.{key} must be at least 1, got {count}\n"
+        assert not out.exists()
 
     def test_deterministic_and_thread_independent(self, tmp_path):
         config = _write_json(tmp_path / "cfg.json", SMALL_VERIFY)
@@ -248,6 +274,18 @@ class TestOptimize:
         sigma.write_text("4,0,0\n0,2,0\n0,0,1\n")
         args = ["optimize", "--r", "1", "--sigma", str(sigma), "--out", str(tmp_path / "o")]
         assert main(args) == 0
+
+    @pytest.mark.parametrize("source", ["--sigma-diag", "--sigma"])
+    def test_non_finite_sigma_exits_2(self, tmp_path, capsys, source):
+        if source == "--sigma-diag":
+            given = "9,nan"
+        else:
+            given = str(tmp_path / "sigma.csv")
+            (tmp_path / "sigma.csv").write_text("9,0\n0,inf\n")
+        out = tmp_path / "o"
+        assert main(["optimize", "--r", "1", source, given, "--out", str(out)]) == 2
+        assert "holds non-finite entries" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
 
     def test_input_validation(self, tmp_path):
         out = str(tmp_path / "o")
@@ -429,6 +467,14 @@ class TestAnalyze:
         rows = _read_rows(out / "rank_correlation.csv")
         assert rows[1][2] == "nan"
 
+    def test_non_finite_score_exits_2(self, tmp_path, capsys):
+        a = self._score_csv(tmp_path / "a.csv", [0.1, 0.2, 0.3])
+        b = self._score_csv(tmp_path / "b.csv", [0.3, float("nan"), 0.1])
+        out = tmp_path / "ana"
+        assert main(["analyze", "--scores", a, b, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {b} holds non-finite scores\n"
+        assert not (out / "rank_correlation.csv").exists()
+
     def test_input_validation(self, tmp_path):
         a = self._score_csv(tmp_path / "a.csv", [0.1, 0.2, 0.3])
         out = str(tmp_path / "ana")
@@ -479,3 +525,37 @@ class TestCommonPlumbing:
                                                            message):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, config, key",
+        [
+            (["optimize", "--r", "1", "--sigma-diag", "9,4"],
+             {"optimizer": {"step_size": [1]}}, "optimizer.step_size"),
+            (["verify-theorems"],
+             {**SMALL_VERIFY, "thresholds": {"objective_gap": "1"}}, "thresholds.objective_gap"),
+            (["metrics", "--model", "{model}", "--metrics", "factorvae"],
+             {"factorvae": {**SMALL_FACTORVAE["factorvae"], "group_size": 1.7}},
+             "factorvae.group_size"),
+            (["metrics", "--model", "{model}", "--data", "{data}", "--metrics", "dci"],
+             {"dci": {"lasso_lambda": None}}, "dci.lasso_lambda"),
+            (["select", "--pool", "{pool}", "--method", "udr-spearman"],
+             {"udr": {"samples": True}}, "udr.samples"),
+        ],
+        ids=["list-for-float", "string-for-float", "fraction-for-int", "null-for-float",
+             "bool-for-int"],
+    )
+    def test_config_value_of_wrong_type_exits_2(self, model_dir, data_dir, pool_dir, tmp_path,
+                                                capsys, argv, config, key):
+        paths = {"model": model_dir / "model.json", "data": data_dir, "pool": pool_dir[1]}
+        argv = [arg.format(**paths) for arg in argv]
+        cfg = _write_json(tmp_path / "cfg.json", config)
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config value {key} must be ")
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        base = ["optimize", "--r", "1", "--sigma-diag", "9,4"]
+        cfg = _write_json(tmp_path / "cfg.json", {"optimizer": {"max_iters": 1e5}})
+        assert main(base + ["--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        assert main(base + ["--out", str(tmp_path / "b")]) == 0
+        for name in ("model.json", "report.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
