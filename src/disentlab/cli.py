@@ -173,18 +173,21 @@ def _typed(key: str, value, default):
     """A config value converted to the type of its default; any other value exits 2.
 
     Integer defaults take integers and integral floats such as 1e5, float
-    defaults take any number, and list defaults take a list of numbers.
+    defaults take any finite number, and list defaults take a list of finite
+    numbers. JSON's NaN and Infinity are numbers to the parser, so both
+    branches exclude them explicitly.
     """
     if isinstance(default, list):
         if isinstance(value, list):
             return [_typed(f"{key}[{i}]", v, 0.0) for i, v in enumerate(value)]
         want = "a list of numbers"
     else:
-        want = "a number" if isinstance(default, float) else "an integer"
+        want = "a finite number" if isinstance(default, float) else "an integer"
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             if isinstance(default, float):
-                return float(value)
-            if value % 1 == 0:  # nan and inf leave a nan remainder
+                if abs(value) <= sys.float_info.max:  # false for nan, ±inf and huge integers
+                    return float(value)
+            elif value % 1 == 0:  # nan and inf leave a nan remainder
                 return int(value)
     raise CliError(f"config value {key} must be {want}, got {json.dumps(value)}")
 

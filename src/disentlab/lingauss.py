@@ -132,9 +132,9 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
-        if self.step_size <= 0:
+        if not self.step_size > 0:  # written so that nan fails
             raise ValueError("step_size must be positive")
-        if self.lam < 0 or self.alpha < 0:
+        if not (self.lam >= 0 and self.alpha >= 0):
             raise ValueError("objective weights must be nonnegative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")

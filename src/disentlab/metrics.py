@@ -14,6 +14,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,8 @@ from .lingauss import LinearGenerator, posterior
 LASSO_TOL = 1e-10
 LASSO_MAX_ITERS = 100_000
 _ZERO_STD_TOL = 1e-15
+# Rows of the joint-kernel buffers in dhsic: two (block, n) float64 arrays.
+_DHSIC_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +457,74 @@ def dci_disentanglement(
 # independence and sample-quality scores
 
 
+def _pair_ends(xs: np.ndarray, t: float) -> np.ndarray:
+    """For each i, the first j with xs[j] - xs[i] > t, over sorted xs and rounded differences.
+
+    searchsorted against the rounded xs + t finds the end up to rounding at
+    the boundary; the steps after it move each end until it agrees with the
+    rounded differences themselves, which are the values np.median sorts.
+    """
+    n = xs.size
+    ends = np.searchsorted(xs, xs + t, side="right")
+    while (step := xs[ends - 1] - xs > t).any():  # the last j counted is too far
+        ends -= step
+    while (step := (ends < n) & (xs[np.minimum(ends, n - 1)] - xs <= t)).any():
+        ends += step  # the first j left out is near enough
+    return ends
+
+
+def _pairs_within(xs: np.ndarray, ends: np.ndarray) -> int:
+    """Number of pairs i < j counted by _pair_ends."""
+    return int(ends.sum()) - xs.size * (xs.size + 1) // 2
+
+
+def _median_pair_distance(xs: np.ndarray) -> float:
+    """np.median of |xᵢ - xⱼ| over i < j for sorted finite xs, without forming the pairs.
+
+    Non-negative float64 values order as their bit patterns do, so a bisection
+    over the bits of t finds the smallest t with more than `rank` pairs at
+    distance <= t: the rank-th smallest distance, exactly. An even pair count
+    also takes the smallest distance above it, and the two are averaged as
+    np.median averages them.
+    """
+    pairs = xs.size * (xs.size - 1) // 2
+    rank = (pairs - 1) // 2
+    lo, hi = 0, int(np.float64(xs[-1] - xs[0]).view(np.int64))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _pairs_within(xs, _pair_ends(xs, np.int64(mid).view(np.float64))) > rank:
+            hi = mid
+        else:
+            lo = mid + 1
+    low = float(np.int64(lo).view(np.float64))
+    if pairs % 2:
+        return low
+    ends = _pair_ends(xs, low)
+    if _pairs_within(xs, ends) > rank + 1:
+        return low
+    above = ends < xs.size
+    high = float((xs[ends[above]] - xs[above]).min())
+    return (low + high) / 2
+
+
+def _laplace_row_sums(xs: np.ndarray, h2: float) -> np.ndarray:
+    """Σⱼ exp(-|xᵢ - xⱼ| / h2) for each i of sorted xs, in O(n).
+
+    The sum over j <= i obeys s_i = 1 + exp(-(xᵢ - xᵢ₋₁)/h2)·s_{i-1}, and the
+    sum over j >= i the mirror recursion; every factor is at most 1. Chaining
+    rounded factors costs accuracy: at n=3000 the sums are within about 1e-14
+    relative of direct summation, not 3e-16.
+    """
+
+    def step(s: float, d: float) -> float:
+        return 1.0 + d * s
+
+    decay = np.exp(-np.diff(xs) / h2).tolist()
+    below = np.fromiter(accumulate(decay, step, initial=1.0), float, xs.size)
+    above = np.fromiter(accumulate(decay[::-1], step, initial=1.0), float, xs.size)
+    return below + above[::-1] - 1.0
+
+
 def dhsic(samples: np.ndarray) -> float:
     """Kernel independence score of the columns of an n×k sample matrix.
 
@@ -461,26 +532,51 @@ def dhsic(samples: np.ndarray) -> float:
     the pairwise distances of that coordinate; a zero median falls back to
     bandwidth 1.0 with a warning. Returns the three-term estimator
     (1/n²)ΣᵢⱼΠ K + (1/n^{2k})Π Σᵢⱼ K - (2/n^{k+1})Σᵢ Π Σⱼ K.
+
+    No n×n array is formed: the medians come from selection over each sorted
+    coordinate, the marginal sums from O(n) recursions, and the joint kernel
+    from blocks of _DHSIC_BLOCK rows, so memory is O(n·block) and time
+    O(n²·k). Non-finite samples raise ValueError.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 2:
         raise ValueError(f"need an n x k matrix with n >= 2, k >= 2, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples hold non-finite entries")
     n, k = x.shape
-    upper = np.triu_indices(n, 1)
-    joint = np.ones((n, n))
+    cols = np.ascontiguousarray(x.T)
+    h2 = np.empty(k)
     product_term = 1.0
     row_products = np.ones(n)
     for col in range(k):
-        dist = np.abs(x[:, col, None] - x[None, :, col])
-        h = float(np.median(dist[upper]))
+        order = np.argsort(cols[col], kind="stable")
+        xs = cols[col, order]
+        h = _median_pair_distance(xs)
         if h == 0.0:
             warnings.warn(f"coordinate {col} has zero median distance; bandwidth set to 1.0")
             h = 1.0
-        kernel = np.exp(-dist / (h * h))
-        joint *= kernel
-        product_term *= kernel.sum() / (n * n)
-        row_products *= kernel.sum(axis=1) / n
-    t1 = joint.sum() / (n * n)
+        h2[col] = h * h
+        sums = _laplace_row_sums(xs, h2[col])
+        product_term *= sums.sum() / (n * n)
+        row_products[order] *= sums / n
+    # Σᵢⱼ over the upper block triangle: each diagonal block once, the blocks
+    # right of it twice.
+    exponent = np.empty((_DHSIC_BLOCK, n))
+    work = np.empty((_DHSIC_BLOCK, n))
+    joint = 0.0
+    for start in range(0, n, _DHSIC_BLOCK):
+        size = min(_DHSIC_BLOCK, n - start)
+        acc = exponent[:size, : n - start]
+        tmp = work[:size, : n - start]
+        acc.fill(0.0)
+        for col in range(k):
+            np.subtract(cols[col, start : start + size, None], cols[col, None, start:], out=tmp)
+            np.abs(tmp, out=tmp)
+            tmp *= -1.0 / h2[col]
+            acc += tmp
+        np.exp(acc, out=acc)
+        joint += acc[:, :size].sum() + 2.0 * acc[:, size:].sum()
+    t1 = joint / (n * n)
     t3 = 2.0 * row_products.mean()
     return float(t1 + product_term - t3)
 

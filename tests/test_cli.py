@@ -552,6 +552,34 @@ class TestCommonPlumbing:
         assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"error: config value {key} must be ")
 
+    @pytest.mark.parametrize(
+        "argv, config, key",
+        [
+            (["optimize", "--r", "1", "--sigma-diag", "9,4"],
+             {"optimizer": {"step_size": float("nan")}}, "optimizer.step_size"),
+            (["metrics", "--model", "{model}", "--data", "{data}", "--metrics", "dci"],
+             {"dci": {"lasso_lambda": float("nan")}}, "dci.lasso_lambda"),
+            (["verify-theorems"],
+             {**SMALL_VERIFY, "thresholds": {"objective_gap": float("inf")}},
+             "thresholds.objective_gap"),
+            (["verify-theorems"],
+             {**SMALL_VERIFY, "suites": {**SMALL_VERIFY["suites"], "spectrum": [9, float("nan")]}},
+             "suites.spectrum[1]"),
+            (["optimize", "--r", "1", "--sigma-diag", "9,4"],
+             {"optimizer": {"rel_tol": 10**400}}, "optimizer.rel_tol"),
+        ],
+        ids=["nan-step-size", "nan-lasso-lambda", "infinite-threshold", "nan-in-spectrum",
+             "integer-past-float-range"],
+    )
+    def test_non_finite_config_number_exits_2(self, model_dir, data_dir, tmp_path, capsys, argv,
+                                              config, key):
+        paths = {"model": model_dir / "model.json", "data": data_dir}
+        argv = [arg.format(**paths) for arg in argv]
+        cfg = _write_json(tmp_path / "cfg.json", config)
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: config value {key} must be a finite number, got ")
+
     def test_integral_float_is_an_integer(self, tmp_path):
         base = ["optimize", "--r", "1", "--sigma-diag", "9,4"]
         cfg = _write_json(tmp_path / "cfg.json", {"optimizer": {"max_iters": 1e5}})

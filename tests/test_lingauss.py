@@ -362,3 +362,8 @@ class TestOptimizeGenerator:
             OptimizerConfig(step_size=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(lam=-1.0)
+
+    @pytest.mark.parametrize("field", ["step_size", "lam", "alpha"])
+    def test_config_rejects_nan(self, field):
+        with pytest.raises(ValueError):
+            OptimizerConfig(**{field: math.nan})

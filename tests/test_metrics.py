@@ -1,5 +1,7 @@
 """Tests for the disentanglement metrics and shared statistical kernels."""
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from disentlab.lingauss import OptimizerConfig, optimize_generator
 from disentlab.linalg import SymMatrix
 from disentlab.metrics import (
     LASSO_TOL,
+    _median_pair_distance,
     Encoder,
     FactorDataset,
     FactorVaeConfig,
@@ -33,6 +36,31 @@ from disentlab.metrics import (
 # so each kernel matrix is [[1, 1/e], [1/e, 1]] and the three-term estimator
 # evaluates to (1+e^-2)/2 + (1+e^-1)^2/4 - (1+e^-1)^2/2.
 DHSIC_HAND = 0.09989410022343201
+
+
+
+def _dense_dhsic(samples: np.ndarray) -> float:
+    """The n×n estimator dhsic replaces: dense distances, np.median bandwidths, full kernels."""
+    x = np.asarray(samples, dtype=float)
+    n, k = x.shape
+    upper = np.triu_indices(n, 1)
+    joint = np.ones((n, n))
+    product_term = 1.0
+    row_products = np.ones(n)
+    for col in range(k):
+        dist = np.abs(x[:, col, None] - x[None, :, col])
+        h = float(np.median(dist[upper])) or 1.0
+        kernel = np.exp(-dist / (h * h))
+        joint *= kernel
+        product_term *= kernel.sum() / (n * n)
+        row_products *= kernel.sum(axis=1) / n
+    return float(joint.sum() / (n * n) + product_term - 2.0 * row_products.mean())
+
+
+def _dense_median(v: np.ndarray) -> float:
+    dist = np.abs(v[:, None] - v[None, :])
+    return float(np.median(dist[np.triu_indices(v.size, 1)]))
+
 
 SMALL_CFG = FactorVaeConfig(groups_per_factor=40, group_size=25, reference_samples=2000, seed=0)
 
@@ -395,6 +423,62 @@ class TestDhsic:
             dhsic(np.ones((1, 3)))
         with pytest.raises(ValueError):
             dhsic(np.ones((5, 1)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        x = np.random.default_rng(0).standard_normal((20, 3))
+        x[7, 1] = bad
+        with pytest.raises(ValueError, match="samples hold non-finite entries"):
+            dhsic(x)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: rng.standard_normal(2),
+            lambda rng: rng.standard_normal(3),
+            lambda rng: np.full(40, 2.5),
+            lambda rng: rng.integers(0, 4, 302).astype(float),
+            lambda rng: rng.integers(0, 4, 300).astype(float),
+            lambda rng: np.repeat(rng.standard_normal(60), 3),
+            lambda rng: -50.0 + rng.standard_normal(257),
+            lambda rng: 1e8 + 1e-3 * rng.standard_normal(400),
+            lambda rng: 1e8 + 1e-3 * rng.standard_normal(402),
+        ],
+        ids=["n2-one-pair", "n3-three-pairs", "constant", "ties-odd-pairs", "ties-even-pairs",
+             "duplicates", "negative", "offset-even-pairs", "offset-odd-pairs"],
+    )
+    def test_selection_median_matches_np_median_bit_for_bit(self, make):
+        # n(n-1)/2 is odd for n = 2, 3, 302 and 402 and even for the other sizes
+        v = make(np.random.default_rng(5))
+        got = _median_pair_distance(np.sort(v))
+        want = _dense_median(v)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+    def test_matches_dense_estimator(self):
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            n = int(rng.integers(2, 301))
+            k = int(rng.integers(2, 6))
+            x = rng.standard_normal((n, k))
+            if trial % 3 == 1:
+                x[:, 0] = rng.integers(0, 3, n)
+            elif trial % 3 == 2:
+                x[:, -1] = 2.5
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                got = dhsic(x)
+            assert got == pytest.approx(_dense_dhsic(x), rel=1e-12, abs=1e-15), (n, k)
+
+    def test_peak_memory_stays_below_an_eighth_of_one_n_by_n_matrix(self):
+        n = 4000
+        x = np.random.default_rng(3).standard_normal((n, 4))
+        tracemalloc.start()
+        try:
+            dhsic(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 8, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestInceptionScore:
