@@ -506,8 +506,12 @@ def cmd_metrics(args) -> int:
         else:
             report = MetricReport("dhsic", dhsic(enc.encode(ds.samples)))
         reports.append(report)
-        with open(out / f"{name}.csv", "w", newline="") as fh:
-            fh.write(report.to_csv())
+        detail = [[key, _fmt(value)] for key, value in report.detail] or [["", ""]]
+        _write_csv(
+            out / f"{name}.csv",
+            ["metric", "score", "detail_key", "detail_value"],
+            [[report.name, _fmt(report.score), *row] for row in detail],
+        )
     _write_csv(
         out / "summary.csv",
         ["metric", "score"],
@@ -544,9 +548,8 @@ def cmd_select(args) -> int:
     pool = ModelPool(tuple(entries))
 
     if args.method == "model-centrality":
-        sim, _ = model_centrality(pool, factorvae_cfg, threads=args.threads)
-        report = subsampled_centrality(pool, sim, args.fraction, args.trials, args.seed)
-        matrix = sim.b
+        matrix = model_centrality(pool, factorvae_cfg, threads=args.threads)
+        report = subsampled_centrality(pool, matrix, args.fraction, args.trials, args.seed)
     else:
         variant = args.method.removeprefix("udr-")
         samples = gen_linear_gaussian_dataset(
@@ -579,7 +582,7 @@ def cmd_select(args) -> int:
     )
     summary = {
         "method": report.method,
-        "selected": int(report.selected),
+        "selected": report.selected,
         "label": report.labels[report.selected],
         "score": float(_fmt(report.scores[report.selected])),
     }

@@ -309,15 +309,6 @@ class MetricReport:
     detail: tuple[tuple[str, float], ...] = ()
     matrix: np.ndarray | None = None
 
-    def to_csv(self) -> str:
-        lines = ["metric,score,detail_key,detail_value"]
-        if self.detail:
-            for key, value in self.detail:
-                lines.append(f"{self.name},{self.score:.12g},{key},{value:.12g}")
-        else:
-            lines.append(f"{self.name},{self.score:.12g},,")
-        return "\n".join(lines) + "\n"
-
 
 # ---------------------------------------------------------------------------
 # vote-based factor metric

@@ -1,11 +1,13 @@
 """Unsupervised model selection over pools of (generator, encoder) pairs.
 
-Centrality ranks each model by how well its encoder recovers the latent codes
-of every other model in the pool (and vice versa, through symmetrization of
-the cross-score matrix): the premise is that well-disentangled models land
-close together while poor ones scatter. Pairwise-relevance baselines (Lasso
-and Spearman) and a cross-metric rank-correlation analysis share the pool
-plumbing.
+Every method reduces a pool to an N×N pair matrix and ranks models by its
+off-diagonal row means, with subsampled standard errors, in a
+SelectionReport. Centrality (arXiv 1906.06034) fills the matrix with
+vote-metric cross-scores of each encoder against every other model's
+generator and symmetrizes it: well-disentangled models land close together
+while poor ones scatter. UDR (Duan et al. 2020) fills it with the
+peakedness of pairwise code-relevance matrices (Lasso or Spearman). A
+cross-metric rank-correlation analysis shares the Spearman kernel.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ UDR_VARIANTS = ("lasso", "spearman")
 
 @dataclass(frozen=True)
 class ModelPool:
-    """(generator, encoder, label) triples sharing one code dimension."""
+    """(generator, encoder, label) triples sharing one code and one sample dimension."""
 
     entries: tuple[tuple[LinearGenerator, Encoder, str], ...]
 
@@ -47,6 +49,9 @@ class ModelPool:
         dims = {e.code_dim for _, e, _ in entries}
         if len(dims) != 1:
             raise ValueError(f"encoders must share one code dimension, got {sorted(dims)}")
+        dims = {g.d for g, _, _ in entries}
+        if len(dims) != 1:
+            raise ValueError(f"generators must share one sample dimension, got {sorted(dims)}")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -65,61 +70,35 @@ class ModelPool:
 
 
 @dataclass(frozen=True)
-class SimilarityMatrix:
-    """Raw cross-scores A (diagonal unused, stored 0), B = (A+Aᵀ)/2, row means s."""
-
-    a: np.ndarray
-    b: np.ndarray
-    s: np.ndarray
-
-    @classmethod
-    def from_cross_scores(cls, a) -> "SimilarityMatrix":
-        a = np.array(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 2:
-            raise ValueError(f"expected an N x N matrix with N >= 2, got shape {a.shape}")
-        np.fill_diagonal(a, 0.0)
-        b = 0.5 * (a + a.T)
-        s = b.sum(axis=1) / (a.shape[0] - 1)
-        a.flags.writeable = False
-        b.flags.writeable = False
-        s.flags.writeable = False
-        return cls(a, b, s)
-
-    @property
-    def size(self) -> int:
-        return self.a.shape[0]
-
-
-@dataclass(frozen=True)
 class SelectionReport:
-    """Per-model scores with the argmax selection (ties go to the lowest index)."""
+    """Per-model scores and standard errors; the selection is their argmax."""
 
     method: str
     scores: np.ndarray
-    selected: int
-    stderr: np.ndarray | None = None
-    labels: tuple[str, ...] = ()
+    stderr: np.ndarray
+    labels: tuple[str, ...]
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=float)
+        stderr = np.asarray(self.stderr, dtype=float)
         if scores.ndim != 1 or scores.size < 1:
             raise ValueError("scores must be a nonempty vector")
         if not np.all(np.isfinite(scores)):
             raise ValueError("scores must be finite")
-        if self.selected != int(np.argmax(scores)):
-            raise ValueError(
-                f"selected index {self.selected} is not the argmax of the scores"
-            )
-        if self.stderr is not None:
-            stderr = np.asarray(self.stderr, dtype=float)
-            if stderr.shape != scores.shape:
-                raise ValueError("stderr must align with scores")
-            if not np.all(np.isfinite(stderr)):
-                raise ValueError("stderr must be finite")
-            object.__setattr__(self, "stderr", stderr)
-        if self.labels and len(self.labels) != scores.size:
+        if stderr.shape != scores.shape:
+            raise ValueError("stderr must align with scores")
+        if not np.all(np.isfinite(stderr)):
+            raise ValueError("stderr must be finite")
+        if len(self.labels) != scores.size:
             raise ValueError("labels must align with scores")
         object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "stderr", stderr)
+        object.__setattr__(self, "labels", tuple(self.labels))
+
+    @property
+    def selected(self) -> int:
+        """Index of the highest score; ties go to the lowest index."""
+        return int(np.argmax(self.scores))
 
 
 def cross_score(enc: Encoder, gen: LinearGenerator, cfg: FactorVaeConfig) -> float:
@@ -140,33 +119,31 @@ def model_centrality(
     cfg: FactorVaeConfig,
     metric=cross_score,
     threads: int = 1,
-) -> tuple[SimilarityMatrix, SelectionReport]:
-    """Fill the cross-score matrix, symmetrize, and select the argmax row mean.
+) -> np.ndarray:
+    """Symmetrized cross-score matrix 0.5·(A + Aᵀ) of the pool, zero on the diagonal.
 
-    Each (i, j) evaluation runs under its own seed derived from (cfg.seed, i,
-    j), so results are identical for any evaluation order or thread count.
+    A[i, j] scores encoder i against generator j. Each (i, j) evaluation
+    runs under its own seed derived from (cfg.seed, i, j), so the matrix is
+    identical for any evaluation order or thread count. Its off-diagonal row
+    means are the centrality scores; subsampled_centrality ranks by them.
     """
     n = pool.size
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-
-    def run(pair):
-        i, j = pair
-        pair_cfg = replace(cfg, seed=_pair_seed(cfg.seed, i, j))
-        return i, j, float(metric(pool.encoder(i), pool.generator(j), pair_cfg))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool_exec:
-            results = list(pool_exec.map(run, pairs))
-    else:
-        results = [run(pair) for pair in pairs]
     a = np.zeros((n, n))
-    for i, j, value in results:
-        a[i, j] = value
-    sim = SimilarityMatrix.from_cross_scores(a)
-    report = SelectionReport(
-        "model_centrality", sim.s.copy(), int(np.argmax(sim.s)), None, pool.labels
-    )
-    return sim, report
+
+    def fill(share):
+        for i, j in share:
+            pair_cfg = replace(cfg, seed=_pair_seed(cfg.seed, i, j))
+            a[i, j] = metric(pool.encoder(i), pool.generator(j), pair_cfg)
+
+    # The calling thread takes one share itself: at threads=1 no worker
+    # starts, and the work stays on the thread that receives signals.
+    with ThreadPoolExecutor(max_workers=threads) as executor:
+        shares = [executor.submit(fill, pairs[t::threads]) for t in range(1, threads)]
+        fill(pairs[::threads])
+        for share in shares:
+            share.result()
+    return 0.5 * (a + a.T)
 
 
 def _subsampled_row_means(
@@ -201,20 +178,18 @@ def _subsampled_row_means(
 
 def subsampled_centrality(
     pool: ModelPool,
-    sim: SimilarityMatrix,
+    similarity: np.ndarray,
     fraction: float = 0.8,
     trials: int = 100,
     seed=0,
 ) -> SelectionReport:
     """Centrality scores where each row mean uses a random subset of the others.
 
-    The cross-scores come from model_centrality's similarity matrix; only the
-    averaging is resampled, per model and per trial.
+    similarity is model_centrality's matrix for the pool; only the averaging
+    is resampled, per model and per trial.
     """
-    means, stderr = _subsampled_row_means(sim.b, fraction, trials, seed)
-    return SelectionReport(
-        "model_centrality", means, int(np.argmax(means)), stderr, pool.labels
-    )
+    means, stderr = _subsampled_row_means(similarity, fraction, trials, seed)
+    return SelectionReport("model_centrality", means, stderr, pool.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +270,23 @@ def udr_relevance(
     return _pool_relevance((q_i, q_j), samples, variant, lasso_lambda)[0, 1]
 
 
-def udr_score(relevance) -> float:
-    """Row/column peakedness of a nonnegative k×k relevance matrix, in [0, 1]."""
-    r = np.asarray(relevance, dtype=float)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {r.shape}")
+def udr_score(relevance):
+    """Row/column peakedness of nonnegative k×k relevance matrices, in [0, 1].
+
+    relevance is one (k, k) matrix or a (..., k, k) stack of them. The
+    result has the leading shape: a float for one matrix, an array of one
+    score per matrix for a stack. The reduction runs over a C-contiguous
+    copy, so a matrix scores bit for bit the same alone, in a stack, or as
+    a strided view.
+    """
+    r = np.ascontiguousarray(relevance, dtype=float)
+    if r.ndim < 2 or r.shape[-1] != r.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {r.shape}")
     if np.any(r < 0.0):
         raise ValueError("relevance entries must be nonnegative")
-    rows = (r.max(axis=1) / (r.sum(axis=1) + UDR_EPS)).mean()
-    cols = (r.max(axis=0) / (r.sum(axis=0) + UDR_EPS)).mean()
-    return float(0.5 * (rows + cols))
+    rows = (r.max(axis=-1) / (r.sum(axis=-1) + UDR_EPS)).mean(axis=-1)
+    cols = (r.max(axis=-2) / (r.sum(axis=-2) + UDR_EPS)).mean(axis=-1)
+    return 0.5 * (rows + cols)
 
 
 def udr_pair_scores(
@@ -313,17 +295,13 @@ def udr_pair_scores(
     variant: str = "lasso",
     lasso_lambda: float = 0.01,
 ) -> np.ndarray:
-    """All-pairs relevance scores; entry (i, j) scores encoder i probed by j."""
-    n = pool.size
-    relevance = _pool_relevance(
-        [pool.encoder(m) for m in range(n)], samples, variant, lasso_lambda
-    )
-    pair_scores = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            pair_scores[i, j] = udr_score(relevance[i, j])
+    """All-pairs relevance scores; entry (i, j) scores encoder i probed by j.
+
+    The diagonal, each model against itself, is zero.
+    """
+    encoders = [pool.encoder(m) for m in range(pool.size)]
+    pair_scores = udr_score(_pool_relevance(encoders, samples, variant, lasso_lambda))
+    np.fill_diagonal(pair_scores, 0.0)
     return pair_scores
 
 
@@ -341,9 +319,7 @@ def udr_select(
     any subsampling) runs on top of it.
     """
     means, stderr = _subsampled_row_means(pair_scores, fraction, trials, seed)
-    return SelectionReport(
-        f"udr_{variant}", means, int(np.argmax(means)), stderr, pool.labels
-    )
+    return SelectionReport(f"udr_{variant}", means, stderr, pool.labels)
 
 
 def rank_correlation_analysis(metric_vectors) -> SymMatrix:

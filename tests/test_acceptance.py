@@ -279,9 +279,10 @@ def test_criterion_07_centrality_tracks_encoder_noise():
         cfg = FactorVaeConfig(
             groups_per_factor=40, group_size=35, reference_samples=2000, seed=seed
         )
-        _, rep = model_centrality(pool, cfg, threads=4)
-        rhos.append(spearman_rho(rep.scores, -levels))
-        medoids.append(int(rep.selected))
+        b = model_centrality(pool, cfg, threads=4)
+        scores = b.sum(axis=1) / (pool.size - 1)
+        rhos.append(spearman_rho(scores, -levels))
+        medoids.append(int(np.argmax(scores)))
     elapsed = time.perf_counter() - t0
     min_rho = min(rhos)
     medoids_ok = all(m in (0, 1, 2) for m in medoids)
@@ -299,7 +300,8 @@ def test_criterion_07_centrality_tracks_encoder_noise():
 
 def test_criterion_08_centrality_hand_case():
     pool = _tiny_pool(3)
-    sim, rep = model_centrality(pool, STUB_CFG, metric=_stub_metric(pool, HAND_SCORES))
+    b = model_centrality(pool, STUB_CFG, metric=_stub_metric(pool, HAND_SCORES))
+    rep = subsampled_centrality(pool, b, fraction=1.0, trials=1, seed=0)
     # (0.9 + 0.8)/2 lands one ulp above 0.85 in binary floating point, so
     # "exact" here means to within one ulp of the decimal targets.
     scores_ok = np.allclose(rep.scores, [0.7, 0.85, 0.65], rtol=0.0, atol=1e-15)
@@ -312,7 +314,8 @@ def test_criterion_08_centrality_hand_case():
     )
     assert scores_ok
     assert rep.selected == 1
-    assert np.allclose(sim.s, rep.scores, rtol=0.0, atol=0.0)
+    # fraction 1.0 reproduces the full row means of B bit for bit
+    assert np.allclose(b.sum(axis=1) / (pool.size - 1), rep.scores, rtol=0.0, atol=0.0)
 
 
 def test_criterion_09_disc_dataset_geometry():
@@ -347,13 +350,14 @@ def test_criterion_10_subsample_protocol():
     pool = _tiny_pool(6)
     rng = np.random.default_rng(7)
     table = {(i, j): float(rng.uniform(0.2, 1.0)) for i in range(6) for j in range(6) if i != j}
-    sim, full = model_centrality(pool, STUB_CFG, metric=_stub_metric(pool, table))
-    everything = subsampled_centrality(pool, fraction=1.0, trials=25, seed=0, sim=sim)
-    full_ok = np.array_equal(everything.scores, full.scores) and np.array_equal(
+    b = model_centrality(pool, STUB_CFG, metric=_stub_metric(pool, table))
+    full = b.sum(axis=1) / (pool.size - 1)
+    everything = subsampled_centrality(pool, b, fraction=1.0, trials=25, seed=0)
+    full_ok = np.array_equal(everything.scores, full) and np.array_equal(
         everything.stderr, np.zeros(6)
     )
-    partial = subsampled_centrality(pool, fraction=0.8, trials=100, seed=1, sim=sim)
-    deviation = np.abs(partial.scores - full.scores)
+    partial = subsampled_centrality(pool, b, fraction=0.8, trials=100, seed=1)
+    deviation = np.abs(partial.scores - full)
     partial_ok = bool(np.all(deviation <= 3.0 * partial.stderr))
     ok = full_ok and partial_ok
     _report(

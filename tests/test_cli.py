@@ -313,6 +313,28 @@ class TestMetrics:
             rows = _read_rows(out / f"{name}.csv")
             assert rows[0] == ["metric", "score", "detail_key", "detail_value"]
 
+    def test_factorvae_csv_lists_one_row_per_detail(self, model_dir, tmp_path):
+        out = tmp_path / "met"
+        config = _write_json(tmp_path / "cfg.json", SMALL_FACTORVAE)
+        args = ["metrics", "--model", str(model_dir / "model.json"),
+                "--metrics", "factorvae", "--out", str(out), "--config", config]
+        assert main(args) == 0
+        assert (out / "factorvae.csv").read_bytes() == (
+            b"metric,score,detail_key,detail_value\n"
+            b"factorvae,1,factor_0_accuracy,1\n"
+            b"factorvae,1,factor_1_accuracy,1\n"
+        )
+
+    def test_dhsic_csv_has_an_empty_detail_row(self, model_dir, data_dir, tmp_path):
+        out = tmp_path / "met"
+        args = ["metrics", "--model", str(model_dir / "model.json"), "--data", str(data_dir),
+                "--metrics", "dhsic", "--out", str(out)]
+        assert main(args) == 0
+        score = _read_rows(out / "summary.csv")[1][1]
+        assert (out / "dhsic.csv").read_text() == (
+            f"metric,score,detail_key,detail_value\ndhsic,{score},,\n"
+        )
+
     def test_metric_subset_skips_data_requirement(self, model_dir, tmp_path):
         out = tmp_path / "met"
         config = _write_json(tmp_path / "cfg.json", SMALL_FACTORVAE)
@@ -439,6 +461,22 @@ class TestSelect:
             {"models": ["m0/model.json", "m1/model.json"], "labels": ["only-one"]},
         )
         assert main(["select", "--pool", bad_labels, "--out", out]) == 2
+
+    def test_mixed_sample_dimensions_exit_2(self, pool_dir, tmp_path, capsys):
+        root, _ = pool_dir
+        wide = tmp_path / "wide"
+        assert main(["optimize", "--objective", "cr", "--r", "2", "--sigma-diag", "9,4,1,0.25",
+                     "--out", str(wide), "--seed", "0"]) == 0
+        manifest = _write_json(
+            root / "mixed.json", {"models": ["m0/model.json", str(wide / "model.json")]}
+        )
+        capsys.readouterr()
+        for method in ("model-centrality", "udr-lasso"):
+            args = ["select", "--pool", manifest, "--method", method,
+                    "--out", str(tmp_path / method)]
+            assert main(args) == 2
+            err = capsys.readouterr().err
+            assert "generators must share one sample dimension, got [3, 4]" in err
 
 
 class TestAnalyze:

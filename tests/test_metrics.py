@@ -18,7 +18,6 @@ from disentlab.metrics import (
     FunctionEncoder,
     GeneratorSampler,
     LinearEncoder,
-    MetricReport,
     PseudoNoiseEncoder,
     SyntheticFactorSampler,
     TransformedEncoder,
@@ -644,18 +643,6 @@ class TestLassoFit:
             lasso_fit(np.zeros((3, 2)), np.zeros(3), -0.1)
         with pytest.raises(ValueError):
             lasso_fit(np.zeros((3, 2)), np.zeros((3, 2, 1)), 0.1)
-
-
-class TestMetricReport:
-    def test_csv_with_detail(self):
-        report = MetricReport("demo", 0.5, (("a", 1.0), ("b", 0.25)))
-        lines = report.to_csv().splitlines()
-        assert lines[0] == "metric,score,detail_key,detail_value"
-        assert lines[1] == "demo,0.5,a,1"
-        assert lines[2] == "demo,0.5,b,0.25"
-
-    def test_csv_without_detail(self):
-        assert MetricReport("demo", 0.125).to_csv().splitlines()[1] == "demo,0.125,,"
 
 
 class TestEncoderBase:

@@ -1,5 +1,6 @@
 """Tests for pool-based model selection and rank-correlation analysis."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from disentlab.metrics import (
     spearman_rho,
 )
 from disentlab.selection import (
+    UDR_EPS,
     ModelPool,
     SelectionReport,
-    SimilarityMatrix,
+    _pool_relevance,
     cross_score,
     model_centrality,
     noisy_linear_pool,
@@ -35,6 +37,8 @@ FAST_CFG = FactorVaeConfig(groups_per_factor=15, group_size=15, reference_sample
 # Algorithm 1 hand case: A12=A21=0.9, A13=0.8, A31=0.2, A23=0.9, A32=0.7
 # gives B12=0.9, B13=0.5, B23=0.8 and s=(0.7, 0.85, 0.65); model 2 wins.
 HAND_SCORES = {(0, 1): 0.9, (1, 0): 0.9, (0, 2): 0.8, (2, 0): 0.2, (1, 2): 0.9, (2, 1): 0.7}
+NO_SPREAD = np.zeros(2)
+TWO_LABELS = ("a", "b")
 
 
 def _tiny_pool(n: int) -> ModelPool:
@@ -76,6 +80,17 @@ class TestModelPool:
                 )
             )
 
+    def test_mismatched_sample_dims(self):
+        gen_2 = matched_generator(SymMatrix(np.eye(2)), np.array([[0.5], [0.0]]))
+        gen_3 = matched_generator(SymMatrix(np.eye(3)), np.array([[0.5], [0.0], [0.0]]))
+        with pytest.raises(ValueError, match=r"sample dimension, got \[2, 3\]"):
+            ModelPool(
+                (
+                    (gen_2, LinearEncoder(np.eye(1, 2)), "a"),
+                    (gen_3, LinearEncoder(np.eye(1, 3)), "b"),
+                )
+            )
+
     def test_accessors(self):
         pool = _tiny_pool(3)
         assert pool.size == 3
@@ -83,69 +98,78 @@ class TestModelPool:
         assert pool.encoder(1).weight[0, 0] == 2.0
 
 
-class TestSimilarityMatrix:
-    def test_hand_case(self):
-        a = np.zeros((3, 3))
-        for (i, j), v in HAND_SCORES.items():
-            a[i, j] = v
-        sim = SimilarityMatrix.from_cross_scores(a)
-        assert sim.b[0, 1] == 0.9
-        assert sim.b[0, 2] == 0.5
-        assert sim.b[1, 2] == 0.8
-        assert np.allclose(sim.s, [0.7, 0.85, 0.65], rtol=0.0, atol=1e-15)
-
-    def test_diagonal_zeroed_and_frozen(self):
-        a = np.full((2, 2), 0.5)
-        sim = SimilarityMatrix.from_cross_scores(a)
-        assert sim.a[0, 0] == 0.0 and sim.a[1, 1] == 0.0
-        assert not sim.a.flags.writeable
-        assert not sim.b.flags.writeable
-        assert sim.s[0] == 0.5
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            SimilarityMatrix.from_cross_scores(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            SimilarityMatrix.from_cross_scores(np.zeros((1, 1)))
-
-
 class TestSelectionReport:
     def test_argmax_enforced(self):
-        with pytest.raises(ValueError):
-            SelectionReport("model_centrality", np.array([0.1, 0.9]), 0)
+        # the selection is derived from the scores; it cannot be passed in
+        for scores in ([0.1, 0.9], [0.9, 0.1], [0.3, 0.7, 0.7, 0.2]):
+            report = SelectionReport("model_centrality", scores, np.zeros(len(scores)),
+                                     tuple("abcd"[:len(scores)]))
+            assert report.selected == int(np.argmax(scores))
+        with pytest.raises(TypeError):
+            SelectionReport("model_centrality", [0.1, 0.9], NO_SPREAD, TWO_LABELS, selected=0)
 
     def test_stderr_alignment(self):
-        with pytest.raises(ValueError):
-            SelectionReport("model_centrality", np.array([0.9, 0.1]), 0, np.zeros(3))
+        with pytest.raises(ValueError, match="stderr must align"):
+            SelectionReport("model_centrality", np.array([0.9, 0.1]), np.zeros(3), TWO_LABELS)
+
+    def test_labels_alignment(self):
+        with pytest.raises(ValueError, match="labels must align"):
+            SelectionReport("model_centrality", np.array([0.9, 0.1]), NO_SPREAD, ("a",))
 
     def test_tie_breaks_low(self):
-        report = SelectionReport("model_centrality", np.array([0.5, 0.5]), 0)
+        report = SelectionReport("model_centrality", np.array([0.5, 0.5]), NO_SPREAD, TWO_LABELS)
         assert report.selected == 0
 
     def test_non_finite_rejected(self):
         # argmax would pick the NaN at index 0
-        with pytest.raises(ValueError):
-            SelectionReport("model_centrality", np.array([math.nan, 0.5]), 0)
-        with pytest.raises(ValueError):
-            SelectionReport("model_centrality", np.array([0.5, math.inf]), 1)
-        with pytest.raises(ValueError):
-            SelectionReport("model_centrality", np.array([0.9, 0.1]), 0, np.array([0.0, math.nan]))
+        for scores, stderr in (
+            ([math.nan, 0.5], NO_SPREAD),
+            ([0.5, math.inf], NO_SPREAD),
+            ([0.9, 0.1], [0.0, math.nan]),
+        ):
+            with pytest.raises(ValueError, match="must be finite"):
+                SelectionReport("model_centrality", np.array(scores), np.array(stderr),
+                                TWO_LABELS)
+
+
+def _row_means(matrix: np.ndarray) -> np.ndarray:
+    return matrix.sum(axis=1) / (matrix.shape[0] - 1)
 
 
 class TestModelCentrality:
     def test_hand_case(self):
         pool = _tiny_pool(3)
-        sim, report = model_centrality(pool, FAST_CFG, metric=_stub_metric(pool, HAND_SCORES))
+        b = model_centrality(pool, FAST_CFG, metric=_stub_metric(pool, HAND_SCORES))
+        assert b[0, 1] == 0.9
+        assert b[0, 2] == 0.5
+        assert b[1, 2] == 0.8
+        report = subsampled_centrality(pool, b, fraction=1.0, trials=1)
         assert np.allclose(report.scores, [0.7, 0.85, 0.65], rtol=0.0, atol=1e-15)
         assert report.selected == 1
         assert report.method == "model_centrality"
         assert report.labels == ("m0", "m1", "m2")
-        assert sim.a[2, 0] == 0.2 and sim.a[0, 0] == 0.0
+
+    def test_symmetrized_with_zero_diagonal(self):
+        pool = _tiny_pool(9)
+        table = {(i, j): 1.0 + i + 0.01 * j for i in range(9) for j in range(9) if i != j}
+        metric = _stub_metric(pool, table)
+        interval = sys.getswitchinterval()
+        # frequent thread switches, so that a share lost or written twice shows
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (1, 5):
+                b = model_centrality(pool, FAST_CFG, metric=metric, threads=threads)
+                assert np.array_equal(np.diag(b), np.zeros(9))
+                for (i, j), value in table.items():
+                    assert b[i, j] == b[j, i] == 0.5 * (value + table[(j, i)])
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_identical_models_tie_break(self):
         pool = _tiny_pool(3)
         metric = lambda enc, gen, cfg: 0.75
-        _, report = model_centrality(pool, FAST_CFG, metric=metric)
+        b = model_centrality(pool, FAST_CFG, metric=metric)
+        report = subsampled_centrality(pool, b, fraction=1.0, trials=1)
         assert np.all(report.scores == 0.75)
         assert report.selected == 0
 
@@ -156,22 +180,19 @@ class TestModelCentrality:
             for j in range(3):
                 if i != j:
                     table[(i, j)] = 0.2 if 2 in (i, j) else 0.9
-        _, report = model_centrality(pool, FAST_CFG, metric=_stub_metric(pool, table))
-        assert report.scores[2] < report.scores[0]
-        assert report.scores[2] < report.scores[1]
+        scores = _row_means(model_centrality(pool, FAST_CFG, metric=_stub_metric(pool, table)))
+        assert scores[2] < scores[0]
+        assert scores[2] < scores[1]
 
     def test_thread_count_does_not_change_output(self):
         pool = noisy_linear_pool(SymMatrix(np.diag([4.0, 1.0, 0.25])), 2, [0.0, 0.3, 0.8], seed=1)
-        sim1, rep1 = model_centrality(pool, FAST_CFG)
-        sim2, rep2 = model_centrality(pool, FAST_CFG, threads=3)
-        assert np.array_equal(sim1.a, sim2.a)
-        assert np.array_equal(rep1.scores, rep2.scores)
+        b1 = model_centrality(pool, FAST_CFG)
+        b3 = model_centrality(pool, FAST_CFG, threads=3)
+        assert np.array_equal(b1, b3)
 
     def test_repeat_runs_identical(self):
         pool = noisy_linear_pool(SymMatrix(np.diag([4.0, 1.0, 0.25])), 2, [0.0, 0.5], seed=2)
-        sim1, _ = model_centrality(pool, FAST_CFG)
-        sim2, _ = model_centrality(pool, FAST_CFG)
-        assert np.array_equal(sim1.a, sim2.a)
+        assert np.array_equal(model_centrality(pool, FAST_CFG), model_centrality(pool, FAST_CFG))
 
 
 class TestCrossScore:
@@ -194,9 +215,9 @@ class TestSubsampledCentrality:
         pool = _tiny_pool(4)
         table = {(i, j): 0.1 * (i + 1) + 0.03 * j for i in range(4) for j in range(4) if i != j}
         metric = _stub_metric(pool, table)
-        sim, full = model_centrality(pool, FAST_CFG, metric=metric)
-        report = subsampled_centrality(pool, fraction=1.0, trials=25, seed=0, sim=sim)
-        assert np.array_equal(report.scores, full.scores)
+        b = model_centrality(pool, FAST_CFG, metric=metric)
+        report = subsampled_centrality(pool, b, fraction=1.0, trials=25, seed=0)
+        assert np.array_equal(report.scores, _row_means(b))
         assert np.array_equal(report.stderr, np.zeros(4))
 
     def test_partial_fraction_consistent(self):
@@ -204,20 +225,20 @@ class TestSubsampledCentrality:
         rng = np.random.default_rng(7)
         table = {(i, j): float(rng.uniform(0.2, 1.0)) for i in range(6) for j in range(6) if i != j}
         metric = _stub_metric(pool, table)
-        sim, full = model_centrality(pool, FAST_CFG, metric=metric)
-        report = subsampled_centrality(pool, fraction=0.8, trials=100, seed=1, sim=sim)
+        b = model_centrality(pool, FAST_CFG, metric=metric)
+        report = subsampled_centrality(pool, b, fraction=0.8, trials=100, seed=1)
         assert np.all(report.stderr > 0.0)
-        assert np.all(np.abs(report.scores - full.scores) <= 3.0 * report.stderr)
+        assert np.all(np.abs(report.scores - _row_means(b)) <= 3.0 * report.stderr)
 
     def test_validation(self):
         pool = _tiny_pool(3)
-        sim = SimilarityMatrix.from_cross_scores(np.zeros((3, 3)))
+        b = np.zeros((3, 3))
         with pytest.raises(ValueError):
-            subsampled_centrality(pool, fraction=0.0, sim=sim)
+            subsampled_centrality(pool, b, fraction=0.0)
         with pytest.raises(ValueError):
-            subsampled_centrality(pool, fraction=1.2, sim=sim)
+            subsampled_centrality(pool, b, fraction=1.2)
         with pytest.raises(ValueError):
-            subsampled_centrality(pool, trials=0, sim=sim)
+            subsampled_centrality(pool, b, trials=0)
 
 
 class TestUdrRelevance:
@@ -308,6 +329,29 @@ class TestUdrPairScores:
         lasso = udr_pair_scores(pool, samples, "lasso")
         assert np.abs(lasso - lasso.T).max() > 1e-3
 
+    def test_matches_per_pair_loop_bit_for_bit(self):
+        # the criterion-07 spectrum with 12 codes: rows long enough that
+        # numpy's summation order depends on memory layout, and reducing over
+        # the strided spearman blocks moves some scores by 1.1e-16
+        band = [5.0 * (0.45 / 5.0) ** (i / 9.0) for i in range(10)]
+        sigma = SymMatrix(np.diag(band + [0.28, 0.18, 0.08, 0.05, 0.03, 0.015]))
+        pool = noisy_linear_pool(sigma, 12, [0.0, 0.05, 0.1, 0.15], seed=1, noise_scale=2.4)
+        samples = np.random.default_rng(1).multivariate_normal(
+            np.zeros(16), np.asarray(sigma), size=1000
+        )
+        encoders = [pool.encoder(m) for m in range(pool.size)]
+        for variant in ("lasso", "spearman"):
+            relevance = _pool_relevance(encoders, samples, variant, 0.01)
+            loop = np.zeros((pool.size, pool.size))
+            for i in range(pool.size):
+                for j in range(pool.size):
+                    if i != j:
+                        r = relevance[i, j]
+                        rows = (r.max(axis=1) / (r.sum(axis=1) + UDR_EPS)).mean()
+                        cols = (r.max(axis=0) / (r.sum(axis=0) + UDR_EPS)).mean()
+                        loop[i, j] = 0.5 * (rows + cols)
+            assert np.array_equal(udr_pair_scores(pool, samples, variant), loop)
+
     def test_spearman_matches_scalar_rho(self):
         rng = np.random.default_rng(6)
         samples = rng.standard_normal((250, 4))
@@ -341,9 +385,21 @@ class TestUdrScore:
     def test_zero_matrix(self):
         assert udr_score(np.zeros((3, 3))) == 0.0
 
+    def test_stack_scores_each_matrix(self):
+        stack = np.random.default_rng(4).uniform(0.0, 1.0, size=(2, 3, 5, 5))
+        scores = udr_score(stack)
+        assert scores.shape == (2, 3)
+        for index in np.ndindex(2, 3):
+            assert scores[index] == udr_score(stack[index])
+        assert isinstance(udr_score(stack[0, 0]), float)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             udr_score(np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            udr_score(np.zeros((4, 2, 3)))
+        with pytest.raises(ValueError):
+            udr_score(np.zeros(3))
         with pytest.raises(ValueError):
             udr_score(-np.eye(2))
 
