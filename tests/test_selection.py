@@ -136,13 +136,22 @@ def _row_means(matrix: np.ndarray) -> np.ndarray:
     return matrix.sum(axis=1) / (matrix.shape[0] - 1)
 
 
+class TestSimilarityMatrix:
+    def test_hand_case(self):
+        # the similarity matrix model_centrality returns holds B = (A + A^T) / 2
+        pool = _tiny_pool(3)
+        b = model_centrality(pool, FAST_CFG, metric=_stub_metric(pool, HAND_SCORES))
+        assert b[0, 1] == b[1, 0] == 0.9
+        assert b[0, 2] == b[2, 0] == 0.5
+        assert b[1, 2] == b[2, 1] == 0.8
+        assert np.array_equal(np.diag(b), np.zeros(3))
+        assert np.allclose(_row_means(b), [0.7, 0.85, 0.65], rtol=0.0, atol=1e-15)
+
+
 class TestModelCentrality:
     def test_hand_case(self):
         pool = _tiny_pool(3)
         b = model_centrality(pool, FAST_CFG, metric=_stub_metric(pool, HAND_SCORES))
-        assert b[0, 1] == 0.9
-        assert b[0, 2] == 0.5
-        assert b[1, 2] == 0.8
         report = subsampled_centrality(pool, b, fraction=1.0, trials=1)
         assert np.allclose(report.scores, [0.7, 0.85, 0.65], rtol=0.0, atol=1e-15)
         assert report.selected == 1
