@@ -93,6 +93,12 @@ _VERIFY_SUITES = {
     "bias_d": 4,
     "bias_r": 2,
 }
+# Counts must be at least 1; a family needs two classes and two support points.
+_VERIFY_MINIMUMS = {
+    **dict.fromkeys(("matrices", "seeds", "pca_seeds", "families", "bias_cases"), 1),
+    "k_max": 2,
+    "support_max": 2,
+}
 _VERIFY_THRESHOLDS = {
     "orthonormality_residual": 1e-4,
     "objective_gap": 1e-4,
@@ -287,20 +293,28 @@ def _pca_recovery(seed, suites, opt, thresholds):
                thresholds["truncation_gap"])
 
 
-def _js_identity(seed, suites, opt, thresholds):
-    """The best discrimination value is the mixture divergence minus log k; ascent attains it."""
+def _js_families(seed, suites) -> list[DiscreteDistributionFamily]:
+    """The js_identity suite's families, each with full support."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    for f_idx in range(suites["families"]):
+    families = []
+    for _ in range(suites["families"]):
         k = int(rng.integers(2, suites["k_max"] + 1))
         support = int(rng.integers(2, suites["support_max"] + 1))
         probs = rng.uniform(0.2, 1.0, (k, support))
         probs /= probs.sum(axis=1, keepdims=True)
-        family = DiscreteDistributionFamily(probs)
+        families.append(DiscreteDistributionFamily(probs))
+    return families
+
+
+def _js_identity(seed, suites, opt, thresholds):
+    """The best discrimination value is the mixture divergence minus log k; ascent attains it."""
+    families = _js_families(seed, suites)
+    for f_idx, (family, ascent) in enumerate(zip(families, train_discriminator(families))):
         case = f"family{f_idx:03d}"
         best = cross_entropy_objective(family, optimal_discriminator(family))
-        yield (case, "identity_gap", abs(best - (js_divergence(family) - math.log(k))),
+        yield (case, "identity_gap", abs(best - (js_divergence(family) - math.log(family.k))),
                thresholds["js_identity_gap"])
-        trained = cross_entropy_objective(family, train_discriminator(family))
+        trained = cross_entropy_objective(family, ascent.discriminator)
         yield case, "training_gap", best - trained, thresholds["js_training_gap"]
 
 
@@ -337,9 +351,11 @@ def cmd_verify_theorems(args) -> int:
     suites = _section(config, "suites", _VERIFY_SUITES)
     opt = _section(config, "optimizer", _defaults(OptimizerConfig, "lam", "alpha"))
     thresholds = _section(config, "thresholds", _VERIFY_THRESHOLDS)
-    for key in ("matrices", "seeds", "pca_seeds", "families", "bias_cases"):
-        if suites[key] < 1:
-            raise CliError(f"config value suites.{key} must be at least 1, got {suites[key]}")
+    for key, least in _VERIFY_MINIMUMS.items():
+        if suites[key] < least:
+            raise CliError(
+                f"config value suites.{key} must be at least {least}, got {suites[key]}"
+            )
     if len(suites["spectrum"]) < 2:
         raise CliError("config value suites.spectrum must list at least two eigenvalues")
     out = _out_dir(args.out)

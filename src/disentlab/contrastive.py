@@ -4,10 +4,17 @@ Over a finite family of k discrete distributions, the k-way discrimination
 objective has the analytic maximum d_JS - log k where d_JS is the generalized
 Jensen-Shannon divergence, attained at the normalized-density discriminator;
 a plain gradient ascent on the logits verifies the identity numerically.
+
+train_discriminator runs that ascent for many families at once, in one
+padded (F, k_max, m_max) stack that drops each family when its own stop rule
+fires. Every family's logits and step count are bit for bit those of a call
+with that family alone, and each result says how its ascent ended: steps
+taken, final max|grad|, and whether it converged or hit the step cap.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +35,8 @@ class DiscreteDistributionFamily:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
             raise ValueError(f"probs must be a k x m matrix, got shape {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probabilities must be finite")
         if np.any(p < 0.0):
             raise ValueError("probabilities must be nonnegative")
         sums = p.sum(axis=1)
@@ -130,43 +139,103 @@ def cross_entropy_objective(
     return float(np.sum(q[mask] * np.log(out[mask])) / family.k)
 
 
+@dataclass(frozen=True)
+class TrainedDiscriminator:
+    """One family's ascent result and how its ascent ended."""
+
+    discriminator: SoftmaxDiscriminator
+    iterations: int  # gradient steps taken
+    grad_max: float  # largest |gradient| entry at the returned logits
+    converged: bool  # grad_max met the stop rule within the iters cap
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the classes of an (F, k, m) stack; each column needs one finite logit."""
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _stack_objective(q: np.ndarray, k: np.ndarray, logits: np.ndarray) -> np.ndarray:
+    """cross_entropy_objective of every family in a padded (F, k, m) stack.
+
+    Padded cells carry no mass, so they add nothing; a family whose mass
+    meets a zero output reads -inf.
+    """
+    out = _softmax(logits)
+    mass = q > 0.0
+    hit = mass & (out > 0.0)
+    log_out = np.log(out, out=np.zeros_like(out), where=hit)
+    value = (q * log_out).sum(axis=(1, 2)) / k
+    return np.where(np.any(mass & ~hit, axis=(1, 2)), -np.inf, value)
+
+
 def train_discriminator(
-    family: DiscreteDistributionFamily,
+    families: Sequence[DiscreteDistributionFamily],
     iters: int = 30_000,
     step: float = 0.5,
-) -> SoftmaxDiscriminator:
-    """Full-batch gradient ascent on the logits of the discrimination objective.
+) -> list[TrainedDiscriminator]:
+    """Full-batch gradient ascent on the logits of each family's discrimination objective.
 
-    Deterministic: logits start at zero and the gradient is exact. Stops
-    early once the gradient is numerically zero; raises NumericFailure if the
-    objective decreases persistently (which a correct gradient cannot do at
-    this step size).
+    All families ascend together in one (F, k_max, m_max) stack. Padded
+    classes hold -inf logits and padded support points zero mass, so their
+    outputs and gradients are exact zeros. numpy sums over the middle
+    (class) axis in class order, so the padded classes add their zeros
+    last, and each family's logits are bit for bit those of a call with
+    that family alone. Each family keeps its own 1/k factor and stops at
+    the first iteration where max|grad| < 1e-12, or after iters steps; the
+    stack drops a family when it stops.
+
+    Deterministic: logits start at zero and the gradient is exact. Every 50
+    steps the objective of each running family is checked; NumericFailure,
+    naming the family's index, is raised when it drops by more than 1e-9
+    five checks in a row (which a correct gradient cannot do at this step
+    size).
     """
-    q = family.probs
-    k = family.k
-    z = q.sum(axis=0)  # (m,)
-    qt = q.T  # (m, k)
-    logits = np.zeros((family.support_size, k))
-    last = -math.inf
-    drops = 0
-    for it in range(iters):
-        top = logits.max(axis=1, keepdims=True)
-        e = np.exp(logits - top)
-        h = e / e.sum(axis=1, keepdims=True)
-        grad = (qt - z[:, None] * h) / k
-        if np.abs(grad).max() < 1e-12:
-            break
+    families = list(families)
+    if not families:
+        return []
+    f = len(families)
+    k_max = max(fam.k for fam in families)
+    m_max = max(fam.support_size for fam in families)
+    q = np.zeros((f, k_max, m_max))
+    logits = np.full((f, k_max, m_max), -np.inf)
+    for i, fam in enumerate(families):
+        q[i, : fam.k, : fam.support_size] = fam.probs
+        logits[i, : fam.k] = 0.0
+    z = q.sum(axis=1, keepdims=True)  # (F, 1, m): the mass of each support point
+    k = np.array([float(fam.k) for fam in families])[:, None, None]
+    # Rows of the running stack, by family index; rows are dropped as families stop.
+    run = np.arange(f)
+    last = np.full(f, -math.inf)
+    drops = np.zeros(f, dtype=int)
+    results: list[TrainedDiscriminator | None] = [None] * f
+    for it in range(iters + 1):
+        grad = (q - z * _softmax(logits)) / k
+        grad_max = np.abs(grad).max(axis=(1, 2))
+        converged = grad_max < 1e-12
+        stop = converged | (it == iters)
+        if np.any(stop):
+            for row in np.flatnonzero(stop):
+                fam = families[run[row]]
+                table = logits[row, : fam.k, : fam.support_size].T.copy()
+                results[run[row]] = TrainedDiscriminator(
+                    SoftmaxDiscriminator(table), it, float(grad_max[row]), bool(converged[row])
+                )
+            keep = ~stop
+            if not np.any(keep):
+                break
+            run, logits, grad, q, z, k, last, drops = (
+                a[keep] for a in (run, logits, grad, q, z, k, last, drops)
+            )
         logits += step * grad
         if it % 50 == 0:
-            disc = SoftmaxDiscriminator(logits)
-            val = cross_entropy_objective(family, disc)
-            if val < last - 1e-9:
-                drops += 1
-                if drops >= 5:
-                    raise NumericFailure(
-                        f"discrimination objective diverged ({last!r} -> {val!r})"
-                    )
-            else:
-                drops = 0
-            last = val
-    return SoftmaxDiscriminator(logits)
+            value = _stack_objective(q, k[:, 0, 0], logits)
+            drops = np.where(value < last - 1e-9, drops + 1, 0)
+            if np.any(drops >= 5):
+                row = int(np.flatnonzero(drops >= 5)[0])
+                raise NumericFailure(
+                    f"discrimination objective of family {run[row]} diverged "
+                    f"({float(last[row])!r} -> {float(value[row])!r})"
+                )
+            last = value
+    return results

@@ -154,6 +154,15 @@ class TestVerifyTheorems:
         assert err == f"error: config value suites.{key} must be at least 1, got {count}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["k_max", "support_max"])
+    def test_suite_dimension_below_2_exits_2(self, tmp_path, capsys, key):
+        config = _write_json(tmp_path / "cfg.json", {"suites": {**SMALL_VERIFY["suites"], key: 1}})
+        out = tmp_path / "report"
+        assert main(["verify-theorems", "--out", str(out), "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config value suites.{key} must be at least 2, got 1\n"
+        assert not out.exists()
+
     def test_deterministic_and_thread_independent(self, tmp_path):
         config = _write_json(tmp_path / "cfg.json", SMALL_VERIFY)
         outputs = []

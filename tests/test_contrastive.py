@@ -7,11 +7,14 @@ import pytest
 from disentlab.contrastive import (
     DiscreteDistributionFamily,
     SoftmaxDiscriminator,
+    _stack_objective,
     cross_entropy_objective,
     js_divergence,
     optimal_discriminator,
     train_discriminator,
 )
+from disentlab.cli import _VERIFY_SUITES, _js_families
+from disentlab.errors import NumericFailure
 
 LOG_2 = 0.6931471805599453
 LOG_3 = 1.0986122886681098
@@ -53,6 +56,14 @@ class TestDistributionFamily:
     def test_csv_shape_mismatch(self):
         with pytest.raises(ValueError):
             DiscreteDistributionFamily.from_csv("2,2\n1,0\n")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        probs = np.array([[bad, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteDistributionFamily(probs)
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteDistributionFamily.from_csv(f"2,2\n{bad},0.5\n0.5,0.5\n")
 
 
 class TestJsDivergence:
@@ -129,33 +140,144 @@ class TestCrossEntropyObjective:
             cross_entropy_objective(_hand_family(), SoftmaxDiscriminator(np.zeros((3, 2))))
 
 
+def _loop_ascent(family: DiscreteDistributionFamily, iters: int, step: float = 0.5):
+    """The single-family logit ascent the batched one must reproduce bit for bit."""
+    q, k = family.probs, family.k
+    z, qt = q.sum(axis=0), q.T
+    logits = np.zeros((family.support_size, k))
+    for it in range(iters):
+        top = logits.max(axis=1, keepdims=True)
+        e = np.exp(logits - top)
+        grad = (qt - z[:, None] * (e / e.sum(axis=1, keepdims=True))) / k
+        if np.abs(grad).max() < 1e-12:
+            return logits, it
+        logits += step * grad
+    return logits, iters
+
+
 class TestTrainDiscriminator:
     def test_matches_analytic_maximum(self):
         # The optimum here sits on the simplex boundary (Q1 has a zero entry),
         # where logit ascent closes the gap only at O(1/iters).
         fam = _hand_family()
-        trained = train_discriminator(fam, iters=20_000)
-        val = cross_entropy_objective(fam, trained)
+        (trained,) = train_discriminator([fam], iters=20_000)
+        val = cross_entropy_objective(fam, trained.discriminator)
         assert val == pytest.approx(CE_HAND, abs=1e-4)
         assert val <= CE_HAND + 1e-9
+        assert not trained.converged and trained.iterations == 20_000
 
     def test_outputs_match_normalized_densities(self):
         rng = np.random.default_rng(4)
         fam = _random_family(rng, k=3, m=5)
-        trained = train_discriminator(fam, iters=20_000)
+        (trained,) = train_discriminator([fam], iters=20_000)
         target = optimal_discriminator(fam).probs
-        assert trained.probs == pytest.approx(target, abs=1e-5)
+        assert trained.discriminator.probs == pytest.approx(target, abs=1e-5)
 
     def test_gap_shrinks_across_random_families(self):
         rng = np.random.default_rng(5)
-        for _ in range(5):
-            fam = _random_family(rng, k=int(rng.integers(2, 5)), m=int(rng.integers(3, 8)))
+        fams = [
+            _random_family(rng, k=int(rng.integers(2, 5)), m=int(rng.integers(3, 8)))
+            for _ in range(5)
+        ]
+        for fam, trained in zip(fams, train_discriminator(fams, iters=20_000)):
             bound = js_divergence(fam) - math.log(fam.k)
-            val = cross_entropy_objective(fam, train_discriminator(fam, iters=20_000))
-            assert abs(val - bound) <= 1e-5
+            assert abs(cross_entropy_objective(fam, trained.discriminator) - bound) <= 1e-5
+            assert trained.converged and trained.grad_max < 1e-12
 
     def test_deterministic(self):
         fam = _hand_family()
-        a = train_discriminator(fam, iters=500)
-        b = train_discriminator(fam, iters=500)
-        assert np.array_equal(a.logits, b.logits)
+        (a,) = train_discriminator([fam], iters=500)
+        (b,) = train_discriminator([fam], iters=500)
+        assert np.array_equal(a.discriminator.logits, b.discriminator.logits)
+
+    def test_no_families(self):
+        assert train_discriminator([]) == []
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_batch_equals_one_family_calls_bit_for_bit(self, seed):
+        # The verify families mix k in [2, 5] and m in [2, 8], so the batch
+        # pads both axes.
+        fams = _js_families(seed, _VERIFY_SUITES)
+        assert {f.k for f in fams} == {2, 3, 4, 5}
+        assert {f.support_size for f in fams} == set(range(2, 9))
+        batch = train_discriminator(fams)
+        for i, (fam, got) in enumerate(zip(fams, batch)):
+            (alone,) = train_discriminator([fam])
+            assert got.discriminator.logits.shape == (fam.support_size, fam.k)
+            assert np.array_equal(got.discriminator.logits, alone.discriminator.logits)
+            assert got.iterations == alone.iterations
+            assert got.grad_max == alone.grad_max
+            assert got.converged and alone.converged
+            if i % 10 == 0:
+                logits, iterations = _loop_ascent(fam, 30_000)
+                assert np.array_equal(got.discriminator.logits, logits)
+                assert got.iterations == iterations
+
+    def test_batch_equals_one_family_calls_past_eight_classes(self):
+        # numpy sums eight or more contiguous terms pairwise, where trailing
+        # zeros would change the rounding; the stack keeps its class axis
+        # in the middle, where numpy sums in class order.
+        rng = np.random.default_rng(9)
+        fams = [_random_family(rng, k=k, m=int(rng.integers(1, 10))) for k in range(1, 13)]
+        batch = train_discriminator(fams, iters=300)
+        for fam, got in zip(fams, batch):
+            (alone,) = train_discriminator([fam], iters=300)
+            assert np.array_equal(got.discriminator.logits, alone.discriminator.logits)
+            assert got.iterations == alone.iterations
+
+    def test_cap_stops_one_family_and_leaves_the_others(self):
+        rng = np.random.default_rng(6)
+        easy = [_random_family(rng, k=int(rng.integers(2, 6)), m=int(rng.integers(2, 9)))
+                for _ in range(4)]
+        alone = [train_discriminator([fam])[0] for fam in easy]
+        cap = max(a.iterations for a in alone) + 1
+        # The boundary optimum of the hand family needs far more than cap steps.
+        fams = [easy[0], easy[1], _hand_family(), easy[2], easy[3]]
+        batch = train_discriminator(fams, iters=cap)
+        capped = batch.pop(2)
+        assert not capped.converged
+        assert capped.iterations == cap
+        assert capped.grad_max >= 1e-12
+        logits, iterations = _loop_ascent(_hand_family(), cap)
+        assert np.array_equal(capped.discriminator.logits, logits) and iterations == cap
+        for got, ref in zip(batch, alone):
+            assert got.converged and got.iterations == ref.iterations < cap
+            assert np.array_equal(got.discriminator.logits, ref.discriminator.logits)
+
+    def test_divergence_names_the_family(self):
+        # At step 50 the 2 x 2 family's ascent overshoots and its objective
+        # keeps falling. The flat family has a zero gradient and stops at
+        # once; the 5000-point family has little mass per point, so it ascends
+        # stably and is still running, first in the stack, when the other
+        # diverges.
+        rng = np.random.default_rng(0)
+        flat = DiscreteDistributionFamily(np.full((2, 2), 0.5))
+        wide = _random_family(rng, k=2, m=5000)
+        fams = [flat, wide, DiscreteDistributionFamily(np.array([[0.9, 0.1], [0.2, 0.8]]))]
+        with pytest.raises(NumericFailure, match="family 2 diverged"):
+            train_discriminator(fams, step=50.0)
+
+    def test_guard_objective_matches_scalar_objective(self):
+        rng = np.random.default_rng(8)
+        fams = [_random_family(rng, k=int(rng.integers(2, 6)), m=int(rng.integers(2, 9)))
+                for _ in range(40)]
+        fams.append(DiscreteDistributionFamily(np.array([[1.0, 0.0], [0.5, 0.5]])))
+        q = np.zeros((len(fams), 5, 8))
+        logits = np.full((len(fams), 5, 8), -np.inf)
+        tables = []
+        for i, fam in enumerate(fams):
+            table = 3.0 * rng.standard_normal((fam.support_size, fam.k))
+            if i % 4 == 0:  # an output of exactly zero where there is mass
+                table[0, 0] = -np.inf
+            tables.append(table)
+            q[i, : fam.k, : fam.support_size] = fam.probs
+            logits[i, : fam.k] = 0.0
+            logits[i, : fam.k, : fam.support_size] = table.T
+        k = np.array([float(f.k) for f in fams])
+        got = _stack_objective(q, k, logits)
+        for value, fam, table in zip(got, fams, tables):
+            want = cross_entropy_objective(fam, SoftmaxDiscriminator(table))
+            if want == -math.inf:
+                assert value == -math.inf
+            else:
+                assert value == pytest.approx(want, rel=1e-13)
