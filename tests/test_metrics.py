@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from disentlab.errors import DegenerateEncoder, NumericFailure
-from disentlab.lingauss import OptimizerConfig, optimize_generator
+from disentlab.lingauss import LinearGenerator, OptimizerConfig, optimize_generator
 from disentlab.linalg import SymMatrix
 from disentlab.metrics import (
     LASSO_TOL,
+    _laplace_row_sums,
+    _latent_groups,
     _median_pair_distance,
     Encoder,
     FactorDataset,
@@ -263,6 +265,99 @@ class TestFactorVaeMetricOracle:
         assert not report.matrix[3].any()
 
 
+def _axis_generator(lam=(4.0, 2.0, 1.0, 0.5, 0.25), r=3) -> LinearGenerator:
+    """x = B c + A z with B = diag(√λ) on the first r coordinates and A on the rest.
+
+    Each of the first r sample coordinates is exactly √λᵢ·cᵢ, so an encoder
+    row that reads one of them depends on that factor alone.
+    """
+    lam = np.asarray(lam, dtype=float)
+    d = lam.size
+    b = np.zeros((d, r))
+    b[np.arange(r), np.arange(r)] = np.sqrt(lam[:r])
+    a = np.zeros((d, d))
+    a[np.arange(r, d), np.arange(r, d)] = np.sqrt(lam[r:])
+    return LinearGenerator(b, a, SymMatrix(np.diag(lam)))
+
+
+def _oracle_case(name: str, seed: int):
+    """(generator, encoder weight) of one linear-route oracle case."""
+    gen = _axis_generator() if name == "fixed-factor-row" else _linear_generator(seed)
+    exact = LinearEncoder.from_generator(gen).weight
+    if name == "exact":
+        return gen, exact
+    noisy = exact + 0.8 * np.random.default_rng([seed, 8]).standard_normal(exact.shape)
+    if name == "noisy":
+        return gen, noisy
+    if name == "tied-rows":
+        return gen, np.vstack([noisy, noisy[:1]])
+    if name == "fixed-factor-row":
+        noisy[1] = np.eye(gen.d)[1]  # reads x₁ = √λ₁·c₁ and nothing else
+        return gen, noisy
+    return gen, np.vstack([noisy[:1], np.zeros((1, gen.d)), noisy[1:]])  # zero-row
+
+
+class TestFactorVaeLinearRoute:
+    """A LinearEncoder scored on a GeneratorSampler takes the fused linear route."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "case", ["exact", "noisy", "tied-rows", "fixed-factor-row", "zero-row"]
+    )
+    def test_votes_match_per_group_loop(self, case, seed):
+        gen, weight = _oracle_case(case, seed)
+        sampler, enc = GeneratorSampler(gen), LinearEncoder(weight)
+        cfg = FactorVaeConfig(groups_per_factor=30, group_size=12, reference_samples=500, seed=seed)
+        votes = factorvae_metric(sampler, enc, cfg).matrix
+        assert np.array_equal(votes, _reference_votes(sampler, enc, cfg))
+        if case == "tied-rows":
+            # the copy of row 0 ties it exactly in every group; the lower index wins
+            assert votes[0].any() and not votes[-1].any()
+        elif case == "fixed-factor-row":
+            # the row's variance is exactly 0 in every group of factor 1
+            assert votes[1, 1] == cfg.groups_per_factor
+        elif case == "zero-row":
+            assert not votes[1].any()
+
+    def test_forms_no_samples(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the linear route formed samples")
+
+        for name in ("sample_reference", "sample_groups", "sample_group"):
+            monkeypatch.setattr(GeneratorSampler, name, refuse)
+        monkeypatch.setattr(LinearEncoder, "encode", refuse)
+        gen = _linear_generator()
+        report = factorvae_metric(GeneratorSampler(gen), LinearEncoder.from_generator(gen), SMALL_CFG)
+        assert report.matrix.sum() == gen.r * SMALL_CFG.groups_per_factor
+
+    @pytest.mark.parametrize("groups,size", [(1, 5), (7, 9)])
+    def test_buffer_draws_follow_sample_groups_stream(self, groups, size):
+        gen = _linear_generator()
+        sampler = GeneratorSampler(gen)
+        rng = np.random.default_rng(4)
+        views = _latent_groups(gen.r, gen.d, groups, size, np.random.default_rng(4))
+        for factor, (c, fixed, z) in enumerate(views):
+            c = c.copy()
+            c[:, :, factor] = fixed[:, None]
+            x = c.reshape(-1, gen.r) @ gen.B.T + z.reshape(-1, gen.d) @ gen.A.T
+            want = sampler.sample_groups(factor, groups, size, rng)
+            assert np.array_equal(x.reshape(groups, size, gen.d), want)
+        assert factor == gen.r - 1
+
+    def test_default_call_peak_allocation_stays_below_8_mib(self):
+        # the CLI defaults: 100 groups of 100, 10,000 reference samples; r=12, d=16
+        gen = _axis_generator(lam=0.8 ** np.arange(16), r=12)
+        exact = LinearEncoder.from_generator(gen).weight
+        enc = LinearEncoder(exact + 0.3 * np.random.default_rng(0).standard_normal(exact.shape))
+        tracemalloc.start()
+        try:
+            factorvae_metric(GeneratorSampler(gen), enc, FactorVaeConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 class TestFactorVaeMetric:
     def test_perfect_encoder_scores_one(self):
         report = factorvae_metric(_identity_sampler(3), LinearEncoder(np.eye(3)), SMALL_CFG)
@@ -467,6 +562,27 @@ class TestDhsic:
                 warnings.simplefilter("ignore", UserWarning)
                 got = dhsic(x)
             assert got == pytest.approx(_dense_dhsic(x), rel=1e-12, abs=1e-15), (n, k)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: rng.standard_normal(3000),
+            lambda rng: np.concatenate([rng.standard_normal(1500), 40.0 + rng.standard_normal(1500)]),
+            lambda rng: np.repeat(rng.uniform(-1.0, 1.0, 1000), 3),
+        ],
+        ids=["normal", "two-clusters", "triplicates"],
+    )
+    def test_marginal_row_sums_match_long_double_direct_sums(self, make):
+        xs = np.sort(make(np.random.default_rng(22)))
+        h = _median_pair_distance(xs)
+        got = _laplace_row_sums(xs, h * h)
+        x = xs.astype(np.longdouble)
+        want = np.empty(xs.size, dtype=np.longdouble)
+        for start in range(0, xs.size, 250):
+            rows = x[start : start + 250, None]
+            want[start : start + 250] = np.exp(-np.abs(rows - x) / np.longdouble(h * h)).sum(axis=1)
+        rel = float(np.max(np.abs((got - want) / want)))
+        assert rel <= 1e-15, rel
 
     def test_peak_memory_stays_below_an_eighth_of_one_n_by_n_matrix(self):
         n = 4000
