@@ -469,8 +469,8 @@ def cmd_optimize(args) -> int:
         out / "history.svg",
         line_chart_svg(
             np.arange(history.size, dtype=float),
-            [history],
-            labels=[objective],
+            history,
+            objective,
             title="objective ascent",
             x_label="iteration",
             y_label="objective",
@@ -500,6 +500,9 @@ def cmd_metrics(args) -> int:
         raise CliError(
             f"unknown metrics: {', '.join(unknown)} (expected {', '.join(_METRIC_NAMES)})"
         )
+    repeated = sorted({v for v in names if names.count(v) > 1})
+    if repeated:
+        raise CliError(f"--metrics lists {', '.join(repeated)} more than once")
     gen, enc = _load_model(args.model)
     ds = None
     if {"dci", "dhsic"} & set(names):

@@ -53,24 +53,6 @@ class DiscreteDistributionFamily:
     def support_size(self) -> int:
         return self.probs.shape[1]
 
-    def to_csv(self) -> str:
-        lines = [f"{self.k},{self.support_size}"]
-        for row in self.probs:
-            lines.append(",".join(f"{v:.17g}" for v in row))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "DiscreteDistributionFamily":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        k, m = (int(v) for v in lines[0].split(","))
-        if len(lines) != k + 1:
-            raise ValueError(f"expected {k} probability rows, got {len(lines) - 1}")
-        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-        p = np.asarray(rows, dtype=float)
-        if p.shape != (k, m):
-            raise ValueError(f"expected shape {(k, m)}, got {p.shape}")
-        return cls(p)
-
 
 @dataclass(frozen=True)
 class SoftmaxDiscriminator:

@@ -34,6 +34,14 @@ _SINGULAR_S_TOL = 1e-12
 OBJECTIVES = ("infogan", "cr_frobenius", "combined")
 
 
+def _dimension(obj: dict, key: str) -> int:
+    """An integer or integral float under `key`; booleans and fractions raise ValueError."""
+    value = obj[key]
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and value % 1 == 0:
+        return int(value)
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LinearGenerator:
     """Linear Gaussian generator x = B c + A z with target covariance sigma."""
@@ -77,7 +85,7 @@ class LinearGenerator:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "LinearGenerator":
-        d, r = int(obj["d"]), int(obj["r"])
+        d, r = _dimension(obj, "d"), _dimension(obj, "r")
         b = np.asarray(obj["B"], dtype=float).reshape(d, r)
         a = np.asarray(obj["A"], dtype=float).reshape(d, d)
         sigma = SymMatrix(np.asarray(obj["sigma"], dtype=float).reshape(d, d))
@@ -165,9 +173,9 @@ def matched_generator(sigma: SymMatrix, b) -> LinearGenerator:
     return LinearGenerator(b, a.entries, sigma)
 
 
-def is_distribution_matched(gen: LinearGenerator, rtol: float = MATCHED_RTOL) -> bool:
+def is_distribution_matched(gen: LinearGenerator) -> bool:
     gap = gen.B @ gen.B.T + gen.A @ gen.A.T - gen.sigma.entries
-    return bool(np.linalg.norm(gap) <= rtol * np.linalg.norm(gen.sigma.entries))
+    return bool(np.linalg.norm(gap) <= MATCHED_RTOL * np.linalg.norm(gen.sigma.entries))
 
 
 def posterior(gen: LinearGenerator) -> ConditionalGaussian:

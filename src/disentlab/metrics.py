@@ -1,9 +1,9 @@
-"""Disentanglement and sample-quality metrics over encoded factor datasets.
+"""Disentanglement metrics over encoded factor datasets.
 
-The vote-based factor metric, Lasso-importance disentanglement (DCI), the
-kernel independence score dHSIC, inception score, and reverse KL all operate
-on plain arrays plus a small Encoder interface, so closed-form linear models
-and table fixtures exercise the same code paths. Spearman rank correlation
+The vote-based factor metric, Lasso-importance disentanglement (DCI) and the
+kernel independence score dHSIC all operate on plain arrays plus a small
+Encoder interface, so closed-form linear models and table fixtures exercise
+the same code paths. Spearman rank correlation
 and a covariance-update coordinate-descent Lasso solver are shared
 statistical kernels.
 """
@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .contrastive import DiscreteDistributionFamily, js_divergence
 from .errors import DegenerateEncoder, NumericFailure
 from .lingauss import LinearGenerator, posterior
 
@@ -458,19 +457,6 @@ def _latent_groups(r: int, d: int, groups: int, size: int, rng: np.random.Genera
         yield c, fixed, z
 
 
-def metric_matrix_reduction(m: np.ndarray, normalized: bool = True) -> float:
-    """Sum of the top k̂ row maxima of a k×k̂ score matrix, optionally / k̂."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {m.shape}")
-    k, k_hat = m.shape
-    if k < k_hat:
-        raise ValueError(f"need at least as many codes as factors, got {k} < {k_hat}")
-    row_max = np.sort(m.max(axis=1))[::-1]
-    total = float(row_max[:k_hat].sum())
-    return total / k_hat if normalized else total
-
-
 # ---------------------------------------------------------------------------
 # Lasso-importance disentanglement
 
@@ -523,7 +509,7 @@ def dci_disentanglement(
 
 
 # ---------------------------------------------------------------------------
-# independence and sample-quality scores
+# kernel independence score
 
 
 def _pair_ends(xs: np.ndarray, t: float) -> np.ndarray:
@@ -657,29 +643,6 @@ def dhsic(samples: np.ndarray) -> float:
     t1 = joint / (n * n)
     t3 = 2.0 * row_products.mean()
     return float(t1 + product_term - t3)
-
-
-def inception_score(p: np.ndarray) -> float:
-    """exp(mean KL(row ‖ column mean)) of an n×L row-stochastic matrix.
-
-    The exponent is the generalized Jensen-Shannon divergence of the rows.
-    """
-    return math.exp(js_divergence(DiscreteDistributionFamily(p)))
-
-
-def reverse_kl(gen_counts, true_counts, smoothing: float = 1e-9) -> float:
-    """KL(generated label law ‖ true label law) after additive count smoothing."""
-    g = np.asarray(gen_counts, dtype=float)
-    t = np.asarray(true_counts, dtype=float)
-    if g.shape != t.shape or g.ndim != 1:
-        raise ValueError("count vectors must share one length")
-    if np.any(g < 0.0) or np.any(t < 0.0) or g.sum() <= 0.0 or t.sum() <= 0.0:
-        raise ValueError("counts must be nonnegative with a positive total each")
-    g = g + smoothing
-    t = t + smoothing
-    g /= g.sum()
-    t /= t.sum()
-    return float(np.sum(g * np.log(g / t)))
 
 
 # ---------------------------------------------------------------------------

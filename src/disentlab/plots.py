@@ -1,4 +1,4 @@
-"""Dependency-free SVG rendering for heat maps and line charts.
+"""Dependency-free SVG rendering for heat maps and a single-series line chart.
 
 Layout constants are fixed and every number is formatted explicitly, so a
 given input always renders to byte-identical SVG text. That keeps report
@@ -8,12 +8,13 @@ artifacts diffable without pulling in a plotting package.
 from __future__ import annotations
 
 import math
+from itertools import groupby
 
 import numpy as np
 
 CELL = 36  # heat-map cell edge, px
 NAN_FILL = "#b0b0b0"
-SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_LINE_COLOR = "#1f77b4"
 
 _LOW = (247, 251, 255)  # near-white
 _HIGH = (8, 48, 107)  # dark blue
@@ -109,33 +110,20 @@ def heatmap_svg(values, row_labels=(), col_labels=(), title: str = "") -> str:
 
 
 def line_chart_svg(
-    xs,
-    series,
-    labels=(),
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-    width: int = 640,
-    height: int = 400,
+    xs, ys, label, title: str = "", x_label: str = "", y_label: str = ""
 ) -> str:
-    """Render one or more series against a shared x axis.
+    """Render one labelled series against its x values.
 
-    `series` is a sequence of y vectors, each aligned with `xs`; non-finite y
-    values break the polyline into separate segments.
+    Non-finite y values break the polyline into separate segments; a segment
+    of one point is drawn as a dot.
     """
     x = np.asarray(xs, dtype=float)
-    ys = [np.asarray(s, dtype=float) for s in series]
-    if x.ndim != 1 or x.size < 1 or not ys:
-        raise ValueError("need a nonempty x vector and at least one series")
-    for s in ys:
-        if s.shape != x.shape:
-            raise ValueError(f"series shape {s.shape} does not match x shape {x.shape}")
-    names = _labels_or_indices(labels, len(ys), "series")
-
-    stacked = np.concatenate(ys)
-    finite = stacked[np.isfinite(stacked)]
+    y = np.asarray(ys, dtype=float)
+    if x.ndim != 1 or x.size < 1 or y.shape != x.shape:
+        raise ValueError(f"need nonempty 1-d x and y of one shape, got {x.shape} and {y.shape}")
+    finite = y[np.isfinite(y)]
     if finite.size == 0:
-        raise ValueError("all series values are non-finite")
+        raise ValueError("all y values are non-finite")
     x_lo, x_hi = float(x.min()), float(x.max())
     y_lo, y_hi = float(finite.min()), float(finite.max())
     if x_hi == x_lo:
@@ -143,6 +131,7 @@ def line_chart_svg(
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
 
+    width, height = 640, 400
     left, right, top, bottom = 72, 24, 36, 48
     plot_w, plot_h = width - left - right, height - top - bottom
 
@@ -195,36 +184,24 @@ def line_chart_svg(
             f'text-anchor="middle" transform="rotate(-90 16 {top + plot_h // 2})">'
             f"{_esc(y_label)}</text>"
         )
-    for idx, (s, name) in enumerate(zip(ys, names)):
-        color = SERIES_COLORS[idx % len(SERIES_COLORS)]
-        segment: list[str] = []
-        segments: list[list[str]] = []
-        for xv, yv in zip(x, s):
-            if math.isfinite(yv):
-                segment.append(f"{px(xv):.2f},{py(yv):.2f}")
-            elif segment:
-                segments.append(segment)
-                segment = []
-        if segment:
-            segments.append(segment)
-        for seg in segments:
-            if len(seg) == 1:
-                cx, cy = seg[0].split(",")
-                out.append(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{color}"/>')
-            else:
-                out.append(
-                    f'<polyline points="{" ".join(seg)}" fill="none" '
-                    f'stroke="{color}" stroke-width="1.5"/>'
-                )
-        ly = top + 14 + 14 * idx
-        out.append(
-            f'<line x1="{left + plot_w - 120}" y1="{ly - 4}" x2="{left + plot_w - 100}" '
-            f'y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>'
-        )
-        out.append(
-            f'<text x="{left + plot_w - 94}" y="{ly}" {_FONT} '
-            f'font-size="10">{_esc(name)}</text>'
-        )
+    for finite, run in groupby(zip(x, y), key=lambda point: math.isfinite(point[1])):
+        seg = [f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in run] if finite else []
+        if len(seg) == 1:
+            cx, cy = seg[0].split(",")
+            out.append(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{_LINE_COLOR}"/>')
+        elif seg:
+            out.append(
+                f'<polyline points="{" ".join(seg)}" fill="none" '
+                f'stroke="{_LINE_COLOR}" stroke-width="1.5"/>'
+            )
+    out.append(
+        f'<line x1="{left + plot_w - 120}" y1="{top + 10}" x2="{left + plot_w - 100}" '
+        f'y2="{top + 10}" stroke="{_LINE_COLOR}" stroke-width="1.5"/>'
+    )
+    out.append(
+        f'<text x="{left + plot_w - 94}" y="{top + 14}" {_FONT} '
+        f'font-size="10">{_esc(label)}</text>'
+    )
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

@@ -234,6 +234,27 @@ class TestGenData:
         err = capsys.readouterr().err
         assert path in err and f"{field} holds non-finite entries" in err
 
+    @pytest.mark.parametrize("key, value", [("d", 3.5), ("r", 2.2), ("r", True), ("d", "3")])
+    def test_non_integral_dimension_exits_2(self, model_dir, tmp_path, capsys, key, value):
+        model = json.loads((model_dir / "model.json").read_text())
+        model[key] = value
+        path = _write_json(tmp_path / "bad.json", model)
+        args = ["gen-data", "--linear-gaussian", "--model", path, "--out", str(tmp_path / "x")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert path in err and f"{key} must be an integer" in err
+
+    def test_integral_float_dimensions_load(self, model_dir, tmp_path):
+        model = json.loads((model_dir / "model.json").read_text())
+        model["d"], model["r"] = float(model["d"]), float(model["r"])
+        floats = _write_json(tmp_path / "floats.json", model)
+        for name, path in (("a", floats), ("b", str(model_dir / "model.json"))):
+            args = ["gen-data", "--linear-gaussian", "--model", path, "--n", "50",
+                    "--out", str(tmp_path / name)]
+            assert main(args) == 0
+        read = lambda name: (tmp_path / name / "samples.csv").read_bytes()
+        assert read("a") == read("b")
+
     def test_unmatched_model_exits_2(self, model_dir, tmp_path, capsys):
         model = json.loads((model_dir / "model.json").read_text())
         model["sigma"][0] *= 1.01
@@ -362,6 +383,14 @@ class TestMetrics:
         args = ["metrics", "--model", str(model_dir / "model.json"),
                 "--metrics", "factorvae,mig", "--out", str(tmp_path / "met")]
         assert main(args) == 2
+
+    def test_repeated_metric_exits_2(self, model_dir, tmp_path, capsys):
+        out = tmp_path / "met"
+        args = ["metrics", "--model", str(model_dir / "model.json"),
+                "--metrics", "factorvae,dhsic,factorvae", "--out", str(out)]
+        assert main(args) == 2
+        assert "factorvae more than once" in capsys.readouterr().err
+        assert not (out / "factorvae.csv").exists()
 
     def test_missing_data_dir_exits_2(self, model_dir, tmp_path):
         args = ["metrics", "--model", str(model_dir / "model.json"),

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from disentlab import contrastive
 from disentlab.contrastive import (
     DiscreteDistributionFamily,
     SoftmaxDiscriminator,
@@ -45,25 +46,11 @@ class TestDistributionFamily:
         fam = _hand_family()
         assert fam.k == 2 and fam.support_size == 2
 
-    def test_csv_round_trip(self):
-        rng = np.random.default_rng(0)
-        fam = _random_family(rng, k=3, m=7)
-        text = fam.to_csv()
-        assert text.splitlines()[0] == "3,7"
-        back = DiscreteDistributionFamily.from_csv(text)
-        assert np.array_equal(back.probs, fam.probs)
-
-    def test_csv_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            DiscreteDistributionFamily.from_csv("2,2\n1,0\n")
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         probs = np.array([[bad, 0.5], [0.5, 0.5]])
         with pytest.raises(ValueError, match="finite"):
             DiscreteDistributionFamily(probs)
-        with pytest.raises(ValueError, match="finite"):
-            DiscreteDistributionFamily.from_csv(f"2,2\n{bad},0.5\n0.5,0.5\n")
 
 
 class TestJsDivergence:
@@ -256,6 +243,33 @@ class TestTrainDiscriminator:
         fams = [flat, wide, DiscreteDistributionFamily(np.array([[0.9, 0.1], [0.2, 0.8]]))]
         with pytest.raises(NumericFailure, match="family 2 diverged"):
             train_discriminator(fams, step=50.0)
+
+    @staticmethod
+    def _scripted_guard(monkeypatch, script):
+        """Make the guard read `script`, one value per check, then hold its last value."""
+        calls = []
+
+        def objective(q, k, logits):
+            calls.append(len(calls))
+            return np.full(len(k), script[min(len(calls), len(script)) - 1])
+
+        monkeypatch.setattr(contrastive, "_stack_objective", objective)
+        return calls
+
+    def test_divergence_guard_resets_after_a_rise(self, monkeypatch):
+        # Eight drops in all, at most four in a row; the hand family is far
+        # from converged after 600 steps, so every scripted value is read.
+        script = [0.0, -1.0, -2.0, -3.0, -4.0, 10.0, 9.0, 8.0, 7.0, 6.0]
+        calls = self._scripted_guard(monkeypatch, script)
+        (got,) = train_discriminator([_hand_family()], iters=600)
+        assert len(calls) >= len(script)
+        assert got.iterations == 600 and not got.converged
+
+    def test_divergence_guard_raises_on_five_drops_in_a_row(self, monkeypatch):
+        calls = self._scripted_guard(monkeypatch, [0.0, -1.0, -2.0, -3.0, -4.0, -5.0])
+        with pytest.raises(NumericFailure, match=r"family 0 diverged \(-4\.0 -> -5\.0\)"):
+            train_discriminator([_hand_family()], iters=600)
+        assert len(calls) == 6
 
     def test_guard_objective_matches_scalar_objective(self):
         rng = np.random.default_rng(8)

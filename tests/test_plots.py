@@ -69,47 +69,41 @@ class TestHeatmap:
 
 
 class TestLineChart:
-    def test_one_polyline_per_series(self):
-        xs = np.arange(5.0)
-        svg = line_chart_svg(xs, [xs * 2.0, xs**2], labels=["lin", "sq"])
-        _parse(svg)
-        assert svg.count("<polyline") == 2
-        assert ">lin</text>" in svg and ">sq</text>" in svg
-
     def test_nan_splits_a_series(self):
         ys = np.array([0.0, 1.0, np.nan, 3.0, 4.0])
-        svg = line_chart_svg(np.arange(5.0), [ys])
+        svg = line_chart_svg(np.arange(5.0), ys, "y")
         assert svg.count("<polyline") == 2
 
     def test_single_point_becomes_marker(self):
-        svg = line_chart_svg([1.0], [[5.0]])
+        svg = line_chart_svg([1.0], [5.0], "y")
         _parse(svg)
         assert "<circle" in svg
         assert "<polyline" not in svg
 
     def test_axis_titles(self):
-        svg = line_chart_svg([0.0, 1.0], [[0.0, 1.0]], x_label="iter", y_label="obj")
+        svg = line_chart_svg([0.0, 1.0], [0.0, 1.0], "y", x_label="iter", y_label="obj")
         assert ">iter</text>" in svg
         assert ">obj</text>" in svg
+        assert ">y</text>" in svg
 
     def test_deterministic_text(self):
         xs = np.linspace(0.0, 1.0, 9)
-        first = line_chart_svg(xs, [np.cos(xs)], title="t")
-        assert first == line_chart_svg(xs, [np.cos(xs)], title="t")
+        first = line_chart_svg(xs, np.cos(xs), "cos", title="t")
+        assert first == line_chart_svg(xs, np.cos(xs), "cos", title="t")
         assert "\r" not in first
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            line_chart_svg([0.0, 1.0], [[0.0, 1.0, 2.0]])
+            line_chart_svg([0.0, 1.0], [0.0, 1.0, 2.0], "y")
         with pytest.raises(ValueError):
-            line_chart_svg([0.0, 1.0], [])
+            line_chart_svg([], [], "y")
         with pytest.raises(ValueError):
-            line_chart_svg([0.0, 1.0], [[np.nan, np.nan]])
+            line_chart_svg([0.0, 1.0], [np.nan, np.nan], "y")
 
 
 def test_write_svg_lf_endings(tmp_path):
     path = tmp_path / "chart.svg"
-    write_svg(path, line_chart_svg([0.0, 1.0], [[0.0, 1.0]]))
+    write_svg(path, line_chart_svg([0.0, 1.0], [0.0, 1.0], "y"))
     raw = path.read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"</svg>\n")

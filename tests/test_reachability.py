@@ -2,8 +2,8 @@
 
 A public module-level definition is live when cli.py names it, or when the
 source of a live definition names it (a fixed point over the AST). Names the
-tests substitute in, that outside tooling looks up, or that no workflow has
-an option for yet are kept on purpose and listed in KEPT with the reason.
+tests substitute in or that outside tooling looks up are kept on purpose and
+listed in KEPT with the reason.
 
 The traced benchmark run wraps the functions and methods that
 perfbench/tracer.py lists in TARGETS; each of them must exist in the package.
@@ -29,9 +29,6 @@ KEPT = {
     "udr_relevance": "the traced benchmark run wraps it by name",
     "paired_covariance": "checks _cr_value_from_gram by evaluating the definition directly",
     "cr_frobenius_divergence": "checks _cr_value_from_gram by evaluating the definition directly",
-    "metric_matrix_reduction": "library score reduction; a workflow needs a new metrics option",
-    "inception_score": "library sample-quality score; a workflow needs a new metrics option",
-    "reverse_kl": "library sample-quality score; a workflow needs a new metrics option",
 }
 
 
