@@ -184,8 +184,8 @@ def line_chart_svg(
             f'text-anchor="middle" transform="rotate(-90 16 {top + plot_h // 2})">'
             f"{_esc(y_label)}</text>"
         )
-    for finite, run in groupby(zip(x, y), key=lambda point: math.isfinite(point[1])):
-        seg = [f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in run] if finite else []
+    for drawn, run in groupby(zip(x, y), key=lambda point: math.isfinite(point[1])):
+        seg = [f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in run] if drawn else []
         if len(seg) == 1:
             cx, cy = seg[0].split(",")
             out.append(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{_LINE_COLOR}"/>')

@@ -250,8 +250,9 @@ class TestTrainDiscriminator:
         calls = []
 
         def objective(q, k, logits):
-            calls.append(len(calls))
-            return np.full(len(k), script[min(len(calls), len(script)) - 1])
+            value = script[min(len(calls), len(script) - 1)]
+            calls.append(value)
+            return np.full(len(k), value)
 
         monkeypatch.setattr(contrastive, "_stack_objective", objective)
         return calls
