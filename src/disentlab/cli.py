@@ -125,15 +125,17 @@ def _fmt(v) -> str:
     return f"{float(v):.12g}"
 
 
-def _out_dir(path_str: str) -> Path:
+def _out_path(path_str: str) -> Path:
+    """The --out directory, checked before any input is read.
+
+    Each subcommand makes it only once its outputs are computed, so a run
+    that exits 2 leaves no directory behind.
+    """
     path = Path(path_str)
-    if path.is_dir():
-        return path
-    if path.exists():
+    if path.exists() and not path.is_dir():
         raise CliError(f"{path} exists and is not a directory")
     if not path.parent.is_dir():
         raise CliError(f"output directory {path} has no existing parent")
-    path.mkdir()
     return path
 
 
@@ -347,6 +349,7 @@ _VERIFY = {
 
 
 def cmd_verify_theorems(args) -> int:
+    out = _out_path(args.out)
     config = _load_config(args.config, ("suites", "optimizer", "thresholds"))
     suites = _section(config, "suites", _VERIFY_SUITES)
     opt = _section(config, "optimizer", _defaults(OptimizerConfig, "lam", "alpha"))
@@ -358,13 +361,13 @@ def cmd_verify_theorems(args) -> int:
             )
     if len(suites["spectrum"]) < 2:
         raise CliError("config value suites.spectrum must list at least two eigenvalues")
-    out = _out_dir(args.out)
 
     rows = []
     for suite, checks in _VERIFY.items():
         for case, quantity, value, threshold in checks(args.seed, suites, opt, thresholds):
             status = "pass" if value <= threshold else "fail"
             rows.append([suite, case, quantity, _fmt(value), _fmt(threshold), status])
+    out.mkdir(exist_ok=True)
     _write_csv(
         out / "theorem_checks.csv",
         ["suite", "case", "quantity", "value", "threshold", "status"],
@@ -384,7 +387,7 @@ def cmd_verify_theorems(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    out = _out_dir(args.out)
+    out = _out_path(args.out)
     if args.circular:
         spec = CircularSpec(
             canvas_size=args.canvas,
@@ -393,6 +396,7 @@ def cmd_gen_data(args) -> int:
             n_angles=args.n_angles,
         )
         images, factors = gen_circular_dsprites(spec)
+        out.mkdir(exist_ok=True)
         write_circular_dataset(out, images, factors)
         print(f"wrote {images.shape[0]} images and factors.csv to {out}")
         return EXIT_OK
@@ -400,6 +404,7 @@ def cmd_gen_data(args) -> int:
         raise CliError("--linear-gaussian requires --model")
     gen, _ = _load_model(args.model)
     ds = gen_linear_gaussian_dataset(gen, args.n, args.seed)
+    out.mkdir(exist_ok=True)
     ds.save(out)
     print(f"wrote {ds.n} samples ({ds.sample_dim}-d, {ds.n_factors} factors) to {out}")
     return EXIT_OK
@@ -434,7 +439,7 @@ def _read_sigma(args) -> SymMatrix:
 
 
 def cmd_optimize(args) -> int:
-    out = _out_dir(args.out)
+    out = _out_path(args.out)
     config = _load_config(args.config, ("optimizer",))
     opt = _section(config, "optimizer", _defaults(OptimizerConfig))
     sigma = _read_sigma(args)
@@ -448,6 +453,7 @@ def cmd_optimize(args) -> int:
     ]
     best = max(range(len(seeds)), key=lambda i: results[i][1].objective_value)
     gen, report = results[best]
+    out.mkdir(exist_ok=True)
     _save_model(out / "model.json", gen, {"objective": objective, "seed": seeds[best]})
     rows = [
         ["objective_value", _fmt(report.objective_value)],
@@ -488,7 +494,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    out = _out_dir(args.out)
+    out = _out_path(args.out)
     config = _load_config(args.config, ("factorvae", "dci"))
     dci_cfg = _section(config, "dci", {"lasso_lambda": 0.01})
     factorvae_cfg = _factorvae_config(config, args.seed)
@@ -525,6 +531,8 @@ def cmd_metrics(args) -> int:
         else:
             report = MetricReport("dhsic", dhsic(enc.encode(ds.samples)))
         reports.append(report)
+    out.mkdir(exist_ok=True)
+    for name, report in zip(names, reports):
         detail = [[key, _fmt(value)] for key, value in report.detail] or [["", ""]]
         _write_csv(
             out / f"{name}.csv",
@@ -546,7 +554,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_select(args) -> int:
-    out = _out_dir(args.out)
+    out = _out_path(args.out)
     config = _load_config(args.config, ("factorvae", "udr"))
     udr_cfg = _section(config, "udr", {"samples": 10_000, "lasso_lambda": 0.01})
     factorvae_cfg = _factorvae_config(config, args.seed)
@@ -577,6 +585,7 @@ def cmd_select(args) -> int:
         matrix = udr_pair_scores(pool, samples, variant, udr_cfg["lasso_lambda"])
         report = udr_select(pool, matrix, variant, args.fraction, args.trials, args.seed)
 
+    out.mkdir(exist_ok=True)
     _write_csv(
         out / "scores.csv",
         ["model", "label", "score", "stderr"],
@@ -637,7 +646,7 @@ def _read_score_column(path: Path) -> np.ndarray:
 
 
 def cmd_analyze(args) -> int:
-    out = _out_dir(args.out)
+    out = _out_path(args.out)
     named = []
     seen = set()
     for path_str in args.scores:
@@ -652,6 +661,7 @@ def cmd_analyze(args) -> int:
         named.append((name, vector))
     corr = rank_correlation_analysis(named)
     names = [name for name, _ in named]
+    out.mkdir(exist_ok=True)
     _write_matrix_report(out / "rank_correlation.csv", names, corr.entries)
     write_svg(
         out / "rank_correlation.svg",

@@ -418,7 +418,7 @@ class TestMetrics:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert "could not load dataset" in err and "hold non-finite entries" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestSelect:
@@ -587,6 +587,42 @@ class TestCommonPlumbing:
         blocker = tmp_path / "taken"
         blocker.write_text("occupied")
         assert main(["verify-theorems", "--out", str(blocker)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-theorems", "--config", "{bad_config}"],
+            ["gen-data", "--circular", "--radius", "40"],
+            ["gen-data", "--linear-gaussian", "--model", "{bad_model}"],
+            ["optimize", "--r", "1", "--sigma-diag", "9,-1"],
+            ["metrics", "--model", "{bad_model}", "--metrics", "factorvae"],
+            ["metrics", "--model", "{model}", "--data", "{short_data}", "--metrics", "dci"],
+            ["select", "--pool", "{single_pool}"],
+            ["analyze", "--scores", "{scores}", "{scores}"],
+        ],
+        ids=["verify-theorems", "gen-data-circular", "gen-data-linear-gaussian", "optimize",
+             "metrics-model", "metrics-dci-rows", "select", "analyze"],
+    )
+    def test_exit_2_leaves_no_out_directory(self, model_dir, tmp_path, argv):
+        # metrics-dci-rows fails only after its inputs load: 15 rows are too
+        # few to regress 2 codes
+        short_data = tmp_path / "short"
+        assert main(["gen-data", "--linear-gaussian", "--model", str(model_dir / "model.json"),
+                     "--n", "15", "--out", str(short_data)]) == 0
+        scores = tmp_path / "s.csv"
+        scores.write_text("model,score\n0,0.1\n1,0.2\n2,0.3\n")
+        model = json.loads((model_dir / "model.json").read_text())
+        paths = {
+            "bad_config": _write_json(tmp_path / "cfg.json", {"suites": {"bogus": 1}}),
+            "bad_model": _write_json(tmp_path / "bad.json", {**model, "d": 3.5}),
+            "model": model_dir / "model.json",
+            "short_data": short_data,
+            "single_pool": _write_json(tmp_path / "one.json", {"models": ["bad.json"]}),
+            "scores": scores,
+        }
+        out = tmp_path / "out"
+        assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, message",

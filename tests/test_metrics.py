@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from disentlab.datasets import gen_linear_gaussian_dataset
 from disentlab.errors import DegenerateEncoder, NumericFailure
 from disentlab.lingauss import LinearGenerator, OptimizerConfig, optimize_generator
 from disentlab.linalg import SymMatrix
@@ -14,6 +15,7 @@ from disentlab.metrics import (
     _laplace_row_sums,
     _latent_groups,
     _median_pair_distance,
+    _standardize_columns,
     Encoder,
     FactorDataset,
     FactorVaeConfig,
@@ -27,8 +29,10 @@ from disentlab.metrics import (
     dhsic,
     factorvae_metric,
     lasso_fit,
+    lasso_gram_fit,
     spearman_rho,
 )
+from disentlab.selection import noisy_linear_pool
 
 # n=2 samples (0,0) and (1,1): every coordinate has one pair at distance 1,
 # so each kernel matrix is [[1, 1/e], [1/e, 1]] and the three-term estimator
@@ -683,6 +687,71 @@ class TestLassoFit:
             lasso_fit(x, y, 0.05, max_iters=1)
         step = float(str(info.value).split("|Δw| ")[1].split(" ")[0])
         assert step > LASSO_TOL
+
+    def test_exact_finish_on_dci_design(self, lasso_oracle):
+        # DCI's regression on the criterion-07 spectrum: 12 standardized
+        # codes of the noise-0.5 encoder, its 12 standardized factors
+        band = [5.0 * (0.45 / 5.0) ** (i / 9.0) for i in range(10)]
+        sigma = SymMatrix(np.diag(band + [0.28, 0.18, 0.08, 0.05, 0.03, 0.015]))
+        pool = noisy_linear_pool(sigma, 12, [0.0, 0.5], seed=0, noise_scale=2.4)
+        ds = gen_linear_gaussian_dataset(pool.generator(1), 3000, 0)
+        x = _standardize_columns(pool.encoder(1).encode(ds.samples))
+        y = _standardize_columns(ds.factors)
+        gram = (x.T @ x / ds.n)[None]
+        cross = (x.T @ y / ds.n)[None]
+        w = lasso_gram_fit(gram, cross, 0.01)
+        lasso_oracle(gram, cross, 0.01, w)
+        assert np.array_equal(lasso_fit(x, y, 0.01), w[0])
+        # most weights are active, so the active equations carry the check
+        assert np.count_nonzero(w) > 100
+
+    def test_singular_active_block_keeps_sweeping(self, lasso_oracle):
+        # Design 1 repeats column 1 as column 3. Rounding in the soft
+        # threshold makes both copies active, so their block of the Gram
+        # matrix is singular and its solve raises inside the batch; those
+        # fits stop under the tol rule while designs 0 and 2 still certify.
+        rng = np.random.default_rng(0)
+        n = 200
+        grams, crosses = [], []
+        for d in range(3):
+            x = rng.standard_normal((n, 5)) @ (np.eye(5) + 0.5 * rng.standard_normal((5, 5)))
+            if d == 1:
+                x[:, 3] = x[:, 1]
+            x = _standardize_columns(x)
+            y = _standardize_columns(x @ rng.standard_normal((5, 2)) + rng.standard_normal((n, 2)))
+            grams.append(x.T @ x / n)
+            crosses.append(x.T @ y / n)
+        gram, cross = np.stack(grams), np.stack(crosses)
+        assert np.array_equal(gram[1, 1], gram[1, 3])
+        w = lasso_gram_fit(gram, cross, 0.01)
+        ordinary = [0, 2]
+        lasso_oracle(gram[ordinary], cross[ordinary], 0.01, w[ordinary])
+        # both copies carry weight of one sign: the active block is singular
+        assert np.all(w[1, 1] * w[1, 3] > 0.0)
+        lasso_oracle(gram[1:2], cross[1:2], 0.01, w[1:2], kkt_tol=1e-8)
+        # the copies share the weight that the design without the copy gives
+        # its column, which is the lasso's answer for any split of one sign
+        keep = [0, 1, 2, 4]
+        single = lasso_gram_fit(gram[1:2][:, keep][:, :, keep], cross[1:2, keep], 0.01)[0]
+        merged = w[1][keep].copy()
+        merged[1] += w[1, 3]
+        assert np.abs(merged - single).max() <= 1e-8
+
+    def test_nearly_singular_active_block_is_not_certified(self, kkt_violation):
+        # Column 3 is column 1 plus noise of size 1e-10: the solve on their
+        # active block does not raise, but returns weights near ±6e13 whose
+        # signs match and whose inactive conditions hold. Only the active
+        # equations, which that solution misses by 8e-3, reject it.
+        rng = np.random.default_rng(14)
+        n = 200
+        x = rng.standard_normal((n, 5)) @ (np.eye(5) + 0.5 * rng.standard_normal((5, 5)))
+        x[:, 3] = x[:, 1] + 1e-10 * rng.standard_normal(n)
+        x = _standardize_columns(x)
+        y = _standardize_columns(x @ rng.standard_normal((5, 2)) + rng.standard_normal((n, 2)))
+        gram, cross = (x.T @ x / n)[None], (x.T @ y / n)[None]
+        w = lasso_gram_fit(gram, cross, 0.01)
+        assert kkt_violation(gram, cross, 0.01, w).max() <= 1e-9
+        assert np.abs(w).max() < 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -14,8 +14,10 @@ from disentlab.metrics import (
     PseudoNoiseEncoder,
     _standardize_columns,
     lasso_fit,
+    lasso_gram_fit,
     spearman_rho,
 )
+from disentlab import selection
 from disentlab.selection import (
     UDR_EPS,
     ModelPool,
@@ -360,6 +362,28 @@ class TestUdrPairScores:
                         cols = (r.max(axis=0) / (r.sum(axis=0) + UDR_EPS)).mean()
                         loop[i, j] = 0.5 * (rows + cols)
             assert np.array_equal(udr_pair_scores(pool, samples, variant), loop)
+
+    def test_lasso_fits_are_exact(self, lasso_oracle, monkeypatch):
+        # the udr design on the criterion-07 spectrum: each model's 12
+        # standardized codes regressed on every other model's
+        band = [5.0 * (0.45 / 5.0) ** (i / 9.0) for i in range(10)]
+        sigma = SymMatrix(np.diag(band + [0.28, 0.18, 0.08, 0.05, 0.03, 0.015]))
+        pool = noisy_linear_pool(sigma, 12, [0.0, 0.05, 0.1, 0.15], seed=0, noise_scale=2.4)
+        samples = np.random.default_rng(0).multivariate_normal(
+            np.zeros(16), np.asarray(sigma), size=1000
+        )
+        calls = []
+
+        def recording(gram, cross, lam):
+            w = lasso_gram_fit(gram, cross, lam)
+            calls.append((gram, cross, lam, w))
+            return w
+
+        monkeypatch.setattr(selection, "lasso_gram_fit", recording)
+        udr_pair_scores(pool, samples, "lasso")
+        ((gram, cross, lam, w),) = calls
+        assert gram.shape == (4, 12, 12) and cross.shape == (4, 12, 36)
+        lasso_oracle(gram, cross, lam, w)
 
     def test_spearman_matches_scalar_rho(self):
         rng = np.random.default_rng(6)
