@@ -262,7 +262,7 @@ def paired_covariance(gen: LinearGenerator, i: int) -> SymMatrix:
 
 def _cr_value_from_gram(g: np.ndarray) -> float:
     r = g.shape[0]
-    diag = np.diag(g)
+    diag = g.diagonal()
     off_sq = float(np.sum(g * g) - np.sum(diag * diag))
     return float(diag @ diag) - off_sq / (r - 1)
 
@@ -388,8 +388,9 @@ def optimize_generator(
         if w_cr != 0.0:
             b = root @ bt
             g = b.T @ b
-            diag = np.diag(g).copy()
-            off = g - np.diag(diag)
+            diag = g.diagonal()
+            off = g.copy()
+            off.flat[:: r + 1] = 0.0
             grad_b = 4.0 * (b * diag) - (4.0 / (r - 1)) * (b @ off)
             grad += w_cr * (root @ grad_b)
         return grad

@@ -9,7 +9,6 @@ statistical kernels.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 import warnings
@@ -86,17 +85,27 @@ class FactorDataset:
 
 
 def _write_matrix_csv(path: Path, prefix: str, m: np.ndarray) -> None:
+    # "%.17g" formats exactly as f"{v:.17g}" does, one row per C call.
+    row = ",".join(["%.17g"] * m.shape[1])
+    header = ",".join(f"{prefix}{j}" for j in range(m.shape[1]))
+    body = "\n".join([row % tuple(values) for values in m.tolist()])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"{prefix}{j}" for j in range(m.shape[1])])
-        for row in m:
-            writer.writerow([f"{v:.17g}" for v in row])
+        fh.write(f"{header}\n{body}\n")
 
 
 def _read_matrix_csv(path: Path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    return np.asarray([[float(v) for v in row] for row in rows[1:]], dtype=float)
+    """The rows below the header line, parsed correctly rounded by np.loadtxt.
+
+    np.loadtxt would skip a blank line and only warn on a file without data
+    rows, so both are rejected here first; a ragged row, an unparsable cell
+    or a '#' in a cell (comments=None) raise from np.loadtxt itself.
+    """
+    text = path.read_text()
+    if "\n\n" in text:
+        raise ValueError(f"{path.name} holds a blank line")
+    if not text.partition("\n")[2]:
+        raise ValueError(f"{path.name} holds no data rows")
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
 
 
 class Encoder:
@@ -537,32 +546,69 @@ def _pairs_within(xs: np.ndarray, ends: np.ndarray) -> int:
 
 
 def _median_pair_distance(xs: np.ndarray) -> float:
-    """np.median of |xᵢ - xⱼ| over i < j for sorted finite xs, without forming the pairs.
+    """np.median of |xᵢ - xⱼ| over i < j for sorted finite xs, listing O(n) pairs.
 
-    Non-negative float64 values order as their bit patterns do, so a bisection
-    over the bits of t finds the smallest t with more than `rank` pairs at
-    distance <= t: the rank-th smallest distance, exactly. An even pair count
-    also takes the smallest distance above it, and the two are averaged as
-    np.median averages them.
+    A bracket (lo, hi] of distances is narrowed until it holds at most 4·n
+    pairs and still holds the middle pair(s) np.median reads; those pairs
+    are then listed, row by row from _pair_ends, and the middle rank(s)
+    picked by np.partition (Croux & Rousseeuw 1992). Each step counts the
+    pairs at distance <= t for t halfway between the smallest and largest
+    distance in the bracket, so a bracket of one repeated distance ends the
+    search at once. Past 64 such steps t is taken halfway between their bit
+    patterns instead, which non-negative float64 values order as they do,
+    so spreads over many decades end within 64 more. An even pair count
+    averages the two middle distances as np.median does.
     """
-    pairs = xs.size * (xs.size - 1) // 2
+    n = xs.size
+    pairs = n * (n - 1) // 2
     rank = (pairs - 1) // 2
-    lo, hi = 0, int(np.float64(xs[-1] - xs[0]).view(np.int64))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _pairs_within(xs, _pair_ends(xs, np.int64(mid).view(np.float64))) > rank:
-            hi = mid
+    top = rank + 1 - pairs % 2  # the upper middle rank; rank itself for an odd count
+    # ends and pair counts at lo, below every distance, and at hi, above them all
+    lo_ends, lo_count = np.arange(1, n + 1), 0
+    hi_ends, hi_count = np.full(n, n), pairs
+    t, step = 0.0, 0
+    while True:
+        ends = _pair_ends(xs, t)
+        count = _pairs_within(xs, ends)
+        if count > top:
+            hi_ends, hi_count = ends, count
+        elif count <= rank:
+            lo_ends, lo_count = ends, count
+        else:  # exactly rank + 1 pairs at distance <= t: the middle pair straddles t
+            return (_largest_within(xs, ends) + _smallest_beyond(xs, ends)) / 2
+        least, most = _smallest_beyond(xs, lo_ends), _largest_within(xs, hi_ends)
+        if least == most:
+            return least
+        if hi_count - lo_count <= 4 * n:
+            break
+        step += 1
+        if step <= 64:
+            t = least + (most - least) / 2
+            if not t < most:
+                t = least
         else:
-            lo = mid + 1
-    low = float(np.int64(lo).view(np.float64))
-    if pairs % 2:
-        return low
-    ends = _pair_ends(xs, low)
-    if _pairs_within(xs, ends) > rank + 1:
-        return low
-    above = ends < xs.size
-    high = float((xs[ends[above]] - xs[above]).min())
-    return (low + high) / 2
+            low_bits, high_bits = (int(b) for b in np.array([least, most]).view(np.int64))
+            t = float(np.int64(low_bits + (high_bits - low_bits) // 2).view(np.float64))
+    counts = hi_ends - lo_ends
+    i = np.repeat(np.arange(n), counts)
+    j = np.arange(hi_count - lo_count) + np.repeat(lo_ends - (np.cumsum(counts) - counts), counts)
+    k = rank - lo_count  # the middle rank among the listed pairs
+    middle = np.partition(xs[j] - xs[i], [k, k + top - rank])
+    if top == rank:
+        return float(middle[k])
+    return float((middle[k] + middle[k + 1]) / 2)
+
+
+def _smallest_beyond(xs: np.ndarray, ends: np.ndarray) -> float:
+    """The smallest pair distance not counted by _pair_ends' ends."""
+    left = np.flatnonzero(ends < xs.size)
+    return float((xs[ends[left]] - xs[left]).min())
+
+
+def _largest_within(xs: np.ndarray, ends: np.ndarray) -> float:
+    """The largest pair distance counted by _pair_ends' ends."""
+    left = np.flatnonzero(ends > np.arange(1, xs.size + 1))
+    return float((xs[ends[left] - 1] - xs[left]).max())
 
 
 def _laplace_row_sums(xs: np.ndarray, h2: float) -> np.ndarray:
@@ -600,9 +646,11 @@ def dhsic(samples: np.ndarray) -> float:
     bandwidth 1.0 with a warning. Returns the three-term estimator
     (1/n²)ΣᵢⱼΠ K + (1/n^{2k})Π Σᵢⱼ K - (2/n^{k+1})Σᵢ Π Σⱼ K.
 
-    No n×n array is formed: the medians come from selection over each sorted
-    coordinate, the marginal sums from anchored blocks (_laplace_row_sums),
-    and the joint kernel from blocks of _DHSIC_BLOCK rows, so memory is
+    No n×n array is formed: each median comes from a bracket of pair
+    distances narrowed until it holds O(n) pairs, which are then listed and
+    selected from (_median_pair_distance); the marginal sums come from
+    anchored blocks (_laplace_row_sums), and the joint kernel from blocks of
+    _DHSIC_BLOCK rows over the coordinates scaled by 1/h², so memory is
     O(n·block) and time O(n²·k). Non-finite samples raise ValueError.
     """
     x = np.asarray(samples, dtype=float)
@@ -627,7 +675,10 @@ def dhsic(samples: np.ndarray) -> float:
         product_term *= sums.sum() / (n * n)
         row_products[order] *= sums / n
     # Σᵢⱼ over the upper block triangle: each diagonal block once, the blocks
-    # right of it twice.
+    # right of it twice. With each coordinate scaled by 1/h² once, a block
+    # takes three passes per coordinate (subtract, abs, add) and one negate
+    # and exp.
+    scaled = cols * (1.0 / h2)[:, None]
     exponent = np.empty((_DHSIC_BLOCK, n))
     work = np.empty((_DHSIC_BLOCK, n))
     joint = 0.0
@@ -635,12 +686,13 @@ def dhsic(samples: np.ndarray) -> float:
         size = min(_DHSIC_BLOCK, n - start)
         acc = exponent[:size, : n - start]
         tmp = work[:size, : n - start]
-        acc.fill(0.0)
-        for col in range(k):
-            np.subtract(cols[col, start : start + size, None], cols[col, None, start:], out=tmp)
+        np.subtract(scaled[0, start : start + size, None], scaled[0, None, start:], out=acc)
+        np.abs(acc, out=acc)
+        for col in range(1, k):
+            np.subtract(scaled[col, start : start + size, None], scaled[col, None, start:], out=tmp)
             np.abs(tmp, out=tmp)
-            tmp *= -1.0 / h2[col]
             acc += tmp
+        np.negative(acc, out=acc)
         np.exp(acc, out=acc)
         joint += acc[:, :size].sum() + 2.0 * acc[:, size:].sum()
     t1 = joint / (n * n)

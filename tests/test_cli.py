@@ -420,6 +420,35 @@ class TestMetrics:
         assert "could not load dataset" in err and "hold non-finite entries" in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda lines: lines[:3] + [""] + lines[3:], "samples.csv holds a blank line"),
+            (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:],
+             "number of columns changed"),
+            (lambda lines: lines[:3] + ["abc," + lines[3].split(",", 1)[1]] + lines[4:],
+             "could not convert string 'abc'"),
+            (lambda lines: lines[:3] + [lines[3] + "#note"] + lines[4:], "#note"),
+            (lambda lines: lines[:1], "samples.csv holds no data rows"),
+        ],
+        ids=["blank-line", "ragged-row", "non-numeric-cell", "hash-suffix", "header-only"],
+    )
+    def test_malformed_samples_csv_exits_2(self, model_dir, data_dir, tmp_path, capsys,
+                                           corrupt, message):
+        # any warning fails the test (filterwarnings), so none reaches stderr
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "factors.csv").write_bytes((data_dir / "factors.csv").read_bytes())
+        lines = (data_dir / "samples.csv").read_text().splitlines()
+        (bad / "samples.csv").write_text("\n".join(corrupt(lines)) + "\n")
+        args = ["metrics", "--model", str(model_dir / "model.json"), "--metrics", "dhsic",
+                "--data", str(bad), "--out", str(tmp_path / "met")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"could not load dataset from {bad}: " in err and message in err
+        assert "Warning" not in err
+
 
 class TestSelect:
     def _run(self, pool_dir, out, extra=()):

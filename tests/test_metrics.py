@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from disentlab import metrics as metrics_module
 from disentlab.datasets import gen_linear_gaussian_dataset
 from disentlab.errors import DegenerateEncoder, NumericFailure
 from disentlab.lingauss import LinearGenerator, OptimizerConfig, optimize_generator
@@ -95,6 +96,18 @@ class TestFactorDataset:
         back = FactorDataset.load(tmp_path)
         assert np.array_equal(back.samples, ds.samples)
         assert np.array_equal(back.factors, ds.factors)
+
+    def test_save_writes_17_significant_digits(self, tmp_path):
+        samples = np.array([[-0.0, 5e-324, 1.7976931348623157e308], [0.1, 3.0, 1e-300]])
+        FactorDataset(samples, np.array([[3.0], [-0.0]])).save(tmp_path)
+        assert (tmp_path / "samples.csv").read_bytes() == (
+            b"x0,x1,x2\n"
+            b"-0,4.9406564584124654e-324,1.7976931348623157e+308\n"
+            b"0.10000000000000001,3,1e-300\n"
+        )
+        assert (tmp_path / "factors.csv").read_bytes() == b"c0\n3\n-0\n"
+        back = FactorDataset.load(tmp_path)
+        assert back.samples.tobytes() == samples.tobytes()
 
 
 class TestEncoders:
@@ -531,6 +544,53 @@ class TestDhsic:
         want = _dense_median(v)
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
 
+    @pytest.mark.parametrize("n", [600, 602])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng, n: rng.standard_normal(n),
+            lambda rng, n: np.round(rng.standard_normal(n), 2),
+            lambda rng, n: rng.integers(0, 3, n).astype(float),
+            lambda rng, n: 1e8 + 1e-3 * rng.standard_normal(n),
+            lambda rng, n: np.where(rng.random(n) < 0.6, 1.5, rng.standard_normal(n)),
+            lambda rng, n: rng.standard_cauchy(n) ** 3,
+            lambda rng, n: np.append(1e-200 * rng.standard_normal(n - 1), 1e200),
+            lambda rng, n: 2.0 ** rng.uniform(-500.0, 500.0, n),
+        ],
+        ids=["normal", "rounded", "integers-0-2", "offset", "tied-60", "heavy-tails",
+             "one-far-outlier", "thousand-octaves"],
+    )
+    def test_bracketed_median_matches_np_median_bit_for_bit(self, make, n):
+        # n(n-1)/2 is even for n = 600 and odd for n = 602; at these sizes the
+        # bracket must narrow before its pairs are listed, and the
+        # thousand-octaves case runs past the value steps into the
+        # bit-pattern steps
+        v = make(np.random.default_rng(n), n)
+        got = _median_pair_distance(np.sort(v))
+        want = _dense_median(v)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+    @pytest.mark.parametrize(
+        "make, most_counts",
+        [
+            (lambda rng: np.full(3000, 2.5), 1),
+            (lambda rng: np.where(rng.random(3000) < 0.9, 2.5, rng.standard_normal(3000)), 1),
+            (lambda rng: rng.integers(0, 3, 3000).astype(float), 3),
+        ],
+        ids=["constant", "tied-90", "integers-0-2"],
+    )
+    def test_tied_middle_distance_ends_the_search_early(self, monkeypatch, make, most_counts):
+        # one repeated middle distance fills the bracket, which ends the
+        # search instead of bisecting down to adjacent doubles
+        real = metrics_module._pair_ends
+        counts = []
+        monkeypatch.setattr(metrics_module, "_pair_ends",
+                            lambda xs, t: counts.append(t) or real(xs, t))
+        v = make(np.random.default_rng(8))
+        got = _median_pair_distance(np.sort(v))
+        assert got == _dense_median(v)
+        assert len(counts) <= most_counts, counts
+
     def test_matches_dense_estimator(self):
         rng = np.random.default_rng(11)
         for trial in range(60):
@@ -573,6 +633,23 @@ class TestDhsic:
         tracemalloc.start()
         try:
             dhsic(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 8, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("tied", [1.0, 0.9], ids=["constant", "tied-90"])
+    def test_tied_coordinate_stays_below_the_same_memory_bound(self, tied):
+        # the median of a coordinate with most pairs tied is found without
+        # listing its O(n²) tied pairs
+        n = 4000
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((n, 4))
+        x[:, 1] = np.where(rng.random(n) < tied, 2.5, x[:, 1])
+        tracemalloc.start()
+        try:
+            with pytest.warns(UserWarning, match="coordinate 1 has zero median"):
+                dhsic(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
