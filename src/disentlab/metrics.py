@@ -10,6 +10,7 @@ statistical kernels.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -105,7 +106,7 @@ def _read_matrix_csv(path: Path) -> np.ndarray:
         raise ValueError(f"{path.name} holds a blank line")
     if not text.partition("\n")[2]:
         raise ValueError(f"{path.name} holds no data rows")
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+    return np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2, comments=None)
 
 
 class Encoder:
@@ -551,13 +552,12 @@ def _median_pair_distance(xs: np.ndarray) -> float:
     A bracket (lo, hi] of distances is narrowed until it holds at most 4·n
     pairs and still holds the middle pair(s) np.median reads; those pairs
     are then listed, row by row from _pair_ends, and the middle rank(s)
-    picked by np.partition (Croux & Rousseeuw 1992). Each step counts the
-    pairs at distance <= t for t halfway between the smallest and largest
-    distance in the bracket, so a bracket of one repeated distance ends the
-    search at once. Past 64 such steps t is taken halfway between their bit
-    patterns instead, which non-negative float64 values order as they do,
-    so spreads over many decades end within 64 more. An even pair count
-    averages the two middle distances as np.median does.
+    picked by np.partition (Croux & Rousseeuw 1992). The first count is at
+    t = 0; each later one at t halfway between the bit patterns of the
+    smallest and largest distance in the bracket, which non-negative
+    float64 values order as they do, so the search takes at most 64 counts
+    and a bracket of one repeated distance ends it at once. An even pair
+    count averages the two middle distances as np.median does.
     """
     n = xs.size
     pairs = n * (n - 1) // 2
@@ -566,7 +566,7 @@ def _median_pair_distance(xs: np.ndarray) -> float:
     # ends and pair counts at lo, below every distance, and at hi, above them all
     lo_ends, lo_count = np.arange(1, n + 1), 0
     hi_ends, hi_count = np.full(n, n), pairs
-    t, step = 0.0, 0
+    t = 0.0
     while True:
         ends = _pair_ends(xs, t)
         count = _pairs_within(xs, ends)
@@ -581,14 +581,8 @@ def _median_pair_distance(xs: np.ndarray) -> float:
             return least
         if hi_count - lo_count <= 4 * n:
             break
-        step += 1
-        if step <= 64:
-            t = least + (most - least) / 2
-            if not t < most:
-                t = least
-        else:
-            low_bits, high_bits = (int(b) for b in np.array([least, most]).view(np.int64))
-            t = float(np.int64(low_bits + (high_bits - low_bits) // 2).view(np.float64))
+        low_bits, high_bits = (int(b) for b in np.array([least, most]).view(np.int64))
+        t = float(np.int64(low_bits + (high_bits - low_bits) // 2).view(np.float64))
     counts = hi_ends - lo_ends
     i = np.repeat(np.arange(n), counts)
     j = np.arange(hi_count - lo_count) + np.repeat(lo_ends - (np.cumsum(counts) - counts), counts)
@@ -650,8 +644,8 @@ def dhsic(samples: np.ndarray) -> float:
     distances narrowed until it holds O(n) pairs, which are then listed and
     selected from (_median_pair_distance); the marginal sums come from
     anchored blocks (_laplace_row_sums), and the joint kernel from blocks of
-    _DHSIC_BLOCK rows over the coordinates scaled by 1/h², so memory is
-    O(n·block) and time O(n²·k). Non-finite samples raise ValueError.
+    _DHSIC_BLOCK rows, so memory is O(n·block) and time O(n²·k). Non-finite
+    samples raise ValueError.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 2:
@@ -675,10 +669,7 @@ def dhsic(samples: np.ndarray) -> float:
         product_term *= sums.sum() / (n * n)
         row_products[order] *= sums / n
     # Σᵢⱼ over the upper block triangle: each diagonal block once, the blocks
-    # right of it twice. With each coordinate scaled by 1/h² once, a block
-    # takes three passes per coordinate (subtract, abs, add) and one negate
-    # and exp.
-    scaled = cols * (1.0 / h2)[:, None]
+    # right of it twice.
     exponent = np.empty((_DHSIC_BLOCK, n))
     work = np.empty((_DHSIC_BLOCK, n))
     joint = 0.0
@@ -686,13 +677,12 @@ def dhsic(samples: np.ndarray) -> float:
         size = min(_DHSIC_BLOCK, n - start)
         acc = exponent[:size, : n - start]
         tmp = work[:size, : n - start]
-        np.subtract(scaled[0, start : start + size, None], scaled[0, None, start:], out=acc)
-        np.abs(acc, out=acc)
-        for col in range(1, k):
-            np.subtract(scaled[col, start : start + size, None], scaled[col, None, start:], out=tmp)
+        acc.fill(0.0)
+        for col in range(k):
+            np.subtract(cols[col, start : start + size, None], cols[col, None, start:], out=tmp)
             np.abs(tmp, out=tmp)
+            tmp *= -1.0 / h2[col]
             acc += tmp
-        np.negative(acc, out=acc)
         np.exp(acc, out=acc)
         joint += acc[:, :size].sum() + 2.0 * acc[:, size:].sum()
     t1 = joint / (n * n)

@@ -562,9 +562,7 @@ class TestDhsic:
     )
     def test_bracketed_median_matches_np_median_bit_for_bit(self, make, n):
         # n(n-1)/2 is even for n = 600 and odd for n = 602; at these sizes the
-        # bracket must narrow before its pairs are listed, and the
-        # thousand-octaves case runs past the value steps into the
-        # bit-pattern steps
+        # bracket must narrow before its pairs are listed
         v = make(np.random.default_rng(n), n)
         got = _median_pair_distance(np.sort(v))
         want = _dense_median(v)
@@ -591,6 +589,27 @@ class TestDhsic:
         assert got == _dense_median(v)
         assert len(counts) <= most_counts, counts
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: 2.0 ** rng.uniform(-1070.0, 1020.0, 300),
+            lambda rng: np.concatenate([1e-300 * rng.standard_normal(298), [1e300, -1e300]]),
+            lambda rng: rng.standard_cauchy(300) ** 3,
+        ],
+        ids=["subnormal-to-huge", "two-far-outliers", "heavy-tails"],
+    )
+    def test_search_takes_at_most_64_counts(self, monkeypatch, make):
+        # each count after the first at t = 0 halves the bit-pattern range of
+        # the bracket, which spans fewer than 2^63 patterns
+        real = metrics_module._pair_ends
+        counts = []
+        monkeypatch.setattr(metrics_module, "_pair_ends",
+                            lambda xs, t: counts.append(t) or real(xs, t))
+        v = make(np.random.default_rng(9))
+        got = _median_pair_distance(np.sort(v))
+        assert np.float64(got).tobytes() == np.float64(_dense_median(v)).tobytes()
+        assert len(counts) <= 64, len(counts)
+
     def test_matches_dense_estimator(self):
         rng = np.random.default_rng(11)
         for trial in range(60):
@@ -605,6 +624,26 @@ class TestDhsic:
                 warnings.simplefilter("ignore", UserWarning)
                 got = dhsic(x)
             assert got == pytest.approx(_dense_dhsic(x), rel=1e-12, abs=1e-15), (n, k)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng, n: 1e8 + rng.standard_normal(n),
+            lambda rng, n: np.append(1e-6 * rng.standard_normal(n - 1), 1e300),
+        ],
+        ids=["offset-1e8", "one-far-outlier"],
+    )
+    def test_matches_dense_estimator_on_uncentred_coordinates(self, make):
+        # the joint kernel takes each difference before scaling it by 1/h², so
+        # close points far from zero keep their exact distance, and a point
+        # whose value over h² overflows never meets itself as inf - inf
+        rng = np.random.default_rng(13)
+        for n in (40, 301):
+            x = rng.standard_normal((n, 3))
+            x[:, 1] = make(rng, n)
+            with np.errstate(over="ignore"):  # the far point's kernel entries are exp(-inf)
+                got, want = dhsic(x), _dense_dhsic(x)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (n, got)
 
     @pytest.mark.parametrize(
         "make",
