@@ -98,20 +98,26 @@ def spd_sqrt(m: SymMatrix) -> SymMatrix:
 
 
 def project_contraction(b_tilde) -> np.ndarray:
-    """Clip the singular values of a matrix to at most 1.
+    """Clip the singular values of a matrix, or of each matrix in a stack, to at most 1.
 
     This is the Frobenius-nearest contraction: singular vectors are kept and
     singular values above 1 are replaced by 1. Inputs that are already
     contractive are returned unchanged, which makes the map exactly
-    idempotent.
+    idempotent. A (..., m, n) stack is one SVD call, and each matrix in it
+    comes out bit for bit as it would alone.
     """
     b = np.asarray(b_tilde, dtype=float)
-    if b.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {b.shape}")
+    if b.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got shape {b.shape}")
     try:
         u, s, vt = np.linalg.svd(b, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"SVD failed during contraction projection: {exc}") from exc
-    if s.size == 0 or s[0] <= _CONTRACTION_SLACK:
+    if s.shape[-1] == 0:
         return b
-    return (u * np.minimum(s, 1.0)) @ vt
+    clip = s[..., 0] > _CONTRACTION_SLACK
+    count = np.count_nonzero(clip)
+    if not count:
+        return b
+    clipped = (u * np.minimum(s, 1.0)[..., None, :]) @ vt
+    return clipped if count == clip.size else np.where(clip[..., None, None], clipped, b)

@@ -10,6 +10,7 @@ objective, and the top-r eigenstructure of Σ for the coupling divergence.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +125,12 @@ class TheoremReport:
     pca_alignment: np.ndarray
     norm_errors: np.ndarray
     permutation: tuple[int, ...]
-    history: tuple[float, ...] = ()
+    history: tuple[float, ...]
+    # The stop rule that ended the ascent: "rel_tol" (the last accepted step
+    # gained less than rel_tol), "no_ascent_step" (a line search rejected every
+    # step down to step_size·2⁻⁴⁰) or "max_iters".
+    stop: str
+    backtracks: int  # candidates the line search rejected
 
 
 @dataclass(frozen=True)
@@ -260,11 +266,13 @@ def paired_covariance(gen: LinearGenerator, i: int) -> SymMatrix:
     return SymMatrix(out)
 
 
-def _cr_value_from_gram(g: np.ndarray) -> float:
-    r = g.shape[0]
-    diag = g.diagonal()
-    off_sq = float(np.sum(g * g) - np.sum(diag * diag))
-    return float(diag @ diag) - off_sq / (r - 1)
+def _cr_values(g: np.ndarray) -> np.ndarray:
+    """Σ_i G_ii² - (1/(r-1))·Σ_{i≠j} G_ij² of each Gram in an (F, r, r) stack."""
+    f, r = g.shape[:2]
+    diag = g.diagonal(axis1=1, axis2=2)
+    sq = g * g
+    off_sq = sq.reshape(f, -1).sum(axis=1) - sq.diagonal(axis1=1, axis2=2).sum(axis=1)
+    return (diag[:, None, :] @ diag[:, :, None])[:, 0, 0] - off_sq / (r - 1)
 
 
 def cr_frobenius_divergence(b) -> float:
@@ -284,7 +292,7 @@ def cr_frobenius_divergence(b) -> float:
             "the pairwise coupling divergence needs at least 2 code columns "
             "(normalization 1/(4(r-1)))"
         )
-    value = _cr_value_from_gram(b.T @ b)
+    value = float(_cr_values((b.T @ b)[None])[0])
 
     total = 0.0
     delta = np.zeros((2 * d, 2 * d))
@@ -338,24 +346,56 @@ def _greedy_eigvec_match(b: np.ndarray, eigvecs: np.ndarray) -> tuple[tuple[int,
     return tuple(perm), align
 
 
-def optimize_generator(
-    sigma: SymMatrix, r: int, cfg: OptimizerConfig
-) -> tuple[LinearGenerator, TheoremReport]:
-    """Projected gradient ascent over B = Σ^{1/2} B̃ with B̃ a contraction.
+def _project_runs(stack: np.ndarray, run: np.ndarray) -> np.ndarray:
+    """project_contraction of an (F, d, r) stack whose rows are runs; a failed SVD names its run."""
+    try:
+        return project_contraction(stack)
+    except NumericFailure:
+        for i, m in zip(run.tolist(), stack):
+            try:
+                project_contraction(m)
+            except NumericFailure as exc:
+                raise NumericFailure(f"run {i}: {exc}") from exc
+        raise
 
-    The matching constraint is enforced by construction: each candidate B̃ is
-    clipped back into the contraction set, and the returned generator carries
-    A = (Σ - B Bᵀ)^{1/2}. Backtracking line search keeps the objective
-    non-decreasing across accepted steps; the run stops when the relative
-    objective change drops below rel_tol, when no ascent step exists (the
-    maximizers are exact fixed points of the projected step), or at max_iters.
+
+def optimize_generators(
+    runs: Sequence[tuple[SymMatrix, int]], r: int, cfg: OptimizerConfig
+) -> list[tuple[LinearGenerator, TheoremReport]]:
+    """Projected gradient ascent of many (Σ, seed) runs at once, one result per run.
+
+    Each run ascends over B = Σ^{1/2} B̃ with B̃ a contraction, from a draw of
+    its own seed; cfg.seed is not read. The objective, step size, rel_tol and
+    max_iters of cfg are shared. Every run's history, B, A and report are bit
+    for bit those of optimize_generator(Σ, r, cfg) at that seed.
+
+    All runs ascend together in one (F, d, r) stack, with one stacked SVD
+    per round. Each row keeps its own step: a rejected candidate halves it,
+    and an accepted one resets it and takes a fresh gradient. A row leaves
+    the stack when its own stop rule fires. Σ's eigendecomposition and
+    square root are taken once per distinct Σ, and each accepted candidate's
+    Σ^{1/2}B̃ and Gram are reused for the next gradient. A failed SVD names
+    its run, and so does a singular Σ when the stack holds more than one.
     """
-    w_sigma, v_sigma = eig_sym(sigma)
-    if w_sigma[-1] <= 0.0:
-        raise SingularCovariance(
-            f"target covariance must be positive definite (min eigenvalue {w_sigma[-1]:.6e})"
-        )
-    d = sigma.dim
+    runs = list(runs)
+    f = len(runs)
+    if f == 0:
+        return []
+    # eigenvalues, eigenvectors and square root of each distinct Σ, by its bytes
+    keys = [sigma.entries.tobytes() for sigma, _ in runs]
+    spectra: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    for i, ((sigma, _), key) in enumerate(zip(runs, keys)):
+        if key not in spectra:
+            w_sigma, v_sigma = eig_sym(sigma)
+            if w_sigma[-1] <= 0.0:
+                raise SingularCovariance(
+                    f"{f'run {i}: ' if f > 1 else ''}target covariance must be positive "
+                    f"definite (min eigenvalue {w_sigma[-1]:.6e})"
+                )
+            spectra[key] = w_sigma, v_sigma, spd_sqrt(sigma).entries
+    d = runs[0][0].dim
+    if any(sigma.dim != d for sigma, _ in runs):
+        raise ValueError("every run's target covariance must have the same dimension")
     if not 1 <= r <= d:
         raise ValueError(f"need 1 <= r <= {d}, got r={r}")
     if cfg.objective == "infogan":
@@ -369,69 +409,137 @@ def optimize_generator(
             "the pairwise coupling divergence needs r >= 2 code columns"
         )
 
-    root = spd_sqrt(sigma).entries
+    root = np.stack([spectra[key][2] for key in keys])  # (F, d, d)
     const_info = -0.5 * r * (1.0 + LOG_2PI)
 
-    def value(bt: np.ndarray) -> float:
-        total = 0.0
-        if w_info != 0.0:
-            total += w_info * (0.5 * float(np.sum(bt * bt)) + const_info)
-        if w_cr != 0.0:
-            b = root @ bt
-            total += w_cr * _cr_value_from_gram(b.T @ b)
-        return total
+    def cr_parts(bt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """B = Σ^{1/2}B̃ and its Gram BᵀB for each row."""
+        b = root @ bt
+        return b, b.transpose(0, 2, 1) @ b
 
-    def gradient(bt: np.ndarray) -> np.ndarray:
-        grad = np.zeros_like(bt)
+    # Each objective and gradient is 0.0 plus its weighted terms in turn; a
+    # term of weight 0 is left out, and a weight of 1 multiplies nothing.
+    def weighted(w: float, x: np.ndarray) -> np.ndarray:
+        return x if w == 1.0 else w * x
+
+    def value(bt: np.ndarray, g) -> np.ndarray:
+        terms = []
         if w_info != 0.0:
-            grad += w_info * bt
+            sq = (bt * bt).reshape(len(bt), -1).sum(axis=1)
+            terms.append(weighted(w_info, 0.5 * sq + const_info))
         if w_cr != 0.0:
-            b = root @ bt
-            g = b.T @ b
-            diag = g.diagonal()
+            terms.append(weighted(w_cr, _cr_values(g)))
+        return sum(terms, 0.0) if terms else np.zeros(len(bt))
+
+    def gradient(bt: np.ndarray, b, g) -> np.ndarray:
+        terms = []
+        if w_info != 0.0:
+            terms.append(weighted(w_info, bt))
+        if w_cr != 0.0:
+            diag = g.diagonal(axis1=1, axis2=2)
             off = g.copy()
-            off.flat[:: r + 1] = 0.0
-            grad_b = 4.0 * (b * diag) - (4.0 / (r - 1)) * (b @ off)
-            grad += w_cr * (root @ grad_b)
-        return grad
+            off.reshape(len(off), -1)[:, :: r + 1] = 0.0
+            grad_b = 4.0 * (b * diag[:, None, :]) - (4.0 / (r - 1)) * (b @ off)
+            terms.append(weighted(w_cr, root @ grad_b))
+        return sum(terms, 0.0) if terms else np.zeros(bt.shape)
 
-    rng = np.random.default_rng(cfg.seed)
-    bt = project_contraction(rng.standard_normal((d, r)))
-    f_cur = value(bt)
-    history = [f_cur]
+    # The running stack: row k holds run[k]. A row leaves when its run stops.
+    run = np.arange(f)
+    draws = np.stack([np.random.default_rng(seed).standard_normal((d, r)) for _, seed in runs])
+    bt = _project_runs(draws, run)
+    b, g = cr_parts(bt) if w_cr != 0.0 else (None, None)
+    f_cur = value(bt, g)
+    grad = gradient(bt, b, g)
+    step = np.full((f, 1, 1), cfg.step_size)  # each row's own step
     min_step = cfg.step_size * 2.0 ** -40
+    histories = [[v] for v in f_cur.tolist()]
+    backtracks = [0] * f
+    stops = [""] * f
+    final: list = [None] * f  # each run's last B̃
+    while run.size:
+        cand = _project_runs(bt + step * grad, run)
+        b_cand, g_cand = cr_parts(cand) if w_cr != 0.0 else (None, None)
+        f_cand = value(cand, g_cand)
+        up = f_cand > f_cur
+        moved = up.tolist()
+        old = f_cur.tolist()
+        if all(moved):  # the common round: every row steps, so none needs a mask
+            bt, b, g, f_cur = cand, b_cand, g_cand, f_cand
+            step[:] = cfg.step_size
+        else:
+            pick = up[:, None, None]
+            bt = np.where(pick, cand, bt)
+            if w_cr != 0.0:
+                b, g = np.where(pick, b_cand, b), np.where(pick, g_cand, g)
+            f_cur = np.where(up, f_cand, f_cur)
+            step = np.where(pick, cfg.step_size, 0.5 * step)
+            halved = step.ravel().tolist()
+        if any(moved):  # a row that backtracked keeps its B̃, and so its gradient
+            grad = gradient(bt, b, g)
+        leaving = []
+        for k, (i, took, new) in enumerate(zip(run.tolist(), moved, f_cand.tolist())):
+            if took:
+                histories[i].append(new)
+                if new - old[k] <= cfg.rel_tol * max(1.0, abs(new)):
+                    stops[i] = "rel_tol"
+                elif len(histories[i]) > cfg.max_iters:
+                    stops[i] = "max_iters"
+                else:
+                    continue
+            else:
+                backtracks[i] += 1
+                if halved[k] >= min_step:
+                    continue
+                stops[i] = "no_ascent_step"
+            final[i] = bt[k]
+            leaving.append(k)
+        if leaving:
+            keep = np.ones(run.size, dtype=bool)
+            keep[leaving] = False
+            run, bt, f_cur, grad, step, root = (
+                a[keep] for a in (run, bt, f_cur, grad, step, root)
+            )
+            if w_cr != 0.0:
+                b, g = b[keep], g[keep]
 
-    for _ in range(cfg.max_iters):
-        grad = gradient(bt)
-        step = cfg.step_size
-        accepted = False
-        while step >= min_step:
-            cand = project_contraction(bt + step * grad)
-            f_cand = value(cand)
-            if f_cand > f_cur:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        delta = f_cand - f_cur
-        bt, f_cur = cand, f_cand
-        history.append(f_cur)
-        if delta <= cfg.rel_tol * max(1.0, abs(f_cur)):
-            break
+    results = []
+    for (sigma, _), key, history, bt, stop, rejected in zip(
+        runs, keys, histories, final, stops, backtracks
+    ):
+        w_sigma, v_sigma, root = spectra[key]
+        b = root @ bt
+        gen = matched_generator(sigma, b)
+        ortho = float(np.linalg.norm(bt.T @ bt - np.eye(r)))
+        perm, align = _greedy_eigvec_match(b, v_sigma)
+        sq_norms = np.sum(b * b, axis=0)
+        norm_errors = np.abs(sq_norms - w_sigma[list(perm)])
+        report = TheoremReport(
+            objective_value=history[-1],
+            orthonormality_residual=ortho,
+            pca_alignment=align,
+            norm_errors=norm_errors,
+            permutation=perm,
+            history=tuple(history),
+            stop=stop,
+            backtracks=rejected,
+        )
+        results.append((gen, report))
+    return results
 
-    b = root @ bt
-    gen = matched_generator(sigma, b)
-    ortho = float(np.linalg.norm(bt.T @ bt - np.eye(r)))
-    perm, align = _greedy_eigvec_match(b, v_sigma)
-    sq_norms = np.sum(b * b, axis=0)
-    norm_errors = np.abs(sq_norms - w_sigma[list(perm)])
-    report = TheoremReport(
-        objective_value=f_cur,
-        orthonormality_residual=ortho,
-        pca_alignment=align,
-        norm_errors=norm_errors,
-        permutation=perm,
-        history=tuple(history),
-    )
-    return gen, report
+
+def optimize_generator(
+    sigma: SymMatrix, r: int, cfg: OptimizerConfig
+) -> tuple[LinearGenerator, TheoremReport]:
+    """Projected gradient ascent over B = Σ^{1/2} B̃ with B̃ a contraction.
+
+    The one-run case of optimize_generators, seeded by cfg.seed. The matching
+    constraint is enforced by construction: each candidate B̃ is clipped back
+    into the contraction set, and the returned generator carries
+    A = (Σ - B Bᵀ)^{1/2}. Backtracking line search keeps the objective
+    non-decreasing across accepted steps. The run stops when the relative
+    objective change drops below rel_tol, when no ascent step exists (the
+    maximizers are exact fixed points of the projected step), or at
+    max_iters; the report's stop names which, and its backtracks counts the
+    rejected candidates.
+    """
+    return optimize_generators([(sigma, cfg.seed)], r, cfg)[0]

@@ -525,20 +525,53 @@ def dci_disentanglement(
 # kernel independence score
 
 
+def _beyond(xs: np.ndarray, i: np.ndarray, j: np.ndarray, t: float) -> np.ndarray:
+    """Whether each rounded difference xs[j] - xs[i] exceeds t."""
+    return xs[j] - xs[i] > t
+
+
 def _pair_ends(xs: np.ndarray, t: float) -> np.ndarray:
     """For each i, the first j with xs[j] - xs[i] > t, over sorted xs and rounded differences.
 
     searchsorted against the rounded xs + t finds the end up to rounding at
-    the boundary; the steps after it move each end until it agrees with the
-    rounded differences themselves, which are the values np.median sorts.
+    the boundary. Rounded differences never decrease along a row, so an end
+    that is off is bracketed by galloping from the guess in steps of 1, 2,
+    4, … and then found by bisecting the bracket: an end m places off takes
+    O(log m) passes, each one comparison over the rows still searching. The
+    ends are those of moving one index per pass, which the rounded
+    differences the median sorts define.
     """
     n = xs.size
     ends = np.searchsorted(xs, xs + t, side="right")
-    while (step := xs[ends - 1] - xs > t).any():  # the last j counted is too far
-        ends -= step
-    while (step := (ends < n) & (xs[np.minimum(ends, n - 1)] - xs <= t)).any():
-        ends += step  # the first j left out is near enough
-    return ends
+    xs = np.append(xs, np.inf)  # index n counts as beyond every row
+    rows = np.arange(n)
+    # Each row's end e is bracketed as lo < e <= hi: xs[lo] - xs[i] <= t and
+    # xs[hi] - xs[i] > t. A guess that counted a j too far moves down; one
+    # that left out a j near enough moves up.
+    lo, hi = ends - 1, ends.copy()
+    down = np.flatnonzero(_beyond(xs, rows, lo, t))
+    hi[down] = lo[down]
+    up = np.flatnonzero(~_beyond(xs, rows, hi, t))
+    lo[up] = hi[up]
+    width = 1
+    while down.size:  # j = i is within, so a probe never passes row i
+        probe = np.maximum(hi[down] - width, down)
+        far = _beyond(xs, down, probe, t)
+        lo[down[~far]], hi[down[far]] = probe[~far], probe[far]
+        down, width = down[far], 2 * width
+    width = 1
+    while up.size:
+        probe = np.minimum(lo[up] + width, n)
+        far = _beyond(xs, up, probe, t)
+        lo[up[~far]], hi[up[far]] = probe[~far], probe[far]
+        up, width = up[~far], 2 * width
+    wide = np.flatnonzero(hi - lo > 1)
+    while wide.size:
+        mid = (lo[wide] + hi[wide]) // 2
+        far = _beyond(xs, wide, mid, t)
+        lo[wide[~far]], hi[wide[far]] = mid[~far], mid[far]
+        wide = wide[hi[wide] - lo[wide] > 1]
+    return hi
 
 
 def _pairs_within(xs: np.ndarray, ends: np.ndarray) -> int:

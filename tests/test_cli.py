@@ -103,6 +103,41 @@ class TestVerifyTheorems:
             "semi_orthonormal", "pca_recovery", "js_identity", "bias_identity",
         }
 
+    def test_ascents_csv_has_one_row_per_ascent(self, tmp_path):
+        config = _write_json(tmp_path / "cfg.json", SMALL_VERIFY)
+        out = tmp_path / "report"
+        assert main(["verify-theorems", "--out", str(out), "--config", config]) == 0
+        rows = _read_rows(out / "ascents.csv")
+        assert rows[0] == [
+            "suite", "case", "iterations", "backtracks", "stop", "grad_max", "converged",
+        ]
+        by_suite = {}
+        for row in rows[1:]:
+            by_suite.setdefault(row[0], []).append(row)
+        # matrices x seeds and pca_seeds projected ascents, one discriminator per family
+        assert {suite: len(found) for suite, found in by_suite.items()} == {
+            "semi_orthonormal": 4, "pca_recovery": 2, "js_identity": 8,
+        }
+        checks = _read_rows(out / "theorem_checks.csv")[1:]
+        for suite, found in by_suite.items():
+            cases = list(dict.fromkeys(row[1] for row in checks if row[0] == suite))
+            assert [row[1] for row in found] == cases
+        for row in by_suite["semi_orthonormal"] + by_suite["pca_recovery"]:
+            assert int(row[2]) >= 0 and int(row[3]) >= 0
+            assert row[4] in ("rel_tol", "no_ascent_step", "max_iters")
+            assert row[5:] == ["", ""]
+        for row in by_suite["js_identity"]:
+            assert int(row[2]) >= 1 and row[3:5] == ["", ""]
+            assert float(row[5]) < 1e-12 and row[6] == "true"
+
+    def test_default_suites_write_630_passing_checks(self, tmp_path):
+        out = tmp_path / "report"
+        assert main(["verify-theorems", "--out", str(out)]) == 0
+        rows = _read_rows(out / "theorem_checks.csv")[1:]
+        assert len(rows) == 630
+        assert all(row[5] == "pass" for row in rows)
+        assert len(_read_rows(out / "ascents.csv")) - 1 == 100 + 10 + 100
+
     def test_broken_tolerance_fails_with_exit_1(self, tmp_path):
         config = _write_json(
             tmp_path / "cfg.json",
@@ -298,6 +333,30 @@ class TestOptimize:
         assert main(base + ["--out", str(tmp_path / "b"), "--threads", "3"]) == 0
         for name in ("model.json", "report.csv", "history.csv", "history.svg"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_restarts_equal_the_single_run_at_the_best_seed(self, tmp_path):
+        base = ["optimize", "--objective", "cr", "--r", "2", "--sigma-diag", "9,4,1,0.25"]
+        assert main(base + ["--restarts", "3", "--seed", "4", "--out", str(tmp_path / "r")]) == 0
+        best = int(_report_value(tmp_path / "r" / "report.csv", "seed"))
+        assert best in (5, 6)  # a run past the first row of the stack wins here
+        assert main(base + ["--seed", str(best), "--out", str(tmp_path / "one")]) == 0
+        for name in ("model.json", "report.csv", "history.csv", "history.svg"):
+            assert (tmp_path / "r" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    def test_report_ends_with_stop_reason_and_backtracks(self, tmp_path):
+        out = tmp_path / "o"
+        args = ["optimize", "--objective", "cr", "--r", "2", "--sigma-diag", "9,4,1",
+                "--out", str(out)]
+        assert main(args) == 0
+        rows = _read_rows(out / "report.csv")
+        assert [row[0] for row in rows[-2:]] == ["stop_reason", "backtracks"]
+        assert rows[-2][1] == "rel_tol"
+        assert int(rows[-1][1]) >= 0
+        capped = tmp_path / "capped"
+        config = _write_json(tmp_path / "cfg.json", {"optimizer": {"max_iters": 3}})
+        assert main(args[:-1] + [str(capped), "--config", config]) == 0
+        rows = dict(_read_rows(capped / "report.csv")[1:])
+        assert rows["stop_reason"] == "max_iters" and rows["iterations"] == "3"
 
     def test_sigma_csv_input(self, tmp_path):
         sigma = tmp_path / "sigma.csv"

@@ -132,3 +132,16 @@ class TestProjectContraction:
             out = project_contraction(b)
             assert np.linalg.svd(out, compute_uv=False)[0] <= 1.0 + 1e-12
             assert np.array_equal(project_contraction(out), out)
+
+    def test_stack_equals_one_matrix_calls_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        stack = rng.standard_normal((8, 5, 3))
+        stack[::3] *= 0.05  # some matrices are already contractive
+        out = project_contraction(stack)
+        for m, got in zip(stack, out):
+            assert np.array_equal(got, project_contraction(m))
+        assert np.array_equal(out[0], stack[0])
+
+    def test_contractive_stack_returned_unchanged(self):
+        stack = 0.1 * np.random.default_rng(7).standard_normal((4, 3, 2))
+        assert project_contraction(stack) is stack

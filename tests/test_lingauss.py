@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from disentlab import lingauss
 from disentlab.errors import (
     DegenerateConditional,
+    NumericFailure,
     SingularCovariance,
     UndefinedDivergence,
 )
@@ -19,11 +21,12 @@ from disentlab.lingauss import (
     is_distribution_matched,
     matched_generator,
     optimize_generator,
+    optimize_generators,
     paired_covariance,
     posterior,
     rank_r_truncation,
 )
-from disentlab.linalg import SymMatrix, spd_sqrt
+from disentlab.linalg import SymMatrix, project_contraction, spd_sqrt
 
 
 def _random_spd(rng, d, lo=0.3, hi=4.0):
@@ -367,3 +370,165 @@ class TestOptimizeGenerator:
     def test_config_rejects_nan(self, field):
         with pytest.raises(ValueError):
             OptimizerConfig(**{field: math.nan})
+
+
+def _reference_ascent(sigma, r, cfg):
+    """One run of the per-run loop that optimize_generators replaced: (B, history, stop, backtracks)."""
+    w_info, w_cr = {"infogan": (1.0, 0.0), "cr_frobenius": (0.0, 1.0)}.get(
+        cfg.objective, (cfg.lam, cfg.alpha)
+    )
+    root = spd_sqrt(sigma).entries
+    const_info = -0.5 * r * (1.0 + LOG_2PI)
+
+    def value(bt):
+        total = 0.0
+        if w_info != 0.0:
+            total += w_info * (0.5 * float(np.sum(bt * bt)) + const_info)
+        if w_cr != 0.0:
+            b = root @ bt
+            g = b.T @ b
+            diag = g.diagonal()
+            off_sq = float(np.sum(g * g) - np.sum(diag * diag))
+            total += w_cr * (float(diag @ diag) - off_sq / (r - 1))
+        return total
+
+    def gradient(bt):
+        grad = np.zeros_like(bt)
+        if w_info != 0.0:
+            grad += w_info * bt
+        if w_cr != 0.0:
+            b = root @ bt
+            g = b.T @ b
+            off = g.copy()
+            off.flat[:: r + 1] = 0.0
+            grad_b = 4.0 * (b * g.diagonal()) - (4.0 / (r - 1)) * (b @ off)
+            grad += w_cr * (root @ grad_b)
+        return grad
+
+    bt = project_contraction(np.random.default_rng(cfg.seed).standard_normal((sigma.dim, r)))
+    f_cur = value(bt)
+    history, stop, backtracks = [f_cur], "max_iters", 0
+    for _ in range(cfg.max_iters):
+        grad = gradient(bt)
+        step = cfg.step_size
+        while step >= cfg.step_size * 2.0**-40:
+            cand = project_contraction(bt + step * grad)
+            f_cand = value(cand)
+            if f_cand > f_cur:
+                break
+            backtracks += 1
+            step *= 0.5
+        else:
+            stop = "no_ascent_step"
+            break
+        delta = f_cand - f_cur
+        bt, f_cur = cand, f_cand
+        history.append(f_cur)
+        if delta <= cfg.rel_tol * max(1.0, abs(f_cur)):
+            stop = "rel_tol"
+            break
+    return root @ bt, tuple(history), stop, backtracks
+
+
+def _same_run(one, other) -> bool:
+    """Whether two (generator, report) results agree bit for bit."""
+    (gen_a, rep_a), (gen_b, rep_b) = one, other
+    return (
+        np.array_equal(gen_a.B, gen_b.B)
+        and np.array_equal(gen_a.A, gen_b.A)
+        and rep_a.history == rep_b.history
+        and rep_a.objective_value == rep_b.objective_value
+        and rep_a.orthonormality_residual == rep_b.orthonormality_residual
+        and np.array_equal(rep_a.pca_alignment, rep_b.pca_alignment)
+        and np.array_equal(rep_a.norm_errors, rep_b.norm_errors)
+        and rep_a.permutation == rep_b.permutation
+        and (rep_a.stop, rep_a.backtracks) == (rep_b.stop, rep_b.backtracks)
+    )
+
+
+class TestOptimizeGenerators:
+    @pytest.mark.parametrize(
+        "objective, settings",
+        [
+            ("infogan", {"max_iters": 5}),
+            ("cr_frobenius", {"rel_tol": 1e-15, "max_iters": 60}),
+            ("combined", {"lam": 1.0, "alpha": 0.5, "rel_tol": 1e-15, "max_iters": 60}),
+        ],
+    )
+    def test_stack_equals_single_calls_bit_for_bit(self, objective, settings):
+        # three distinct covariances, three seeds each; the settings make some
+        # rows stop at rel_tol, some at max_iters and some in a failed line
+        # search while the others still ascend
+        m = np.random.default_rng(4).standard_normal((3, 3))
+        sigmas = [
+            SymMatrix(np.eye(3)),
+            SymMatrix(np.diag([9.0, 4.0, 1.0])),
+            SymMatrix(m @ m.T + 0.5 * np.eye(3)),
+        ]
+        runs = [(sigma, seed) for sigma in sigmas for seed in range(3)]
+        stacked = optimize_generators(runs, 2, OptimizerConfig(objective, **settings))
+        assert {rep.stop for _, rep in stacked} == {"rel_tol", "no_ascent_step", "max_iters"}
+        for (sigma, seed), result in zip(runs, stacked):
+            single = optimize_generator(sigma, 2, OptimizerConfig(objective, seed=seed, **settings))
+            assert _same_run(result, single), (sigma.entries.diagonal(), seed)
+
+    @pytest.mark.parametrize(
+        "objective, settings",
+        [
+            ("infogan", {}),
+            ("cr_frobenius", {}),
+            ("combined", {"lam": 0.7, "alpha": 0.3}),
+            ("combined", {"lam": 0.0, "alpha": 0.0}),  # a flat objective: no step ascends
+            ("cr_frobenius", {"rel_tol": 1e-15, "max_iters": 60}),
+        ],
+    )
+    def test_single_run_equals_the_per_run_loop_bit_for_bit(self, objective, settings):
+        m = np.random.default_rng(12).standard_normal((4, 4))
+        for sigma in (SymMatrix(np.eye(4)), SymMatrix(m @ m.T + 0.5 * np.eye(4))):
+            for seed in range(3):
+                cfg = OptimizerConfig(objective, seed=seed, **settings)
+                gen, rep = optimize_generator(sigma, 2, cfg)
+                b, history, stop, backtracks = _reference_ascent(sigma, 2, cfg)
+                assert np.array_equal(gen.B, b)
+                assert rep.history == history
+                assert (rep.stop, rep.backtracks) == (stop, backtracks)
+
+    def test_empty_stack(self):
+        assert optimize_generators([], 2, OptimizerConfig()) == []
+
+    def test_max_iters_cap_is_reported(self):
+        cfg = OptimizerConfig(objective="cr_frobenius", max_iters=3)
+        _, rep = optimize_generator(SymMatrix(np.diag([9.0, 4.0, 1.0])), 2, cfg)
+        assert rep.stop == "max_iters"
+        assert len(rep.history) - 1 == 3
+
+    def test_fixed_point_reports_no_ascent_step(self):
+        # on Σ = I the projected step maps a semi-orthonormal B̃ to itself, so
+        # every candidate of the last line search is rejected
+        cfg = OptimizerConfig(objective="infogan", seed=2)
+        _, rep = optimize_generator(SymMatrix(np.eye(3)), 2, cfg)
+        assert rep.stop == "no_ascent_step"
+        assert rep.orthonormality_residual <= 1e-12
+        assert rep.backtracks >= 41  # step_size down to step_size·2⁻⁴⁰
+
+    def test_default_cr_run_stops_at_rel_tol(self):
+        cfg = OptimizerConfig(objective="cr_frobenius")
+        _, rep = optimize_generator(SymMatrix(np.diag([9.0, 4.0, 1.0])), 2, cfg)
+        assert rep.stop == "rel_tol"
+        gain = rep.history[-1] - rep.history[-2]
+        assert gain <= cfg.rel_tol * max(1.0, abs(rep.history[-1]))
+
+    def test_singular_sigma_names_its_run(self):
+        runs = [(SymMatrix(np.eye(2)), 0), (SymMatrix(np.diag([1.0, 0.0])), 1)]
+        with pytest.raises(SingularCovariance, match=r"^run 1: target covariance"):
+            optimize_generators(runs, 1, OptimizerConfig())
+
+    def test_failed_svd_names_its_run(self):
+        stack = np.stack([np.eye(3)[:, :2], np.full((3, 2), np.nan)])
+        with pytest.raises(NumericFailure, match=r"^run 7: SVD failed"):
+            lingauss._project_runs(stack, np.array([4, 7]))
+
+    def test_runs_must_share_a_dimension(self):
+        runs = [(SymMatrix(np.eye(2)), 0), (SymMatrix(np.eye(3)), 1)]
+        with pytest.raises(ValueError, match="same dimension"):
+            optimize_generators(runs, 1, OptimizerConfig())

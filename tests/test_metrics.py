@@ -610,6 +610,62 @@ class TestDhsic:
         assert np.float64(got).tobytes() == np.float64(_dense_median(v)).tobytes()
         assert len(counts) <= 64, len(counts)
 
+    @pytest.mark.parametrize("n", [300, 3000])
+    def test_pair_ends_gallop_matches_brute_force_in_log_passes(self, monkeypatch, n):
+        # at t = 1e300, x + t rounds every tiny value to 1e300, so the guess
+        # for the point at -1e300 leaves out n - 2 points that are near enough;
+        # a one-index walk takes n - 2 passes to reach its end
+        rng = np.random.default_rng(17)
+        xs = np.sort(np.concatenate([1e-300 * (1.0 + rng.random(n - 2)), [1e300, -1e300]]))
+        real = metrics_module._beyond
+        passes = []
+        monkeypatch.setattr(metrics_module, "_beyond",
+                            lambda *args: passes.append(None) or real(*args))
+        most = 3 * math.ceil(math.log2(n)) + 4
+        for t in (0.0, 1e-300, 5e-301, 1e300, 2e300):
+            passes.clear()
+            got = metrics_module._pair_ends(xs, t)
+            want = np.full(n, n)
+            for i in range(n):
+                beyond = np.flatnonzero(xs[i + 1 :] - xs[i] > t)
+                if beyond.size:
+                    want[i] = i + 1 + beyond[0]
+            assert np.array_equal(got, want), t
+            assert 2 <= len(passes) <= most, (t, len(passes))
+            if t == 1e300:
+                assert np.searchsorted(xs, xs[0] + t, side="right") == 1
+                assert want[0] == n - 1
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: rng.standard_normal((500, 3)),
+            lambda rng: rng.integers(0, 4, (400, 3)).astype(float),
+            lambda rng: np.column_stack([
+                rng.standard_normal(301),
+                np.append(1e-6 * rng.standard_normal(300), 1e300),
+                np.round(rng.standard_normal(301), 1),
+            ]),
+        ],
+        ids=["normal", "integers-0-3", "far-outlier-and-rounded"],
+    )
+    def test_dhsic_equals_one_index_walk_bit_for_bit(self, monkeypatch, make):
+        def walk(xs, t):
+            n = xs.size
+            ends = np.searchsorted(xs, xs + t, side="right")
+            while (step := xs[ends - 1] - xs > t).any():
+                ends -= step
+            while (step := (ends < n) & (xs[np.minimum(ends, n - 1)] - xs <= t)).any():
+                ends += step
+            return ends
+
+        x = make(np.random.default_rng(19))
+        with np.errstate(over="ignore"):  # the far point's kernel entries are exp(-inf)
+            got = dhsic(x)
+            monkeypatch.setattr(metrics_module, "_pair_ends", walk)
+            want = dhsic(x)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
     def test_matches_dense_estimator(self):
         rng = np.random.default_rng(11)
         for trial in range(60):

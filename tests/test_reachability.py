@@ -27,8 +27,12 @@ KEPT = {
     "noisy_linear_pool": "acceptance criterion 07 builds its encoder-noise pool with it",
     "read_pgm": "the CLI tests read the written PGMs back with it",
     "udr_relevance": "the traced benchmark run wraps it by name",
-    "paired_covariance": "checks _cr_value_from_gram by evaluating the definition directly",
-    "cr_frobenius_divergence": "checks _cr_value_from_gram by evaluating the definition directly",
+    "paired_covariance": "checks _cr_values by evaluating the definition directly",
+    "cr_frobenius_divergence": "checks _cr_values by evaluating the definition directly",
+    "optimize_generator": (
+        "the one-run case of optimize_generators, called by name by the README quick start, "
+        "the tests and the traced benchmark run"
+    ),
 }
 
 
