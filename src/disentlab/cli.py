@@ -57,6 +57,7 @@ from .lingauss import (
     rank_r_truncation,
 )
 from .metrics import (
+    LASSO_LAMBDA,
     FactorDataset,
     FactorVaeConfig,
     GeneratorSampler,
@@ -516,7 +517,7 @@ def cmd_optimize(args) -> int:
 def cmd_metrics(args) -> int:
     out = _out_path(args.out)
     config = _load_config(args.config, ("factorvae", "dci"))
-    dci_cfg = _section(config, "dci", {"lasso_lambda": 0.01})
+    dci_cfg = _section(config, "dci", {"lasso_lambda": LASSO_LAMBDA})
     factorvae_cfg = _factorvae_config(config, args.seed)
     names = [v.strip() for v in args.metrics.split(",") if v.strip()]
     if not names:
@@ -576,7 +577,7 @@ def cmd_metrics(args) -> int:
 def cmd_select(args) -> int:
     out = _out_path(args.out)
     config = _load_config(args.config, ("factorvae", "udr"))
-    udr_cfg = _section(config, "udr", {"samples": 10_000, "lasso_lambda": 0.01})
+    udr_cfg = _section(config, "udr", {"samples": 10_000, "lasso_lambda": LASSO_LAMBDA})
     factorvae_cfg = _factorvae_config(config, args.seed)
 
     manifest_path = Path(args.pool)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .lingauss import LinearGenerator
-from .metrics import FactorDataset
+from .metrics import FactorDataset, _latent_reference
 
 FOREGROUND = 255
 
@@ -161,8 +161,5 @@ def gen_linear_gaussian_dataset(gen: LinearGenerator, n: int, seed) -> FactorDat
     """n draws of x = Bc + Az with the codes c recorded as ground-truth factors."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal((n, gen.r))
-    z = rng.standard_normal((n, gen.d))
-    x = c @ gen.B.T + z @ gen.A.T
-    return FactorDataset(x, c)
+    c, z = _latent_reference(gen.r, gen.d, n, np.random.default_rng(seed))
+    return FactorDataset(c @ gen.B.T + z @ gen.A.T, c)

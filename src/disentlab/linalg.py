@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import NotPositiveSemidefinite, NumericFailure
 
-# Eigenvalues in [-PSD_CLAMP_TOL, 0) are treated as round-off from products
-# like sigma - B @ B.T and clamped to zero; anything lower is a real error.
+# Eigenvalues in [-PSD_CLAMP_TOL·max(1, ‖sigma‖_F), 0) of sigma - B @ B.T are
+# round-off, clamped to zero by matched_generator; anything lower is an error.
 PSD_CLAMP_TOL = 1e-10
 
 # Singular values within a few ulp above 1 count as already contractive, which
@@ -81,14 +81,14 @@ def eig_sym(m: SymMatrix) -> Eigendecomposition:
     return Eigendecomposition(w, v)
 
 
-def spd_sqrt(m: SymMatrix) -> SymMatrix:
+def spd_sqrt(m: SymMatrix, tol: float = PSD_CLAMP_TOL) -> SymMatrix:
     """Symmetric PSD square root R with R @ R == m (up to round-off).
 
-    Eigenvalues in [-PSD_CLAMP_TOL, 0) are clamped to zero; anything below
-    that is rejected as genuinely not PSD.
+    Eigenvalues in [-tol, 0) are clamped to zero; anything below that is
+    rejected as genuinely not PSD.
     """
     w, v = eig_sym(m)
-    if w[-1] < -PSD_CLAMP_TOL:
+    if w[-1] < -tol:
         raise NotPositiveSemidefinite(
             f"matrix has eigenvalue {w[-1]:.6e} below the PSD clamp tolerance"
         )

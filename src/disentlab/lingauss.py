@@ -21,7 +21,7 @@ from .errors import (
     SingularCovariance,
     UndefinedDivergence,
 )
-from .linalg import SymMatrix, eig_sym, project_contraction, spd_sqrt
+from .linalg import PSD_CLAMP_TOL, SymMatrix, eig_sym, project_contraction, spd_sqrt
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -155,15 +155,17 @@ class OptimizerConfig:
 
 
 def _pd_eig(sigma: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a covariance that must be invertible.
+    """Eigendecomposition of a target covariance that must be invertible.
 
     Raises SingularCovariance when the smallest eigenvalue is not positive or
     falls below 1e-14 times the largest.
     """
     w, v = eig_sym(sigma)
     if w[-1] <= 0.0 or w[-1] <= 1e-14 * w[0]:
+        nearly = f", under 1e-14 times the max {w[0]:.6e}" if w[-1] > 0.0 else ""
         raise SingularCovariance(
-            f"covariance is singular or nearly so (min eigenvalue {w[-1]:.6e})"
+            "target covariance must be positive definite "
+            f"(min eigenvalue {w[-1]:.6e}{nearly})"
         )
     return w, v
 
@@ -171,11 +173,11 @@ def _pd_eig(sigma: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
 def matched_generator(sigma: SymMatrix, b) -> LinearGenerator:
     """Build the distribution-matched generator for the given code map B.
 
-    The noise map is A = (Σ - B Bᵀ)^{1/2}, which requires B Bᵀ ⪯ Σ.
+    The noise map is A = (Σ - B Bᵀ)^{1/2}, which requires B Bᵀ ⪯ Σ up to round-off.
     """
     b = np.asarray(b, dtype=float)
     residual = SymMatrix(sigma.entries - b @ b.T)
-    a = spd_sqrt(residual)
+    a = spd_sqrt(residual, PSD_CLAMP_TOL * max(1.0, float(np.linalg.norm(sigma.entries))))
     return LinearGenerator(b, a.entries, sigma)
 
 
@@ -386,12 +388,12 @@ def optimize_generators(
     spectra: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for i, ((sigma, _), key) in enumerate(zip(runs, keys)):
         if key not in spectra:
-            w_sigma, v_sigma = eig_sym(sigma)
-            if w_sigma[-1] <= 0.0:
-                raise SingularCovariance(
-                    f"{f'run {i}: ' if f > 1 else ''}target covariance must be positive "
-                    f"definite (min eigenvalue {w_sigma[-1]:.6e})"
-                )
+            try:
+                w_sigma, v_sigma = _pd_eig(sigma)
+            except SingularCovariance as exc:
+                if f == 1:
+                    raise
+                raise SingularCovariance(f"run {i}: {exc}") from exc
             spectra[key] = w_sigma, v_sigma, spd_sqrt(sigma).entries
     d = runs[0][0].dim
     if any(sigma.dim != d for sigma, _ in runs):

@@ -3,9 +3,9 @@
 The vote-based factor metric, Lasso-importance disentanglement (DCI) and the
 kernel independence score dHSIC all operate on plain arrays plus a small
 Encoder interface, so closed-form linear models and table fixtures exercise
-the same code paths. Spearman rank correlation
-and a covariance-update coordinate-descent Lasso solver are shared
-statistical kernels.
+the same code paths. One Spearman kernel over columns of fractional ranks
+serves spearman_rho, UDR-Spearman and the rank-correlation analysis, and one
+covariance-update coordinate-descent Lasso solver serves DCI and UDR-Lasso.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DegenerateEncoder, NumericFailure
 from .lingauss import LinearGenerator, posterior
 
+LASSO_LAMBDA = 0.01  # the λ of DCI and UDR-Lasso unless a config sets it
 LASSO_TOL = 1e-10
 LASSO_MAX_ITERS = 100_000
 # Largest |c - G·w - λ·s| on the active set, relative to max|c|, that the
@@ -255,23 +256,18 @@ class GeneratorSampler(GroupSampler):
     def n_factors(self) -> int:
         return self.gen.r
 
-    def _push(self, c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal((c.shape[0], self.gen.d))
-        return c @ self.gen.B.T + z @ self.gen.A.T
-
     def sample_reference(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self._push(rng.standard_normal((n, self.gen.r)), rng)
+        c, z = _latent_reference(self.gen.r, self.gen.d, n, rng)
+        return c @ self.gen.B.T + z @ self.gen.A.T
 
     def sample_groups(
         self, factor: int, groups: int, size: int, rng: np.random.Generator
     ) -> np.ndarray:
-        # Per group the stream holds the codes, the fixed-factor value, then z.
         r, d = self.gen.r, self.gen.d
-        draw = rng.standard_normal((groups, size * r + 1 + size * d))
-        c = draw[:, : size * r].reshape(groups * size, r)
-        c[:, factor] = np.repeat(draw[:, size * r], size)
-        z = draw[:, size * r + 1 :].reshape(groups * size, d)
-        return (c @ self.gen.B.T + z @ self.gen.A.T).reshape(groups, size, d)
+        c, fixed, z = next(_latent_groups(r, d, groups, size, rng))
+        c[:, :, factor] = fixed[:, None]
+        x = c.reshape(-1, r) @ self.gen.B.T + z.reshape(-1, d) @ self.gen.A.T
+        return x.reshape(groups, size, d)
 
     def sample_group(self, factor: int, size: int, rng: np.random.Generator) -> np.ndarray:
         return self.sample_groups(factor, 1, size, rng)[0]
@@ -423,16 +419,15 @@ def _linear_group_variances(
     map W·A. Within a group the fixed factor adds the same amount to every
     code, so its column of W·B is zeroed: the variance is unchanged and the
     group mean stays near zero, which makes the one-pass variance
-    E[x²] - E[x]² safe. The draws come from _latent_groups.
+    E[x²] - E[x]² safe. The draws come from _latent_reference and
+    _latent_groups.
     """
     r, d = gen.r, gen.d
     wb = weight @ gen.B
     wa_t = np.ascontiguousarray((weight @ gen.A).T)
-    n = cfg.reference_samples
-    ref = rng.standard_normal(n * (r + d))  # sample_reference's stream: all codes, then all z
-    ref_codes = ref[: n * r].reshape(n, r) @ wb.T
-    ref_codes += ref[n * r :].reshape(n, d) @ wa_t
-    del ref
+    c, z = _latent_reference(r, d, cfg.reference_samples, rng)
+    ref_codes = c @ wb.T
+    ref_codes += z @ wa_t
     groups, size = cfg.groups_per_factor, cfg.group_size
 
     def variances():
@@ -451,14 +446,20 @@ def _linear_group_variances(
     return ref_codes, variances()
 
 
+def _latent_reference(r: int, d: int, n: int, rng: np.random.Generator):
+    """Codes c (n, r) and noise z (n, d) of n reference draws: all codes, then all noise."""
+    draw = rng.standard_normal(n * (r + d))
+    return draw[: n * r].reshape(n, r), draw[n * r :].reshape(n, d)
+
+
 def _latent_groups(r: int, d: int, groups: int, size: int, rng: np.random.Generator):
     """For each of the r factors in turn, views (c, fixed, z) of its groups' latent draws.
 
     c is (groups, size, r) with the fixed factor's column left as drawn,
     fixed (groups,) holds that factor's value per group and z is
-    (groups, size, d): the stream of GeneratorSampler.sample_groups, drawn
-    into one buffer that every factor reuses, so each yield overwrites the
-    last.
+    (groups, size, d): the stream of GeneratorSampler.sample_groups, which
+    takes the first yield, drawn into one buffer that every factor reuses,
+    so each yield overwrites the last.
     """
     # Per group the stream holds the codes, the fixed-factor value, then z.
     draw = np.empty((groups, size * r + 1 + size * d))
@@ -484,7 +485,7 @@ def _standardize_columns(m: np.ndarray) -> np.ndarray:
 
 
 def dci_disentanglement(
-    ds: FactorDataset, enc: Encoder, lasso_lambda: float = 0.01
+    ds: FactorDataset, enc: Encoder, lasso_lambda: float = LASSO_LAMBDA
 ) -> MetricReport:
     """Disentanglement from Lasso relevance: D_i = 1 - H(W_i), H in base k̂.
 
@@ -669,8 +670,8 @@ def dhsic(samples: np.ndarray) -> float:
     """Kernel independence score of the columns of an n×k sample matrix.
 
     Per coordinate the kernel is exp(-|xᵢ - xⱼ| / h²) with h the median of
-    the pairwise distances of that coordinate; a zero median falls back to
-    bandwidth 1.0 with a warning. Returns the three-term estimator
+    the pairwise distances of that coordinate; a median whose square is zero
+    or subnormal gets bandwidth 1.0 and a warning. Returns the three-term estimator
     (1/n²)ΣᵢⱼΠ K + (1/n^{2k})Π Σᵢⱼ K - (2/n^{k+1})Σᵢ Π Σⱼ K.
 
     No n×n array is formed: each median comes from a bracket of pair
@@ -694,8 +695,9 @@ def dhsic(samples: np.ndarray) -> float:
         order = np.argsort(cols[col], kind="stable")
         xs = cols[col, order]
         h = _median_pair_distance(xs)
-        if h == 0.0:
-            warnings.warn(f"coordinate {col} has zero median distance; bandwidth set to 1.0")
+        if not h * h >= np.finfo(float).tiny:  # h² divides every kernel exponent
+            warnings.warn(f"coordinate {col} has zero median distance, or one whose square "
+                          f"underflows ({h:.3g}); bandwidth set to 1.0")
             h = 1.0
         h2[col] = h * h
         sums = _laplace_row_sums(xs, h2[col])
@@ -735,20 +737,27 @@ def _fractional_ranks(v: np.ndarray) -> np.ndarray:
     return average[inverse]
 
 
+def _rank_correlations(ranks: np.ndarray) -> np.ndarray:
+    """Spearman ρ of each column pair of (n, m) fractional ranks; NaN for a constant column.
+
+    Centered ranks are multiples of 1/2, so for n below about 2e5 every
+    cross-product is exact and a pair's ρ has the same bits in any m.
+    """
+    centered = ranks - ranks.mean(axis=0)
+    c = centered.T @ centered
+    ss = np.diagonal(c)
+    denom = np.sqrt(np.outer(ss, ss))
+    return np.divide(c, denom, out=np.full_like(c, np.nan), where=denom > 0.0)
+
+
 def spearman_rho(a, b) -> float:
     """Pearson correlation of fractional ranks; NaN when either side is constant."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
         raise ValueError("need two equal-length vectors of size >= 2")
-    ra = _fractional_ranks(a)
-    rb = _fractional_ranks(b)
-    da = ra - ra.mean()
-    db = rb - rb.mean()
-    denom = math.sqrt(float(da @ da) * float(db @ db))
-    if denom == 0.0:
-        return math.nan
-    return float(da @ db) / denom
+    ranks = np.column_stack([_fractional_ranks(a), _fractional_ranks(b)])
+    return float(_rank_correlations(ranks)[0, 1])
 
 
 def _kkt_finish(cols, target, lam, sign, diag):

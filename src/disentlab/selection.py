@@ -6,8 +6,9 @@ SelectionReport. Centrality (arXiv 1906.06034) fills the matrix with
 vote-metric cross-scores of each encoder against every other model's
 generator and symmetrizes it: well-disentangled models land close together
 while poor ones scatter. UDR (Duan et al. 2020) fills it with the
-peakedness of pairwise code-relevance matrices (Lasso or Spearman). A
-cross-metric rank-correlation analysis shares the Spearman kernel.
+peakedness of pairwise code-relevance matrices (Lasso or Spearman). UDR's
+Spearman variant and the cross-metric rank-correlation analysis both call
+the one Spearman kernel in metrics.
 """
 from __future__ import annotations
 
@@ -21,15 +22,16 @@ import numpy as np
 from .linalg import SymMatrix, eig_sym
 from .lingauss import LinearGenerator, matched_generator, posterior
 from .metrics import (
+    LASSO_LAMBDA,
     Encoder,
     FactorVaeConfig,
     GeneratorSampler,
     LinearEncoder,
     _fractional_ranks,
+    _rank_correlations,
     _standardize_columns,
     factorvae_metric,
     lasso_gram_fit,
-    spearman_rho,
 )
 
 UDR_EPS = 1e-12
@@ -206,7 +208,8 @@ def _pool_relevance(
     serves every pair. Lasso: pair (i, j) regresses each code of i on the
     codes of j, so its Gram matrix is block (j, j) of ZᵀZ/n and its cross
     term block (j, i); all N(N-1)·k fits share one solver call. Spearman:
-    |ρ| of every code pair from the centered ranks, 0 for a constant code.
+    |ρ| of every code pair from one _rank_correlations call, 0 for a
+    constant code.
     """
     if variant not in UDR_VARIANTS:
         raise ValueError(f"variant must be one of {UDR_VARIANTS}, got {variant!r}")
@@ -234,13 +237,7 @@ def _pool_relevance(
             for a in range(k):
                 block[:, a] = _fractional_ranks(codes[:, a])
     if variant == "spearman":
-        # Centered ranks are multiples of 1/2, so for n below about 2e5 these
-        # cross-products are exact and |ρ| equals spearman_rho's bit for bit.
-        cols -= cols.mean(axis=0)
-        c = cols.T @ cols
-        ss = np.diagonal(c)
-        denom = np.sqrt(np.outer(ss, ss))
-        rho = np.divide(np.abs(c), denom, out=np.zeros_like(c), where=denom > 0.0)
+        rho = np.nan_to_num(np.abs(_rank_correlations(cols)))  # a constant code scores 0
         return rho.reshape(n_models, k, n_models, k).transpose(0, 2, 1, 3)
     blocks = (cols.T @ cols / n).reshape(n_models, k, n_models, k)
     others = [[i for i in range(n_models) if i != j] for j in range(n_models)]
@@ -258,7 +255,7 @@ def udr_relevance(
     q_j: Encoder,
     samples: np.ndarray,
     variant: str = "lasso",
-    lasso_lambda: float = 0.01,
+    lasso_lambda: float = LASSO_LAMBDA,
 ) -> np.ndarray:
     """k×k nonnegative relevance of q_j's codes for predicting q_i's codes.
 
@@ -293,7 +290,7 @@ def udr_pair_scores(
     pool: ModelPool,
     samples: np.ndarray,
     variant: str = "lasso",
-    lasso_lambda: float = 0.01,
+    lasso_lambda: float = LASSO_LAMBDA,
 ) -> np.ndarray:
     """All-pairs relevance scores; entry (i, j) scores encoder i probed by j.
 
@@ -325,17 +322,10 @@ def udr_select(
 def rank_correlation_analysis(metric_vectors) -> SymMatrix:
     """Pairwise rank correlation of named score vectors; NaN marks undefined cells."""
     vectors = [np.asarray(values, dtype=float) for _, values in metric_vectors]
-    if len(vectors) < 1:
-        raise ValueError("need at least one metric vector")
     lengths = {v.shape for v in vectors}
-    if len(lengths) != 1 or vectors[0].ndim != 1:
-        raise ValueError(f"metric vectors must share one length, got {lengths}")
-    n = len(vectors)
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            out[i, j] = out[j, i] = spearman_rho(vectors[i], vectors[j])
-    return SymMatrix(out)
+    if len(lengths) != 1 or vectors[0].ndim != 1 or vectors[0].size < 2:
+        raise ValueError(f"metric vectors must share one length of at least 2, got {lengths}")
+    return SymMatrix(_rank_correlations(np.column_stack([_fractional_ranks(v) for v in vectors])))
 
 
 def noisy_linear_pool(

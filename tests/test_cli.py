@@ -683,13 +683,14 @@ class TestCommonPlumbing:
             ["gen-data", "--circular", "--radius", "40"],
             ["gen-data", "--linear-gaussian", "--model", "{bad_model}"],
             ["optimize", "--r", "1", "--sigma-diag", "9,-1"],
+            ["optimize", "--r", "1", "--sigma-diag", "1,1e-15"],
             ["metrics", "--model", "{bad_model}", "--metrics", "factorvae"],
             ["metrics", "--model", "{model}", "--data", "{short_data}", "--metrics", "dci"],
             ["select", "--pool", "{single_pool}"],
             ["analyze", "--scores", "{scores}", "{scores}"],
         ],
         ids=["verify-theorems", "gen-data-circular", "gen-data-linear-gaussian", "optimize",
-             "metrics-model", "metrics-dci-rows", "select", "analyze"],
+             "optimize-nearly-singular", "metrics-model", "metrics-dci-rows", "select", "analyze"],
     )
     def test_exit_2_leaves_no_out_directory(self, model_dir, tmp_path, argv):
         # metrics-dci-rows fails only after its inputs load: 15 rows are too

@@ -13,6 +13,7 @@ from disentlab.datasets import (
 )
 from disentlab.linalg import SymMatrix, spd_sqrt
 from disentlab.lingauss import matched_generator
+from disentlab.metrics import GeneratorSampler
 
 # lattice points with x² + y² ≤ 25
 DISC_5_PIXELS = 81
@@ -192,6 +193,15 @@ class TestLinearGaussianDataset:
             (np.outer(np.diag(target), np.diag(target)) + target**2) / n
         )
         assert np.all(np.abs(emp - target) <= 3.0 * se)
+
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_samples_are_the_reference_stream(self, n):
+        gen = _gen(d=5, r=3)
+        ds = gen_linear_gaussian_dataset(gen, n, seed=9)
+        want = GeneratorSampler(gen).sample_reference(n, np.random.default_rng(9))
+        assert np.array_equal(ds.samples, want)
+        # all codes are drawn before any noise
+        assert np.array_equal(ds.factors, np.random.default_rng(9).standard_normal((n, 3)))
 
     def test_factors_recorded(self):
         gen = _gen(d=3, r=1)

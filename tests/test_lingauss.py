@@ -6,6 +6,7 @@ import pytest
 from disentlab import lingauss
 from disentlab.errors import (
     DegenerateConditional,
+    NotPositiveSemidefinite,
     NumericFailure,
     SingularCovariance,
     UndefinedDivergence,
@@ -70,6 +71,15 @@ class TestGeneratorBasics:
         assert np.array_equal(back.B, gen.B)
         assert np.array_equal(back.A, gen.A)
         assert np.array_equal(back.sigma.entries, gen.sigma.entries)
+
+    @pytest.mark.parametrize("c", [1.0, 1e6, 1e8])
+    def test_matched_rejects_a_negative_residual_at_any_scale(self, c):
+        # the clamp scales with Σ, so a residual eigenvalue of -1e-6·‖Σ‖ is still an error
+        sigma = SymMatrix(np.diag([9.0 * c, 4.0 * c, c]))
+        b = np.zeros((3, 1))
+        b[0, 0] = math.sqrt(9.0 * c + 1e-6 * np.linalg.norm(sigma.entries))
+        with pytest.raises(NotPositiveSemidefinite):
+            matched_generator(sigma, b)
 
 
 class TestConditionalMean:
@@ -522,6 +532,27 @@ class TestOptimizeGenerators:
         runs = [(SymMatrix(np.eye(2)), 0), (SymMatrix(np.diag([1.0, 0.0])), 1)]
         with pytest.raises(SingularCovariance, match=r"^run 1: target covariance"):
             optimize_generators(runs, 1, OptimizerConfig())
+
+    def test_nearly_singular_sigma_names_its_run(self):
+        # posterior could not invert this Σ, so no ascent may start on it
+        runs = [(SymMatrix(np.eye(2)), 0), (SymMatrix(np.diag([1.0, 1e-15])), 1)]
+        with pytest.raises(SingularCovariance, match=r"^run 1: .* under 1e-14 times the max"):
+            optimize_generators(runs, 1, OptimizerConfig())
+
+    @pytest.mark.parametrize("diag, r", [((9.0, 4.0, 1.0), 2), ((9.0, 4.0), 2)],
+                             ids=["r-below-d", "r-equals-d"])
+    def test_fits_at_any_scale_of_sigma(self, diag, r):
+        # the fitted B̃ ends on the contraction boundary, so Σ - BBᵀ has a zero
+        # eigenvalue whose round-off grows with Σ
+        scales = (1e-6, 1.0, 1e6, 1e8)
+        runs = [(SymMatrix(np.diag(c * np.asarray(diag))), 0) for c in scales]
+        for objective in ("cr_frobenius", "infogan"):
+            fits = optimize_generators(runs, r, OptimizerConfig(objective))
+            assert all(is_distribution_matched(gen) for gen, _ in fits)
+        # the infogan ascent over B̃ does not depend on Σ, so B = Σ^{1/2}B̃ scales by √c
+        base = fits[1][0].B
+        for c, (gen, _) in zip(scales, fits):
+            assert np.abs(gen.B / math.sqrt(c) - base).max() <= 1e-12 * np.abs(base).max()
 
     def test_failed_svd_names_its_run(self):
         stack = np.stack([np.eye(3)[:, :2], np.full((3, 2), np.nan)])

@@ -514,6 +514,41 @@ class TestDhsic:
         with pytest.raises(ValueError):
             dhsic(np.ones((5, 1)))
 
+    @pytest.mark.parametrize(
+        "column",
+        [
+            lambda rng: 1e-170 * rng.standard_normal(301),
+            lambda rng: np.append(1e-300 * rng.standard_normal(300), 1e300),
+        ],
+        ids=["underflowing-square", "tiny-values-and-one-huge"],
+    )
+    def test_median_whose_square_underflows_falls_back_to_unit_bandwidth(self, column):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((301, 3))
+        x[:, 1] = column(rng)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = dhsic(x)
+        assert math.isfinite(value)
+        assert [type(w.message) for w in caught] == [UserWarning]
+        assert str(caught[0].message).startswith("coordinate 1 has zero median distance")
+
+    def test_ordinary_bandwidths_are_the_squared_medians(self, monkeypatch):
+        # a coordinate of 1e-150 scale still has a normal h², so it keeps its bandwidth
+        x = np.random.default_rng(3).standard_normal((301, 3)) * [1.0, 1e-150, 1e150]
+        seen = []
+
+        def recording(xs, h2):
+            seen.append(h2)
+            return _laplace_row_sums(xs, h2)
+
+        monkeypatch.setattr(metrics_module, "_laplace_row_sums", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dhsic(x)
+        medians = [_dense_median(x[:, col]) for col in range(3)]
+        assert seen == [h * h for h in medians]
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_samples_rejected(self, bad):
         x = np.random.default_rng(0).standard_normal((20, 3))

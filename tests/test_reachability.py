@@ -27,6 +27,7 @@ KEPT = {
     "noisy_linear_pool": "acceptance criterion 07 builds its encoder-noise pool with it",
     "read_pgm": "the CLI tests read the written PGMs back with it",
     "udr_relevance": "the traced benchmark run wraps it by name",
+    "spearman_rho": "the traced benchmark run wraps it by name",
     "paired_covariance": "checks _cr_values by evaluating the definition directly",
     "cr_frobenius_divergence": "checks _cr_values by evaluating the definition directly",
     "optimize_generator": (
