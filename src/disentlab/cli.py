@@ -13,14 +13,22 @@ analyze           rank-correlation matrix across score CSVs
 Report CSVs carry 12 significant digits with LF line endings, and every
 subcommand is byte-identical across reruns with the same inputs, seed, and
 any --threads value; only select --method model-centrality uses threads.
-Exit codes: 0 success, 1 failed verification check, 2 usage or I/O error.
+
+Each subcommand returns its exit code and its files as bytes; main alone
+checks --out (before any input is read), makes it, writes the files and
+prints one "wrote N files to OUT" line.
+Exit codes: 0 success, 1 failed verification check (its files are still
+written), 2 usage or I/O error. An exit 2 after a failed write removes the
+files the run wrote, and --out too if the run made it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -37,9 +45,9 @@ from .contrastive import (
 )
 from .datasets import (
     CircularSpec,
+    circular_dataset_files,
     gen_circular_dsprites,
     gen_linear_gaussian_dataset,
-    write_circular_dataset,
 )
 from .errors import DisentLabError
 from .linalg import SymMatrix, spd_sqrt
@@ -67,7 +75,7 @@ from .metrics import (
     dhsic,
     factorvae_metric,
 )
-from .plots import heatmap_svg, line_chart_svg, write_svg
+from .plots import heatmap_svg, line_chart_svg
 from .selection import (
     ModelPool,
     model_centrality,
@@ -128,30 +136,21 @@ def _fmt(v) -> str:
     return f"{float(v):.12g}"
 
 
-def _out_path(path_str: str) -> Path:
-    """The --out directory, checked before any input is read.
-
-    Each subcommand makes it only once its outputs are computed, so a run
-    that exits 2 leaves no directory behind.
-    """
-    path = Path(path_str)
-    if path.exists() and not path.is_dir():
-        raise CliError(f"{path} exists and is not a directory")
-    if not path.parent.is_dir():
-        raise CliError(f"output directory {path} has no existing parent")
-    return path
+def _csv(header, rows) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_matrix_report(path: Path, labels, m: np.ndarray) -> None:
+def _matrix_report(labels, m: np.ndarray) -> bytes:
     rows = [[label, *(_fmt(v) for v in row)] for label, row in zip(labels, m)]
-    _write_csv(path, ["label", *labels], rows)
+    return _csv(["label", *labels], rows)
+
+
+def _json(obj: dict) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
 def _load_json(path_str) -> dict:
@@ -220,15 +219,6 @@ def _defaults(cls, *omit: str) -> dict:
     """Config defaults of a dataclass: every field but the seed, the objective and `omit`."""
     skip = ("seed", "objective", *omit)
     return {f.name: f.default for f in dataclasses.fields(cls) if f.name not in skip}
-
-
-def _save_model(path: Path, gen: LinearGenerator, extra: dict) -> None:
-    obj = gen.to_dict()
-    obj["encoder"] = [float(v) for v in posterior(gen).mean_map.ravel()]
-    obj.update(extra)
-    with open(path, "w", newline="") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _load_model(path_str) -> tuple[LinearGenerator, LinearEncoder]:
@@ -364,8 +354,7 @@ _VERIFY = {
 }
 
 
-def cmd_verify_theorems(args) -> int:
-    out = _out_path(args.out)
+def cmd_verify_theorems(args) -> tuple[int, dict[str, bytes]]:
     config = _load_config(args.config, ("suites", "optimizer", "thresholds"))
     suites = _section(config, "suites", _VERIFY_SUITES)
     opt = _section(config, "optimizer", _defaults(OptimizerConfig, "lam", "alpha"))
@@ -383,32 +372,27 @@ def cmd_verify_theorems(args) -> int:
         for case, quantity, value, threshold in checks(args.seed, suites, opt, thresholds, ascents):
             status = "pass" if value <= threshold else "fail"
             rows.append([suite, case, quantity, _fmt(value), _fmt(threshold), status])
-    out.mkdir(exist_ok=True)
-    _write_csv(
-        out / "theorem_checks.csv",
-        ["suite", "case", "quantity", "value", "threshold", "status"],
-        rows,
-    )
-    _write_csv(
-        out / "ascents.csv",
-        ["suite", "case", "iterations", "backtracks", "stop", "grad_max", "converged"],
-        ascents,
-    )
     failures = 0
     for suite in _VERIFY:
         statuses = [row[5] for row in rows if row[0] == suite]
         failures += statuses.count("fail")
         print(f"{suite}: {len(statuses)} checks, {statuses.count('fail')} failures")
-    print(f"wrote theorem_checks.csv and ascents.csv to {out}")
-    return EXIT_CHECK_FAILED if failures else EXIT_OK
+    return EXIT_CHECK_FAILED if failures else EXIT_OK, {
+        "theorem_checks.csv": _csv(
+            ["suite", "case", "quantity", "value", "threshold", "status"], rows
+        ),
+        "ascents.csv": _csv(
+            ["suite", "case", "iterations", "backtracks", "stop", "grad_max", "converged"],
+            ascents,
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
 # gen-data
 
 
-def cmd_gen_data(args) -> int:
-    out = _out_path(args.out)
+def cmd_gen_data(args) -> tuple[int, dict[str, bytes]]:
     if args.circular:
         spec = CircularSpec(
             canvas_size=args.canvas,
@@ -416,19 +400,11 @@ def cmd_gen_data(args) -> int:
             n_radii=args.n_radii,
             n_angles=args.n_angles,
         )
-        images, factors = gen_circular_dsprites(spec)
-        out.mkdir(exist_ok=True)
-        write_circular_dataset(out, images, factors)
-        print(f"wrote {images.shape[0]} images and factors.csv to {out}")
-        return EXIT_OK
+        return EXIT_OK, circular_dataset_files(*gen_circular_dsprites(spec))
     if args.model is None:
         raise CliError("--linear-gaussian requires --model")
     gen, _ = _load_model(args.model)
-    ds = gen_linear_gaussian_dataset(gen, args.n, args.seed)
-    out.mkdir(exist_ok=True)
-    ds.save(out)
-    print(f"wrote {ds.n} samples ({ds.sample_dim}-d, {ds.n_factors} factors) to {out}")
-    return EXIT_OK
+    return EXIT_OK, gen_linear_gaussian_dataset(gen, args.n, args.seed).csv_files()
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +435,7 @@ def _read_sigma(args) -> SymMatrix:
     return SymMatrix(m)
 
 
-def cmd_optimize(args) -> int:
-    out = _out_path(args.out)
+def cmd_optimize(args) -> tuple[int, dict[str, bytes]]:
     config = _load_config(args.config, ("optimizer",))
     opt = _section(config, "optimizer", _defaults(OptimizerConfig))
     sigma = _read_sigma(args)
@@ -473,8 +448,9 @@ def cmd_optimize(args) -> int:
     )
     best = max(range(len(seeds)), key=lambda i: results[i][1].objective_value)
     gen, report = results[best]
-    out.mkdir(exist_ok=True)
-    _save_model(out / "model.json", gen, {"objective": objective, "seed": seeds[best]})
+    model = gen.to_dict()
+    model["encoder"] = [float(v) for v in posterior(gen).mean_map.ravel()]
+    model.update(objective=objective, seed=seeds[best])
     rows = [
         ["objective_value", _fmt(report.objective_value)],
         ["orthonormality_residual", _fmt(report.orthonormality_residual)],
@@ -485,37 +461,31 @@ def cmd_optimize(args) -> int:
     ]
     rows += [[f"permutation_{i}", str(p)] for i, p in enumerate(report.permutation)]
     rows += [["stop_reason", report.stop], ["backtracks", str(report.backtracks)]]
-    _write_csv(out / "report.csv", ["quantity", "value"], rows)
     history = np.asarray(report.history, dtype=float)
-    _write_csv(
-        out / "history.csv",
-        ["iteration", "objective"],
-        [[str(i), _fmt(v)] for i, v in enumerate(history)],
+    chart = line_chart_svg(
+        np.arange(history.size, dtype=float),
+        history,
+        objective,
+        title="objective ascent",
+        x_label="iteration",
+        y_label="objective",
     )
-    write_svg(
-        out / "history.svg",
-        line_chart_svg(
-            np.arange(history.size, dtype=float),
-            history,
-            objective,
-            title="objective ascent",
-            x_label="iteration",
-            y_label="objective",
+    print(f"best seed {seeds[best]}: objective {_fmt(report.objective_value)}")
+    return EXIT_OK, {
+        "model.json": _json(model),
+        "report.csv": _csv(["quantity", "value"], rows),
+        "history.csv": _csv(
+            ["iteration", "objective"], [[str(i), _fmt(v)] for i, v in enumerate(history)]
         ),
-    )
-    print(
-        f"best seed {seeds[best]}: objective {_fmt(report.objective_value)}; "
-        f"wrote model.json, report.csv, history.csv, history.svg to {out}"
-    )
-    return EXIT_OK
+        "history.svg": chart.encode(),
+    }
 
 
 # ---------------------------------------------------------------------------
 # metrics
 
 
-def cmd_metrics(args) -> int:
-    out = _out_path(args.out)
+def cmd_metrics(args) -> tuple[int, dict[str, bytes]]:
     config = _load_config(args.config, ("factorvae", "dci"))
     dci_cfg = _section(config, "dci", {"lasso_lambda": LASSO_LAMBDA})
     factorvae_cfg = _factorvae_config(config, args.seed)
@@ -552,30 +522,24 @@ def cmd_metrics(args) -> int:
         else:
             report = MetricReport("dhsic", dhsic(enc.encode(ds.samples)))
         reports.append(report)
-    out.mkdir(exist_ok=True)
+    files = {}
     for name, report in zip(names, reports):
         detail = [[key, _fmt(value)] for key, value in report.detail] or [["", ""]]
-        _write_csv(
-            out / f"{name}.csv",
+        files[f"{name}.csv"] = _csv(
             ["metric", "score", "detail_key", "detail_value"],
             [[report.name, _fmt(report.score), *row] for row in detail],
         )
-    _write_csv(
-        out / "summary.csv",
-        ["metric", "score"],
-        [[r.name, _fmt(r.score)] for r in reports],
-    )
+    files["summary.csv"] = _csv(["metric", "score"], [[r.name, _fmt(r.score)] for r in reports])
     for r in reports:
         print(f"{r.name}: {_fmt(r.score)}")
-    return EXIT_OK
+    return EXIT_OK, files
 
 
 # ---------------------------------------------------------------------------
 # select
 
 
-def cmd_select(args) -> int:
-    out = _out_path(args.out)
+def cmd_select(args) -> tuple[int, dict[str, bytes]]:
     config = _load_config(args.config, ("factorvae", "udr"))
     udr_cfg = _section(config, "udr", {"samples": 10_000, "lasso_lambda": LASSO_LAMBDA})
     factorvae_cfg = _factorvae_config(config, args.seed)
@@ -606,28 +570,17 @@ def cmd_select(args) -> int:
         matrix = udr_pair_scores(pool, samples, variant, udr_cfg["lasso_lambda"])
         report = udr_select(pool, matrix, variant, args.fraction, args.trials, args.seed)
 
-    out.mkdir(exist_ok=True)
-    _write_csv(
-        out / "scores.csv",
-        ["model", "label", "score", "stderr"],
-        [
-            [str(i), label, _fmt(score), _fmt(err)]
-            for i, (label, score, err) in enumerate(
-                zip(report.labels, report.scores, report.stderr)
-            )
-        ],
-    )
-    _write_matrix_report(out / "similarity.csv", report.labels, matrix)
+    scores = [
+        [str(i), label, _fmt(score), _fmt(err)]
+        for i, (label, score, err) in enumerate(zip(report.labels, report.scores, report.stderr))
+    ]
     order = np.argsort(-report.scores, kind="stable")
     sorted_labels = [report.labels[i] for i in order]
-    write_svg(
-        out / "similarity.svg",
-        heatmap_svg(
-            matrix[np.ix_(order, order)],
-            sorted_labels,
-            sorted_labels,
-            title=f"{report.method} similarity (sorted by score)",
-        ),
+    heatmap = heatmap_svg(
+        matrix[np.ix_(order, order)],
+        sorted_labels,
+        sorted_labels,
+        title=f"{report.method} similarity (sorted by score)",
     )
     summary = {
         "method": report.method,
@@ -635,14 +588,16 @@ def cmd_select(args) -> int:
         "label": report.labels[report.selected],
         "score": float(_fmt(report.scores[report.selected])),
     }
-    with open(out / "selection.json", "w", newline="") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     print(
         f"selected model {report.selected} ({report.labels[report.selected]}) "
         f"with score {_fmt(report.scores[report.selected])}"
     )
-    return EXIT_OK
+    return EXIT_OK, {
+        "scores.csv": _csv(["model", "label", "score", "stderr"], scores),
+        "similarity.csv": _matrix_report(report.labels, matrix),
+        "similarity.svg": heatmap.encode(),
+        "selection.json": _json(summary),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -666,8 +621,7 @@ def _read_score_column(path: Path) -> np.ndarray:
     return scores
 
 
-def cmd_analyze(args) -> int:
-    out = _out_path(args.out)
+def cmd_analyze(args) -> tuple[int, dict[str, bytes]]:
     named = []
     seen = set()
     for path_str in args.scores:
@@ -682,14 +636,11 @@ def cmd_analyze(args) -> int:
         named.append((name, vector))
     corr = rank_correlation_analysis(named)
     names = [name for name, _ in named]
-    out.mkdir(exist_ok=True)
-    _write_matrix_report(out / "rank_correlation.csv", names, corr.entries)
-    write_svg(
-        out / "rank_correlation.svg",
-        heatmap_svg(corr.entries, names, names, title="rank correlation"),
-    )
-    print(f"wrote rank_correlation.csv and rank_correlation.svg to {out}")
-    return EXIT_OK
+    heatmap = heatmap_svg(corr.entries, names, names, title="rank correlation")
+    return EXIT_OK, {
+        "rank_correlation.csv": _matrix_report(names, corr.entries),
+        "rank_correlation.svg": heatmap.encode(),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -794,12 +745,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand, then write the files it returns into --out.
+
+    On a usage or I/O error, the files this run wrote and --out, if this run
+    made it, are removed, so a run that exits 2 leaves no new --out behind.
+    """
     args = build_parser().parse_args(argv)
     if args.threads < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return EXIT_USAGE
+    out, made, written = Path(args.out), False, []
     try:
-        return args.handler(args)
-    except (CliError, DisentLabError, ValueError) as exc:
+        if out.exists() and not out.is_dir():
+            raise CliError(f"{out} exists and is not a directory")
+        if not out.parent.is_dir():
+            raise CliError(f"output directory {out} has no existing parent")
+        code, files = args.handler(args)
+        if not out.is_dir():
+            out.mkdir()
+            made = True
+        for name, data in files.items():
+            with open(out / name, "wb") as fh:
+                written.append(out / name)
+                fh.write(data)
+    except (CliError, DisentLabError, ValueError, OSError) as exc:
+        with contextlib.suppress(OSError):
+            for path in written:
+                path.unlink()
+            if made:
+                out.rmdir()
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    print(f"wrote {len(files)} files to {out}")
+    return code

@@ -111,18 +111,17 @@ def gen_circular_dsprites(spec: CircularSpec = CircularSpec()) -> tuple[np.ndarr
     return images, factors
 
 
-def write_pgm(path, image: np.ndarray) -> None:
-    """Write one grayscale image as binary PGM (P5, maxval 255)."""
+def pgm_bytes(image: np.ndarray) -> bytes:
+    """One grayscale image as binary PGM (P5, maxval 255)."""
     image = np.asarray(image)
     if image.ndim != 2 or image.dtype != np.uint8:
         raise ValueError(f"expected a 2-d uint8 image, got {image.dtype} shape {image.shape}")
     h, w = image.shape
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + image.tobytes())
+    return f"P5\n{w} {h}\n255\n".encode("ascii") + image.tobytes()
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM written by write_pgm."""
+    """Read a binary PGM as encoded by pgm_bytes."""
     data = Path(path).read_bytes()
     if not data.startswith(b"P5"):
         raise ValueError(f"{path} is not a binary PGM file")
@@ -145,16 +144,21 @@ def read_pgm(path) -> np.ndarray:
     return np.frombuffer(raster, dtype=np.uint8).reshape(h, w)
 
 
-def write_circular_dataset(directory, images: np.ndarray, factors: np.ndarray) -> None:
-    """Write one PGM per image plus a factors.csv table, in index order."""
-    directory = Path(directory)
+def circular_dataset_files(images: np.ndarray, factors: np.ndarray) -> dict[str, bytes]:
+    """One PGM per image plus a factors.csv table, in index order, by file name."""
     width = len(str(len(images) - 1))
-    for i, image in enumerate(images):
-        write_pgm(directory / f"img_{i:0{width}d}.pgm", image)
+    files = {f"img_{i:0{width}d}.pgm": pgm_bytes(image) for i, image in enumerate(images)}
     lines = ["image_index,radius_index,angle_index"]
     for i, (ri, ai) in enumerate(factors):
         lines.append(f"{i},{int(ri)},{int(ai)}")
-    (directory / "factors.csv").write_text("\n".join(lines) + "\n")
+    files["factors.csv"] = ("\n".join(lines) + "\n").encode()
+    return files
+
+
+def write_circular_dataset(directory, images: np.ndarray, factors: np.ndarray) -> None:
+    """Write the files of circular_dataset_files into an existing directory."""
+    for name, data in circular_dataset_files(images, factors).items():
+        (Path(directory) / name).write_bytes(data)
 
 
 def gen_linear_gaussian_dataset(gen: LinearGenerator, n: int, seed) -> FactorDataset:

@@ -333,19 +333,15 @@ def _greedy_eigvec_match(b: np.ndarray, eigvecs: np.ndarray) -> tuple[tuple[int,
     for i in range(r):
         if norms[i] > 0:
             cos[i] = np.abs(b[:, i] @ eigvecs[:, :r]) / norms[i]
+    # argmax takes the first maximum in row-major order, which is the tie rule
+    free = cos.copy()
     perm = [-1] * r
-    align = np.zeros(r)
-    free_cols = list(range(r))
-    free_eigs = list(range(r))
     for _ in range(r):
-        _, _, _, i, j = max(
-            (cos[i, j], -i, -j, i, j) for i in free_cols for j in free_eigs
-        )
+        i, j = divmod(int(np.argmax(free)), r)
         perm[i] = j
-        align[i] = cos[i, j]
-        free_cols.remove(i)
-        free_eigs.remove(j)
-    return tuple(perm), align
+        free[i, :] = -np.inf
+        free[:, j] = -np.inf
+    return tuple(perm), cos[np.arange(r), perm]
 
 
 def _project_runs(stack: np.ndarray, run: np.ndarray) -> np.ndarray:

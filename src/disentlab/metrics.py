@@ -72,11 +72,15 @@ class FactorDataset:
     def n_factors(self) -> int:
         return self.factors.shape[1]
 
+    def csv_files(self) -> dict[str, bytes]:
+        """samples.csv and factors.csv with aligned row indices, by file name."""
+        return {"samples.csv": _matrix_csv("x", self.samples),
+                "factors.csv": _matrix_csv("c", self.factors)}
+
     def save(self, directory) -> None:
-        """Write samples.csv and factors.csv with aligned row indices."""
-        directory = Path(directory)
-        _write_matrix_csv(directory / "samples.csv", "x", self.samples)
-        _write_matrix_csv(directory / "factors.csv", "c", self.factors)
+        """Write the files of csv_files into an existing directory."""
+        for name, data in self.csv_files().items():
+            (Path(directory) / name).write_bytes(data)
 
     @classmethod
     def load(cls, directory) -> "FactorDataset":
@@ -86,13 +90,12 @@ class FactorDataset:
         return cls(samples, factors)
 
 
-def _write_matrix_csv(path: Path, prefix: str, m: np.ndarray) -> None:
+def _matrix_csv(prefix: str, m: np.ndarray) -> bytes:
     # "%.17g" formats exactly as f"{v:.17g}" does, one row per C call.
     row = ",".join(["%.17g"] * m.shape[1])
     header = ",".join(f"{prefix}{j}" for j in range(m.shape[1]))
     body = "\n".join([row % tuple(values) for values in m.tolist()])
-    with open(path, "w", newline="") as fh:
-        fh.write(f"{header}\n{body}\n")
+    return f"{header}\n{body}\n".encode()
 
 
 def _read_matrix_csv(path: Path) -> np.ndarray:

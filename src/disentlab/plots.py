@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from itertools import groupby
+from pathlib import Path
 
 import numpy as np
 
@@ -207,6 +208,5 @@ def line_chart_svg(
 
 
 def write_svg(path, svg: str) -> None:
-    """Write SVG text with LF line endings regardless of platform."""
-    with open(path, "w", newline="") as fh:
-        fh.write(svg)
+    """Write SVG text as UTF-8 bytes, so its LF line endings stay on every platform."""
+    Path(path).write_bytes(svg.encode())

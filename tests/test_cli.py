@@ -11,6 +11,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from disentlab import cli
 from disentlab.cli import _VERIFY, main
 from disentlab.datasets import read_pgm
 
@@ -675,6 +676,41 @@ class TestCommonPlumbing:
         blocker = tmp_path / "taken"
         blocker.write_text("occupied")
         assert main(["verify-theorems", "--out", str(blocker)]) == 2
+
+    def test_out_name_too_long_exits_2(self, tmp_path, capsys):
+        out = tmp_path / ("x" * 300)
+        assert main(["verify-theorems", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "File name too long" in err
+
+    def test_failed_write_removes_the_files_of_the_run(self, tmp_path, capsys):
+        # a directory where report.csv goes fails the second write in a reused --out
+        out = tmp_path / "fit"
+        (out / "report.csv").mkdir(parents=True)
+        assert main(["optimize", "--r", "1", "--sigma-diag", "9,4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == ["report.csv"]
+        assert (out / "report.csv").is_dir()
+
+    def test_failed_write_removes_the_out_it_made(self, tmp_path, monkeypatch):
+        def two_files(args):
+            return 0, {"a.csv": b"1\n", "no_such_dir/b.csv": b"2\n"}
+
+        monkeypatch.setattr(cli, "cmd_analyze", two_files)
+        out = tmp_path / "out"
+        assert main(["analyze", "--scores", "s.csv", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_main_prints_one_line_for_the_files_it_wrote(self, tmp_path, capsys):
+        scores = tmp_path / "s.csv"
+        scores.write_text("model,score\n0,0.1\n1,0.2\n2,0.3\n")
+        out = tmp_path / "corr"
+        assert main(["analyze", "--scores", str(scores), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 2 files to {out}\n"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "rank_correlation.csv", "rank_correlation.svg"]
 
     @pytest.mark.parametrize(
         "argv",

@@ -6,10 +6,10 @@ from disentlab.datasets import (
     CircularSpec,
     gen_circular_dsprites,
     gen_linear_gaussian_dataset,
+    pgm_bytes,
     rasterize_disc,
     read_pgm,
     write_circular_dataset,
-    write_pgm,
 )
 from disentlab.linalg import SymMatrix, spd_sqrt
 from disentlab.lingauss import matched_generator
@@ -120,27 +120,21 @@ class TestPgmIo:
     def test_round_trip(self, tmp_path):
         img = rasterize_disc((20.0, 30.0), 5.0)
         path = tmp_path / "disc.pgm"
-        write_pgm(path, img)
+        path.write_bytes(pgm_bytes(img))
         assert np.array_equal(read_pgm(path), img)
 
-    def test_header_layout(self, tmp_path):
-        img = np.zeros((2, 3), dtype=np.uint8)
-        path = tmp_path / "tiny.pgm"
-        write_pgm(path, img)
-        data = path.read_bytes()
+    def test_header_layout(self):
+        data = pgm_bytes(np.zeros((2, 3), dtype=np.uint8))
         assert data.startswith(b"P5\n3 2\n255\n")
         assert len(data) == len(b"P5\n3 2\n255\n") + 6
 
-    def test_byte_identical_rewrites(self, tmp_path):
+    def test_byte_identical_rewrites(self):
         img = rasterize_disc((32.0, 32.0), 5.0)
-        a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
-        write_pgm(a, img)
-        write_pgm(b, img)
-        assert a.read_bytes() == b.read_bytes()
+        assert pgm_bytes(img) == pgm_bytes(img.copy())
 
-    def test_write_validation(self, tmp_path):
+    def test_write_validation(self):
         with pytest.raises(ValueError):
-            write_pgm(tmp_path / "bad.pgm", np.zeros((2, 2), dtype=float))
+            pgm_bytes(np.zeros((2, 2), dtype=float))
 
     def test_read_validation(self, tmp_path):
         path = tmp_path / "bad.pgm"

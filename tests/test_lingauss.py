@@ -307,6 +307,51 @@ class TestRankRTruncation:
             assert best <= np.linalg.norm(m.entries - cand) ** 2 + 1e-12
 
 
+def test_greedy_eigvec_match_breaks_ties_by_column_then_eigenvector():
+    # |cosine| 1/√2 ties three ways: column 0 with eigenvectors 0 and 1, and
+    # column 2 with eigenvector 0. The lowest pair (0, 0) goes first, so column
+    # 2 is left with a zero cosine; column 1 is zero and takes what is next.
+    b = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    perm, align = lingauss._greedy_eigvec_match(b, np.eye(4))
+    assert perm == (0, 1, 2)
+    assert align.tolist() == [1 / math.sqrt(2), 0.0, 0.0]
+
+
+def _greedy_reference(b: np.ndarray, eigvecs: np.ndarray):
+    """The loop over (|cosine|, -column, -eigenvector) that the argmax replaced."""
+    r = b.shape[1]
+    norms = np.linalg.norm(b, axis=0)
+    cos = np.zeros((r, r))
+    for i in range(r):
+        if norms[i] > 0:
+            cos[i] = np.abs(b[:, i] @ eigvecs[:, :r]) / norms[i]
+    perm, align = [-1] * r, np.zeros(r)
+    cols, eigs = list(range(r)), list(range(r))
+    for _ in range(r):
+        _, _, _, i, j = max((cos[i, j], -i, -j, i, j) for i in cols for j in eigs)
+        perm[i], align[i] = j, cos[i, j]
+        cols.remove(i)
+        eigs.remove(j)
+    return tuple(perm), align
+
+
+def test_greedy_eigvec_match_equals_the_reference_loop():
+    rng = np.random.default_rng(5)
+    for case in range(600):
+        d = int(rng.integers(1, 7))
+        r = int(rng.integers(1, d + 1))
+        if case % 3 == 0:
+            b, q = rng.standard_normal((d, r)), np.linalg.qr(rng.standard_normal((d, d)))[0]
+        else:  # small integer entries against the identity tie often
+            b, q = rng.integers(-1, 2, (d, r)).astype(float), np.eye(d)
+        if case % 3 == 2:
+            b[:, rng.random(r) < 0.5] = 0.0
+        perm, align = lingauss._greedy_eigvec_match(b, q)
+        want_perm, want_align = _greedy_reference(b, q)
+        assert perm == want_perm
+        assert align.tobytes() == want_align.tobytes()
+
+
 class TestOptimizeGenerator:
     def test_infogan_identity_sigma(self):
         for seed in range(10):
