@@ -5,7 +5,7 @@ kernel independence score dHSIC all operate on plain arrays plus a small
 Encoder interface, so closed-form linear models and table fixtures exercise
 the same code paths. One Spearman kernel over columns of fractional ranks
 serves spearman_rho, UDR-Spearman and the rank-correlation analysis, and one
-covariance-update coordinate-descent Lasso solver serves DCI and UDR-Lasso.
+Lasso solver (lasso.py) serves DCI and UDR-Lasso.
 """
 from __future__ import annotations
 
@@ -18,15 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateEncoder, NumericFailure
+from .errors import DegenerateEncoder
+from .lasso import lasso_fit
 from .lingauss import LinearGenerator, posterior
 
 LASSO_LAMBDA = 0.01  # the λ of DCI and UDR-Lasso unless a config sets it
-LASSO_TOL = 1e-10
-LASSO_MAX_ITERS = 100_000
-# Largest |c - G·w - λ·s| on the active set, relative to max|c|, that the
-# lasso's exact finish accepts; a solve on a nearly singular block misses it.
-_KKT_RTOL = 1e-12
 _ZERO_STD_TOL = 1e-15
 # Rows of the joint-kernel buffers in dhsic: two (block, n) float64 arrays.
 _DHSIC_BLOCK = 32
@@ -761,145 +757,3 @@ def spearman_rho(a, b) -> float:
         raise ValueError("need two equal-length vectors of size >= 2")
     ranks = np.column_stack([_fractional_ranks(a), _fractional_ranks(b)])
     return float(_rank_correlations(ranks)[0, 1])
-
-
-def _kkt_finish(cols, target, lam, sign, diag):
-    """Exact lasso fits for given sign patterns, and whether each certifies.
-
-    cols (F, q, q) holds each fit's Gram columns, target (F, q) its cross
-    term c and sign (F, q) its pattern s. The active block G_AA·w_A =
-    c_A - λ·s_A is solved in one batched call, with the inactive coordinates
-    padded by identity; a fit whose padded matrix is exactly singular gets
-    NaN weights and does not certify.
-    """
-    active = sign != 0.0
-    q = sign.shape[1]
-    pad = np.where(active[:, :, None] & active[:, None, :], cols.transpose(0, 2, 1), np.eye(q))
-    rhs = np.where(active, target - lam * sign, 0.0)[:, :, None]
-    try:
-        exact = np.linalg.solve(pad, rhs)[:, :, 0]
-    except np.linalg.LinAlgError:
-        exact = np.full(sign.shape, np.nan)
-        for f in range(sign.shape[0]):
-            try:
-                exact[f] = np.linalg.solve(pad[f], rhs[f])[:, 0]
-            except np.linalg.LinAlgError:
-                pass
-    exact = np.where(active, exact, 0.0)
-    resid = target - (cols * exact[:, :, None]).sum(axis=1)
-    kkt = np.where(
-        active,
-        np.abs(resid - lam * sign) <= _KKT_RTOL * np.abs(target).max(axis=1, keepdims=True),
-        (np.abs(resid) <= lam) | (diag <= 0.0),
-    )
-    return exact, np.all(kkt & (np.sign(exact) == sign), axis=1)
-
-
-def lasso_gram_fit(
-    gram: np.ndarray,
-    cross: np.ndarray,
-    lam: float,
-    max_iters: int = LASSO_MAX_ITERS,
-    tol: float = LASSO_TOL,
-) -> np.ndarray:
-    """Lasso weights for a stack of designs, each shared by several targets.
-
-    gram (P, q, q) holds XᵀX/n of each design and cross (P, q, T) holds XᵀY/n
-    of its T targets; the result (P, q, T) minimizes (1/2n)‖y - Xw‖² + λ‖w‖₁
-    for every (design, target) pair. Covariance-update coordinate descent
-    (Friedman, Hastie & Tibshirani 2010, §2.2) keeps g = Xᵀ(y - Xw)/n, so a
-    sweep costs O(q²) per fit whatever n is. Coordinates are visited in
-    order and a zero column (zero Gram diagonal) is never moved.
-
-    Coordinate descent finds the sign pattern s long before its weights
-    settle, so after each sweep that leaves a fit's pattern unchanged the fit
-    is finished exactly: with A its nonzero coordinates, w_A solves
-    G_AA·w_A = c_A - λ·s_A (_kkt_finish). The fit stops with that solution
-    when it certifies itself: sign(w_A) = s_A, the active equations hold to
-    _KKT_RTOL·max|c|, and |c - G·w| ≤ λ on every other live coordinate. A
-    fit that never certifies (a singular G_AA, say) stops after the first
-    sweep whose largest |Δw| is below tol; a fit still running after
-    max_iters sweeps raises NumericFailure. Every step acts on each fit
-    alone, so a fit gives the same bits alone or in any stack.
-    """
-    gram = np.asarray(gram, dtype=float)
-    cross = np.asarray(cross, dtype=float)
-    if cross.ndim != 3 or gram.shape != (cross.shape[0], cross.shape[1], cross.shape[1]):
-        raise ValueError(f"incompatible shapes {gram.shape} and {cross.shape}")
-    if lam < 0.0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    p, q, t = cross.shape
-    out = np.zeros((p * t, q))
-    # One row per (design, target) fit; rows are dropped as their fits converge.
-    fit = np.arange(p * t)
-    target = cross.transpose(0, 2, 1).reshape(p * t, q)
-    grad = target.copy()
-    w = np.zeros((p * t, q))
-    # cols[f, j] is column j of fit f's Gram matrix, gathered once per compaction.
-    cols = np.ascontiguousarray(gram.transpose(0, 2, 1))[fit // t]
-    diag = np.diagonal(cols, axis1=1, axis2=2).copy()
-    scale = np.where(diag > 0.0, diag, np.inf)
-    # Sign pattern before the sweep, and the last pattern the finish rejected.
-    sign = np.zeros((p * t, q))
-    rejected = np.full((p * t, q), np.nan)
-    worst = np.full(p * t, np.inf)
-    for _ in range(max_iters):
-        if fit.size == 0:
-            break
-        worst = np.zeros(fit.size)
-        for j in range(q):
-            rho = grad[:, j] + diag[:, j] * w[:, j]
-            shrunk = np.abs(rho) - lam
-            new = np.where(shrunk > 0.0, np.copysign(shrunk, rho), 0.0) / scale[:, j]
-            delta = new - w[:, j]
-            w[:, j] = new
-            grad -= cols[:, j] * delta[:, None]
-            np.maximum(worst, np.abs(delta), out=worst)
-        done = worst < tol
-        previous, sign = sign, np.sign(w)
-        # A rejected pattern is rejected again, so a fit tries each pattern once.
-        stable = np.flatnonzero(
-            np.all(sign == previous, axis=1) & np.any(sign != rejected, axis=1)
-        )
-        if stable.size:
-            exact, certified = _kkt_finish(
-                cols[stable], target[fit[stable]], lam, sign[stable], diag[stable]
-            )
-            w[stable[certified]] = exact[certified]
-            done[stable[certified]] = True
-            rejected[stable[~certified]] = sign[stable[~certified]]
-        if np.any(done):
-            out[fit[done]] = w[done]
-            keep = ~done
-            fit, cols, grad, w, diag, scale, sign, rejected, worst = (
-                a[keep] for a in (fit, cols, grad, w, diag, scale, sign, rejected, worst)
-            )
-    if fit.size:
-        raise NumericFailure(
-            f"coordinate descent left {fit.size} of {p * t} fits unconverged after "
-            f"{max_iters} sweeps; largest final |Δw| {worst.max():.3g} (tol {tol:g})"
-        )
-    return out.reshape(p, t, q).transpose(0, 2, 1)
-
-
-def lasso_fit(
-    x: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    max_iters: int = LASSO_MAX_ITERS,
-    tol: float = LASSO_TOL,
-) -> np.ndarray:
-    """Coordinate-descent minimizer of (1/2n)‖y - Xw‖² + λ‖w‖₁.
-
-    Columns are used exactly as given — no internal standardization — so the
-    univariate closed form w = soft(xᵀy/n, λ)/(xᵀx/n) holds verbatim. A y of
-    shape (n, T) gives weights (q, T), one fit per column, solved together.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim not in (1, 2) or x.shape[0] != y.shape[0] or x.shape[0] < 1:
-        raise ValueError(f"incompatible shapes {x.shape} and {y.shape}")
-    n, q = x.shape
-    cross = (x.T @ y / n).reshape(1, q, -1)
-    w = lasso_gram_fit((x.T @ x / n)[None], cross, lam, max_iters, tol)[0]
-    return w[:, 0] if y.ndim == 1 else w

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .lasso import lasso_gram_fit
 from .linalg import SymMatrix, eig_sym
 from .lingauss import LinearGenerator, matched_generator, posterior
 from .metrics import (
@@ -31,7 +32,6 @@ from .metrics import (
     _rank_correlations,
     _standardize_columns,
     factorvae_metric,
-    lasso_gram_fit,
 )
 
 UDR_EPS = 1e-12

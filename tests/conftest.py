@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from disentlab.metrics import LASSO_TOL, lasso_gram_fit
+from disentlab.lasso import LASSO_TOL, lasso_gram_fit
 
 
 def _plain_coordinate_descent(gram, cross, lam, tol=LASSO_TOL):

@@ -576,6 +576,33 @@ class TestSelect:
         for name in ("scores.csv", "similarity.csv", "similarity.svg", "selection.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_udr_lasso_accepts_nearly_equal_code_rows(self, tmp_path):
+        # Model 2's fourth encoder row is its second plus noise of size 1e-7,
+        # so regressions on its codes have two nearly collinear columns.
+        # Their lasso fits used to crawl until NumericFailure and exit 2.
+        spectrum = np.array([9.0, 5.0, 3.0, 2.0, 1.0, 0.5])
+        d, r = spectrum.size, 4
+        b = np.zeros((d, r))
+        b[np.arange(r), np.arange(r)] = np.sqrt(spectrum[:r])
+        a = np.diag(np.concatenate([np.zeros(r), np.sqrt(spectrum[r:])]))
+        rng = np.random.default_rng(0)
+        names = []
+        for m in range(4):
+            weight = b.T / spectrum + 0.3 * rng.standard_normal((r, d))
+            if m == 2:
+                weight[3] = weight[1] + 1e-7 * rng.standard_normal(d)
+            model = {"d": d, "r": r, "B": b.ravel().tolist(), "A": a.ravel().tolist(),
+                     "sigma": np.diag(spectrum).ravel().tolist(),
+                     "encoder": weight.ravel().tolist()}
+            names.append(_write_json(tmp_path / f"m{m}.json", model))
+        manifest = _write_json(tmp_path / "pool.json", {"models": names})
+        config = _write_json(tmp_path / "cfg.json", {"udr": {"samples": 1000}})
+        out = tmp_path / "sel"
+        assert main(["select", "--pool", manifest, "--method", "udr-lasso",
+                     "--config", config, "--out", str(out), "--seed", "0"]) == 0
+        scores = [float(row[2]) for row in _read_rows(out / "scores.csv")[1:]]
+        assert len(scores) == 4 and all(0.0 <= v <= 1.0 for v in scores)
+
     def test_manifest_validation(self, pool_dir, tmp_path):
         root, _ = pool_dir
         out = str(tmp_path / "sel")

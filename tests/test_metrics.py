@@ -1,5 +1,6 @@
 """Tests for the disentanglement metrics and shared statistical kernels."""
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -9,10 +10,10 @@ import pytest
 from disentlab import metrics as metrics_module
 from disentlab.datasets import gen_linear_gaussian_dataset
 from disentlab.errors import DegenerateEncoder, NumericFailure
+from disentlab.lasso import LASSO_TOL, lasso_fit, lasso_gram_fit
 from disentlab.lingauss import LinearGenerator, OptimizerConfig, optimize_generator
 from disentlab.linalg import SymMatrix
 from disentlab.metrics import (
-    LASSO_TOL,
     _laplace_row_sums,
     _latent_groups,
     _median_pair_distance,
@@ -29,8 +30,6 @@ from disentlab.metrics import (
     dci_disentanglement,
     dhsic,
     factorvae_metric,
-    lasso_fit,
-    lasso_gram_fit,
     spearman_rho,
 )
 from disentlab.selection import noisy_linear_pool
@@ -886,12 +885,31 @@ class TestLassoFit:
         for t in range(y.shape[1]):
             assert np.abs(w[:, t] - lasso_fit(x, y[:, t], 0.05)).max() <= 1e-12
 
+    @staticmethod
+    def _duplicate_column_designs():
+        # The designs of test_singular_active_block_keeps_sweeping: design 1
+        # repeats column 1 as column 3, designs 0 and 2 are ordinary.
+        rng = np.random.default_rng(0)
+        n = 200
+        grams, crosses = [], []
+        for d in range(3):
+            x = rng.standard_normal((n, 5)) @ (np.eye(5) + 0.5 * rng.standard_normal((5, 5)))
+            if d == 1:
+                x[:, 3] = x[:, 1]
+            x = _standardize_columns(x)
+            y = _standardize_columns(x @ rng.standard_normal((5, 2)) + rng.standard_normal((n, 2)))
+            grams.append(x.T @ x / n)
+            crosses.append(x.T @ y / n)
+        return np.stack(grams), np.stack(crosses)
+
     def test_nonconvergence_reports_count_and_step(self):
-        x, y = self._multi_target_design()
+        # Ordinary fits certify after their first sweep; the two fits of the
+        # design with a repeated column cannot, so one sweep leaves them running.
+        gram, cross = self._duplicate_column_designs()
         with pytest.raises(
-            NumericFailure, match=r"left 3 of 3 fits unconverged after 1 sweeps"
+            NumericFailure, match=r"left 2 of 6 fits unconverged after 1 sweeps"
         ) as info:
-            lasso_fit(x, y, 0.05, max_iters=1)
+            lasso_gram_fit(gram, cross, 0.01, max_iters=1)
         step = float(str(info.value).split("|Δw| ")[1].split(" ")[0])
         assert step > LASSO_TOL
 
@@ -959,6 +977,24 @@ class TestLassoFit:
         w = lasso_gram_fit(gram, cross, 0.01)
         assert kkt_violation(gram, cross, 0.01, w).max() <= 1e-9
         assert np.abs(w).max() < 1.0
+
+    @pytest.mark.parametrize("seed", [5, 7, 11])
+    def test_near_duplicate_columns_certify(self, kkt_violation, seed):
+        # Column 3 is column 1 plus noise of size 1e-7. Coordinate descent
+        # makes both active and then crawls along their near-null direction
+        # (100,000 sweeps were not enough); the pivots drop one copy.
+        rng = np.random.default_rng(seed)
+        n = 2000
+        x = rng.standard_normal((n, 5)) @ (np.eye(5) + 0.5 * rng.standard_normal((5, 5)))
+        x[:, 3] = x[:, 1] + 1e-7 * rng.standard_normal(n)
+        x = _standardize_columns(x)
+        y = _standardize_columns(x @ rng.standard_normal((5, 2)) + rng.standard_normal((n, 2)))
+        gram, cross = (x.T @ x / n)[None], (x.T @ y / n)[None]
+        start = time.perf_counter()
+        w = lasso_gram_fit(gram, cross, 0.01)
+        assert time.perf_counter() - start < 1.0
+        assert kkt_violation(gram, cross, 0.01, w).max() <= 1e-12 * np.abs(cross).max()
+        assert np.all((w[0, 1] == 0.0) | (w[0, 3] == 0.0))
 
     def test_validation(self):
         with pytest.raises(ValueError):

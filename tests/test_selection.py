@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from disentlab.lasso import lasso_fit, lasso_gram_fit
 from disentlab.linalg import SymMatrix
 from disentlab.lingauss import matched_generator, rank_r_truncation
 from disentlab.metrics import (
@@ -13,8 +14,6 @@ from disentlab.metrics import (
     LinearEncoder,
     PseudoNoiseEncoder,
     _standardize_columns,
-    lasso_fit,
-    lasso_gram_fit,
     spearman_rho,
 )
 from disentlab import selection
