@@ -72,13 +72,11 @@ def eig_sym(m: SymMatrix) -> Eigendecomposition:
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"symmetric eigensolver failed: {exc}") from exc
     w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    for col in range(v.shape[1]):
-        anchors = np.flatnonzero(np.abs(v[:, col]) > _SIGN_EPS)
-        pivot = anchors[0] if anchors.size else 0
-        if v[pivot, col] < 0:
-            v[:, col] = -v[:, col]
-    return Eigendecomposition(w, v)
+    v = v[:, ::-1]
+    # The first anchor of each column; a column with none anchors at row 0.
+    pivot = np.argmax(np.abs(v) > _SIGN_EPS, axis=0)
+    flip = v[pivot, np.arange(v.shape[1])] < 0
+    return Eigendecomposition(w, np.where(flip, -v, v))
 
 
 def spd_sqrt(m: SymMatrix, tol: float = PSD_CLAMP_TOL) -> SymMatrix:

@@ -166,12 +166,15 @@ def _subsampled_row_means(
     if m < 1:
         raise ValueError("subset size is zero")
     rng = np.random.default_rng(seed)
-    per_trial = np.empty((trials, n))
-    others = [np.array([j for j in range(n) if j != i]) for i in range(n)]
-    for t in range(trials):
-        for i in range(n):
-            subset = np.sort(rng.choice(others[i], size=m, replace=False))
-            per_trial[t, i] = scores[i, subset].sum() / m
+    # Draw j from the n - 1 others of row i, then skip i: the stream of
+    # rng.choice over the others themselves.
+    subsets = np.array([
+        [rng.choice(n - 1, size=m, replace=False) for _ in range(n)] for _ in range(trials)
+    ])
+    subsets += subsets >= np.arange(n)[:, None]
+    subsets.sort(axis=2)
+    # A sum over the contiguous last axis rounds as the 1-D sum of one row.
+    per_trial = np.take_along_axis(scores[None], subsets, axis=2).sum(axis=2) / m
     identical = np.all(per_trial == per_trial[0], axis=0)
     means = np.where(identical, per_trial[0], per_trial.mean(axis=0))
     stderr = np.where(identical, 0.0, per_trial.std(axis=0) / math.sqrt(trials))

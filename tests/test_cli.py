@@ -137,7 +137,11 @@ class TestVerifyTheorems:
         rows = _read_rows(out / "theorem_checks.csv")[1:]
         assert len(rows) == 630
         assert all(row[5] == "pass" for row in rows)
-        assert len(_read_rows(out / "ascents.csv")) - 1 == 100 + 10 + 100
+        ascents = _read_rows(out / "ascents.csv")[1:]
+        assert len(ascents) == 100 + 10 + 100
+        # every discriminator ascent meets its stop rule at the default step
+        js = [row for row in ascents if row[0] == "js_identity"]
+        assert len(js) == 100 and all(row[6] == "true" for row in js)
 
     def test_broken_tolerance_fails_with_exit_1(self, tmp_path):
         config = _write_json(

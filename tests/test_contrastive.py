@@ -6,6 +6,7 @@ import pytest
 
 from disentlab import contrastive
 from disentlab.contrastive import (
+    DISCRIMINATOR_STEP,
     DiscreteDistributionFamily,
     SoftmaxDiscriminator,
     _stack_objective,
@@ -127,7 +128,9 @@ class TestCrossEntropyObjective:
             cross_entropy_objective(_hand_family(), SoftmaxDiscriminator(np.zeros((3, 2))))
 
 
-def _loop_ascent(family: DiscreteDistributionFamily, iters: int, step: float = 0.5):
+def _loop_ascent(
+    family: DiscreteDistributionFamily, iters: int, step: float = DISCRIMINATOR_STEP
+):
     """The single-family logit ascent the batched one must reproduce bit for bit."""
     q, k = family.probs, family.k
     z, qt = q.sum(axis=0), q.T

@@ -66,6 +66,41 @@ class TestEigSym:
             nz = np.flatnonzero(np.abs(v[:, col]) > 1e-12)
             assert v[nz[0], col] > 0
 
+    @staticmethod
+    def _loop_sign_rule(m: SymMatrix):
+        """The per-column sign rule that eig_sym's one pass must reproduce bit for bit."""
+        w, v = np.linalg.eigh(m.entries)
+        w = w[::-1].copy()
+        v = v[:, ::-1].copy()
+        for col in range(v.shape[1]):
+            anchors = np.flatnonzero(np.abs(v[:, col]) > 1e-12)
+            pivot = anchors[0] if anchors.size else 0
+            if v[pivot, col] < 0:
+                v[:, col] = -v[:, col]
+        return w, v
+
+    def test_sign_rule_matches_per_column_loop(self):
+        # Random matrices, and axis-aligned ones whose eigenvectors have exact
+        # zeros or components near the anchor threshold above their pivots.
+        rng = np.random.default_rng(12)
+        for d in range(1, 17):
+            perm = np.eye(d)[rng.permutation(d)]
+            tiny = np.diag(rng.uniform(1.0, 5.0, d))
+            tiny[0, -1] = tiny[-1, 0] = 1e-12 * (d > 1)
+            cases = [
+                _random_sym(rng, d, scale=3.0),
+                SymMatrix(np.diag(rng.uniform(-2.0, 2.0, d))),
+                SymMatrix(perm @ np.diag(-rng.uniform(0.5, 2.0, d)) @ perm.T),
+                SymMatrix(tiny),
+                SymMatrix(np.zeros((d, d))),
+            ]
+            for m in cases:
+                w, v = eig_sym(m)
+                want_w, want_v = self._loop_sign_rule(m)
+                assert np.array_equal(w, want_w)
+                assert np.array_equal(v, want_v)
+                assert v.flags["C_CONTIGUOUS"]
+
     def test_returns_named_tuple(self):
         out = eig_sym(SymMatrix(np.eye(3)))
         assert isinstance(out, Eigendecomposition)

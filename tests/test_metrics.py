@@ -10,7 +10,7 @@ import pytest
 from disentlab import metrics as metrics_module
 from disentlab.datasets import gen_linear_gaussian_dataset
 from disentlab.errors import DegenerateEncoder, NumericFailure
-from disentlab.lasso import LASSO_TOL, lasso_fit, lasso_gram_fit
+from disentlab.lasso import _KKT_RTOL, LASSO_TOL, lasso_fit, lasso_gram_fit
 from disentlab.lingauss import LinearGenerator, OptimizerConfig, optimize_generator
 from disentlab.linalg import SymMatrix
 from disentlab.metrics import (
@@ -963,10 +963,12 @@ class TestLassoFit:
         assert np.abs(merged - single).max() <= 1e-8
 
     def test_nearly_singular_active_block_is_not_certified(self, kkt_violation):
-        # Column 3 is column 1 plus noise of size 1e-10: the solve on their
-        # active block does not raise, but returns weights near ±6e13 whose
-        # signs match and whose inactive conditions hold. Only the active
-        # equations, which that solution misses by 8e-3, reject it.
+        # Column 3 is column 1 plus noise of size 1e-10. For target 1 both
+        # copies turn active; the solve on their block does not raise, but
+        # misses its own equations, and the block's near-null direction is
+        # within tolerance of flat, so the fit is left to the sweeps. They
+        # split the weight between the copies, where the minimizer keeps
+        # column 3 alone; both reach the same objective.
         rng = np.random.default_rng(14)
         n = 200
         x = rng.standard_normal((n, 5)) @ (np.eye(5) + 0.5 * rng.standard_normal((5, 5)))
@@ -975,8 +977,26 @@ class TestLassoFit:
         y = _standardize_columns(x @ rng.standard_normal((5, 2)) + rng.standard_normal((n, 2)))
         gram, cross = (x.T @ x / n)[None], (x.T @ y / n)[None]
         w = lasso_gram_fit(gram, cross, 0.01)
-        assert kkt_violation(gram, cross, 0.01, w).max() <= 1e-9
-        assert np.abs(w).max() < 1.0
+        violation = kkt_violation(gram, cross, 0.01, w)[0]
+        assert violation.max() <= 1e-9
+        # Target 1 is not certified: both copies carry weight of one sign, and
+        # KKT holds to the sweeps' tolerance but not to the exact finish's.
+        assert w[0, 1, 1] * w[0, 3, 1] > 0.0
+        assert violation[1] > _KKT_RTOL * np.abs(cross[0, :, 1]).max()
+        # The minimizer: the fit without column 1, which meets KKT on the
+        # full design to rounding.
+        keep = [0, 2, 3, 4]
+        single = lasso_gram_fit(gram[:, keep][:, :, keep], cross[:, keep], 0.01)
+        minimizer = np.zeros_like(w)
+        minimizer[:, keep] = single
+        assert kkt_violation(gram, cross, 0.01, minimizer)[0, 1] <= 1e-15
+
+        def objective(v):
+            v = v[0, :, 1]
+            return 0.5 * v @ gram[0] @ v - cross[0, :, 1] @ v + 0.01 * np.abs(v).sum()
+
+        assert abs(objective(w) - objective(minimizer)) <= 1e-10
+        assert abs(w[0, 1, 1] + w[0, 3, 1] - minimizer[0, 3, 1]) <= 1e-8
 
     @pytest.mark.parametrize("seed", [5, 7, 11])
     def test_near_duplicate_columns_certify(self, kkt_violation, seed):

@@ -246,6 +246,34 @@ class TestSubsampledCentrality:
         assert np.all(report.stderr > 0.0)
         assert np.all(np.abs(report.scores - _row_means(b)) <= 3.0 * report.stderr)
 
+    @staticmethod
+    def _loop_row_means(scores, fraction, trials, seed):
+        """One rng.choice over the others of each row, summed row by row."""
+        n = scores.shape[0]
+        m = math.ceil(fraction * (n - 1))
+        rng = np.random.default_rng(seed)
+        per_trial = np.empty((trials, n))
+        others = [np.array([j for j in range(n) if j != i]) for i in range(n)]
+        for t in range(trials):
+            for i in range(n):
+                subset = np.sort(rng.choice(others[i], size=m, replace=False))
+                per_trial[t, i] = scores[i, subset].sum() / m
+        identical = np.all(per_trial == per_trial[0], axis=0)
+        means = np.where(identical, per_trial[0], per_trial.mean(axis=0))
+        stderr = np.where(identical, 0.0, per_trial.std(axis=0) / math.sqrt(trials))
+        return means, stderr
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 20])
+    @pytest.mark.parametrize("fraction", [0.5, 0.8, 1.0])
+    def test_row_means_match_row_by_row_loop(self, n, fraction):
+        # Scores over six decades, so that any change in summation order shows.
+        rng = np.random.default_rng(n)
+        scores = rng.uniform(size=(n, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, n))
+        for trials, seed in [(1, 0), (30, 3)]:
+            got = selection._subsampled_row_means(scores, fraction, trials, seed)
+            want = self._loop_row_means(scores, fraction, trials, seed)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
     def test_validation(self):
         pool = _tiny_pool(3)
         b = np.zeros((3, 3))
