@@ -134,6 +134,8 @@ def _loop_ascent(
     """The single-family logit ascent the batched one must reproduce bit for bit."""
     q, k = family.probs, family.k
     z, qt = q.sum(axis=0), q.T
+    # each support point at its own 1/L, and still where it has no mass
+    rate = np.divide(step * k, z, out=np.zeros_like(z), where=z > 0.0)[:, None]
     logits = np.zeros((family.support_size, k))
     for it in range(iters):
         top = logits.max(axis=1, keepdims=True)
@@ -141,7 +143,7 @@ def _loop_ascent(
         grad = (qt - z[:, None] * (e / e.sum(axis=1, keepdims=True))) / k
         if np.abs(grad).max() < 1e-12:
             return logits, it
-        logits += step * grad
+        logits += rate * grad
     return logits, iters
 
 
@@ -235,17 +237,63 @@ class TestTrainDiscriminator:
             assert np.array_equal(got.discriminator.logits, ref.discriminator.logits)
 
     def test_divergence_names_the_family(self):
-        # At step 50 the 2 x 2 family's ascent overshoots and its objective
-        # keeps falling. The flat family has a zero gradient and stops at
-        # once; the 5000-point family has little mass per point, so it ascends
-        # stably and is still running, first in the stack, when the other
-        # diverges.
-        rng = np.random.default_rng(0)
+        # At step 30 the third family overshoots by construction. At its first
+        # support point (masses ¼, ¼, ½) the first two logits stay equal, and
+        # the third one's lead over them, less its optimum log 2, is a d that
+        # moves by d -> d + (3·step/2)(½ - σ(d)). That map's slope at d = 0,
+        # 1 - 3·step/8, is far below -1, so d swings into a two-cycle, and on
+        # the phase that every 50th step reads the swing grows: the objective
+        # falls at every check. The flat family has a zero gradient and stops
+        # at once. The nearly pure family (w = 0.999) has its optimal logit
+        # gap log 999 where its map's slope 1 - 2·step·w(1 - w) is still
+        # positive, so the gap descends onto it without crossing, rising at
+        # every step; it is still running, first in the stack, when the third
+        # family diverges.
         flat = DiscreteDistributionFamily(np.full((2, 2), 0.5))
-        wide = _random_family(rng, k=2, m=5000)
-        fams = [flat, wide, DiscreteDistributionFamily(np.array([[0.9, 0.1], [0.2, 0.8]]))]
+        pure = DiscreteDistributionFamily(np.array([[0.999, 0.001], [0.001, 0.999]]))
+        swing = DiscreteDistributionFamily(np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]]))
+        (alone,) = train_discriminator([pure], step=30.0)
+        assert alone.converged and alone.iterations > 250
         with pytest.raises(NumericFailure, match="family 2 diverged"):
-            train_discriminator(fams, step=50.0)
+            train_discriminator([flat, pure, swing], step=30.0)
+
+    @pytest.mark.parametrize("iters", [-1, -30_000])
+    def test_negative_iters_rejected(self, iters):
+        with pytest.raises(ValueError, match="iters must be nonnegative"):
+            train_discriminator([_hand_family()], iters=iters)
+
+    @pytest.mark.parametrize("step", [0.0, -2.0, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            train_discriminator([_hand_family()], step=step)
+
+    def test_massless_support_point_stays_uniform(self):
+        # Column 1 carries no mass: its rate is 0 and its gradient exactly 0,
+        # so its row keeps the zero logits of the start, the uniform row that
+        # optimal_discriminator gives a point without mass.
+        fam = DiscreteDistributionFamily(
+            np.array([[0.3, 0.0, 0.7], [0.6, 0.0, 0.4], [0.2, 0.0, 0.8]])
+        )
+        (alone,) = train_discriminator([fam])
+        assert alone.converged
+        assert np.array_equal(alone.discriminator.logits[1], np.zeros(3))
+        assert np.array_equal(alone.discriminator.probs[1], optimal_discriminator(fam).probs[1])
+        logits, iterations = _loop_ascent(fam, 30_000)
+        assert np.array_equal(alone.discriminator.logits, logits)
+        assert alone.iterations == iterations
+        rng = np.random.default_rng(10)
+        others = [_random_family(rng, k=int(rng.integers(2, 6)), m=int(rng.integers(2, 9)))
+                  for _ in range(4)]
+        got = train_discriminator(others[:2] + [fam] + others[2:])[2]
+        assert np.array_equal(got.discriminator.logits, alone.discriminator.logits)
+        assert got.iterations == alone.iterations
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_verify_families_converge_within_200_rounds(self, seed):
+        # A count guard, not a timing test: at each support point's own 1/L
+        # the slowest verify family takes under 200 steps to the stop rule.
+        for got in train_discriminator(_js_families(seed, _VERIFY_SUITES)):
+            assert got.converged and got.iterations <= 200
 
     @staticmethod
     def _scripted_guard(monkeypatch, script):

@@ -1,4 +1,4 @@
-"""Property test of the discriminator ascent's step against its curvature bound."""
+"""Property test of the discriminator ascent's per-point step against its curvature bound."""
 import numpy as np
 import pytest
 
@@ -35,11 +35,13 @@ def families(draw):
 @settings(max_examples=100, deadline=None)
 @given(families())
 def test_ascent_at_its_step_never_falls(family):
-    # The step is 1/L for L ≤ ½, so no step may lower the objective beyond
-    # rounding. The loop is train_discriminator's ascent, step by step, with
-    # the classes on the first axis, so that it sums them in the same order.
+    # Each support point steps at its own 1/L, for L ≤ ½ of its normalized
+    # cross-entropy, so no step may lower the objective beyond rounding. The
+    # loop is train_discriminator's ascent, step by step, with the classes on
+    # the first axis, so that it sums them in the same order.
     q, k = family.probs, family.k
     z = q.sum(axis=0)
+    rate = np.divide(DISCRIMINATOR_STEP * k, z, out=np.zeros_like(z), where=z > 0.0)
     logits = np.zeros((k, family.support_size))
     last = cross_entropy_objective(family, SoftmaxDiscriminator(logits.T))
     for _ in range(STEPS):
@@ -47,7 +49,7 @@ def test_ascent_at_its_step_never_falls(family):
         grad = (q - z * (e / e.sum(axis=0))) / k
         if np.abs(grad).max() < 1e-12:
             break
-        logits += DISCRIMINATOR_STEP * grad
+        logits += rate * grad
         value = cross_entropy_objective(family, SoftmaxDiscriminator(logits.T))
         assert value >= last - 1e-12 * max(1.0, abs(last))
         last = value
