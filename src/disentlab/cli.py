@@ -50,15 +50,14 @@ from .datasets import (
     gen_linear_gaussian_dataset,
 )
 from .errors import DisentLabError
-from .linalg import SymMatrix, spd_sqrt
+from .linalg import SymMatrix
 from .lingauss import (
     LOG_2PI,
     MATCHED_RTOL,
     LinearGenerator,
     OptimizerConfig,
-    bias_decomposition,
+    bias_decompositions,
     is_distribution_matched,
-    matched_generator,
     TheoremReport,
     optimize_generators,
     posterior,
@@ -329,12 +328,12 @@ def _bias_identity(seed, suites, opt, thresholds, ascents):
     """The recognition loss splits into information minus entropy minus a nonnegative bias."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     d, r = suites["bias_d"], suites["bias_r"]
-    for c_idx in range(suites["bias_cases"]):
-        m = rng.standard_normal((d, d))
-        sigma = SymMatrix(m @ m.T + 0.5 * np.eye(d))
-        bt = rng.standard_normal((d, r))
-        bt *= 0.9 / np.linalg.svd(bt, compute_uv=False)[0]
-        dec = bias_decomposition(matched_generator(sigma, spd_sqrt(sigma).entries @ bt))
+    draws = [(rng.standard_normal((d, d)), rng.standard_normal((d, r)))
+             for _ in range(suites["bias_cases"])]
+    m, bt = map(np.stack, zip(*draws))
+    bt *= 0.9 / np.linalg.svd(bt, compute_uv=False)[:, :1, None]
+    decs = bias_decompositions(m @ m.transpose(0, 2, 1) + 0.5 * np.eye(d), bt)
+    for c_idx, dec in enumerate(decs):
         case = f"case{c_idx:03d}"
         split = dec.mutual_information - dec.latent_entropy - dec.implicit_bias
         yield (case, "decomposition_residual", abs(dec.info_loss - split),
@@ -366,6 +365,22 @@ def cmd_verify_theorems(args) -> tuple[int, dict[str, bytes]]:
             )
     if len(suites["spectrum"]) < 2:
         raise CliError("config value suites.spectrum must list at least two eigenvalues")
+    for i, value in enumerate(suites["spectrum"]):
+        if not value > 0:
+            raise CliError(f"config value suites.spectrum[{i}] must be positive, got {value}")
+    # Each code dimension lies between its least value and the dimension it
+    # codes; the coupling divergence of pca_recovery needs two columns.
+    ranks = (
+        ("r", 1, suites["d"], "suites.d"),
+        ("bias_r", 1, suites["bias_d"], "suites.bias_d"),
+        ("pca_r", 2, len(suites["spectrum"]), "the length of suites.spectrum"),
+    )
+    for key, least, most, bound in ranks:
+        if not least <= suites[key] <= most:
+            raise CliError(
+                f"config value suites.{key} must be between {least} and {bound} = {most}, "
+                f"got {suites[key]}"
+            )
 
     rows, ascents = [], []
     for suite, checks in _VERIFY.items():

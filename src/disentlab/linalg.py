@@ -61,38 +61,58 @@ class Eigendecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def eig_sym(m: SymMatrix) -> Eigendecomposition:
-    """Full eigendecomposition of a symmetric matrix, descending eigenvalues.
+def eig_sym(m) -> Eigendecomposition:
+    """Full eigendecomposition of a symmetric matrix, or of each matrix in a stack.
 
-    Each eigenvector's sign is fixed so that its first component of noticeable
-    magnitude is positive, making outputs deterministic for tests.
+    m is a SymMatrix or a (..., n, n) array of symmetric matrices, of which
+    only the lower triangles are read. Eigenvalues come out descending along
+    the last axis. Each eigenvector's sign is fixed so that its first
+    component of noticeable magnitude is positive, making outputs
+    deterministic for tests. A stack is one eigh call, and each matrix in it
+    comes out bit for bit as it would alone.
     """
+    a = m.entries if isinstance(m, SymMatrix) else np.asarray(m, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     try:
-        w, v = np.linalg.eigh(m.entries)
+        w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"symmetric eigensolver failed: {exc}") from exc
-    w = w[::-1].copy()
-    v = v[:, ::-1]
+    w = w[..., ::-1].copy()
+    v = v[..., ::-1]
     # The first anchor of each column; a column with none anchors at row 0.
-    pivot = np.argmax(np.abs(v) > _SIGN_EPS, axis=0)
-    flip = v[pivot, np.arange(v.shape[1])] < 0
+    pivot = np.argmax(np.abs(v) > _SIGN_EPS, axis=-2)
+    flip = np.take_along_axis(v, pivot[..., None, :], axis=-2) < 0
     return Eigendecomposition(w, np.where(flip, -v, v))
 
 
-def spd_sqrt(m: SymMatrix, tol: float = PSD_CLAMP_TOL) -> SymMatrix:
+def sqrt_from_eig(eig: Eigendecomposition) -> np.ndarray:
+    """V·diag(√max(w, 0))·Vᵀ, symmetrized, of one eigendecomposition or a stack of them."""
+    w, v = eig
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return 0.5 * (root + np.swapaxes(root, -1, -2))
+
+
+def spd_sqrt(m, tol=PSD_CLAMP_TOL):
     """Symmetric PSD square root R with R @ R == m (up to round-off).
 
     Eigenvalues in [-tol, 0) are clamped to zero; anything below that is
-    rejected as genuinely not PSD.
+    rejected as genuinely not PSD. A SymMatrix gives a SymMatrix. An (F, n, n)
+    array stack gives an array of roots, each bit for bit its own matrix's,
+    from one eigh call; tol is then a scalar or one value per matrix, and a
+    rejected matrix in a stack of more than one is named by its index.
     """
-    w, v = eig_sym(m)
-    if w[-1] < -tol:
+    w, v = eig = eig_sym(m)
+    lowest = np.reshape(w[..., -1], -1)
+    low = lowest < -np.reshape(tol, -1)
+    if low.any():
+        i = int(np.argmax(low))
+        which = f" {i}" if low.size > 1 else ""
         raise NotPositiveSemidefinite(
-            f"matrix has eigenvalue {w[-1]:.6e} below the PSD clamp tolerance"
+            f"matrix{which} has eigenvalue {lowest[i]:.6e} below the PSD clamp tolerance"
         )
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.T
-    return SymMatrix(root)
+    root = sqrt_from_eig(eig)
+    return SymMatrix(root) if isinstance(m, SymMatrix) else root
 
 
 def project_contraction(b_tilde) -> np.ndarray:

@@ -21,7 +21,15 @@ from .errors import (
     SingularCovariance,
     UndefinedDivergence,
 )
-from .linalg import PSD_CLAMP_TOL, SymMatrix, eig_sym, project_contraction, spd_sqrt
+from .linalg import (
+    PSD_CLAMP_TOL,
+    Eigendecomposition,
+    SymMatrix,
+    eig_sym,
+    project_contraction,
+    spd_sqrt,
+    sqrt_from_eig,
+)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -154,36 +162,65 @@ class OptimizerConfig:
             raise ValueError("max_iters must be at least 1")
 
 
-def _pd_eig(sigma: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a target covariance that must be invertible.
+def _named(label: str, i: int, size: int) -> str:
+    """The prefix naming case i of a stack in an error message; a one-case stack names none."""
+    return f"{label} {i}: " if size > 1 else ""
 
-    Raises SingularCovariance when the smallest eigenvalue is not positive or
-    falls below 1e-14 times the largest.
+
+def _pd_eig(sigma: np.ndarray, label: str = "case") -> Eigendecomposition:
+    """Eigendecomposition of each target covariance in an (F, d, d) stack; each must be invertible.
+
+    Raises SingularCovariance when a smallest eigenvalue is not positive or
+    falls below 1e-14 times the largest, naming the first such case.
     """
-    w, v = eig_sym(sigma)
-    if w[-1] <= 0.0 or w[-1] <= 1e-14 * w[0]:
-        nearly = f", under 1e-14 times the max {w[0]:.6e}" if w[-1] > 0.0 else ""
+    w, v = eig = eig_sym(sigma)
+    low = (w[:, -1] <= 0.0) | (w[:, -1] <= 1e-14 * w[:, 0])
+    if low.any():
+        i = int(np.argmax(low))
+        nearly = f", under 1e-14 times the max {w[i, 0]:.6e}" if w[i, -1] > 0.0 else ""
         raise SingularCovariance(
-            "target covariance must be positive definite "
-            f"(min eigenvalue {w[-1]:.6e}{nearly})"
+            f"{_named(label, i, low.size)}target covariance must be positive definite "
+            f"(min eigenvalue {w[i, -1]:.6e}{nearly})"
         )
-    return w, v
+    return eig
+
+
+def _noise_maps(sigma: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A = (Σ - B Bᵀ)^{1/2} of each (Σ, B) pair in an (F, d, d), (F, d, r) stack.
+
+    One eigh call covers every residual. B Bᵀ ⪯ Σ must hold up to round-off,
+    judged against PSD_CLAMP_TOL·max(1, ‖Σ‖_F) per case; spd_sqrt names the
+    first case where it fails.
+    """
+    residual = sigma - b @ b.transpose(0, 2, 1)
+    residual = 0.5 * (residual + residual.transpose(0, 2, 1))
+    tol = PSD_CLAMP_TOL * np.maximum(1.0, np.linalg.norm(sigma, axis=(1, 2)))
+    return spd_sqrt(residual, tol)
 
 
 def matched_generator(sigma: SymMatrix, b) -> LinearGenerator:
     """Build the distribution-matched generator for the given code map B.
 
-    The noise map is A = (Σ - B Bᵀ)^{1/2}, which requires B Bᵀ ⪯ Σ up to round-off.
+    The noise map is A = (Σ - B Bᵀ)^{1/2}, which requires B Bᵀ ⪯ Σ up to
+    round-off: the one-pair case of the stacked noise maps.
     """
     b = np.asarray(b, dtype=float)
-    residual = SymMatrix(sigma.entries - b @ b.T)
-    a = spd_sqrt(residual, PSD_CLAMP_TOL * max(1.0, float(np.linalg.norm(sigma.entries))))
-    return LinearGenerator(b, a.entries, sigma)
+    if b.ndim != 2:
+        raise ValueError(f"B must be a d x r matrix, got shape {b.shape}")
+    return LinearGenerator(b, _noise_maps(sigma.entries[None], b[None])[0], sigma)
 
 
 def is_distribution_matched(gen: LinearGenerator) -> bool:
     gap = gen.B @ gen.B.T + gen.A @ gen.A.T - gen.sigma.entries
     return bool(np.linalg.norm(gap) <= MATCHED_RTOL * np.linalg.norm(gen.sigma.entries))
+
+
+def _posterior(eig: Eigendecomposition, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean maps Bᵀ Σ⁻¹ and symmetrized covariances I - Bᵀ Σ⁻¹ B of c | x, one per case."""
+    w, v = eig
+    mean_map = b.transpose(0, 2, 1) @ ((v / w[:, None, :]) @ v.transpose(0, 2, 1))
+    cov = np.eye(b.shape[2]) - mean_map @ b
+    return mean_map, 0.5 * (cov + cov.transpose(0, 2, 1))
 
 
 def posterior(gen: LinearGenerator) -> ConditionalGaussian:
@@ -192,10 +229,30 @@ def posterior(gen: LinearGenerator) -> ConditionalGaussian:
     For a matched generator, c | x is Gaussian with mean Bᵀ Σ⁻¹ x and
     covariance S = I - Bᵀ Σ⁻¹ B.
     """
-    w, v = _pd_eig(gen.sigma)
-    mean_map = gen.B.T @ ((v / w) @ v.T)
-    cov = SymMatrix(np.eye(gen.r) - mean_map @ gen.B)
-    return ConditionalGaussian(mean_map, cov)
+    mean_map, cov = _posterior(_pd_eig(gen.sigma.entries[None]), gen.B[None])
+    return ConditionalGaussian(mean_map[0], SymMatrix(cov[0]))
+
+
+def _objectives(sigma: np.ndarray, eig: Eigendecomposition, b: np.ndarray) -> np.ndarray:
+    """The recognition objective of each case of a stack, checked by two routes.
+
+    (1/2)·‖Σ^{-1/2} B‖_F² - (r/2)(1 + log 2π) from the eigendecomposition and
+    -(1/2)·tr(S) - (r/2)·log 2π from a solve with Σ must agree to 1e-10.
+    """
+    w, v = eig
+    f, r = len(b), b.shape[2]
+    b_tilde = (v / np.sqrt(w)[:, None, :]) @ (v.transpose(0, 2, 1) @ b)
+    primal = 0.5 * (b_tilde * b_tilde).reshape(f, -1).sum(axis=1) - 0.5 * r * (1.0 + LOG_2PI)
+    trace_s = r - (b * np.linalg.solve(sigma, b)).reshape(f, -1).sum(axis=1)
+    dual = -0.5 * trace_s - 0.5 * r * LOG_2PI
+    off = np.abs(primal - dual) > 1e-10 * np.maximum(1.0, np.abs(primal))
+    if off.any():
+        i = int(np.argmax(off))
+        raise NumericFailure(
+            f"{_named('case', i, f)}objective cross-check failed: "
+            f"{float(primal[i])!r} vs {float(dual[i])!r}"
+        )
+    return primal
 
 
 def infogan_objective(gen: LinearGenerator) -> float:
@@ -207,18 +264,58 @@ def infogan_objective(gen: LinearGenerator) -> float:
     Their maximum over B Bᵀ ⪯ Σ is -(r/2)·log 2π, reached exactly at
     semi-orthonormal B̃ = Σ^{-1/2} B.
     """
-    r = gen.r
-    w, v = _pd_eig(gen.sigma)
-    b_tilde = (v / np.sqrt(w)) @ (v.T @ gen.B)
-    primal = 0.5 * float(np.sum(b_tilde * b_tilde)) - 0.5 * r * (1.0 + LOG_2PI)
+    sigma = gen.sigma.entries[None]
+    return float(_objectives(sigma, _pd_eig(sigma), gen.B[None])[0])
 
-    trace_s = r - float(np.sum(gen.B * np.linalg.solve(gen.sigma.entries, gen.B)))
-    dual = -0.5 * trace_s - 0.5 * r * LOG_2PI
-    if abs(primal - dual) > 1e-10 * max(1.0, abs(primal)):
-        raise NumericFailure(
-            f"objective cross-check failed: {primal!r} vs {dual!r}"
+
+def _decompositions(
+    sigma: np.ndarray, eig: Eigendecomposition, b: np.ndarray
+) -> list[BiasDecomposition]:
+    """The bias decomposition of each case of a stack, from its Σ eigendecomposition."""
+    r = b.shape[2]
+    losses = _objectives(sigma, eig, b)
+    w = eig_sym(_posterior(eig, b)[1]).eigenvalues  # one eigh for every S
+    singular = w[:, -1] < _SINGULAR_S_TOL
+    if singular.any():
+        i = int(np.argmax(singular))
+        raise DegenerateConditional(
+            f"{_named('case', i, singular.size)}conditional covariance is singular "
+            f"(min eigenvalue {w[i, -1]:.6e}); mutual information diverges at this limit"
         )
-    return primal
+    log_w = np.log(w)
+    mis = -0.5 * log_w.sum(axis=1)
+    biases = 0.5 * (w.sum(axis=1) - r - log_w.sum(axis=1))
+    entropy = 0.5 * r * (1.0 + LOG_2PI)
+    return [
+        BiasDecomposition(mi, entropy, bias, loss)
+        for mi, bias, loss in zip(mis.tolist(), biases.tolist(), losses.tolist())
+    ]
+
+
+def bias_decompositions(sigma, b_tilde) -> list[BiasDecomposition]:
+    """bias_decomposition of the matched generator B = Σ^{1/2} B̃ of each case of a stack.
+
+    sigma is an (F, d, d) stack, symmetrized on entry as SymMatrix does, and
+    b_tilde an (F, d, r) stack with 1 <= r <= d. Each Σ is decomposed once,
+    and that one eigendecomposition gives Σ^{1/2}, both routes of the
+    objective's cross-check and the posterior; B Bᵀ ⪯ Σ is checked through
+    the noise maps, and one eigh covers every S. A failed check names its
+    case when the stack holds more than one. Each case comes out bit for bit
+    as the chain bias_decomposition(matched_generator(Σ, spd_sqrt(Σ) @ B̃)).
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    b_tilde = np.asarray(b_tilde, dtype=float)
+    f, d, r = b_tilde.shape if b_tilde.ndim == 3 else (0, 0, 0)
+    if sigma.shape != (f, d, d) or not 1 <= r <= d:
+        raise ValueError(
+            "expected (F, d, d) and (F, d, r) stacks with 1 <= r <= d, "
+            f"got {sigma.shape} and {b_tilde.shape}"
+        )
+    sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
+    eig = _pd_eig(sigma)
+    b = sqrt_from_eig(eig) @ b_tilde
+    _noise_maps(sigma, b)
+    return _decompositions(sigma, eig, b)
 
 
 def bias_decomposition(gen: LinearGenerator) -> BiasDecomposition:
@@ -232,19 +329,8 @@ def bias_decomposition(gen: LinearGenerator) -> BiasDecomposition:
     A singular S (the semi-orthonormal optimum) makes the mutual information
     diverge, which raises DegenerateConditional.
     """
-    r = gen.r
-    loss = infogan_objective(gen)
-    entropy = 0.5 * r * (1.0 + LOG_2PI)
-    w = eig_sym(posterior(gen).cov).eigenvalues
-    if w[-1] < _SINGULAR_S_TOL:
-        raise DegenerateConditional(
-            f"conditional covariance is singular (min eigenvalue {w[-1]:.6e}); "
-            "mutual information diverges at this limit"
-        )
-    log_w = np.log(w)
-    mi = -0.5 * float(np.sum(log_w))
-    bias = 0.5 * float(np.sum(w) - r - np.sum(log_w))
-    return BiasDecomposition(mi, entropy, bias, loss)
+    sigma = gen.sigma.entries[None]
+    return _decompositions(sigma, _pd_eig(sigma), gen.B[None])[0]
 
 
 def paired_covariance(gen: LinearGenerator, i: int) -> SymMatrix:
@@ -370,30 +456,23 @@ def optimize_generators(
     All runs ascend together in one (F, d, r) stack, with one stacked SVD
     per round. Each row keeps its own step: a rejected candidate halves it,
     and an accepted one resets it and takes a fresh gradient. A row leaves
-    the stack when its own stop rule fires. Σ's eigendecomposition and
-    square root are taken once per distinct Σ, and each accepted candidate's
-    Σ^{1/2}B̃ and Gram are reused for the next gradient. A failed SVD names
-    its run, and so does a singular Σ when the stack holds more than one.
+    the stack when its own stop rule fires. Every run's Σ is decomposed in
+    one stacked eigh call, which also gives its square root, and each
+    accepted candidate's Σ^{1/2}B̃ and Gram are reused for the next gradient.
+    The results come from one stacked residual eigh for the noise maps. A
+    failed SVD names its run, and so does a singular Σ when the stack holds
+    more than one.
     """
     runs = list(runs)
     f = len(runs)
     if f == 0:
         return []
-    # eigenvalues, eigenvectors and square root of each distinct Σ, by its bytes
-    keys = [sigma.entries.tobytes() for sigma, _ in runs]
-    spectra: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for i, ((sigma, _), key) in enumerate(zip(runs, keys)):
-        if key not in spectra:
-            try:
-                w_sigma, v_sigma = _pd_eig(sigma)
-            except SingularCovariance as exc:
-                if f == 1:
-                    raise
-                raise SingularCovariance(f"run {i}: {exc}") from exc
-            spectra[key] = w_sigma, v_sigma, spd_sqrt(sigma).entries
     d = runs[0][0].dim
     if any(sigma.dim != d for sigma, _ in runs):
         raise ValueError("every run's target covariance must have the same dimension")
+    sigmas = np.stack([sigma.entries for sigma, _ in runs])  # (F, d, d)
+    eig = _pd_eig(sigmas, "run")
+    roots = sqrt_from_eig(eig)
     if not 1 <= r <= d:
         raise ValueError(f"need 1 <= r <= {d}, got r={r}")
     if cfg.objective == "infogan":
@@ -407,7 +486,7 @@ def optimize_generators(
             "the pairwise coupling divergence needs r >= 2 code columns"
         )
 
-    root = np.stack([spectra[key][2] for key in keys])  # (F, d, d)
+    root = roots  # the rows still ascending
     const_info = -0.5 * r * (1.0 + LOG_2PI)
 
     def cr_parts(bt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -500,13 +579,12 @@ def optimize_generators(
             if w_cr != 0.0:
                 b, g = b[keep], g[keep]
 
+    maps = roots @ np.stack(final)
+    noise = _noise_maps(sigmas, maps)
     results = []
-    for (sigma, _), key, history, bt, stop, rejected in zip(
-        runs, keys, histories, final, stops, backtracks
+    for (sigma, _), w_sigma, v_sigma, b, a, history, bt, stop, rejected in zip(
+        runs, *eig, maps, noise, histories, final, stops, backtracks
     ):
-        w_sigma, v_sigma, root = spectra[key]
-        b = root @ bt
-        gen = matched_generator(sigma, b)
         ortho = float(np.linalg.norm(bt.T @ bt - np.eye(r)))
         perm, align = _greedy_eigvec_match(b, v_sigma)
         sq_norms = np.sum(b * b, axis=0)
@@ -521,7 +599,7 @@ def optimize_generators(
             stop=stop,
             backtracks=rejected,
         )
-        results.append((gen, report))
+        results.append((LinearGenerator(b, a, sigma), report))
     return results
 
 

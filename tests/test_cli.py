@@ -203,6 +203,24 @@ class TestVerifyTheorems:
         assert err == f"error: config value suites.{key} must be at least 2, got 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "given, message",
+        [
+            ({"r": 7}, "suites.r must be between 1 and suites.d = 6, got 7"),
+            ({"bias_r": 5}, "suites.bias_r must be between 1 and suites.bias_d = 4, got 5"),
+            ({"pca_r": 1},
+             "suites.pca_r must be between 2 and the length of suites.spectrum = 5, got 1"),
+            ({"spectrum": [4.0, -1.0]}, "suites.spectrum[1] must be positive, got -1.0"),
+        ],
+        ids=["r", "bias_r", "pca_r", "spectrum"],
+    )
+    def test_bad_suite_dimension_names_its_key(self, tmp_path, capsys, given, message):
+        config = _write_json(tmp_path / "cfg.json", {"suites": {**SMALL_VERIFY["suites"], **given}})
+        out = tmp_path / "report"
+        assert main(["verify-theorems", "--out", str(out), "--config", config]) == 2
+        assert capsys.readouterr().err == f"error: config value {message}\n"
+        assert not out.exists()
+
     def test_deterministic_and_thread_independent(self, tmp_path):
         config = _write_json(tmp_path / "cfg.json", SMALL_VERIFY)
         outputs = []

@@ -79,27 +79,73 @@ class TestEigSym:
                 v[:, col] = -v[:, col]
         return w, v
 
+    @staticmethod
+    def _sign_rule_cases(rng, d):
+        """Symmetric d x d matrices that test the sign rule's edge cases.
+
+        Random matrices, and axis-aligned ones whose eigenvectors have exact
+        zeros or components near the anchor threshold above their pivots; one
+        couples coordinate 0 so weakly that most eigenvectors lead with a
+        component below _SIGN_EPS; and repeated eigenvalues, whose
+        eigenvectors within the repeated space are LAPACK's choice.
+        """
+        perm = np.eye(d)[rng.permutation(d)]
+        tiny = np.diag(rng.uniform(1.0, 5.0, d))
+        tiny[0, -1] = tiny[-1, 0] = 1e-12 * (d > 1)
+        faint = _random_sym(rng, d).entries.copy()
+        faint[0, 1:] *= 1e-15
+        faint[1:, 0] *= 1e-15
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        repeated = np.repeat(rng.uniform(0.5, 3.0, (d + 1) // 2), 2)[:d]
+        return [
+            _random_sym(rng, d, scale=3.0),
+            SymMatrix(np.diag(rng.uniform(-2.0, 2.0, d))),
+            SymMatrix(perm @ np.diag(-rng.uniform(0.5, 2.0, d)) @ perm.T),
+            SymMatrix(tiny),
+            SymMatrix(faint),
+            SymMatrix((q * repeated) @ q.T),
+            SymMatrix(np.eye(d)),
+            SymMatrix(np.zeros((d, d))),
+        ]
+
     def test_sign_rule_matches_per_column_loop(self):
-        # Random matrices, and axis-aligned ones whose eigenvectors have exact
-        # zeros or components near the anchor threshold above their pivots.
         rng = np.random.default_rng(12)
         for d in range(1, 17):
-            perm = np.eye(d)[rng.permutation(d)]
-            tiny = np.diag(rng.uniform(1.0, 5.0, d))
-            tiny[0, -1] = tiny[-1, 0] = 1e-12 * (d > 1)
-            cases = [
-                _random_sym(rng, d, scale=3.0),
-                SymMatrix(np.diag(rng.uniform(-2.0, 2.0, d))),
-                SymMatrix(perm @ np.diag(-rng.uniform(0.5, 2.0, d)) @ perm.T),
-                SymMatrix(tiny),
-                SymMatrix(np.zeros((d, d))),
-            ]
-            for m in cases:
+            for m in self._sign_rule_cases(rng, d):
                 w, v = eig_sym(m)
                 want_w, want_v = self._loop_sign_rule(m)
                 assert np.array_equal(w, want_w)
                 assert np.array_equal(v, want_v)
                 assert v.flags["C_CONTIGUOUS"]
+
+    def test_stack_equals_one_matrix_calls_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        for d in range(1, 9):
+            cases = self._sign_rule_cases(rng, d) + self._sign_rule_cases(rng, d)
+            stack = np.stack([m.entries for m in cases])
+            w, v = eig_sym(stack)
+            assert w.shape == (len(cases), d) and v.shape == stack.shape
+            for m, got_w, got_v in zip(cases, w, v):
+                want_w, want_v = eig_sym(m)
+                assert np.array_equal(got_w, want_w)
+                assert np.array_equal(got_v, want_v)
+            # a (2, F/2, d, d) stack too, and a plain 2-D array as a SymMatrix
+            w4, v4 = eig_sym(stack.reshape(2, -1, d, d))
+            assert np.array_equal(w4.reshape(w.shape), w)
+            assert np.array_equal(v4.reshape(v.shape), v)
+            assert all(np.array_equal(a, b) for a, b in zip(eig_sym(stack[0]), eig_sym(cases[0])))
+
+    def test_faint_coupling_leads_with_components_below_the_anchor(self):
+        # the case that makes the sign rule skip a component must occur
+        rng = np.random.default_rng(14)
+        m = self._sign_rule_cases(rng, 5)[4]
+        _, v = eig_sym(m)
+        assert np.any((np.abs(v[0]) > 0) & (np.abs(v[0]) <= 1e-12))
+
+    def test_rejects_non_square_shapes(self):
+        for shape in [(3,), (2, 3), (4, 2, 3)]:
+            with pytest.raises(ValueError, match="square"):
+                eig_sym(np.zeros(shape))
 
     def test_returns_named_tuple(self):
         out = eig_sym(SymMatrix(np.eye(3)))
@@ -136,8 +182,29 @@ class TestSpdSqrt:
         assert np.allclose(r.entries, np.diag([1.0, 0.0]), atol=1e-5)
 
     def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveSemidefinite):
+        with pytest.raises(NotPositiveSemidefinite, match="^matrix has eigenvalue -1.0"):
             spd_sqrt(SymMatrix(np.diag([1.0, -1.0])))
+
+    def test_stack_equals_one_matrix_calls_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        cases = [_random_spd(rng, 4) for _ in range(5)]
+        cases += [SymMatrix(np.diag([3.0, 2.0, 0.0, -5e-11])), SymMatrix(np.eye(4))]
+        tol = rng.uniform(1e-10, 1e-9, len(cases))
+        roots = spd_sqrt(np.stack([m.entries for m in cases]), tol)
+        assert isinstance(roots, np.ndarray) and roots.shape == (len(cases), 4, 4)
+        for m, t, got in zip(cases, tol, roots):
+            assert np.array_equal(got, spd_sqrt(m, t).entries)
+        assert np.array_equal(spd_sqrt(np.stack([m.entries for m in cases])), roots)
+
+    def test_stack_names_the_rejected_matrix(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -1e-9]), np.diag([1.0, -2.0])])
+        with pytest.raises(NotPositiveSemidefinite, match="^matrix 1 has eigenvalue -1.0"):
+            spd_sqrt(stack)
+        # a per-matrix tolerance admits matrix 1, and a one-matrix stack names none
+        with pytest.raises(NotPositiveSemidefinite, match="^matrix 2 has eigenvalue -2.0"):
+            spd_sqrt(stack, np.array([0.0, 1e-8, 0.0]))
+        with pytest.raises(NotPositiveSemidefinite, match="^matrix has eigenvalue -2.0"):
+            spd_sqrt(stack[2:])
 
 
 class TestProjectContraction:

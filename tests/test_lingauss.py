@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from disentlab import lingauss
+from disentlab import cli, lingauss
 from disentlab.errors import (
     DegenerateConditional,
     NotPositiveSemidefinite,
@@ -17,6 +17,7 @@ from disentlab.lingauss import (
     LinearGenerator,
     OptimizerConfig,
     bias_decomposition,
+    bias_decompositions,
     cr_frobenius_divergence,
     infogan_objective,
     is_distribution_matched,
@@ -27,7 +28,7 @@ from disentlab.lingauss import (
     posterior,
     rank_r_truncation,
 )
-from disentlab.linalg import SymMatrix, project_contraction, spd_sqrt
+from disentlab.linalg import SymMatrix, eig_sym, project_contraction, spd_sqrt
 
 
 def _random_spd(rng, d, lo=0.3, hi=4.0):
@@ -209,6 +210,109 @@ class TestBiasDecomposition:
         gen = matched_generator(sigma, u)
         with pytest.raises(DegenerateConditional):
             bias_decomposition(gen)
+
+
+def _reference_sqrt(m: SymMatrix) -> np.ndarray:
+    """spd_sqrt's arithmetic on one matrix before it took stacks, without its check."""
+    w, v = eig_sym(m)
+    return SymMatrix((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T).entries
+
+
+def _reference_decomposition(sigma: SymMatrix, b: np.ndarray) -> BiasDecomposition:
+    """bias_decomposition's per-case arithmetic before it was stacked (its value routes)."""
+    r = b.shape[1]
+    w, v = eig_sym(sigma)
+    b_tilde = (v / np.sqrt(w)) @ (v.T @ b)
+    primal = 0.5 * float(np.sum(b_tilde * b_tilde)) - 0.5 * r * (1.0 + LOG_2PI)
+    mean_map = b.T @ ((v / w) @ v.T)
+    s = eig_sym(SymMatrix(np.eye(r) - mean_map @ b)).eigenvalues
+    log_s = np.log(s)
+    mi = -0.5 * float(np.sum(log_s))
+    bias = 0.5 * float(np.sum(s) - r - np.sum(log_s))
+    return BiasDecomposition(mi, 0.5 * r * (1.0 + LOG_2PI), bias, primal)
+
+
+def _reference_bias_identity(seed: int, suites: dict) -> list[tuple]:
+    """The bias_identity suite's rows from the per-case loop the CLI ran before it stacked."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+    d, r = suites["bias_d"], suites["bias_r"]
+    thresholds = cli._VERIFY_THRESHOLDS
+    rows = []
+    for c_idx in range(suites["bias_cases"]):
+        m = rng.standard_normal((d, d))
+        sigma = SymMatrix(m @ m.T + 0.5 * np.eye(d))
+        bt = rng.standard_normal((d, r))
+        bt *= 0.9 / np.linalg.svd(bt, compute_uv=False)[0]
+        dec = _reference_decomposition(sigma, _reference_sqrt(sigma) @ bt)
+        case = f"case{c_idx:03d}"
+        split = dec.mutual_information - dec.latent_entropy - dec.implicit_bias
+        rows.append((case, "decomposition_residual", abs(dec.info_loss - split),
+                     thresholds["decomposition_residual"]))
+        rows.append((case, "bias_negative_part", max(0.0, -dec.implicit_bias),
+                     thresholds["bias_negative_part"]))
+    return rows
+
+
+def _bias_cases(rng, f, d, r):
+    """An (F, d, d) stack of covariances and an (F, d, r) stack of contractions B̃."""
+    m = rng.standard_normal((f, d, d))
+    sigma = m @ m.transpose(0, 2, 1) + 0.5 * np.eye(d)
+    bt = rng.standard_normal((f, d, r))
+    bt *= rng.uniform(0.2, 0.95, (f, 1, 1)) / np.linalg.svd(bt, compute_uv=False)[:, :1, None]
+    return sigma, bt
+
+
+class TestBiasDecompositions:
+    @pytest.mark.parametrize("d, r", [(4, 2), (5, 5), (9, 3)])
+    def test_stack_equals_per_case_calls_bit_for_bit(self, d, r):
+        sigma, bt = _bias_cases(np.random.default_rng(d + r), 12, d, r)
+        decs = bias_decompositions(sigma, bt)
+        assert len(decs) == 12
+        for s, t, dec in zip(sigma, bt, decs):
+            sym = SymMatrix(s)
+            b = spd_sqrt(sym).entries @ t
+            assert dec == bias_decomposition(matched_generator(sym, b))
+            assert dec == _reference_decomposition(sym, _reference_sqrt(sym) @ t)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_cli_rows_equal_the_per_case_loop(self, seed):
+        suites = cli._VERIFY_SUITES
+        rows = list(cli._bias_identity(seed, suites, {}, cli._VERIFY_THRESHOLDS, []))
+        assert len(rows) == 2 * suites["bias_cases"]
+        assert rows == _reference_bias_identity(seed, suites)
+
+    def test_failed_checks_name_their_case(self):
+        sigma, bt = _bias_cases(np.random.default_rng(3), 4, 3, 2)
+        over = bt.copy()
+        over[2] *= 1.5 / np.linalg.svd(over[2], compute_uv=False)[0]  # B Bᵀ ⋠ Σ
+        with pytest.raises(NotPositiveSemidefinite, match=r"^matrix 2 has eigenvalue -"):
+            bias_decompositions(sigma, over)
+        edge = bt.copy()
+        edge[1] = np.eye(3)[:, :2]  # semi-orthonormal: S is singular
+        with pytest.raises(DegenerateConditional, match=r"^case 1: conditional covariance"):
+            bias_decompositions(sigma, edge)
+        flat = sigma.copy()
+        flat[3] = np.diag([1.0, 1.0, 0.0])
+        with pytest.raises(SingularCovariance, match=r"^case 3: target covariance"):
+            bias_decompositions(flat, bt)
+        with pytest.raises(DegenerateConditional, match=r"^conditional covariance"):
+            bias_decompositions(sigma[1:2], edge[1:2])
+
+    def test_shapes_are_checked(self):
+        sigma, bt = _bias_cases(np.random.default_rng(4), 2, 3, 2)
+        wide = np.ones((2, 3, 4))
+        for s, t in [(sigma[0], bt[0]), (sigma, bt[:1]), (sigma[:, :2], bt), (sigma, wide)]:
+            with pytest.raises(ValueError, match=r"\(F, d, d\) and \(F, d, r\) stacks"):
+                bias_decompositions(s, t)
+
+    def test_noise_maps_equal_per_pair_calls_bit_for_bit(self):
+        sigma, bt = _bias_cases(np.random.default_rng(5), 6, 4, 3)
+        bt[::2] /= np.linalg.svd(bt[::2], compute_uv=False)[:, :1, None]  # on the boundary
+        b = np.stack([spd_sqrt(SymMatrix(s)).entries @ t for s, t in zip(sigma, bt)])
+        noise = lingauss._noise_maps(sigma, b)
+        for s, bb, a in zip(sigma, b, noise):
+            assert np.array_equal(a, matched_generator(SymMatrix(s), bb).A)
+            assert np.array_equal(a, _reference_sqrt(SymMatrix(s - bb @ bb.T)))
 
 
 class TestPairedCovariance:
@@ -545,6 +649,7 @@ class TestOptimizeGenerators:
                 gen, rep = optimize_generator(sigma, 2, cfg)
                 b, history, stop, backtracks = _reference_ascent(sigma, 2, cfg)
                 assert np.array_equal(gen.B, b)
+                assert np.array_equal(gen.A, _reference_sqrt(SymMatrix(sigma.entries - b @ b.T)))
                 assert rep.history == history
                 assert (rep.stop, rep.backtracks) == (stop, backtracks)
 

@@ -36,6 +36,18 @@ KEPT = {
         "the one-run case of optimize_generators, called by name by the README quick start, "
         "the tests and the traced benchmark run"
     ),
+    "bias_decomposition": (
+        "the one-case call of bias_decompositions, called by name by acceptance criterion 04 "
+        "and the traced benchmark run"
+    ),
+    "matched_generator": (
+        "the one-pair case of the stacked noise maps; noisy_linear_pool and the tests build "
+        "generators with it"
+    ),
+    "infogan_objective": (
+        "the one-case call of the stacked objective cross-check; its tests check the bound "
+        "at the semi-orthonormal optimum, where bias_decomposition raises"
+    ),
 }
 
 
