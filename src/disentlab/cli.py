@@ -527,6 +527,11 @@ def cmd_metrics(args) -> tuple[int, dict[str, bytes]]:
             ds = FactorDataset.load(data_dir)
         except (OSError, ValueError, IndexError) as exc:
             raise CliError(f"could not load dataset from {data_dir}: {exc}") from None
+        if ds.sample_dim != gen.d:
+            raise CliError(
+                f"--data {data_dir} holds samples of width {ds.sample_dim}, "
+                f"but the model has d = {gen.d}"
+            )
 
     reports = []
     for name in names:

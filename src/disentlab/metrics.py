@@ -1,15 +1,15 @@
-"""Disentanglement metrics over encoded factor datasets.
+"""Disentanglement metrics of linear encoders.
 
-The vote-based factor metric, Lasso-importance disentanglement (DCI) and the
-kernel independence score dHSIC all operate on plain arrays plus a small
-Encoder interface, so closed-form linear models and table fixtures exercise
-the same code paths. One Spearman kernel over columns of fractional ranks
-serves spearman_rho, UDR-Spearman and the rank-correlation analysis, and one
-Lasso solver (lasso.py) serves DCI and UDR-Lasso.
+The vote-based factor metric scores a LinearEncoder against groups drawn
+from a linear generator, forming its codes from the latent draws.
+Lasso-importance disentanglement (DCI) and the kernel independence score
+dHSIC work on plain arrays: the encoder's codes of a factor dataset. One
+Spearman kernel over columns of fractional ranks serves spearman_rho,
+UDR-Spearman and the rank-correlation analysis, and one Lasso solver
+(lasso.py) serves DCI and UDR-Lasso.
 """
 from __future__ import annotations
 
-import hashlib
 import io
 import math
 import warnings
@@ -109,20 +109,8 @@ def _read_matrix_csv(path: Path) -> np.ndarray:
     return np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2, comments=None)
 
 
-class Encoder:
-    """Deterministic map from sample vectors to code vectors."""
-
-    @property
-    def code_dim(self) -> int:
-        raise NotImplementedError
-
-    def encode(self, x: np.ndarray) -> np.ndarray:
-        """Encode a batch of samples, one row per sample."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class LinearEncoder(Encoder):
+class LinearEncoder:
     """Codes are weight @ sample; rows of weight define the code dimensions."""
 
     weight: np.ndarray  # (k, p)
@@ -146,108 +134,17 @@ class LinearEncoder(Encoder):
         return np.asarray(x, dtype=float) @ self.weight.T
 
 
-@dataclass(frozen=True)
-class FunctionEncoder(Encoder):
-    """Wraps an arbitrary batch map, e.g. a table lookup over test fixtures."""
-
-    fn: object  # callable (n, p) -> (n, k)
-    dim: int
-
-    @property
-    def code_dim(self) -> int:
-        return self.dim
-
-    def encode(self, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-        if out.ndim != 2 or out.shape[1] != self.dim:
-            raise ValueError(f"encoder map returned shape {out.shape}, expected (n, {self.dim})")
-        return out
-
-
-@dataclass(frozen=True)
-class PseudoNoiseEncoder(Encoder):
-    """Codes that depend on the sample bytes only through a hash.
-
-    Deterministic across runs yet statistically unrelated to any factor: the
-    chance-level fixture for vote-based metrics.
-    """
-
-    dim: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 1 <= self.dim <= 8:
-            raise ValueError(f"code dimension must be in 1..8, got {self.dim}")
-
-    @property
-    def code_dim(self) -> int:
-        return self.dim
-
-    def encode(self, x: np.ndarray) -> np.ndarray:
-        x = np.ascontiguousarray(np.asarray(x, dtype=float))
-        key = str(self.seed).encode()
-        out = np.empty((x.shape[0], self.dim))
-        for i in range(x.shape[0]):
-            digest = hashlib.blake2b(
-                x[i].tobytes(), digest_size=8 * self.dim, key=key
-            ).digest()
-            out[i] = np.frombuffer(digest, dtype="<u8") / 2.0**64
-        return out
-
-
-@dataclass(frozen=True)
-class TransformedEncoder(Encoder):
-    """Base encoder with its codes permuted and rescaled."""
-
-    base: Encoder
-    permutation: tuple[int, ...]
-    scales: tuple[float, ...]
-
-    def __post_init__(self):
-        k = self.base.code_dim
-        if sorted(self.permutation) != list(range(k)):
-            raise ValueError(f"permutation must rearrange 0..{k - 1}")
-        if len(self.scales) != k:
-            raise ValueError(f"expected {k} scales, got {len(self.scales)}")
-
-    @property
-    def code_dim(self) -> int:
-        return self.base.code_dim
-
-    def encode(self, x: np.ndarray) -> np.ndarray:
-        codes = self.base.encode(x)
-        return codes[:, self.permutation] * np.asarray(self.scales)
-
-
 # ---------------------------------------------------------------------------
-# group samplers for the vote-based metric
-
-
-class GroupSampler:
-    """Sampling interface producing reference batches and fixed-factor groups."""
-
-    @property
-    def n_factors(self) -> int:
-        raise NotImplementedError
-
-    def sample_reference(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n unconstrained samples, one row each."""
-        raise NotImplementedError
-
-    def sample_groups(
-        self, factor: int, groups: int, size: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """(groups, size, p) samples; each group shares one value of the factor.
-
-        The random stream is consumed group by group, so the result equals
-        that many successive single-group draws from the same generator.
-        """
-        raise NotImplementedError
+# group sampler for the vote-based metric
 
 
 @dataclass(frozen=True)
-class GeneratorSampler(GroupSampler):
-    """Groups drawn from a linear generator, its latent codes as ground truth."""
+class GeneratorSampler:
+    """Groups drawn from a linear generator, its latent codes as ground truth.
+
+    factorvae_metric forms its codes from the latent draws and calls none of
+    the sampling methods; they draw the samples of the same random stream.
+    """
 
     gen: LinearGenerator
 
@@ -256,49 +153,23 @@ class GeneratorSampler(GroupSampler):
         return self.gen.r
 
     def sample_reference(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n unconstrained samples, one row each."""
         c, z = _latent_reference(self.gen.r, self.gen.d, n, rng)
         return c @ self.gen.B.T + z @ self.gen.A.T
 
     def sample_groups(
         self, factor: int, groups: int, size: int, rng: np.random.Generator
     ) -> np.ndarray:
+        """(groups, size, d) samples; each group shares one value of the factor.
+
+        The random stream is consumed group by group, so the result equals
+        that many successive single-group draws from the same generator.
+        """
         r, d = self.gen.r, self.gen.d
         c, fixed, z = next(_latent_groups(r, d, groups, size, rng))
         c[:, :, factor] = fixed[:, None]
         x = c.reshape(-1, r) @ self.gen.B.T + z.reshape(-1, d) @ self.gen.A.T
         return x.reshape(groups, size, d)
-
-    def sample_group(self, factor: int, size: int, rng: np.random.Generator) -> np.ndarray:
-        return self.sample_groups(factor, 1, size, rng)[0]
-
-
-@dataclass(frozen=True)
-class SyntheticFactorSampler(GroupSampler):
-    """Uniform factors on [-1, 1] pushed through an arbitrary map (default: identity)."""
-
-    k: int
-    transform: object = None  # callable (n, k) -> (n, p)
-
-    @property
-    def n_factors(self) -> int:
-        return self.k
-
-    def _push(self, f: np.ndarray) -> np.ndarray:
-        if self.transform is None:
-            return f
-        return np.asarray(self.transform(f), dtype=float)
-
-    def sample_reference(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self._push(rng.uniform(-1.0, 1.0, size=(n, self.k)))
-
-    def sample_groups(
-        self, factor: int, groups: int, size: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        # Per group the stream holds the factors, then the fixed-factor value.
-        draw = rng.uniform(-1.0, 1.0, size=(groups, size * self.k + 1))
-        f = draw[:, : size * self.k].reshape(groups * size, self.k)
-        f[:, factor] = np.repeat(draw[:, size * self.k], size)
-        return self._push(f).reshape(groups, size, -1)
 
     def sample_group(self, factor: int, size: int, rng: np.random.Generator) -> np.ndarray:
         return self.sample_groups(factor, 1, size, rng)[0]
@@ -341,7 +212,7 @@ class FactorVaeConfig:
 
 
 def factorvae_metric(
-    sampler: GroupSampler, enc: Encoder, cfg: FactorVaeConfig
+    sampler: GeneratorSampler, enc: LinearEncoder, cfg: FactorVaeConfig
 ) -> MetricReport:
     """Majority-vote factor classification accuracy from argmin-variance votes.
 
@@ -352,25 +223,28 @@ def factorvae_metric(
     is that classifier's accuracy. Dimensions whose reference variance falls
     below the floor are excluded from voting.
 
-    Groups are drawn, encoded and reduced one factor at a time. A linear
-    encoder of a generator's samples forms its codes straight from the latent
-    draws (_linear_group_variances); any other pair goes through
-    sample_groups and encode. Both routes consume the same random stream and
-    differ only in rounding, so their votes differ only where two normalized
-    variances agree to about 1e-15. At G = S = 100, r = 12, d = 16 and
-    10,000 reference samples a linear-route call peaks at about 4 MiB of
-    allocations: one (G, S·(r+d)+1) draw buffer and two (G, S, k) code
+    The codes weight·(B c + A z) are formed straight from the latent draws,
+    through the k×r map W·B and the k×d map W·A, without forming samples.
+    The draws are the stream of sampler.sample_reference, then of
+    sampler.sample_groups for one factor at a time. Within a group the fixed
+    factor adds the same amount to every code, so its column of W·B is
+    zeroed: the variance is unchanged and the group mean stays near zero,
+    which makes the one-pass variance E[x²] - E[x]² safe. At G = S = 100,
+    r = 12, d = 16 and 10,000 reference samples a call peaks at about 4 MiB
+    of allocations: one (G, S·(r+d)+1) draw buffer and two (G, S, k) code
     buffers, reused by every factor.
     """
-    k_hat = sampler.n_factors
-    k = enc.code_dim
-    if k < k_hat:
-        raise ValueError(f"encoder has {k} codes but {k_hat} factors need votes")
+    gen, weight = sampler.gen, enc.weight
+    r, d, k = gen.r, gen.d, enc.code_dim
+    if k < r:
+        raise ValueError(f"encoder has {k} codes but {r} factors need votes")
     rng = np.random.default_rng(cfg.seed)
-    if isinstance(sampler, GeneratorSampler) and isinstance(enc, LinearEncoder):
-        ref_codes, variances = _linear_group_variances(sampler.gen, enc.weight, cfg, rng)
-    else:
-        ref_codes, variances = _encoded_group_variances(sampler, enc, cfg, rng)
+    wb = weight @ gen.B
+    wa_t = np.ascontiguousarray((weight @ gen.A).T)
+    c, z = _latent_reference(r, d, cfg.reference_samples, rng)
+    ref_codes = c @ wb.T
+    ref_codes += z @ wa_t
+    del c, z  # the reference draw is freed before the variance and the group buffers
     ref_var = ref_codes.var(axis=0)
     del ref_codes
     active = ref_var >= cfg.variance_floor
@@ -378,71 +252,30 @@ def factorvae_metric(
         raise DegenerateEncoder(
             f"all {k} code dimensions fall below the variance floor {cfg.variance_floor}"
         )
-    # (k_hat, groups, k) normalized variances; inactive codes never win the argmin.
-    ratio = np.full((k_hat, cfg.groups_per_factor, k), np.inf)
-    for factor, var in enumerate(variances):
+    groups, size = cfg.groups_per_factor, cfg.group_size
+    # (r, groups, k) normalized variances; inactive codes never win the argmin.
+    ratio = np.full((r, groups, k), np.inf)
+    codes = np.empty((groups, size, k))
+    part = np.empty_like(codes)
+    ones = np.ones((1, size))
+    for factor, (c, _, z) in enumerate(_latent_groups(r, d, groups, size, rng)):
+        wb_t = wb.T.copy()
+        wb_t[factor] = 0.0
+        np.matmul(c, wb_t, out=codes)
+        codes += np.matmul(z, wa_t, out=part)
+        # matmul and einsum reduce the middle axis several times faster than .sum(axis=1)
+        mean = np.matmul(ones, codes)[:, 0] / size
+        var = np.einsum("gsk,gsk->gk", codes, codes) / size - mean * mean
         np.divide(var, ref_var, out=ratio[factor], where=active)
-    choice = ratio.argmin(axis=2) + k * np.arange(k_hat)[:, None]
-    votes = np.bincount(choice.ravel(), minlength=k * k_hat).reshape(k_hat, k).T.astype(float)
+    choice = ratio.argmin(axis=2) + k * np.arange(r)[:, None]
+    votes = np.bincount(choice.ravel(), minlength=k * r).reshape(r, k).T.astype(float)
     score = float(votes.max(axis=1).sum() / votes.sum())
-    per_factor = np.bincount(votes.argmax(axis=1), weights=votes.max(axis=1), minlength=k_hat)
+    per_factor = np.bincount(votes.argmax(axis=1), weights=votes.max(axis=1), minlength=r)
     detail = tuple(
         (f"factor_{i}_accuracy", float(per_factor[i] / cfg.groups_per_factor))
-        for i in range(k_hat)
+        for i in range(r)
     )
     return MetricReport("factorvae", score, detail, votes)
-
-
-def _encoded_group_variances(
-    sampler: GroupSampler, enc: Encoder, cfg: FactorVaeConfig, rng: np.random.Generator
-):
-    """Reference codes now; then, lazily, each factor's (groups, k) code variances."""
-    ref_codes = enc.encode(sampler.sample_reference(cfg.reference_samples, rng))
-    groups, size = cfg.groups_per_factor, cfg.group_size
-
-    def variances():
-        for factor in range(sampler.n_factors):
-            stack = sampler.sample_groups(factor, groups, size, rng)
-            codes = enc.encode(stack.reshape(groups * size, -1))
-            yield codes.reshape(groups, size, -1).var(axis=1)
-
-    return ref_codes, variances()
-
-
-def _linear_group_variances(
-    gen: LinearGenerator, weight: np.ndarray, cfg: FactorVaeConfig, rng: np.random.Generator
-):
-    """_encoded_group_variances for codes weight·(B c + A z), without forming samples.
-
-    The codes come from the latent draws through the k×r map W·B and the k×d
-    map W·A. Within a group the fixed factor adds the same amount to every
-    code, so its column of W·B is zeroed: the variance is unchanged and the
-    group mean stays near zero, which makes the one-pass variance
-    E[x²] - E[x]² safe. The draws come from _latent_reference and
-    _latent_groups.
-    """
-    r, d = gen.r, gen.d
-    wb = weight @ gen.B
-    wa_t = np.ascontiguousarray((weight @ gen.A).T)
-    c, z = _latent_reference(r, d, cfg.reference_samples, rng)
-    ref_codes = c @ wb.T
-    ref_codes += z @ wa_t
-    groups, size = cfg.groups_per_factor, cfg.group_size
-
-    def variances():
-        codes = np.empty((groups, size, weight.shape[0]))
-        part = np.empty_like(codes)
-        ones = np.ones((1, size))
-        for factor, (c, _, z) in enumerate(_latent_groups(r, d, groups, size, rng)):
-            wb_t = wb.T.copy()
-            wb_t[factor] = 0.0
-            np.matmul(c, wb_t, out=codes)
-            codes += np.matmul(z, wa_t, out=part)
-            # matmul and einsum reduce the middle axis several times faster than .sum(axis=1)
-            mean = np.matmul(ones, codes)[:, 0] / size
-            yield np.einsum("gsk,gsk->gk", codes, codes) / size - mean * mean
-
-    return ref_codes, variances()
 
 
 def _latent_reference(r: int, d: int, n: int, rng: np.random.Generator):
@@ -484,7 +317,7 @@ def _standardize_columns(m: np.ndarray) -> np.ndarray:
 
 
 def dci_disentanglement(
-    ds: FactorDataset, enc: Encoder, lasso_lambda: float = LASSO_LAMBDA
+    ds: FactorDataset, enc: LinearEncoder, lasso_lambda: float = LASSO_LAMBDA
 ) -> MetricReport:
     """Disentanglement from Lasso relevance: D_i = 1 - H(W_i), H in base k̂.
 

@@ -24,7 +24,6 @@ from .linalg import SymMatrix, eig_sym
 from .lingauss import LinearGenerator, matched_generator, posterior
 from .metrics import (
     LASSO_LAMBDA,
-    Encoder,
     FactorVaeConfig,
     GeneratorSampler,
     LinearEncoder,
@@ -42,7 +41,7 @@ UDR_VARIANTS = ("lasso", "spearman")
 class ModelPool:
     """(generator, encoder, label) triples sharing one code and one sample dimension."""
 
-    entries: tuple[tuple[LinearGenerator, Encoder, str], ...]
+    entries: tuple[tuple[LinearGenerator, LinearEncoder, str], ...]
 
     def __post_init__(self):
         entries = tuple((g, e, str(label)) for g, e, label in self.entries)
@@ -67,7 +66,7 @@ class ModelPool:
     def generator(self, i: int) -> LinearGenerator:
         return self.entries[i][0]
 
-    def encoder(self, i: int) -> Encoder:
+    def encoder(self, i: int) -> LinearEncoder:
         return self.entries[i][1]
 
 
@@ -103,7 +102,7 @@ class SelectionReport:
         return int(np.argmax(self.scores))
 
 
-def cross_score(enc: Encoder, gen: LinearGenerator, cfg: FactorVaeConfig) -> float:
+def cross_score(enc: LinearEncoder, gen: LinearGenerator, cfg: FactorVaeConfig) -> float:
     """Vote-metric score of encoder enc against groups generated by gen.
 
     The generator's own latent codes act as ground-truth factors, so the value
@@ -139,7 +138,9 @@ def model_centrality(
             a[i, j] = metric(pool.encoder(i), pool.generator(j), pair_cfg)
 
     # The calling thread takes one share itself: at threads=1 no worker
-    # starts, and the work stays on the thread that receives signals.
+    # starts, and the work stays on the thread that receives signals. No
+    # more shares are made than there are pairs.
+    threads = min(threads, len(pairs))
     with ThreadPoolExecutor(max_workers=threads) as executor:
         shares = [executor.submit(fill, pairs[t::threads]) for t in range(1, threads)]
         fill(pairs[::threads])
@@ -254,8 +255,8 @@ def _pool_relevance(
 
 
 def udr_relevance(
-    q_i: Encoder,
-    q_j: Encoder,
+    q_i: LinearEncoder,
+    q_j: LinearEncoder,
     samples: np.ndarray,
     variant: str = "lasso",
     lasso_lambda: float = LASSO_LAMBDA,

@@ -24,6 +24,7 @@ from disentlab.datasets import CircularSpec, gen_circular_dsprites
 from disentlab.linalg import SymMatrix, spd_sqrt
 from disentlab.lingauss import (
     LOG_2PI,
+    LinearGenerator,
     OptimizerConfig,
     bias_decomposition,
     matched_generator,
@@ -33,10 +34,8 @@ from disentlab.lingauss import (
 )
 from disentlab.metrics import (
     FactorVaeConfig,
+    GeneratorSampler,
     LinearEncoder,
-    PseudoNoiseEncoder,
-    SyntheticFactorSampler,
-    TransformedEncoder,
     dhsic,
     factorvae_metric,
     spearman_rho,
@@ -210,20 +209,25 @@ def test_criterion_04_information_decomposition():
 
 
 def test_criterion_05_factorvae_metric_sanity():
-    sampler = SyntheticFactorSampler(4)
-    base = LinearEncoder(np.eye(4))
-    perfect = factorvae_metric(sampler, base, FactorVaeConfig(seed=0)).score
-    chance = factorvae_metric(
-        SyntheticFactorSampler(5), PseudoNoiseEncoder(dim=5, seed=0), FactorVaeConfig(seed=0)
-    ).score
+    # x = B c + A z with B = diag(√λ) on the first 5 of 8 coordinates and A on
+    # the other 3, so sample coordinate i < 5 is √λᵢ·cᵢ and the rest is noise
+    lam = 0.8 ** np.arange(8)
+    b, a = np.zeros((8, 5)), np.zeros((8, 8))
+    b[np.arange(5), np.arange(5)] = np.sqrt(lam[:5])
+    a[np.arange(5, 8), np.arange(5, 8)] = np.sqrt(lam[5:])
+    sampler = GeneratorSampler(LinearGenerator(b, a, SymMatrix(np.diag(lam))))
+    base = np.eye(5, 8) / np.sqrt(lam[:5, None])  # code i reads x_i/√λ_i = c_i
+    perfect = factorvae_metric(sampler, LinearEncoder(base), FactorVaeConfig(seed=0)).score
+    # rows over the noise coordinates: W·B = 0, so the codes carry only noise
+    noise = np.zeros((5, 8))
+    noise[:, 5:] = np.random.default_rng(0).standard_normal((5, 3))
+    chance = factorvae_metric(sampler, LinearEncoder(noise), FactorVaeConfig(seed=0)).score
     rng = np.random.default_rng(5)
     transform_scores = []
     for _ in range(20):
-        enc = TransformedEncoder(
-            base,
-            permutation=tuple(rng.permutation(4)),
-            scales=tuple(rng.uniform(0.1, 10.0, 4)),
-        )
+        perm = rng.permutation(5)
+        scales = rng.uniform(0.1, 10.0, 5)
+        enc = LinearEncoder(scales[:, None] * base[perm])  # diag(s)·P·W
         transform_scores.append(factorvae_metric(sampler, enc, FactorVaeConfig(seed=0)).score)
     invariant = all(score == 1.0 for score in transform_scores)
     ok = perfect == 1.0 and chance <= 0.3 and invariant

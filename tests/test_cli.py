@@ -474,6 +474,23 @@ class TestMetrics:
         assert "factorvae more than once" in capsys.readouterr().err
         assert not (out / "factorvae.csv").exists()
 
+    def test_data_width_must_match_the_model(self, model_dir, tmp_path, capsys):
+        # the d = 3 model against a d = 4 dataset, with factorvae listed first
+        model = tmp_path / "wide"
+        assert main(["optimize", "--r", "2", "--sigma-diag", "9,4,1,0.5",
+                     "--out", str(model)]) == 0
+        data = tmp_path / "data4"
+        assert main(["gen-data", "--linear-gaussian", "--model", str(model / "model.json"),
+                     "--n", "50", "--out", str(data)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "met"
+        args = ["metrics", "--model", str(model_dir / "model.json"), "--data", str(data),
+                "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --data {data} holds samples of width 4, but the model has d = 3"]
+        assert not out.exists()
+
     def test_missing_data_dir_exits_2(self, model_dir, tmp_path):
         args = ["metrics", "--model", str(model_dir / "model.json"),
                 "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "met")]

@@ -18,15 +18,10 @@ from disentlab.metrics import (
     _latent_groups,
     _median_pair_distance,
     _standardize_columns,
-    Encoder,
     FactorDataset,
     FactorVaeConfig,
-    FunctionEncoder,
     GeneratorSampler,
     LinearEncoder,
-    PseudoNoiseEncoder,
-    SyntheticFactorSampler,
-    TransformedEncoder,
     dci_disentanglement,
     dhsic,
     factorvae_metric,
@@ -65,10 +60,6 @@ def _dense_median(v: np.ndarray) -> float:
 
 
 SMALL_CFG = FactorVaeConfig(groups_per_factor=40, group_size=25, reference_samples=2000, seed=0)
-
-
-def _identity_sampler(k: int) -> SyntheticFactorSampler:
-    return SyntheticFactorSampler(k=k)
 
 
 class TestFactorDataset:
@@ -123,50 +114,8 @@ class TestEncoders:
         expected = gen.B.T @ np.linalg.inv(np.asarray(sigma))
         assert enc.weight == pytest.approx(expected, abs=1e-12)
 
-    def test_function_encoder_checks_shape(self):
-        enc = FunctionEncoder(lambda x: x[:, :1], dim=2)
-        with pytest.raises(ValueError):
-            enc.encode(np.zeros((3, 3)))
-
-    def test_pseudo_noise_deterministic_and_seeded(self):
-        x = np.random.default_rng(1).standard_normal((10, 3))
-        enc = PseudoNoiseEncoder(dim=4, seed=7)
-        a = enc.encode(x)
-        b = enc.encode(x)
-        assert np.array_equal(a, b)
-        assert a.shape == (10, 4)
-        assert np.all((a >= 0.0) & (a < 1.0))
-        other = PseudoNoiseEncoder(dim=4, seed=8).encode(x)
-        assert not np.array_equal(a, other)
-
-    def test_pseudo_noise_dim_bounds(self):
-        with pytest.raises(ValueError):
-            PseudoNoiseEncoder(dim=9)
-
-    def test_transformed_encoder(self):
-        base = LinearEncoder(np.eye(3))
-        enc = TransformedEncoder(base, permutation=(2, 0, 1), scales=(2.0, 1.0, 3.0))
-        out = enc.encode(np.array([[1.0, 2.0, 3.0]]))
-        assert np.array_equal(out, np.array([[6.0, 1.0, 6.0]]))
-
-    def test_transformed_encoder_validation(self):
-        base = LinearEncoder(np.eye(2))
-        with pytest.raises(ValueError):
-            TransformedEncoder(base, permutation=(0, 0), scales=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            TransformedEncoder(base, permutation=(1, 0), scales=(1.0,))
-
 
 class TestSamplers:
-    def test_synthetic_group_fixes_exactly_one_factor(self):
-        sampler = _identity_sampler(4)
-        rng = np.random.default_rng(0)
-        group = sampler.sample_group(2, 50, rng)
-        assert group.shape == (50, 4)
-        assert np.ptp(group[:, 2]) == 0.0
-        for j in (0, 1, 3):
-            assert np.ptp(group[:, j]) > 0.0
-
     def test_generator_sampler_moments(self):
         sigma = SymMatrix(np.diag([4.0, 1.0, 0.25]))
         gen, _ = optimize_generator(sigma, 2, OptimizerConfig(objective="cr_frobenius", seed=0))
@@ -194,17 +143,8 @@ def _linear_generator(seed: int = 0):
     return gen
 
 
-def _tanh_mix(f: np.ndarray) -> np.ndarray:
-    mix = np.array([[1.0, 0.3, -0.2, 0.5], [0.1, -1.0, 0.4, 0.2], [0.6, 0.2, 1.0, -0.3]])
-    return np.tanh(f) @ mix + 0.1 * f[:, :1] ** 3
-
-
 class TestBatchedGroups:
-    @pytest.mark.parametrize(
-        "sampler",
-        [GeneratorSampler(_linear_generator()), SyntheticFactorSampler(3, _tanh_mix)],
-        ids=["generator", "synthetic"],
-    )
+    @pytest.mark.parametrize("sampler", [GeneratorSampler(_linear_generator())], ids=["generator"])
     @pytest.mark.parametrize("groups,size", [(1, 5), (7, 3), (12, 35)])
     def test_sample_groups_equals_successive_single_groups(self, sampler, groups, size):
         batch = sampler.sample_groups(1, groups, size, np.random.default_rng(11))
@@ -222,15 +162,6 @@ class TestBatchedGroups:
             c[:, 2] = rng.standard_normal()
             z = rng.standard_normal((9, gen.d))
             assert np.array_equal(group, c @ gen.B.T + z @ gen.A.T)
-
-    def test_synthetic_groups_follow_per_group_stream_order(self):
-        sampler = SyntheticFactorSampler(3, _tanh_mix)
-        batch = sampler.sample_groups(0, 6, 9, np.random.default_rng(4))
-        rng = np.random.default_rng(4)
-        for group in batch:
-            f = rng.uniform(-1.0, 1.0, size=(9, 3))
-            f[:, 0] = rng.uniform(-1.0, 1.0)
-            assert np.array_equal(group, _tanh_mix(f))
 
 
 def _reference_votes(sampler, enc, cfg: FactorVaeConfig) -> np.ndarray:
@@ -261,18 +192,11 @@ class TestFactorVaeMetricOracle:
         # the noisy encoder must split its votes, or the comparison is trivial
         assert np.count_nonzero(report.matrix) > gen.r
 
-    def test_nonlinear_synthetic_votes_match_per_group_loop(self):
-        sampler = SyntheticFactorSampler(3, _tanh_mix)
-        enc = LinearEncoder(np.random.default_rng(5).standard_normal((5, 4)))
-        cfg = FactorVaeConfig(groups_per_factor=25, group_size=10, reference_samples=400, seed=7)
-        report = factorvae_metric(sampler, enc, cfg)
-        assert np.array_equal(report.matrix, _reference_votes(sampler, enc, cfg))
-        assert report.matrix.sum() == 3 * cfg.groups_per_factor
-
     def test_inactive_codes_never_vote(self):
-        weight = np.vstack([np.eye(3), np.zeros((1, 3))])
+        gen = _axis_generator()
+        weight = np.vstack([_perfect_weight(gen), np.zeros((1, gen.d))])
         cfg = FactorVaeConfig(groups_per_factor=20, group_size=10, reference_samples=300, seed=2)
-        sampler, enc = _identity_sampler(3), LinearEncoder(weight)
+        sampler, enc = GeneratorSampler(gen), LinearEncoder(weight)
         report = factorvae_metric(sampler, enc, cfg)
         assert np.array_equal(report.matrix, _reference_votes(sampler, enc, cfg))
         assert not report.matrix[3].any()
@@ -291,6 +215,18 @@ def _axis_generator(lam=(4.0, 2.0, 1.0, 0.5, 0.25), r=3) -> LinearGenerator:
     a = np.zeros((d, d))
     a[np.arange(r, d), np.arange(r, d)] = np.sqrt(lam[r:])
     return LinearGenerator(b, a, SymMatrix(np.diag(lam)))
+
+
+def _perfect_weight(gen: LinearGenerator) -> np.ndarray:
+    """An axis generator's perfect encoder: code i reads x_i/√λ_i = c_i."""
+    return np.eye(gen.r, gen.d) / np.sqrt(np.diag(gen.sigma.entries)[: gen.r, None])
+
+
+def _noise_weight(gen: LinearGenerator, seed: int) -> np.ndarray:
+    """r random rows over an axis generator's noise coordinates: W·B = 0, so codes carry only noise."""
+    w = np.zeros((gen.r, gen.d))
+    w[:, gen.r:] = np.random.default_rng(seed).standard_normal((gen.r, gen.d - gen.r))
+    return w
 
 
 def _oracle_case(name: str, seed: int):
@@ -373,7 +309,8 @@ class TestFactorVaeLinearRoute:
 
 class TestFactorVaeMetric:
     def test_perfect_encoder_scores_one(self):
-        report = factorvae_metric(_identity_sampler(3), LinearEncoder(np.eye(3)), SMALL_CFG)
+        gen = _axis_generator()
+        report = factorvae_metric(GeneratorSampler(gen), LinearEncoder(_perfect_weight(gen)), SMALL_CFG)
         assert report.score == 1.0
         assert report.name == "factorvae"
         assert report.matrix.shape == (3, 3)
@@ -381,34 +318,39 @@ class TestFactorVaeMetric:
         assert dict(report.detail)["factor_0_accuracy"] == 1.0
 
     def test_scale_and_permutation_invariance(self):
-        sampler = _identity_sampler(4)
-        base = LinearEncoder(np.eye(4))
+        gen = _axis_generator(lam=(4.0, 2.0, 1.0, 0.5, 0.25, 0.1), r=4)
+        sampler, perfect = GeneratorSampler(gen), _perfect_weight(gen)
         rng = np.random.default_rng(2)
         for _ in range(5):
-            perm = tuple(rng.permutation(4))
-            scales = tuple(rng.uniform(0.1, 10.0, size=4))
-            enc = TransformedEncoder(base, permutation=perm, scales=scales)
+            perm = rng.permutation(4)
+            scales = rng.uniform(0.1, 10.0, size=4)
+            enc = LinearEncoder(scales[:, None] * perfect[perm])  # diag(s)·P·W
             assert factorvae_metric(sampler, enc, SMALL_CFG).score == 1.0
 
     def test_noise_encoder_near_chance(self):
         cfg = FactorVaeConfig(groups_per_factor=100, group_size=20, reference_samples=2000, seed=1)
-        report = factorvae_metric(_identity_sampler(5), PseudoNoiseEncoder(dim=5, seed=0), cfg)
+        gen = _axis_generator(lam=0.8 ** np.arange(8), r=5)
+        enc = LinearEncoder(_noise_weight(gen, 0))
+        assert not (enc.weight @ gen.B).any()
+        report = factorvae_metric(GeneratorSampler(gen), enc, cfg)
         assert report.score <= 0.3
 
     def test_constant_encoder_degenerate(self):
-        enc = LinearEncoder(np.zeros((3, 3)))
+        gen = _axis_generator()
         with pytest.raises(DegenerateEncoder):
-            factorvae_metric(_identity_sampler(3), enc, SMALL_CFG)
+            factorvae_metric(GeneratorSampler(gen), LinearEncoder(np.zeros((3, gen.d))), SMALL_CFG)
 
     def test_too_few_codes(self):
+        gen = _axis_generator()
         with pytest.raises(ValueError):
-            factorvae_metric(_identity_sampler(3), LinearEncoder(np.eye(2, 3)), SMALL_CFG)
+            factorvae_metric(GeneratorSampler(gen), LinearEncoder(np.eye(2, gen.d)), SMALL_CFG)
 
     def test_deterministic_per_seed(self):
-        enc = PseudoNoiseEncoder(dim=3, seed=4)
+        gen = _axis_generator()
+        sampler, enc = GeneratorSampler(gen), LinearEncoder(_noise_weight(gen, 4))
         cfg = FactorVaeConfig(groups_per_factor=10, group_size=10, reference_samples=200, seed=9)
-        a = factorvae_metric(_identity_sampler(3), enc, cfg)
-        b = factorvae_metric(_identity_sampler(3), enc, cfg)
+        a = factorvae_metric(sampler, enc, cfg)
+        b = factorvae_metric(sampler, enc, cfg)
         assert a.score == b.score
         assert np.array_equal(a.matrix, b.matrix)
 
@@ -433,7 +375,7 @@ class TestDci:
 
     def test_scaled_permuted_encoder_scores_one(self):
         ds = self._dataset(np.random.default_rng(1))
-        enc = TransformedEncoder(LinearEncoder(np.eye(3)), (2, 0, 1), (3.0, 0.5, 4.0))
+        enc = LinearEncoder(np.diag([3.0, 0.5, 4.0]) @ np.eye(3)[[2, 0, 1]])
         assert dci_disentanglement(ds, enc).score == 1.0
 
     def test_mixing_code_near_zero(self):
@@ -1023,12 +965,3 @@ class TestLassoFit:
             lasso_fit(np.zeros((3, 2)), np.zeros(3), -0.1)
         with pytest.raises(ValueError):
             lasso_fit(np.zeros((3, 2)), np.zeros((3, 2, 1)), 0.1)
-
-
-class TestEncoderBase:
-    def test_abstract_surface(self):
-        enc = Encoder()
-        with pytest.raises(NotImplementedError):
-            enc.encode(np.zeros((1, 1)))
-        with pytest.raises(NotImplementedError):
-            enc.code_dim

@@ -20,10 +20,6 @@ PACKAGE = Path(disentlab.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 KEPT = {
-    "FunctionEncoder": "the Encoder adapter for an arbitrary batch map, used to plug fixtures in",
-    "PseudoNoiseEncoder": "acceptance criterion 05's chance-level encoder",
-    "TransformedEncoder": "acceptance criterion 05 checks permutation and scale invariance with it",
-    "SyntheticFactorSampler": "acceptance criterion 05 draws its uniform factors with it",
     "noisy_linear_pool": "acceptance criterion 07 builds its encoder-noise pool with it",
     "read_pgm": "the CLI tests read the written PGMs back with it",
     "udr_relevance": "the traced benchmark run wraps it by name",

@@ -1,6 +1,7 @@
 """Tests for pool-based model selection and rank-correlation analysis."""
 import math
 import sys
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -10,9 +11,7 @@ from disentlab.linalg import SymMatrix
 from disentlab.lingauss import matched_generator, rank_r_truncation
 from disentlab.metrics import (
     FactorVaeConfig,
-    FunctionEncoder,
     LinearEncoder,
-    PseudoNoiseEncoder,
     _standardize_columns,
     spearman_rho,
 )
@@ -206,6 +205,33 @@ class TestModelCentrality:
         b3 = model_centrality(pool, FAST_CFG, threads=3)
         assert np.array_equal(b1, b3)
 
+    def test_workers_capped_at_pair_count(self, monkeypatch):
+        requested = []
+
+        class InlineExecutor:
+            """Runs each submitted share at once on the calling thread; starts no thread."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(selection, "ThreadPoolExecutor", InlineExecutor)
+        pool = noisy_linear_pool(SymMatrix(np.diag([4.0, 1.0, 0.25])), 2, [0.0, 0.3], seed=1)
+        b1 = model_centrality(pool, FAST_CFG, threads=1)
+        many = model_centrality(pool, FAST_CFG, threads=100_000)
+        assert requested == [1, 2]  # a 2-model pool has 2 pairs
+        assert np.array_equal(many, b1)
+
     def test_repeat_runs_identical(self):
         pool = noisy_linear_pool(SymMatrix(np.diag([4.0, 1.0, 0.25])), 2, [0.0, 0.5], seed=2)
         assert np.array_equal(model_centrality(pool, FAST_CFG), model_centrality(pool, FAST_CFG))
@@ -219,10 +245,14 @@ class TestCrossScore:
         assert score >= 0.99
 
     def test_chance_level(self):
-        sigma = SymMatrix(np.diag([9.0, 4.0, 1.0, 0.5, 0.25, 0.1]))
+        sigma = SymMatrix(np.diag([9.0, 4.0, 1.0, 0.5, 0.25, 0.1, 0.05, 0.02]))
         pool = noisy_linear_pool(sigma, 5, [0.0, 0.1], seed=0)
         cfg = FactorVaeConfig(groups_per_factor=100, group_size=20, reference_samples=2000, seed=4)
-        score = cross_score(PseudoNoiseEncoder(dim=5, seed=1), pool.generator(0), cfg)
+        # rows over the three noise coordinates: W·B = 0, so the codes carry only noise
+        weight = np.zeros((5, 8))
+        weight[:, 5:] = np.random.default_rng(1).standard_normal((5, 3))
+        assert not (weight @ pool.generator(0).B).any()
+        score = cross_score(LinearEncoder(weight), pool.generator(0), cfg)
         assert score <= 0.3
 
 
@@ -420,17 +450,16 @@ class TestUdrPairScores:
 
     def test_spearman_matches_scalar_rho(self):
         rng = np.random.default_rng(6)
-        samples = rng.standard_normal((250, 4))
-        w_i = rng.standard_normal((3, 4))
-        w_j = rng.standard_normal((3, 4))
-        # rounding makes ties; the third code of q_i is constant
-        q_i = FunctionEncoder(
-            lambda x: np.column_stack([np.round(x @ w_i[:2].T, 1), np.full(len(x), 2.0)]), 3
-        )
-        q_j = FunctionEncoder(lambda x: np.round(x @ w_j.T, 0), 3)
+        # integer samples and weights make tied codes; q_i's zero row makes a constant code
+        samples = np.round(2.0 * rng.standard_normal((250, 4)))
+        w_i = rng.integers(-3, 4, size=(3, 4)).astype(float)
+        w_i[2] = 0.0
+        w_j = rng.integers(-3, 4, size=(3, 4)).astype(float)
+        q_i, q_j = LinearEncoder(w_i), LinearEncoder(w_j)
         with pytest.warns(UserWarning, match="zero-variance"):
             r = udr_relevance(q_i, q_j, samples, variant="spearman")
         ci, cj = q_i.encode(samples), q_j.encode(samples)
+        assert all(np.unique(codes[:, a]).size < 250 for codes in (ci, cj) for a in range(3))
         for a in range(2):
             for b in range(3):
                 rho = np.corrcoef(_average_ranks(ci[:, a]), _average_ranks(cj[:, b]))[0, 1]
