@@ -67,7 +67,6 @@ from .metrics import (
     LASSO_LAMBDA,
     FactorDataset,
     FactorVaeConfig,
-    GeneratorSampler,
     LinearEncoder,
     MetricReport,
     dci_disentanglement,
@@ -220,8 +219,25 @@ def _defaults(cls, *omit: str) -> dict:
     return {f.name: f.default for f in dataclasses.fields(cls) if f.name not in skip}
 
 
+def _symmetric(m: np.ndarray, source) -> SymMatrix:
+    """m as a SymMatrix, if it is square and symmetric to MATCHED_RTOL; otherwise exit 2.
+
+    SymMatrix itself averages m with mᵀ, which would silently turn a
+    mistyped input into another covariance.
+    """
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise CliError(f"{source} must hold a square matrix, got shape {m.shape}")
+    skew = np.linalg.norm(m - m.T)
+    if skew > MATCHED_RTOL * np.linalg.norm(m):
+        raise CliError(
+            f"{source} holds an asymmetric matrix (‖Σ - Σᵀ‖_F = {skew:.6g}, "
+            f"over {MATCHED_RTOL:g}·‖Σ‖_F)"
+        )
+    return SymMatrix(m)
+
+
 def _load_model(path_str) -> tuple[LinearGenerator, LinearEncoder]:
-    """Generator and encoder of a model file, rejecting non-finite or unmatched models."""
+    """Generator and encoder of a model file; a non-finite, asymmetric or unmatched one exits 2."""
     obj = _load_json(path_str)
     try:
         gen = LinearGenerator.from_dict(obj)
@@ -232,6 +248,8 @@ def _load_model(path_str) -> tuple[LinearGenerator, LinearEncoder]:
     for name, values in entries.items():
         if not np.all(np.isfinite(values)):
             raise CliError(f"{path_str}: {name} holds non-finite entries")
+    _symmetric(np.reshape(np.asarray(obj["sigma"], dtype=float), (gen.d, gen.d)),
+               f"{path_str}: sigma")
     if not is_distribution_matched(gen):
         raise CliError(
             f"{path_str}: BBᵀ + AAᵀ does not match sigma (relative tolerance {MATCHED_RTOL:g})"
@@ -447,7 +465,7 @@ def _read_sigma(args) -> SymMatrix:
             raise CliError(f"{source} must hold a plain numeric matrix") from None
     if not np.all(np.isfinite(m)):
         raise CliError(f"{source} holds non-finite entries")
-    return SymMatrix(m)
+    return _symmetric(m, source)
 
 
 def cmd_optimize(args) -> tuple[int, dict[str, bytes]]:
@@ -536,7 +554,7 @@ def cmd_metrics(args) -> tuple[int, dict[str, bytes]]:
     reports = []
     for name in names:
         if name == "factorvae":
-            report = factorvae_metric(GeneratorSampler(gen), enc, factorvae_cfg)
+            report = factorvae_metric(gen, enc, factorvae_cfg)
         elif name == "dci":
             report = dci_disentanglement(ds, enc, lasso_lambda=dci_cfg["lasso_lambda"])
         else:

@@ -120,30 +120,6 @@ def pgm_bytes(image: np.ndarray) -> bytes:
     return f"P5\n{w} {h}\n255\n".encode("ascii") + image.tobytes()
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM as encoded by pgm_bytes."""
-    data = Path(path).read_bytes()
-    if not data.startswith(b"P5"):
-        raise ValueError(f"{path} is not a binary PGM file")
-    fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(int(data[start:pos]))
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = fields
-    if maxval != 255:
-        raise ValueError(f"expected maxval 255, got {maxval}")
-    raster = data[pos : pos + w * h]
-    if len(raster) != w * h:
-        raise ValueError(f"truncated raster: expected {w * h} bytes, got {len(raster)}")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w)
-
-
 def circular_dataset_files(images: np.ndarray, factors: np.ndarray) -> dict[str, bytes]:
     """One PGM per image plus a factors.csv table, in index order, by file name."""
     width = len(str(len(images) - 1))

@@ -296,13 +296,7 @@ def lasso_gram_fit(
     return out.reshape(p, t, q).transpose(0, 2, 1)
 
 
-def lasso_fit(
-    x: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    max_iters: int = LASSO_MAX_ITERS,
-    tol: float = LASSO_TOL,
-) -> np.ndarray:
+def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """Minimizer of (1/2n)‖y - Xw‖² + λ‖w‖₁: lasso_gram_fit on XᵀX/n and Xᵀy/n.
 
     Columns are used exactly as given — no internal standardization — so the
@@ -315,5 +309,5 @@ def lasso_fit(
         raise ValueError(f"incompatible shapes {x.shape} and {y.shape}")
     n, q = x.shape
     cross = (x.T @ y / n).reshape(1, q, -1)
-    w = lasso_gram_fit((x.T @ x / n)[None], cross, lam, max_iters, tol)[0]
+    w = lasso_gram_fit((x.T @ x / n)[None], cross, lam)[0]
     return w[:, 0] if y.ndim == 1 else w

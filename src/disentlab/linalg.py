@@ -12,7 +12,8 @@ import numpy as np
 from .errors import NotPositiveSemidefinite, NumericFailure
 
 # Eigenvalues in [-PSD_CLAMP_TOL·max(1, ‖sigma‖_F), 0) of sigma - B @ B.T are
-# round-off, clamped to zero by matched_generator; anything lower is an error.
+# round-off, clamped to zero when lingauss forms the noise map A = (Σ - B Bᵀ)^{1/2};
+# anything lower is an error.
 PSD_CLAMP_TOL = 1e-10
 
 # Singular values within a few ulp above 1 count as already contractive, which

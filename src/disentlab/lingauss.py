@@ -198,18 +198,6 @@ def _noise_maps(sigma: np.ndarray, b: np.ndarray) -> np.ndarray:
     return spd_sqrt(residual, tol)
 
 
-def matched_generator(sigma: SymMatrix, b) -> LinearGenerator:
-    """Build the distribution-matched generator for the given code map B.
-
-    The noise map is A = (Σ - B Bᵀ)^{1/2}, which requires B Bᵀ ⪯ Σ up to
-    round-off: the one-pair case of the stacked noise maps.
-    """
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 2:
-        raise ValueError(f"B must be a d x r matrix, got shape {b.shape}")
-    return LinearGenerator(b, _noise_maps(sigma.entries[None], b[None])[0], sigma)
-
-
 def is_distribution_matched(gen: LinearGenerator) -> bool:
     gap = gen.B @ gen.B.T + gen.A @ gen.A.T - gen.sigma.entries
     return bool(np.linalg.norm(gap) <= MATCHED_RTOL * np.linalg.norm(gen.sigma.entries))
@@ -255,19 +243,6 @@ def _objectives(sigma: np.ndarray, eig: Eigendecomposition, b: np.ndarray) -> np
     return primal
 
 
-def infogan_objective(gen: LinearGenerator) -> float:
-    """Recognition-term value of the generator in nats.
-
-    Two closed forms are computed through independent routes and must agree:
-    (1/2)·‖Σ^{-1/2} B‖_F² - (r/2)(1 + log 2π) and
-    -(1/2)·tr(S) - (r/2)·log 2π with S = I - Bᵀ Σ⁻¹ B.
-    Their maximum over B Bᵀ ⪯ Σ is -(r/2)·log 2π, reached exactly at
-    semi-orthonormal B̃ = Σ^{-1/2} B.
-    """
-    sigma = gen.sigma.entries[None]
-    return float(_objectives(sigma, _pd_eig(sigma), gen.B[None])[0])
-
-
 def _decompositions(
     sigma: np.ndarray, eig: Eigendecomposition, b: np.ndarray
 ) -> list[BiasDecomposition]:
@@ -301,7 +276,7 @@ def bias_decompositions(sigma, b_tilde) -> list[BiasDecomposition]:
     objective's cross-check and the posterior; B Bᵀ ⪯ Σ is checked through
     the noise maps, and one eigh covers every S. A failed check names its
     case when the stack holds more than one. Each case comes out bit for bit
-    as the chain bias_decomposition(matched_generator(Σ, spd_sqrt(Σ) @ B̃)).
+    as bias_decomposition of the generator with B = spd_sqrt(Σ) @ B̃.
     """
     sigma = np.asarray(sigma, dtype=float)
     b_tilde = np.asarray(b_tilde, dtype=float)
@@ -324,7 +299,7 @@ def bias_decomposition(gen: LinearGenerator) -> BiasDecomposition:
     mutual_information = -(1/2)·log det S, latent_entropy = (r/2)(1 + log 2π),
     implicit_bias = KL(N(0,S) ‖ N(0,I)) ≥ 0, and
     info_loss = mutual_information - latent_entropy - implicit_bias, which
-    equals infogan_objective(gen).
+    equals the recognition objective (1/2)·‖Σ^{-1/2} B‖_F² - (r/2)(1 + log 2π).
 
     A singular S (the semi-orthonormal optimum) makes the mutual information
     diverge, which raises DegenerateConditional.

@@ -142,15 +142,11 @@ class LinearEncoder:
 class GeneratorSampler:
     """Groups drawn from a linear generator, its latent codes as ground truth.
 
-    factorvae_metric forms its codes from the latent draws and calls none of
-    the sampling methods; they draw the samples of the same random stream.
+    factorvae_metric forms its codes from the latent draws without forming
+    samples; these methods draw the samples of the same random stream.
     """
 
     gen: LinearGenerator
-
-    @property
-    def n_factors(self) -> int:
-        return self.gen.r
 
     def sample_reference(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n unconstrained samples, one row each."""
@@ -212,7 +208,7 @@ class FactorVaeConfig:
 
 
 def factorvae_metric(
-    sampler: GeneratorSampler, enc: LinearEncoder, cfg: FactorVaeConfig
+    gen: LinearGenerator, enc: LinearEncoder, cfg: FactorVaeConfig
 ) -> MetricReport:
     """Majority-vote factor classification accuracy from argmin-variance votes.
 
@@ -225,8 +221,8 @@ def factorvae_metric(
 
     The codes weight·(B c + A z) are formed straight from the latent draws,
     through the k×r map W·B and the k×d map W·A, without forming samples.
-    The draws are the stream of sampler.sample_reference, then of
-    sampler.sample_groups for one factor at a time. Within a group the fixed
+    The draws are the reference batch of _latent_reference, then the groups
+    of _latent_groups for one factor at a time. Within a group the fixed
     factor adds the same amount to every code, so its column of W·B is
     zeroed: the variance is unchanged and the group mean stays near zero,
     which makes the one-pass variance E[x²] - E[x]² safe. At G = S = 100,
@@ -234,7 +230,7 @@ def factorvae_metric(
     of allocations: one (G, S·(r+d)+1) draw buffer and two (G, S, k) code
     buffers, reused by every factor.
     """
-    gen, weight = sampler.gen, enc.weight
+    weight = enc.weight
     r, d, k = gen.r, gen.d, enc.code_dim
     if k < r:
         raise ValueError(f"encoder has {k} codes but {r} factors need votes")

@@ -20,12 +20,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lasso import lasso_gram_fit
-from .linalg import SymMatrix, eig_sym
-from .lingauss import LinearGenerator, matched_generator, posterior
+from .linalg import SymMatrix
+from .lingauss import LinearGenerator
 from .metrics import (
     LASSO_LAMBDA,
     FactorVaeConfig,
-    GeneratorSampler,
     LinearEncoder,
     _fractional_ranks,
     _rank_correlations,
@@ -108,7 +107,7 @@ def cross_score(enc: LinearEncoder, gen: LinearGenerator, cfg: FactorVaeConfig) 
     The generator's own latent codes act as ground-truth factors, so the value
     measures how well enc recovers the code structure of gen.
     """
-    return factorvae_metric(GeneratorSampler(gen), enc, cfg).score
+    return factorvae_metric(gen, enc, cfg).score
 
 
 def _pair_seed(master: int, i: int, j: int) -> int:
@@ -330,36 +329,3 @@ def rank_correlation_analysis(metric_vectors) -> SymMatrix:
     if len(lengths) != 1 or vectors[0].ndim != 1 or vectors[0].size < 2:
         raise ValueError(f"metric vectors must share one length of at least 2, got {lengths}")
     return SymMatrix(_rank_correlations(np.column_stack([_fractional_ranks(v) for v in vectors])))
-
-
-def noisy_linear_pool(
-    sigma: SymMatrix, r: int, noise_levels, seed=0, noise_scale=1.0
-) -> ModelPool:
-    """Pool sharing one exact top-r generator, with encoder noise per model.
-
-    The generator's code map is the closed-form optimum (top-r eigenvectors
-    scaled by their eigenvalues); model m's encoder perturbs the exact
-    posterior-mean map W by noise_level·noise_scale·(‖W‖_F/√W.size)·G with
-    G standard normal under a per-model seed.  At noise_scale=1 a unit level
-    matches the root-mean-square entry of W; majority-vote metrics barely
-    react until the perturbation is a few times that, so pools meant to span
-    a metric's dynamic range should raise noise_scale rather than stretch
-    the level grid.
-    """
-    noise_scale = float(noise_scale)
-    if noise_scale < 0.0:
-        raise ValueError(f"noise_scale must be nonnegative, got {noise_scale}")
-    w, v = eig_sym(sigma)
-    code_map = v[:, :r] * np.sqrt(w[:r])
-    gen = matched_generator(sigma, code_map)
-    base = posterior(gen).mean_map
-    scale = noise_scale * float(np.linalg.norm(base)) / math.sqrt(base.size)
-    entries = []
-    for m, level in enumerate(noise_levels):
-        level = float(level)
-        if level < 0.0:
-            raise ValueError(f"noise levels must be nonnegative, got {level}")
-        noise_rng = np.random.default_rng(np.random.SeedSequence([seed, m]))
-        weight = base + level * scale * noise_rng.standard_normal(base.shape)
-        entries.append((gen, LinearEncoder(weight), f"noise_{level:g}"))
-    return ModelPool(tuple(entries))

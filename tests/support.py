@@ -1,0 +1,63 @@
+"""Builders and readers the tests share, over the package's stacked cores.
+
+The package computes noise maps and objectives on (F, ...) stacks; the
+one-case calls below are what the tests use as fixtures and oracles.
+"""
+import math
+from pathlib import Path
+
+import numpy as np
+
+from disentlab.linalg import SymMatrix, eig_sym
+from disentlab.lingauss import LinearGenerator, _noise_maps, _objectives, _pd_eig, posterior
+from disentlab.metrics import LinearEncoder
+from disentlab.selection import ModelPool
+
+
+def matched_generator(sigma: SymMatrix, b) -> LinearGenerator:
+    """The distribution-matched generator of code map B: A = (Σ - B Bᵀ)^{1/2}, a one-pair stack."""
+    b = np.asarray(b, dtype=float)
+    return LinearGenerator(b, _noise_maps(sigma.entries[None], b[None])[0], sigma)
+
+
+def infogan_objective(gen: LinearGenerator) -> float:
+    """Recognition-term value of the generator in nats, both routes cross-checked.
+
+    (1/2)·‖Σ^{-1/2} B‖_F² - (r/2)(1 + log 2π) and -(1/2)·tr(S) - (r/2)·log 2π
+    with S = I - Bᵀ Σ⁻¹ B; the maximum over B Bᵀ ⪯ Σ is -(r/2)·log 2π, reached
+    at semi-orthonormal B̃ = Σ^{-1/2} B.
+    """
+    sigma = gen.sigma.entries[None]
+    return float(_objectives(sigma, _pd_eig(sigma), gen.B[None])[0])
+
+
+def noisy_linear_pool(sigma: SymMatrix, r: int, noise_levels, seed=0, noise_scale=1.0) -> ModelPool:
+    """Pool sharing one exact top-r generator, with encoder noise per model.
+
+    The generator's code map is the closed-form optimum (top-r eigenvectors
+    scaled by their eigenvalues); model m's encoder perturbs the exact
+    posterior-mean map W by noise_level·noise_scale·(‖W‖_F/√W.size)·G with
+    G standard normal under a per-model seed. At noise_scale=1 a unit level
+    matches the root-mean-square entry of W; majority-vote metrics barely
+    react until the perturbation is a few times that, so pools meant to span
+    a metric's dynamic range should raise noise_scale rather than stretch
+    the level grid.
+    """
+    w, v = eig_sym(sigma)
+    gen = matched_generator(sigma, v[:, :r] * np.sqrt(w[:r]))
+    base = posterior(gen).mean_map
+    scale = float(noise_scale) * float(np.linalg.norm(base)) / math.sqrt(base.size)
+    entries = []
+    for m, level in enumerate(noise_levels):
+        noise_rng = np.random.default_rng(np.random.SeedSequence([seed, m]))
+        weight = base + float(level) * scale * noise_rng.standard_normal(base.shape)
+        entries.append((gen, LinearEncoder(weight), f"noise_{float(level):g}"))
+    return ModelPool(tuple(entries))
+
+
+def read_pgm(path) -> np.ndarray:
+    """A binary PGM in the layout pgm_bytes writes: P5, width height, 255, then the raster."""
+    magic, size, maxval, raster = Path(path).read_bytes().split(b"\n", 3)
+    w, h = (int(v) for v in size.split())
+    assert (magic, maxval, len(raster)) == (b"P5", b"255", w * h), f"{path} is not such a PGM"
+    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w)

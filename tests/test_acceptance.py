@@ -27,25 +27,19 @@ from disentlab.lingauss import (
     LinearGenerator,
     OptimizerConfig,
     bias_decomposition,
-    matched_generator,
     optimize_generator,
     posterior,
     rank_r_truncation,
 )
 from disentlab.metrics import (
     FactorVaeConfig,
-    GeneratorSampler,
     LinearEncoder,
     dhsic,
     factorvae_metric,
     spearman_rho,
 )
-from disentlab.selection import (
-    ModelPool,
-    model_centrality,
-    noisy_linear_pool,
-    subsampled_centrality,
-)
+from disentlab.selection import ModelPool, model_centrality, subsampled_centrality
+from support import matched_generator, noisy_linear_pool
 
 # Hand-checkable similarity table: cross scores A12=A21=0.9, A13=0.8,
 # A31=0.2, A23=0.9, A32=0.7 symmetrize to B12=0.9, B13=0.5, B23=0.8,
@@ -215,20 +209,20 @@ def test_criterion_05_factorvae_metric_sanity():
     b, a = np.zeros((8, 5)), np.zeros((8, 8))
     b[np.arange(5), np.arange(5)] = np.sqrt(lam[:5])
     a[np.arange(5, 8), np.arange(5, 8)] = np.sqrt(lam[5:])
-    sampler = GeneratorSampler(LinearGenerator(b, a, SymMatrix(np.diag(lam))))
+    gen = LinearGenerator(b, a, SymMatrix(np.diag(lam)))
     base = np.eye(5, 8) / np.sqrt(lam[:5, None])  # code i reads x_i/√λ_i = c_i
-    perfect = factorvae_metric(sampler, LinearEncoder(base), FactorVaeConfig(seed=0)).score
+    perfect = factorvae_metric(gen, LinearEncoder(base), FactorVaeConfig(seed=0)).score
     # rows over the noise coordinates: W·B = 0, so the codes carry only noise
     noise = np.zeros((5, 8))
     noise[:, 5:] = np.random.default_rng(0).standard_normal((5, 3))
-    chance = factorvae_metric(sampler, LinearEncoder(noise), FactorVaeConfig(seed=0)).score
+    chance = factorvae_metric(gen, LinearEncoder(noise), FactorVaeConfig(seed=0)).score
     rng = np.random.default_rng(5)
     transform_scores = []
     for _ in range(20):
         perm = rng.permutation(5)
         scales = rng.uniform(0.1, 10.0, 5)
         enc = LinearEncoder(scales[:, None] * base[perm])  # diag(s)·P·W
-        transform_scores.append(factorvae_metric(sampler, enc, FactorVaeConfig(seed=0)).score)
+        transform_scores.append(factorvae_metric(gen, enc, FactorVaeConfig(seed=0)).score)
     invariant = all(score == 1.0 for score in transform_scores)
     ok = perfect == 1.0 and chance <= 0.3 and invariant
     _report(

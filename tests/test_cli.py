@@ -1,19 +1,25 @@
 """End-to-end checks of the command-line driver.
 
 Each test invokes main() with an argv list; subprocesses are unnecessary
-because the entry point is a plain function returning the exit code.
+because the entry point is a plain function returning the exit code. Only
+TestModuleEntryPoint starts `python -m disentlab`, to cover __main__.py.
 """
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import disentlab
 from disentlab import cli
 from disentlab.cli import _VERIFY, main
-from disentlab.datasets import read_pgm
+from support import read_pgm
 
 SMALL_VERIFY = {
     "suites": {
@@ -322,6 +328,21 @@ class TestGenData:
         err = capsys.readouterr().err
         assert path in err and "does not match sigma" in err
 
+    @pytest.mark.parametrize("sigma, code", [([1.0, 0.5, -0.5, 1.0], 2), ([1.0, 0.0, 0.0, 1.0], 0)],
+                             ids=["asymmetric", "symmetric"])
+    def test_model_sigma_must_be_symmetric(self, tmp_path, capsys, sigma, code):
+        # B Bᵀ + A Aᵀ = I, which the asymmetric sigma's symmetric part would also match
+        model = {"d": 2, "r": 1, "B": [1.0, 0.0], "A": [0.0, 0.0, 0.0, 1.0], "sigma": sigma}
+        path = _write_json(tmp_path / "m.json", model)
+        out = tmp_path / "x"
+        args = ["gen-data", "--linear-gaussian", "--model", path, "--n", "5", "--out", str(out)]
+        assert main(args) == code
+        err = capsys.readouterr().err.splitlines()
+        if code:
+            assert len(err) == 1
+            assert err[0].startswith(f"error: {path}: sigma holds an asymmetric matrix ")
+            assert not out.exists()
+
     def test_kind_flag_is_required(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["gen-data", "--out", str(tmp_path / "x")])
@@ -398,6 +419,20 @@ class TestOptimize:
         assert main(["optimize", "--r", "1", source, given, "--out", str(out)]) == 2
         assert "holds non-finite entries" in capsys.readouterr().err
         assert not (out / "model.json").exists()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [("4,3\n0,1\n", "holds an asymmetric matrix (‖Σ - Σᵀ‖_F = 4.24264, over 1e-08·‖Σ‖_F)"),
+         ("1,0\n0,1\n0,0\n", "must hold a square matrix, got shape (3, 2)")],
+        ids=["asymmetric", "non-square"],
+    )
+    def test_sigma_csv_must_be_square_and_symmetric(self, tmp_path, capsys, rows, message):
+        sigma = tmp_path / "sigma.csv"
+        sigma.write_text(rows)
+        out = tmp_path / "o"
+        assert main(["optimize", "--r", "1", "--sigma", str(sigma), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {sigma} {message}\n"
+        assert not out.exists()
 
     def test_input_validation(self, tmp_path):
         out = str(tmp_path / "o")
@@ -890,3 +925,35 @@ class TestCommonPlumbing:
         assert main(base + ["--out", str(tmp_path / "b")]) == 0
         for name in ("model.json", "report.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestModuleEntryPoint:
+    """`python -m disentlab` in a fresh interpreter exits with main's code."""
+
+    def _run(self, tmp_path, *argv):
+        src = str(Path(disentlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "disentlab", *argv], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=300)
+
+    def test_passing_verify_exits_0(self, tmp_path):
+        config = _write_json(tmp_path / "cfg.json", SMALL_VERIFY)
+        done = self._run(tmp_path, "verify-theorems", "--config", config, "--out", "v")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "wrote 2 files to v"
+
+    def test_failed_check_exits_1(self, tmp_path):
+        zero = dict.fromkeys(cli._VERIFY_THRESHOLDS, 0.0)
+        config = _write_json(tmp_path / "cfg.json", {**SMALL_VERIFY, "thresholds": zero})
+        done = self._run(tmp_path, "verify-theorems", "--config", config, "--out", "v")
+        assert done.returncode == 1, done.stderr
+        assert "fail" in (tmp_path / "v" / "theorem_checks.csv").read_text()
+
+    def test_rejected_input_exits_2(self, tmp_path):
+        done = self._run(tmp_path, "optimize", "--r", "1", "--sigma-diag", "9,-1", "--out", "bad")
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            "error: target covariance must be positive definite (min eigenvalue -1.000000e+00)"
+        ]
+        assert not (tmp_path / "bad").exists()

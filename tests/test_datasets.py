@@ -8,12 +8,11 @@ from disentlab.datasets import (
     gen_linear_gaussian_dataset,
     pgm_bytes,
     rasterize_disc,
-    read_pgm,
     write_circular_dataset,
 )
 from disentlab.linalg import SymMatrix, spd_sqrt
-from disentlab.lingauss import matched_generator
 from disentlab.metrics import GeneratorSampler
+from support import matched_generator, read_pgm
 
 # lattice points with x² + y² ≤ 25
 DISC_5_PIXELS = 81
@@ -135,15 +134,6 @@ class TestPgmIo:
     def test_write_validation(self):
         with pytest.raises(ValueError):
             pgm_bytes(np.zeros((2, 2), dtype=float))
-
-    def test_read_validation(self, tmp_path):
-        path = tmp_path / "bad.pgm"
-        path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
-        with pytest.raises(ValueError):
-            read_pgm(path)
-        path.write_bytes(b"P5\n2 2\n255\n" + bytes(3))
-        with pytest.raises(ValueError):
-            read_pgm(path)
 
     def test_write_circular_dataset(self, tmp_path):
         spec = CircularSpec(n_radii=2, n_angles=4)

@@ -19,9 +19,7 @@ from disentlab.lingauss import (
     bias_decomposition,
     bias_decompositions,
     cr_frobenius_divergence,
-    infogan_objective,
     is_distribution_matched,
-    matched_generator,
     optimize_generator,
     optimize_generators,
     paired_covariance,
@@ -29,6 +27,7 @@ from disentlab.lingauss import (
     rank_r_truncation,
 )
 from disentlab.linalg import SymMatrix, eig_sym, project_contraction, spd_sqrt
+from support import infogan_objective, matched_generator
 
 
 def _random_spd(rng, d, lo=0.3, hi=4.0):

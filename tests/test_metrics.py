@@ -27,7 +27,7 @@ from disentlab.metrics import (
     factorvae_metric,
     spearman_rho,
 )
-from disentlab.selection import noisy_linear_pool
+from support import noisy_linear_pool
 
 # n=2 samples (0,0) and (1,1): every coordinate has one pair at distance 1,
 # so each kernel matrix is [[1, 1/e], [1/e, 1]] and the three-term estimator
@@ -120,7 +120,6 @@ class TestSamplers:
         sigma = SymMatrix(np.diag([4.0, 1.0, 0.25]))
         gen, _ = optimize_generator(sigma, 2, OptimizerConfig(objective="cr_frobenius", seed=0))
         sampler = GeneratorSampler(gen)
-        assert sampler.n_factors == 2
         rng = np.random.default_rng(5)
         x = sampler.sample_reference(60_000, rng)
         cov = x.T @ x / x.shape[0]
@@ -164,13 +163,14 @@ class TestBatchedGroups:
             assert np.array_equal(group, c @ gen.B.T + z @ gen.A.T)
 
 
-def _reference_votes(sampler, enc, cfg: FactorVaeConfig) -> np.ndarray:
-    """The vote matrix from one draw, encode and variance per group."""
+def _reference_votes(gen: LinearGenerator, enc, cfg: FactorVaeConfig) -> np.ndarray:
+    """The vote matrix from one draw of samples, encode and variance per group."""
+    sampler = GeneratorSampler(gen)
     rng = np.random.default_rng(cfg.seed)
     ref_var = enc.encode(sampler.sample_reference(cfg.reference_samples, rng)).var(axis=0)
     active = ref_var >= cfg.variance_floor
-    votes = np.zeros((enc.code_dim, sampler.n_factors))
-    for factor in range(sampler.n_factors):
+    votes = np.zeros((enc.code_dim, gen.r))
+    for factor in range(gen.r):
         for _ in range(cfg.groups_per_factor):
             group = enc.encode(sampler.sample_group(factor, cfg.group_size, rng))
             ratio = np.full(enc.code_dim, np.inf)
@@ -187,8 +187,8 @@ class TestFactorVaeMetricOracle:
         noisy = LinearEncoder(enc.weight + 0.8 * rng.standard_normal(enc.weight.shape))
         cfg = FactorVaeConfig(groups_per_factor=30, group_size=12, reference_samples=500, seed=3)
         for e in (enc, noisy):
-            report = factorvae_metric(GeneratorSampler(gen), e, cfg)
-            assert np.array_equal(report.matrix, _reference_votes(GeneratorSampler(gen), e, cfg))
+            report = factorvae_metric(gen, e, cfg)
+            assert np.array_equal(report.matrix, _reference_votes(gen, e, cfg))
         # the noisy encoder must split its votes, or the comparison is trivial
         assert np.count_nonzero(report.matrix) > gen.r
 
@@ -196,9 +196,9 @@ class TestFactorVaeMetricOracle:
         gen = _axis_generator()
         weight = np.vstack([_perfect_weight(gen), np.zeros((1, gen.d))])
         cfg = FactorVaeConfig(groups_per_factor=20, group_size=10, reference_samples=300, seed=2)
-        sampler, enc = GeneratorSampler(gen), LinearEncoder(weight)
-        report = factorvae_metric(sampler, enc, cfg)
-        assert np.array_equal(report.matrix, _reference_votes(sampler, enc, cfg))
+        enc = LinearEncoder(weight)
+        report = factorvae_metric(gen, enc, cfg)
+        assert np.array_equal(report.matrix, _reference_votes(gen, enc, cfg))
         assert not report.matrix[3].any()
 
 
@@ -247,7 +247,7 @@ def _oracle_case(name: str, seed: int):
 
 
 class TestFactorVaeLinearRoute:
-    """A LinearEncoder scored on a GeneratorSampler takes the fused linear route."""
+    """factorvae_metric forms each code from the latent draws through W·B and W·A."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize(
@@ -255,10 +255,10 @@ class TestFactorVaeLinearRoute:
     )
     def test_votes_match_per_group_loop(self, case, seed):
         gen, weight = _oracle_case(case, seed)
-        sampler, enc = GeneratorSampler(gen), LinearEncoder(weight)
+        enc = LinearEncoder(weight)
         cfg = FactorVaeConfig(groups_per_factor=30, group_size=12, reference_samples=500, seed=seed)
-        votes = factorvae_metric(sampler, enc, cfg).matrix
-        assert np.array_equal(votes, _reference_votes(sampler, enc, cfg))
+        votes = factorvae_metric(gen, enc, cfg).matrix
+        assert np.array_equal(votes, _reference_votes(gen, enc, cfg))
         if case == "tied-rows":
             # the copy of row 0 ties it exactly in every group; the lower index wins
             assert votes[0].any() and not votes[-1].any()
@@ -276,7 +276,7 @@ class TestFactorVaeLinearRoute:
             monkeypatch.setattr(GeneratorSampler, name, refuse)
         monkeypatch.setattr(LinearEncoder, "encode", refuse)
         gen = _linear_generator()
-        report = factorvae_metric(GeneratorSampler(gen), LinearEncoder.from_generator(gen), SMALL_CFG)
+        report = factorvae_metric(gen, LinearEncoder.from_generator(gen), SMALL_CFG)
         assert report.matrix.sum() == gen.r * SMALL_CFG.groups_per_factor
 
     @pytest.mark.parametrize("groups,size", [(1, 5), (7, 9)])
@@ -300,7 +300,7 @@ class TestFactorVaeLinearRoute:
         enc = LinearEncoder(exact + 0.3 * np.random.default_rng(0).standard_normal(exact.shape))
         tracemalloc.start()
         try:
-            factorvae_metric(GeneratorSampler(gen), enc, FactorVaeConfig())
+            factorvae_metric(gen, enc, FactorVaeConfig())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -310,7 +310,7 @@ class TestFactorVaeLinearRoute:
 class TestFactorVaeMetric:
     def test_perfect_encoder_scores_one(self):
         gen = _axis_generator()
-        report = factorvae_metric(GeneratorSampler(gen), LinearEncoder(_perfect_weight(gen)), SMALL_CFG)
+        report = factorvae_metric(gen, LinearEncoder(_perfect_weight(gen)), SMALL_CFG)
         assert report.score == 1.0
         assert report.name == "factorvae"
         assert report.matrix.shape == (3, 3)
@@ -319,38 +319,38 @@ class TestFactorVaeMetric:
 
     def test_scale_and_permutation_invariance(self):
         gen = _axis_generator(lam=(4.0, 2.0, 1.0, 0.5, 0.25, 0.1), r=4)
-        sampler, perfect = GeneratorSampler(gen), _perfect_weight(gen)
+        perfect = _perfect_weight(gen)
         rng = np.random.default_rng(2)
         for _ in range(5):
             perm = rng.permutation(4)
             scales = rng.uniform(0.1, 10.0, size=4)
             enc = LinearEncoder(scales[:, None] * perfect[perm])  # diag(s)·P·W
-            assert factorvae_metric(sampler, enc, SMALL_CFG).score == 1.0
+            assert factorvae_metric(gen, enc, SMALL_CFG).score == 1.0
 
     def test_noise_encoder_near_chance(self):
         cfg = FactorVaeConfig(groups_per_factor=100, group_size=20, reference_samples=2000, seed=1)
         gen = _axis_generator(lam=0.8 ** np.arange(8), r=5)
         enc = LinearEncoder(_noise_weight(gen, 0))
         assert not (enc.weight @ gen.B).any()
-        report = factorvae_metric(GeneratorSampler(gen), enc, cfg)
+        report = factorvae_metric(gen, enc, cfg)
         assert report.score <= 0.3
 
     def test_constant_encoder_degenerate(self):
         gen = _axis_generator()
         with pytest.raises(DegenerateEncoder):
-            factorvae_metric(GeneratorSampler(gen), LinearEncoder(np.zeros((3, gen.d))), SMALL_CFG)
+            factorvae_metric(gen, LinearEncoder(np.zeros((3, gen.d))), SMALL_CFG)
 
     def test_too_few_codes(self):
         gen = _axis_generator()
         with pytest.raises(ValueError):
-            factorvae_metric(GeneratorSampler(gen), LinearEncoder(np.eye(2, gen.d)), SMALL_CFG)
+            factorvae_metric(gen, LinearEncoder(np.eye(2, gen.d)), SMALL_CFG)
 
     def test_deterministic_per_seed(self):
         gen = _axis_generator()
-        sampler, enc = GeneratorSampler(gen), LinearEncoder(_noise_weight(gen, 4))
+        enc = LinearEncoder(_noise_weight(gen, 4))
         cfg = FactorVaeConfig(groups_per_factor=10, group_size=10, reference_samples=200, seed=9)
-        a = factorvae_metric(sampler, enc, cfg)
-        b = factorvae_metric(sampler, enc, cfg)
+        a = factorvae_metric(gen, enc, cfg)
+        b = factorvae_metric(gen, enc, cfg)
         assert a.score == b.score
         assert np.array_equal(a.matrix, b.matrix)
 

@@ -19,31 +19,25 @@ import disentlab
 PACKAGE = Path(disentlab.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
+TRACED = "the tracer wraps it; ROADMAP item 1 retargets the tracer"
+CR_IDENTITY = (
+    "ROADMAP item 4's cr_identity suite makes it live; until then its tests check "
+    "_cr_values against the definition"
+)
 KEPT = {
-    "noisy_linear_pool": "acceptance criterion 07 builds its encoder-noise pool with it",
-    "read_pgm": "the CLI tests read the written PGMs back with it",
-    "udr_relevance": "the traced benchmark run wraps it by name",
-    "spearman_rho": "the traced benchmark run wraps it by name",
-    "write_circular_dataset": "the traced benchmark run wraps it by name",
-    "write_svg": "the traced benchmark run wraps it by name",
-    "paired_covariance": "checks _cr_values by evaluating the definition directly",
-    "cr_frobenius_divergence": "checks _cr_values by evaluating the definition directly",
-    "optimize_generator": (
-        "the one-run case of optimize_generators, called by name by the README quick start, "
-        "the tests and the traced benchmark run"
+    "udr_relevance": TRACED,
+    "spearman_rho": TRACED,
+    "write_circular_dataset": TRACED,
+    "write_svg": TRACED,
+    "optimize_generator": TRACED,
+    "bias_decomposition": TRACED,
+    "GeneratorSampler": (
+        "the tracer wraps sample_group and sample_reference; ROADMAP item 1 retargets the "
+        "tracer. sample_groups is the stream oracle of "
+        "test_buffer_draws_follow_sample_groups_stream"
     ),
-    "bias_decomposition": (
-        "the one-case call of bias_decompositions, called by name by acceptance criterion 04 "
-        "and the traced benchmark run"
-    ),
-    "matched_generator": (
-        "the one-pair case of the stacked noise maps; noisy_linear_pool and the tests build "
-        "generators with it"
-    ),
-    "infogan_objective": (
-        "the one-case call of the stacked objective cross-check; its tests check the bound "
-        "at the semi-orthonormal optimum, where bias_decomposition raises"
-    ),
+    "paired_covariance": CR_IDENTITY,
+    "cr_frobenius_divergence": CR_IDENTITY,
 }
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from disentlab.lasso import lasso_fit, lasso_gram_fit
 from disentlab.linalg import SymMatrix
-from disentlab.lingauss import matched_generator, rank_r_truncation
+from disentlab.lingauss import rank_r_truncation
 from disentlab.metrics import (
     FactorVaeConfig,
     LinearEncoder,
@@ -23,7 +23,6 @@ from disentlab.selection import (
     _pool_relevance,
     cross_score,
     model_centrality,
-    noisy_linear_pool,
     rank_correlation_analysis,
     subsampled_centrality,
     udr_pair_scores,
@@ -31,6 +30,7 @@ from disentlab.selection import (
     udr_score,
     udr_select,
 )
+from support import matched_generator, noisy_linear_pool
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
@@ -589,10 +589,6 @@ class TestNoisyLinearPool:
         d2 = np.linalg.norm(pool.encoder(2).weight - base)
         assert 0.0 < d1 < d2
 
-    def test_negative_level_rejected(self):
-        with pytest.raises(ValueError):
-            noisy_linear_pool(SymMatrix(np.eye(2)), 1, [-0.1], seed=0)
-
     def test_noise_scale_multiplies_perturbation(self):
         sigma = SymMatrix(np.diag([9.0, 4.0, 1.0]))
         base = noisy_linear_pool(sigma, 2, [0.0, 0.4], seed=7)
@@ -607,10 +603,6 @@ class TestNoisyLinearPool:
         sigma = SymMatrix(np.diag([4.0, 1.0]))
         pool = noisy_linear_pool(sigma, 1, [0.0, 0.9], seed=2, noise_scale=0.0)
         assert np.array_equal(pool.encoder(1).weight, pool.encoder(0).weight)
-
-    def test_negative_noise_scale_rejected(self):
-        with pytest.raises(ValueError):
-            noisy_linear_pool(SymMatrix(np.eye(2)), 1, [0.1], seed=0, noise_scale=-1.0)
 
     def test_deterministic(self):
         sigma = SymMatrix(np.diag([4.0, 1.0]))
