@@ -36,13 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .contrastive import (
-    DiscreteDistributionFamily,
-    cross_entropy_objective,
-    js_divergence,
-    optimal_discriminator,
-    train_discriminator,
-)
+from .contrastive import DiscreteDistributionFamily, js_identity_values, train_discriminator
 from .datasets import (
     CircularSpec,
     circular_dataset_files,
@@ -331,15 +325,15 @@ def _js_families(seed, suites) -> list[DiscreteDistributionFamily]:
 def _js_identity(seed, suites, opt, thresholds, ascents):
     """The best discrimination value is the mixture divergence minus log k; ascent attains it."""
     families = _js_families(seed, suites)
-    for f_idx, (family, ascent) in enumerate(zip(families, train_discriminator(families))):
+    trained = train_discriminator(families)
+    values = js_identity_values(families, [ascent.discriminator.logits for ascent in trained])
+    for f_idx, (family, ascent, best, js, fit) in enumerate(zip(families, trained, *values)):
         case = f"family{f_idx:03d}"
         ascents.append(["js_identity", case, str(ascent.iterations), "", "",
                         _fmt(ascent.grad_max), str(ascent.converged).lower()])
-        best = cross_entropy_objective(family, optimal_discriminator(family))
-        yield (case, "identity_gap", abs(best - (js_divergence(family) - math.log(family.k))),
+        yield (case, "identity_gap", abs(best - (js - math.log(family.k))),
                thresholds["js_identity_gap"])
-        trained = cross_entropy_objective(family, ascent.discriminator)
-        yield case, "training_gap", best - trained, thresholds["js_training_gap"]
+        yield case, "training_gap", best - fit, thresholds["js_training_gap"]
 
 
 def _bias_identity(seed, suites, opt, thresholds, ascents):
@@ -791,6 +785,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.threads < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed < 0:
+        print(f"error: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
         return EXIT_USAGE
     out, made, written = Path(args.out), False, []
     try:

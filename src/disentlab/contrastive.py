@@ -11,6 +11,8 @@ padded (F, k_max, m_max) stack that drops each family when its own stop rule
 fires. Every family's logits and step count are bit for bit those of a call
 with that family alone, and each result says how its ascent ended: steps
 taken, final max|grad|, and whether it converged or hit the step cap.
+js_identity_values then gives both sides of the identity and the trained
+objective for the whole list in one call, one stack per (k, m) shape.
 """
 from __future__ import annotations
 
@@ -89,50 +91,6 @@ class SoftmaxDiscriminator:
         return np.where(total > 0.0, e / np.where(total > 0.0, total, 1.0), uniform)
 
 
-def js_divergence(family: DiscreteDistributionFamily) -> float:
-    """Generalized Jensen-Shannon divergence: mean KL of each row to the mixture."""
-    p = family.probs
-    mix = p.mean(axis=0)
-    mask = p > 0.0
-    ratio = np.divide(p, mix[None, :], out=np.ones_like(p), where=mask)
-    terms = np.where(mask, p * np.log(ratio, out=np.zeros_like(p), where=mask), 0.0)
-    return float(terms.sum() / family.k)
-
-
-def optimal_discriminator(family: DiscreteDistributionFamily) -> SoftmaxDiscriminator:
-    """Analytic maximizer H_i(x) = Q_i(x) / Σ_j Q_j(x) of the discrimination objective.
-
-    Support points with zero total mass carry no objective weight; they get
-    uniform rows.
-    """
-    p = family.probs
-    z = p.sum(axis=0)
-    if not np.any(z > 0.0):
-        raise ValueError("family has empty effective support")
-    m, k = family.support_size, family.k
-    h = np.full((m, k), 1.0 / k)
-    pos = z > 0.0
-    h[pos] = (p[:, pos] / z[pos]).T
-    logits = np.full((m, k), -np.inf)
-    hot = h > 0.0
-    logits[hot] = np.log(h[hot])
-    return SoftmaxDiscriminator(logits)
-
-
-def cross_entropy_objective(
-    family: DiscreteDistributionFamily, h: SoftmaxDiscriminator
-) -> float:
-    """(1/k) Σ_i Σ_x Q_i(x) log H_i(x), with a -inf sentinel when mass meets a zero."""
-    q = family.probs
-    out = h.probs.T  # (k, m)
-    if out.shape != q.shape:
-        raise ValueError(f"discriminator shape {h.logits.shape} does not match family")
-    mask = q > 0.0
-    if np.any(out[mask] <= 0.0):
-        return -math.inf
-    return float(np.sum(q[mask] * np.log(out[mask])) / family.k)
-
-
 @dataclass(frozen=True)
 class TrainedDiscriminator:
     """One family's ascent result and how its ascent ended."""
@@ -143,24 +101,59 @@ class TrainedDiscriminator:
     converged: bool  # grad_max met the stop rule within the iters cap
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the classes of an (F, k, m) stack; each column needs one finite logit."""
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax(logits: np.ndarray, axis: int = 1) -> np.ndarray:
+    """Softmax along the class axis of a stack; each slice along it needs one finite logit."""
+    e = np.exp(logits - logits.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
-def _stack_objective(q: np.ndarray, k: np.ndarray, logits: np.ndarray) -> np.ndarray:
-    """cross_entropy_objective of every family in a padded (F, k, m) stack.
+def _stack_objective(q: np.ndarray, k: np.ndarray | int, out: np.ndarray) -> np.ndarray:
+    """(1/k) Σ_i Σ_x Q_i(x) log H_i(x) of every family in (F, k, m) stacks of masses and outputs.
 
-    Padded cells carry no mass, so they add nothing; a family whose mass
-    meets a zero output reads -inf.
+    Each family's cells are summed in (class, point) order; cells without
+    mass add nothing, and a family whose mass meets a zero output reads -inf.
     """
-    out = _softmax(logits)
     mass = q > 0.0
     hit = mass & (out > 0.0)
     log_out = np.log(out, out=np.zeros_like(out), where=hit)
-    value = (q * log_out).sum(axis=(1, 2)) / k
+    value = (q * log_out).reshape(len(q), -1).sum(axis=1) / k
     return np.where(np.any(mass & ~hit, axis=(1, 2)), -np.inf, value)
+
+
+def js_identity_values(
+    families: Sequence[DiscreteDistributionFamily], logits: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both sides of the JS identity, and the objective of trained logits, per family.
+
+    Returns three (F,) arrays: the objective at the analytic maximizer
+    H_i(x) = Q_i(x) / Σ_j Q_j(x), uniform where x has no mass, taken through
+    its logits log H; d_JS, the mean KL of each row to the mixture; and the
+    objective of each family's (m, k) logit table. The identity says the
+    first equals d_JS - log k. An objective reads -inf where mass meets a
+    zero output.
+
+    Families of one (k, m) shape form one stack, with the classes last for
+    the softmax, so every sum runs over a family's own cells in one-family
+    order: a family with full support gets the same bits alone or in any list.
+    """
+    f = len(families)
+    best, js, trained = np.empty(f), np.empty(f), np.empty(f)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, fam in enumerate(families):
+        groups.setdefault(fam.probs.shape, []).append(i)
+    for (k, m), rows in groups.items():
+        q = np.stack([families[i].probs for i in rows])  # (G, k, m)
+        table = np.stack([logits[i] for i in rows])  # (G, m, k)
+        if table.shape[1:] != (m, k):
+            raise ValueError(f"logits of shape {table.shape[1:]} do not match a {k} x {m} family")
+        z = q.sum(axis=1, keepdims=True)  # the mass of each support point
+        ratio = np.divide(q, z / k, out=np.ones_like(q), where=q > 0.0)  # 1 where no mass
+        js[rows] = (q * np.log(ratio)).reshape(len(rows), -1).sum(axis=1) / k
+        h = np.divide(q, z, out=np.full_like(q, 1.0 / k), where=z > 0.0).transpose(0, 2, 1)
+        optimum = np.log(h, out=np.full(h.shape, -np.inf), where=h > 0.0)
+        best[rows] = _stack_objective(q, k, _softmax(optimum, 2).transpose(0, 2, 1))
+        trained[rows] = _stack_objective(q, k, _softmax(table, 2).transpose(0, 2, 1))
+    return best, js, trained
 
 
 def train_discriminator(
@@ -241,7 +234,7 @@ def train_discriminator(
             )
         logits += rate * grad
         if it % 50 == 0:
-            value = _stack_objective(q, k[:, 0, 0], logits)
+            value = _stack_objective(q, k[:, 0, 0], _softmax(logits))
             drops = np.where(value < last - 1e-9, drops + 1, 0)
             if np.any(drops >= 5):
                 row = int(np.flatnonzero(drops >= 5)[0])

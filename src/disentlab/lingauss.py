@@ -382,27 +382,28 @@ def rank_r_truncation(sigma: SymMatrix, r: int) -> SymMatrix:
     return SymMatrix((v[:, :r] * kept) @ v[:, :r].T)
 
 
-def _greedy_eigvec_match(b: np.ndarray, eigvecs: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """Greedy column-to-eigenvector assignment by descending |cosine|.
+def _greedy_eigvec_match(b: np.ndarray, eigvecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy column-to-eigenvector assignment by descending |cosine|, per case of a stack.
 
-    Ties break toward the lowest (column, eigenvector) index pair. Returns
-    (permutation, |cosine| per column).
+    b is (F, d, r) and eigvecs (F, d, d). Ties break toward the lowest
+    (column, eigenvector) index pair. Returns the (F, r) permutations and each
+    column's |cosine| with its eigenvector. Each column's cosines come from a
+    vector-matrix product of its own, so a case gets the same bits in any stack.
     """
-    r = b.shape[1]
-    norms = np.linalg.norm(b, axis=0)
-    cos = np.zeros((r, r))
-    for i in range(r):
-        if norms[i] > 0:
-            cos[i] = np.abs(b[:, i] @ eigvecs[:, :r]) / norms[i]
+    f, _, r = b.shape
+    norms = np.linalg.norm(b, axis=1)[:, :, None]
+    dots = (b.transpose(0, 2, 1)[:, :, None, :] @ eigvecs[:, None, :, :r])[:, :, 0, :]
+    cos = np.divide(np.abs(dots), norms, out=np.zeros_like(dots), where=norms > 0)
     # argmax takes the first maximum in row-major order, which is the tie rule
     free = cos.copy()
-    perm = [-1] * r
+    perm = np.empty((f, r), dtype=int)
+    cases = np.arange(f)
     for _ in range(r):
-        i, j = divmod(int(np.argmax(free)), r)
-        perm[i] = j
-        free[i, :] = -np.inf
-        free[:, j] = -np.inf
-    return tuple(perm), cos[np.arange(r), perm]
+        i, j = np.divmod(free.reshape(f, -1).argmax(axis=1), r)
+        perm[cases, i] = j
+        free[cases, i, :] = -np.inf
+        free[cases, :, j] = -np.inf
+    return perm, np.take_along_axis(cos, perm[:, :, None], axis=2)[:, :, 0]
 
 
 def _project_runs(stack: np.ndarray, run: np.ndarray) -> np.ndarray:
@@ -434,9 +435,10 @@ def optimize_generators(
     the stack when its own stop rule fires. Every run's Σ is decomposed in
     one stacked eigh call, which also gives its square root, and each
     accepted candidate's Σ^{1/2}B̃ and Gram are reused for the next gradient.
-    The results come from one stacked residual eigh for the noise maps. A
-    failed SVD names its run, and so does a singular Σ when the stack holds
-    more than one.
+    The results come from one stacked residual eigh for the noise maps, and
+    the reports match every run's columns to its eigenvectors in one greedy
+    pass over the stack. A failed SVD names its run, and so does a singular
+    Σ when the stack holds more than one.
     """
     runs = list(runs)
     f = len(runs)
@@ -497,7 +499,9 @@ def optimize_generators(
 
     # The running stack: row k holds run[k]. A row leaves when its run stops.
     run = np.arange(f)
-    draws = np.stack([np.random.default_rng(seed).standard_normal((d, r)) for _, seed in runs])
+    seeds = {seed for _, seed in runs}  # each drawn once, for every run that uses it
+    draw = {seed: np.random.default_rng(seed).standard_normal((d, r)) for seed in seeds}
+    draws = np.stack([draw[seed] for _, seed in runs])
     bt = _project_runs(draws, run)
     b, g = cr_parts(bt) if w_cr != 0.0 else (None, None)
     f_cur = value(bt, g)
@@ -554,22 +558,25 @@ def optimize_generators(
             if w_cr != 0.0:
                 b, g = b[keep], g[keep]
 
-    maps = roots @ np.stack(final)
+    final = np.stack(final)
+    maps = roots @ final
     noise = _noise_maps(sigmas, maps)
+    # np.linalg.norm's Frobenius norm is a dot product, which no stacked sum
+    # matches bit for bit at every r, so each run's residual keeps its own call.
+    gaps = final.transpose(0, 2, 1) @ final - np.eye(r)
+    perms, aligns = _greedy_eigvec_match(maps, eig.eigenvectors)
+    w_matched = np.take_along_axis(eig.eigenvalues, perms, axis=1)
+    norm_errors = np.abs(np.sum(maps * maps, axis=1) - w_matched)
     results = []
-    for (sigma, _), w_sigma, v_sigma, b, a, history, bt, stop, rejected in zip(
-        runs, *eig, maps, noise, histories, final, stops, backtracks
+    for (sigma, _), b, a, gap, perm, align, errors, history, stop, rejected in zip(
+        runs, maps, noise, gaps, perms.tolist(), aligns, norm_errors, histories, stops, backtracks
     ):
-        ortho = float(np.linalg.norm(bt.T @ bt - np.eye(r)))
-        perm, align = _greedy_eigvec_match(b, v_sigma)
-        sq_norms = np.sum(b * b, axis=0)
-        norm_errors = np.abs(sq_norms - w_sigma[list(perm)])
         report = TheoremReport(
             objective_value=history[-1],
-            orthonormality_residual=ortho,
+            orthonormality_residual=float(np.linalg.norm(gap)),
             pca_alignment=align,
-            norm_errors=norm_errors,
-            permutation=perm,
+            norm_errors=errors,
+            permutation=tuple(perm),
             history=tuple(history),
             stop=stop,
             backtracks=rejected,

@@ -1,13 +1,15 @@
 """Builders and readers the tests share, over the package's stacked cores.
 
-The package computes noise maps and objectives on (F, ...) stacks; the
-one-case calls below are what the tests use as fixtures and oracles.
+The package computes noise maps, objectives and the JS identity's closed
+forms on stacks; the one-case calls below are what the tests use as
+fixtures and oracles.
 """
 import math
 from pathlib import Path
 
 import numpy as np
 
+from disentlab.contrastive import DiscreteDistributionFamily, SoftmaxDiscriminator
 from disentlab.linalg import SymMatrix, eig_sym
 from disentlab.lingauss import LinearGenerator, _noise_maps, _objectives, _pd_eig, posterior
 from disentlab.metrics import LinearEncoder
@@ -29,6 +31,50 @@ def infogan_objective(gen: LinearGenerator) -> float:
     """
     sigma = gen.sigma.entries[None]
     return float(_objectives(sigma, _pd_eig(sigma), gen.B[None])[0])
+
+
+def js_divergence(family: DiscreteDistributionFamily) -> float:
+    """Generalized Jensen-Shannon divergence: mean KL of each row to the mixture."""
+    p = family.probs
+    mix = p.mean(axis=0)
+    mask = p > 0.0
+    ratio = np.divide(p, mix[None, :], out=np.ones_like(p), where=mask)
+    terms = np.where(mask, p * np.log(ratio, out=np.zeros_like(p), where=mask), 0.0)
+    return float(terms.sum() / family.k)
+
+
+def optimal_discriminator(family: DiscreteDistributionFamily) -> SoftmaxDiscriminator:
+    """Analytic maximizer H_i(x) = Q_i(x) / Σ_j Q_j(x) of the discrimination objective.
+
+    Support points with zero total mass carry no objective weight; they get
+    uniform rows.
+    """
+    p = family.probs
+    z = p.sum(axis=0)
+    if not np.any(z > 0.0):
+        raise ValueError("family has empty effective support")
+    m, k = family.support_size, family.k
+    h = np.full((m, k), 1.0 / k)
+    pos = z > 0.0
+    h[pos] = (p[:, pos] / z[pos]).T
+    logits = np.full((m, k), -np.inf)
+    hot = h > 0.0
+    logits[hot] = np.log(h[hot])
+    return SoftmaxDiscriminator(logits)
+
+
+def cross_entropy_objective(
+    family: DiscreteDistributionFamily, h: SoftmaxDiscriminator
+) -> float:
+    """(1/k) Σ_i Σ_x Q_i(x) log H_i(x), with a -inf sentinel when mass meets a zero."""
+    q = family.probs
+    out = h.probs.T  # (k, m)
+    if out.shape != q.shape:
+        raise ValueError(f"discriminator shape {h.logits.shape} does not match family")
+    mask = q > 0.0
+    if np.any(out[mask] <= 0.0):
+        return -math.inf
+    return float(np.sum(q[mask] * np.log(out[mask])) / family.k)
 
 
 def noisy_linear_pool(sigma: SymMatrix, r: int, noise_levels, seed=0, noise_scale=1.0) -> ModelPool:

@@ -773,6 +773,21 @@ class TestCommonPlumbing:
         args = ["verify-theorems", "--out", str(tmp_path / "x"), "--threads", "0"]
         assert main(args) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-theorems"],
+            ["optimize", "--r", "1", "--sigma-diag", "9,4"],
+            ["select", "--pool", "no_such_manifest.json"],
+        ],
+        ids=["verify-theorems", "optimize", "select"],
+    )
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert main([*argv, "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
     def test_out_path_must_not_be_a_file(self, tmp_path):
         blocker = tmp_path / "taken"
         blocker.write_text("occupied")

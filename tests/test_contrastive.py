@@ -9,14 +9,14 @@ from disentlab.contrastive import (
     DISCRIMINATOR_STEP,
     DiscreteDistributionFamily,
     SoftmaxDiscriminator,
+    _softmax,
     _stack_objective,
-    cross_entropy_objective,
-    js_divergence,
-    optimal_discriminator,
+    js_identity_values,
     train_discriminator,
 )
 from disentlab.cli import _VERIFY_SUITES, _js_families
 from disentlab.errors import NumericFailure
+from support import cross_entropy_objective, js_divergence, optimal_discriminator
 
 LOG_2 = 0.6931471805599453
 LOG_3 = 1.0986122886681098
@@ -340,10 +340,60 @@ class TestTrainDiscriminator:
             logits[i, : fam.k] = 0.0
             logits[i, : fam.k, : fam.support_size] = table.T
         k = np.array([float(f.k) for f in fams])
-        got = _stack_objective(q, k, logits)
+        got = _stack_objective(q, k, _softmax(logits))
         for value, fam, table in zip(got, fams, tables):
             want = cross_entropy_objective(fam, SoftmaxDiscriminator(table))
             if want == -math.inf:
                 assert value == -math.inf
             else:
                 assert value == pytest.approx(want, rel=1e-13)
+
+
+def _oracle_values(families, tables):
+    """js_identity_values by the one-family oracles: (best, d_JS, trained) lists."""
+    return (
+        [cross_entropy_objective(fam, optimal_discriminator(fam)) for fam in families],
+        [js_divergence(fam) for fam in families],
+        [cross_entropy_objective(fam, SoftmaxDiscriminator(t)) for fam, t in zip(families, tables)],
+    )
+
+
+class TestJsIdentityValues:
+    @pytest.mark.parametrize("seed, k_max", [(0, 5), (1, 5), (7, 5), (0, 9)])
+    def test_verify_families_match_the_oracles_bit_for_bit(self, seed, k_max):
+        # From k = 8 on, numpy sums each softmax row pairwise, so the stack
+        # must keep the classes on its last, contiguous axis to match.
+        families = _js_families(seed, {**_VERIFY_SUITES, "k_max": k_max})
+        assert max(fam.k for fam in families) == k_max
+        tables = [t.discriminator.logits for t in train_discriminator(families)]
+        got = js_identity_values(families, tables)
+        for values, want in zip(got, _oracle_values(families, tables)):
+            assert values.tobytes() == np.array(want).tobytes()
+
+    def test_families_without_full_support_match_within_round_off(self):
+        # A cell without mass is skipped by the one-family masked sum but
+        # adds an exact zero to the stacked one, which may move the last bit.
+        families = [
+            _hand_family(),
+            DiscreteDistributionFamily(np.eye(3)),
+            DiscreteDistributionFamily(  # support point 1 carries no mass
+                np.array([[0.3, 0.0, 0.7], [0.6, 0.0, 0.4], [0.2, 0.0, 0.8]])
+            ),
+            DiscreteDistributionFamily(np.array([[0.5, 0.5], [0.25, 0.75]])),
+            _random_family(np.random.default_rng(2), 9, 4),
+        ]
+        rng = np.random.default_rng(3)
+        tables = [rng.standard_normal((fam.support_size, fam.k)) for fam in families]
+        tables[3][1, 0] = -np.inf  # a zero output where there is mass
+        best, js, trained = js_identity_values(families, tables)
+        want = _oracle_values(families, tables)
+        assert trained[3] == want[2][3] == -math.inf
+        for values, expected in zip((best, js, trained), want):
+            np.testing.assert_allclose(values, expected, rtol=1e-15, atol=0.0)
+        assert best[0] == pytest.approx(CE_HAND, abs=1e-15)
+        assert js[0] == pytest.approx(DJS_HAND, abs=1e-15)
+        assert js[1] == pytest.approx(LOG_3, abs=1e-15) and best[1] == 0.0
+
+    def test_logits_must_match_the_family(self):
+        with pytest.raises(ValueError, match="do not match a 2 x 2 family"):
+            js_identity_values([_hand_family()], [np.zeros((3, 2))])

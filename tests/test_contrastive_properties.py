@@ -9,9 +9,9 @@ from disentlab.contrastive import (  # noqa: E402
     DISCRIMINATOR_STEP,
     DiscreteDistributionFamily,
     SoftmaxDiscriminator,
-    cross_entropy_objective,
     train_discriminator,
 )
+from support import cross_entropy_objective  # noqa: E402
 
 STEPS = 400
 
