@@ -10,6 +10,16 @@ metrics           score a model (and dataset) with the metric suite
 select            rank a pool manifest by centrality or pairwise code relevance
 analyze           rank-correlation matrix across score CSVs
 
+Every subcommand loads errors, linalg and lingauss; each loads the rest of
+the package only when it runs:
+verify-theorems   contrastive
+gen-data          datasets, metrics, lasso
+optimize          plots
+metrics           metrics, lasso
+select            selection, datasets, metrics, lasso, plots; concurrent.futures only
+                  for --method model-centrality at --threads above 1
+analyze           selection, metrics, lasso, plots
+
 Report CSVs carry 12 significant digits with LF line endings, and every
 subcommand is byte-identical across reruns with the same inputs, seed, and
 any --threads value; only select --method model-centrality uses threads.
@@ -33,16 +43,10 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .contrastive import DiscreteDistributionFamily, js_identity_values, train_discriminator
-from .datasets import (
-    CircularSpec,
-    circular_dataset_files,
-    gen_circular_dsprites,
-    gen_linear_gaussian_dataset,
-)
 from .errors import DisentLabError
 from .linalg import SymMatrix
 from .lingauss import (
@@ -57,25 +61,13 @@ from .lingauss import (
     posterior,
     rank_r_truncation,
 )
-from .metrics import (
-    LASSO_LAMBDA,
-    FactorDataset,
-    FactorVaeConfig,
-    LinearEncoder,
-    MetricReport,
-    dci_disentanglement,
-    dhsic,
-    factorvae_metric,
-)
-from .plots import heatmap_svg, line_chart_svg
-from .selection import (
-    ModelPool,
-    model_centrality,
-    rank_correlation_analysis,
-    subsampled_centrality,
-    udr_pair_scores,
-    udr_select,
-)
+
+# contrastive, datasets, metrics, plots and selection are imported inside the
+# functions that use them, so each process loads only what its subcommand
+# runs: numpy and the package's imports are most of a short run's time.
+if TYPE_CHECKING:
+    from .contrastive import DiscreteDistributionFamily
+    from .metrics import FactorVaeConfig, LinearEncoder
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -232,6 +224,8 @@ def _symmetric(m: np.ndarray, source) -> SymMatrix:
 
 def _load_model(path_str) -> tuple[LinearGenerator, LinearEncoder]:
     """Generator and encoder of a model file; a non-finite, asymmetric or unmatched one exits 2."""
+    from .metrics import LinearEncoder
+
     obj = _load_json(path_str)
     try:
         gen = LinearGenerator.from_dict(obj)
@@ -256,6 +250,8 @@ def _load_model(path_str) -> tuple[LinearGenerator, LinearEncoder]:
 
 
 def _factorvae_config(config: dict, seed: int) -> FactorVaeConfig:
+    from .metrics import FactorVaeConfig
+
     return FactorVaeConfig(**_section(config, "factorvae", _defaults(FactorVaeConfig)), seed=seed)
 
 
@@ -311,6 +307,8 @@ def _pca_recovery(seed, suites, opt, thresholds, ascents):
 
 def _js_families(seed, suites) -> list[DiscreteDistributionFamily]:
     """The js_identity suite's families, each with full support."""
+    from .contrastive import DiscreteDistributionFamily
+
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     families = []
     for _ in range(suites["families"]):
@@ -324,6 +322,8 @@ def _js_families(seed, suites) -> list[DiscreteDistributionFamily]:
 
 def _js_identity(seed, suites, opt, thresholds, ascents):
     """The best discrimination value is the mixture divergence minus log k; ascent attains it."""
+    from .contrastive import js_identity_values, train_discriminator
+
     families = _js_families(seed, suites)
     trained = train_discriminator(families)
     values = js_identity_values(families, [ascent.discriminator.logits for ascent in trained])
@@ -420,6 +420,13 @@ def cmd_verify_theorems(args) -> tuple[int, dict[str, bytes]]:
 
 
 def cmd_gen_data(args) -> tuple[int, dict[str, bytes]]:
+    from .datasets import (
+        CircularSpec,
+        circular_dataset_files,
+        gen_circular_dsprites,
+        gen_linear_gaussian_dataset,
+    )
+
     if args.circular:
         spec = CircularSpec(
             canvas_size=args.canvas,
@@ -463,6 +470,8 @@ def _read_sigma(args) -> SymMatrix:
 
 
 def cmd_optimize(args) -> tuple[int, dict[str, bytes]]:
+    from .plots import line_chart_svg
+
     config = _load_config(args.config, ("optimizer",))
     opt = _section(config, "optimizer", _defaults(OptimizerConfig))
     sigma = _read_sigma(args)
@@ -513,6 +522,15 @@ def cmd_optimize(args) -> tuple[int, dict[str, bytes]]:
 
 
 def cmd_metrics(args) -> tuple[int, dict[str, bytes]]:
+    from .metrics import (
+        LASSO_LAMBDA,
+        FactorDataset,
+        MetricReport,
+        dci_disentanglement,
+        dhsic,
+        factorvae_metric,
+    )
+
     config = _load_config(args.config, ("factorvae", "dci"))
     dci_cfg = _section(config, "dci", {"lasso_lambda": LASSO_LAMBDA})
     factorvae_cfg = _factorvae_config(config, args.seed)
@@ -572,6 +590,22 @@ def cmd_metrics(args) -> tuple[int, dict[str, bytes]]:
 
 
 def cmd_select(args) -> tuple[int, dict[str, bytes]]:
+    from .datasets import gen_linear_gaussian_dataset
+    from .metrics import LASSO_LAMBDA
+    from .plots import heatmap_svg
+    from .selection import (
+        ModelPool,
+        model_centrality,
+        subsampled_centrality,
+        udr_pair_scores,
+        udr_select,
+    )
+
+    # Checked before the pool is scored, which takes seconds to minutes.
+    if not 0.0 < args.fraction <= 1.0:
+        raise CliError(f"--fraction must lie in (0, 1], got {args.fraction}")
+    if args.trials < 1:
+        raise CliError(f"--trials must be positive, got {args.trials}")
     config = _load_config(args.config, ("factorvae", "udr"))
     udr_cfg = _section(config, "udr", {"samples": 10_000, "lasso_lambda": LASSO_LAMBDA})
     factorvae_cfg = _factorvae_config(config, args.seed)
@@ -654,6 +688,9 @@ def _read_score_column(path: Path) -> np.ndarray:
 
 
 def cmd_analyze(args) -> tuple[int, dict[str, bytes]]:
+    from .plots import heatmap_svg
+    from .selection import rank_correlation_analysis
+
     named = []
     seen = set()
     for path_str in args.scores:

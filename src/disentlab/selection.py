@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -136,15 +135,21 @@ def model_centrality(
             pair_cfg = replace(cfg, seed=_pair_seed(cfg.seed, i, j))
             a[i, j] = metric(pool.encoder(i), pool.generator(j), pair_cfg)
 
-    # The calling thread takes one share itself: at threads=1 no worker
-    # starts, and the work stays on the thread that receives signals. No
-    # more shares are made than there are pairs.
+    # The calling thread takes one share itself, so the work stays on the
+    # thread that receives signals. At threads=1 it takes every pair, and
+    # neither an executor nor concurrent.futures is loaded. No more shares
+    # are made than there are pairs.
     threads = min(threads, len(pairs))
-    with ThreadPoolExecutor(max_workers=threads) as executor:
-        shares = [executor.submit(fill, pairs[t::threads]) for t in range(1, threads)]
-        fill(pairs[::threads])
-        for share in shares:
-            share.result()
+    if threads == 1:
+        fill(pairs)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as executor:
+            shares = [executor.submit(fill, pairs[t::threads]) for t in range(1, threads)]
+            fill(pairs[::threads])
+            for share in shares:
+                share.result()
     return 0.5 * (a + a.T)
 
 

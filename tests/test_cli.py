@@ -650,6 +650,25 @@ class TestSelect:
         for name in ("scores.csv", "similarity.csv", "similarity.svg", "selection.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--fraction", "0", "--fraction must lie in (0, 1], got 0.0"),
+        ("--fraction", "1.5", "--fraction must lie in (0, 1], got 1.5"),
+        ("--fraction", "nan", "--fraction must lie in (0, 1], got nan"),
+        ("--trials", "0", "--trials must be positive, got 0"),
+    ])
+    def test_bad_subsample_flag_exits_2_before_scoring(
+        self, pool_dir, tmp_path, monkeypatch, capsys, flag, value, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pool was scored")
+
+        monkeypatch.setattr("disentlab.selection.model_centrality", refuse)
+        monkeypatch.setattr(cli, "_load_model", refuse)
+        out = tmp_path / "sel"
+        assert self._run(pool_dir, out, (flag, value)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_udr_lasso_accepts_nearly_equal_code_rows(self, tmp_path):
         # Model 2's fourth encoder row is its second plus noise of size 1e-7,
         # so regressions on its codes have two nearly collinear columns.

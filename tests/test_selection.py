@@ -1,4 +1,5 @@
 """Tests for pool-based model selection and rank-correlation analysis."""
+import concurrent.futures
 import math
 import sys
 from concurrent.futures import Future
@@ -225,11 +226,12 @@ class TestModelCentrality:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(selection, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
         pool = noisy_linear_pool(SymMatrix(np.diag([4.0, 1.0, 0.25])), 2, [0.0, 0.3], seed=1)
         b1 = model_centrality(pool, FAST_CFG, threads=1)
         many = model_centrality(pool, FAST_CFG, threads=100_000)
-        assert requested == [1, 2]  # a 2-model pool has 2 pairs
+        # threads=1 makes no executor; a 2-model pool has 2 pairs
+        assert requested == [2]
         assert np.array_equal(many, b1)
 
     def test_repeat_runs_identical(self):
