@@ -326,7 +326,7 @@ def _js_identity(seed, suites, opt, thresholds, ascents):
 
     families = _js_families(seed, suites)
     trained = train_discriminator(families)
-    values = js_identity_values(families, [ascent.discriminator.logits for ascent in trained])
+    values = js_identity_values(families, [ascent.logits for ascent in trained])
     for f_idx, (family, ascent, best, js, fit) in enumerate(zip(families, trained, *values)):
         case = f"family{f_idx:03d}"
         ascents.append(["js_identity", case, str(ascent.iterations), "", "",
@@ -687,15 +687,34 @@ def _read_score_column(path: Path) -> np.ndarray:
     return scores
 
 
+def _score_labels(paths: list[Path]) -> list[str]:
+    """Each path's shortest trailing part, without its suffix, that no other path ends with.
+
+    alpha.csv and beta.csv read alpha and beta, and runs/a/scores.csv and
+    runs/b/scores.csv read a/scores and b/scores. A path whose every
+    trailing part another path shares reads in full, so a path given twice
+    reads the same twice and cmd_analyze rejects it as a duplicate.
+    """
+    parts = [(*path.parent.parts, path.stem) for path in paths]
+    labels = []
+    for i, own in enumerate(parts):
+        others = parts[:i] + parts[i + 1 :]
+        n = next(
+            (n for n in range(1, len(own)) if all(other[-n:] != own[-n:] for other in others)),
+            len(own),
+        )
+        labels.append(Path(*own[-n:]).as_posix())
+    return labels
+
+
 def cmd_analyze(args) -> tuple[int, dict[str, bytes]]:
     from .plots import heatmap_svg
     from .selection import rank_correlation_analysis
 
     named = []
     seen = set()
-    for path_str in args.scores:
-        path = Path(path_str)
-        name = path.stem
+    paths = [Path(path_str) for path_str in args.scores]
+    for path, name in zip(paths, _score_labels(paths)):
         if name in seen:
             raise CliError(f"duplicate metric name {name!r}; rename the input files")
         seen.add(name)

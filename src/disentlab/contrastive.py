@@ -69,33 +69,10 @@ class DiscreteDistributionFamily:
 
 
 @dataclass(frozen=True)
-class SoftmaxDiscriminator:
-    """k-way discriminator over a finite support, stored as logits."""
-
-    logits: np.ndarray  # (m, k)
-
-    def __post_init__(self):
-        l = np.asarray(self.logits, dtype=float)
-        if l.ndim != 2:
-            raise ValueError(f"logits must be an m x k table, got shape {l.shape}")
-        object.__setattr__(self, "logits", l)
-
-    @property
-    def probs(self) -> np.ndarray:
-        """Row-stochastic outputs; -inf logits give exact zeros."""
-        top = self.logits.max(axis=1, keepdims=True)
-        safe = np.where(np.isneginf(top), 0.0, top)
-        e = np.exp(self.logits - safe)
-        total = e.sum(axis=1, keepdims=True)
-        uniform = np.full(self.logits.shape[1], 1.0 / self.logits.shape[1])
-        return np.where(total > 0.0, e / np.where(total > 0.0, total, 1.0), uniform)
-
-
-@dataclass(frozen=True)
 class TrainedDiscriminator:
-    """One family's ascent result and how its ascent ended."""
+    """One family's trained logits and how its ascent ended."""
 
-    discriminator: SoftmaxDiscriminator
+    logits: np.ndarray  # (m, k): row x holds support point x's logit of each class
     iterations: int  # gradient steps taken
     grad_max: float  # largest |gradient| entry at the returned logits
     converged: bool  # grad_max met the stop rule within the iters cap
@@ -224,7 +201,7 @@ def train_discriminator(
                 fam = families[run[row]]
                 table = logits[row, : fam.k, : fam.support_size].T.copy()
                 results[run[row]] = TrainedDiscriminator(
-                    SoftmaxDiscriminator(table), it, float(grad_max[row]), bool(converged[row])
+                    table, it, float(grad_max[row]), bool(converged[row])
                 )
             keep = ~stop
             if not np.any(keep):

@@ -212,13 +212,7 @@ def _pivot_round(cols, design, target, lam, diag, run, w, grad, sign, obj, fresh
     return run[change]
 
 
-def lasso_gram_fit(
-    gram: np.ndarray,
-    cross: np.ndarray,
-    lam: float,
-    max_iters: int = LASSO_MAX_ITERS,
-    tol: float = LASSO_TOL,
-) -> np.ndarray:
+def lasso_gram_fit(gram: np.ndarray, cross: np.ndarray, lam: float) -> np.ndarray:
     """Lasso weights for a stack of designs, each shared by several targets.
 
     gram (P, q, q) holds XᵀX/n of each design and cross (P, q, T) holds XᵀY/n
@@ -236,9 +230,10 @@ def lasso_gram_fit(
     and 10 rounds of pivots certify them all. A fit that does not certify
     (a singular G_AA, say) keeps sweeping from its swept weights, and its
     pattern is not pivoted from again until a sweep changes it; it stops
-    after the first sweep whose largest |Δw| is below tol. A fit still
-    running after max_iters sweeps raises NumericFailure. Every step acts on
-    each fit alone, so a fit gives the same bits alone or in any stack.
+    after the first sweep whose largest |Δw| is below LASSO_TOL. A fit
+    still running after LASSO_MAX_ITERS sweeps raises NumericFailure. Every
+    step acts on each fit alone, so a fit gives the same bits alone or in
+    any stack.
     """
     gram = np.asarray(gram, dtype=float)
     cross = np.asarray(cross, dtype=float)
@@ -261,7 +256,7 @@ def lasso_gram_fit(
     # The last pattern each fit pivoted from without certifying.
     rejected = np.full((p * t, q), np.nan)
     worst = np.full(p * t, np.inf)
-    for _ in range(max_iters):
+    for _ in range(LASSO_MAX_ITERS):
         if fit.size == 0:
             break
         worst = np.zeros(fit.size)
@@ -273,7 +268,7 @@ def lasso_gram_fit(
             w[:, j] = new
             grad -= cols[design, j] * delta[:, None]
             np.maximum(worst, np.abs(delta), out=worst)
-        done = worst < tol
+        done = worst < LASSO_TOL
         pivot = np.flatnonzero(np.any(np.sign(w) != rejected, axis=1))
         if pivot.size:
             exact, certified = _kkt_finish(
@@ -291,7 +286,7 @@ def lasso_gram_fit(
     if fit.size:
         raise NumericFailure(
             f"coordinate descent left {fit.size} of {p * t} fits unconverged after "
-            f"{max_iters} sweeps; largest final |Δw| {worst.max():.3g} (tol {tol:g})"
+            f"{LASSO_MAX_ITERS} sweeps; largest final |Δw| {worst.max():.3g} (tol {LASSO_TOL:g})"
         )
     return out.reshape(p, t, q).transpose(0, 2, 1)
 

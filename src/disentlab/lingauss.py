@@ -430,11 +430,12 @@ def optimize_generators(
     for bit those of optimize_generator(Σ, r, cfg) at that seed.
 
     All runs ascend together in one (F, d, r) stack, with one stacked SVD
-    per round. Each row keeps its own step: a rejected candidate halves it,
-    and an accepted one resets it and takes a fresh gradient. A row leaves
-    the stack when its own stop rule fires. Every run's Σ is decomposed in
-    one stacked eigh call, which also gives its square root, and each
-    accepted candidate's Σ^{1/2}B̃ and Gram are reused for the next gradient.
+    per round. Each round evaluates the objective and its gradient at every
+    row's candidate in one call, and one masked update lands them: a row
+    whose candidate rises takes it with its gradient and a fresh step, and
+    any other row keeps its B̃ and gradient and halves its own step. A row
+    leaves the stack when its own stop rule fires. Every run's Σ is
+    decomposed in one stacked eigh call, which also gives its square root.
     The results come from one stacked residual eigh for the noise maps, and
     the reports match every run's columns to its eigenvectors in one greedy
     pass over the stack. A failed SVD names its run, and so does a singular
@@ -466,36 +467,27 @@ def optimize_generators(
     root = roots  # the rows still ascending
     const_info = -0.5 * r * (1.0 + LOG_2PI)
 
-    def cr_parts(bt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """B = Σ^{1/2}B̃ and its Gram BᵀB for each row."""
-        b = root @ bt
-        return b, b.transpose(0, 2, 1) @ b
+    def evaluate(bt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The objective and its gradient in B̃ for each row.
 
-    # Each objective and gradient is 0.0 plus its weighted terms in turn; a
-    # term of weight 0 is left out, and a weight of 1 multiplies nothing.
-    def weighted(w: float, x: np.ndarray) -> np.ndarray:
-        return x if w == 1.0 else w * x
-
-    def value(bt: np.ndarray, g) -> np.ndarray:
-        terms = []
+        Each is 0 plus its nonzero-weight terms in turn, info then CR; a term
+        of weight 0 is left out, so r = 1 infogan never divides by r - 1.
+        """
+        value, grad = np.zeros(len(bt)), np.zeros(bt.shape)
         if w_info != 0.0:
             sq = (bt * bt).reshape(len(bt), -1).sum(axis=1)
-            terms.append(weighted(w_info, 0.5 * sq + const_info))
+            value = value + w_info * (0.5 * sq + const_info)
+            grad = grad + w_info * bt
         if w_cr != 0.0:
-            terms.append(weighted(w_cr, _cr_values(g)))
-        return sum(terms, 0.0) if terms else np.zeros(len(bt))
-
-    def gradient(bt: np.ndarray, b, g) -> np.ndarray:
-        terms = []
-        if w_info != 0.0:
-            terms.append(weighted(w_info, bt))
-        if w_cr != 0.0:
+            b = root @ bt
+            g = b.transpose(0, 2, 1) @ b
             diag = g.diagonal(axis1=1, axis2=2)
             off = g.copy()
             off.reshape(len(off), -1)[:, :: r + 1] = 0.0
             grad_b = 4.0 * (b * diag[:, None, :]) - (4.0 / (r - 1)) * (b @ off)
-            terms.append(weighted(w_cr, root @ grad_b))
-        return sum(terms, 0.0) if terms else np.zeros(bt.shape)
+            value = value + w_cr * _cr_values(g)
+            grad = grad + w_cr * (root @ grad_b)
+        return value, grad
 
     # The running stack: row k holds run[k]. A row leaves when its run stops.
     run = np.arange(f)
@@ -503,9 +495,7 @@ def optimize_generators(
     draw = {seed: np.random.default_rng(seed).standard_normal((d, r)) for seed in seeds}
     draws = np.stack([draw[seed] for _, seed in runs])
     bt = _project_runs(draws, run)
-    b, g = cr_parts(bt) if w_cr != 0.0 else (None, None)
-    f_cur = value(bt, g)
-    grad = gradient(bt, b, g)
+    f_cur, grad = evaluate(bt)
     step = np.full((f, 1, 1), cfg.step_size)  # each row's own step
     min_step = cfg.step_size * 2.0 ** -40
     histories = [[v] for v in f_cur.tolist()]
@@ -514,26 +504,17 @@ def optimize_generators(
     final: list = [None] * f  # each run's last B̃
     while run.size:
         cand = _project_runs(bt + step * grad, run)
-        b_cand, g_cand = cr_parts(cand) if w_cr != 0.0 else (None, None)
-        f_cand = value(cand, g_cand)
+        f_cand, grad_cand = evaluate(cand)
         up = f_cand > f_cur
-        moved = up.tolist()
         old = f_cur.tolist()
-        if all(moved):  # the common round: every row steps, so none needs a mask
-            bt, b, g, f_cur = cand, b_cand, g_cand, f_cand
-            step[:] = cfg.step_size
-        else:
-            pick = up[:, None, None]
-            bt = np.where(pick, cand, bt)
-            if w_cr != 0.0:
-                b, g = np.where(pick, b_cand, b), np.where(pick, g_cand, g)
-            f_cur = np.where(up, f_cand, f_cur)
-            step = np.where(pick, cfg.step_size, 0.5 * step)
-            halved = step.ravel().tolist()
-        if any(moved):  # a row that backtracked keeps its B̃, and so its gradient
-            grad = gradient(bt, b, g)
+        pick = up[:, None, None]
+        bt = np.where(pick, cand, bt)
+        grad = np.where(pick, grad_cand, grad)
+        f_cur = np.where(up, f_cand, f_cur)
+        step = np.where(pick, cfg.step_size, 0.5 * step)
         leaving = []
-        for k, (i, took, new) in enumerate(zip(run.tolist(), moved, f_cand.tolist())):
+        rows = zip(run.tolist(), up.tolist(), f_cand.tolist(), step.ravel().tolist())
+        for k, (i, took, new, next_step) in enumerate(rows):
             if took:
                 histories[i].append(new)
                 if new - old[k] <= cfg.rel_tol * max(1.0, abs(new)):
@@ -544,7 +525,7 @@ def optimize_generators(
                     continue
             else:
                 backtracks[i] += 1
-                if halved[k] >= min_step:
+                if next_step >= min_step:
                     continue
                 stops[i] = "no_ascent_step"
             final[i] = bt[k]
@@ -555,8 +536,6 @@ def optimize_generators(
             run, bt, f_cur, grad, step, root = (
                 a[keep] for a in (run, bt, f_cur, grad, step, root)
             )
-            if w_cr != 0.0:
-                b, g = b[keep], g[keep]
 
     final = np.stack(final)
     maps = roots @ final

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from disentlab.contrastive import DiscreteDistributionFamily, SoftmaxDiscriminator
+from disentlab.contrastive import DiscreteDistributionFamily
 from disentlab.linalg import SymMatrix, eig_sym
 from disentlab.lingauss import LinearGenerator, _noise_maps, _objectives, _pd_eig, posterior
 from disentlab.metrics import LinearEncoder
@@ -43,8 +43,22 @@ def js_divergence(family: DiscreteDistributionFamily) -> float:
     return float(terms.sum() / family.k)
 
 
-def optimal_discriminator(family: DiscreteDistributionFamily) -> SoftmaxDiscriminator:
-    """Analytic maximizer H_i(x) = Q_i(x) / Σ_j Q_j(x) of the discrimination objective.
+def discriminator_probs(logits) -> np.ndarray:
+    """Row-stochastic outputs of an (m, k) logit table; -inf logits give exact zeros.
+
+    A row of only -inf logits reads uniform.
+    """
+    logits = np.asarray(logits, dtype=float)
+    top = logits.max(axis=1, keepdims=True)
+    safe = np.where(np.isneginf(top), 0.0, top)
+    e = np.exp(logits - safe)
+    total = e.sum(axis=1, keepdims=True)
+    uniform = np.full(logits.shape[1], 1.0 / logits.shape[1])
+    return np.where(total > 0.0, e / np.where(total > 0.0, total, 1.0), uniform)
+
+
+def optimal_discriminator(family: DiscreteDistributionFamily) -> np.ndarray:
+    """Logits (m, k) of the analytic maximizer H_i(x) = Q_i(x) / Σ_j Q_j(x) of the objective.
 
     Support points with zero total mass carry no objective weight; they get
     uniform rows.
@@ -60,17 +74,15 @@ def optimal_discriminator(family: DiscreteDistributionFamily) -> SoftmaxDiscrimi
     logits = np.full((m, k), -np.inf)
     hot = h > 0.0
     logits[hot] = np.log(h[hot])
-    return SoftmaxDiscriminator(logits)
+    return logits
 
 
-def cross_entropy_objective(
-    family: DiscreteDistributionFamily, h: SoftmaxDiscriminator
-) -> float:
-    """(1/k) Σ_i Σ_x Q_i(x) log H_i(x), with a -inf sentinel when mass meets a zero."""
+def cross_entropy_objective(family: DiscreteDistributionFamily, logits) -> float:
+    """(1/k) Σ_i Σ_x Q_i(x) log H_i(x) of an (m, k) logit table, -inf when mass meets a zero."""
     q = family.probs
-    out = h.probs.T  # (k, m)
+    out = discriminator_probs(logits).T  # (k, m)
     if out.shape != q.shape:
-        raise ValueError(f"discriminator shape {h.logits.shape} does not match family")
+        raise ValueError(f"logit table of shape {out.T.shape} does not match family")
     mask = q > 0.0
     if np.any(out[mask] <= 0.0):
         return -math.inf

@@ -144,7 +144,7 @@ def test_criterion_03_discriminator_objective_identity():
         p /= p.sum(axis=1, keepdims=True)
         fams.append(DiscreteDistributionFamily(p))
     ascents = train_discriminator(fams)
-    best, js, trained = js_identity_values(fams, [a.discriminator.logits for a in ascents])
+    best, js, trained = js_identity_values(fams, [a.logits for a in ascents])
     log_k = np.array([math.log(fam.k) for fam in fams])
     worst_identity = float(np.abs(best - (js - log_k)).max())
     worst_training = float((best - trained).max())

@@ -18,7 +18,7 @@ import pytest
 
 import disentlab
 from disentlab import cli
-from disentlab.cli import _VERIFY, main
+from disentlab.cli import _VERIFY, _score_labels, main
 from support import read_pgm
 
 SMALL_VERIFY = {
@@ -770,6 +770,27 @@ class TestAnalyze:
         headerless = tmp_path / "bad.csv"
         headerless.write_text("a,b\n1,2\n")
         assert main(["analyze", "--scores", a, str(headerless), "--out", out]) == 2
+
+    def test_two_select_runs_are_told_apart_by_their_directories(self, pool_dir, tmp_path):
+        # every select run writes scores.csv, so the file name alone names neither
+        _, manifest = pool_dir
+        config = _write_json(tmp_path / "cfg.json", {"udr": {"samples": 1500}})
+        (tmp_path / "runs").mkdir()
+        scores = []
+        for variant in ("udr-lasso", "udr-spearman"):
+            out = tmp_path / "runs" / variant
+            args = ["select", "--pool", manifest, "--method", variant, "--config", config,
+                    "--out", str(out)]
+            assert main(args) == 0
+            scores.append(str(out / "scores.csv"))
+        out = tmp_path / "corr"
+        assert main(["analyze", "--scores", *scores, "--out", str(out)]) == 0
+        rows = _read_rows(out / "rank_correlation.csv")
+        assert rows[0] == ["label", "udr-lasso/scores", "udr-spearman/scores"]
+
+    def test_a_path_that_ends_another_reads_in_full(self):
+        paths = [Path("a/scores.csv"), Path("b/a/scores.csv")]
+        assert _score_labels(paths) == ["a/scores", "b/a/scores"]
 
 
 class TestCommonPlumbing:

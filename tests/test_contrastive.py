@@ -8,7 +8,6 @@ from disentlab import contrastive
 from disentlab.contrastive import (
     DISCRIMINATOR_STEP,
     DiscreteDistributionFamily,
-    SoftmaxDiscriminator,
     _softmax,
     _stack_objective,
     js_identity_values,
@@ -16,7 +15,12 @@ from disentlab.contrastive import (
 )
 from disentlab.cli import _VERIFY_SUITES, _js_families
 from disentlab.errors import NumericFailure
-from support import cross_entropy_objective, js_divergence, optimal_discriminator
+from support import (
+    cross_entropy_objective,
+    discriminator_probs,
+    js_divergence,
+    optimal_discriminator,
+)
 
 LOG_2 = 0.6931471805599453
 LOG_3 = 1.0986122886681098
@@ -80,13 +84,13 @@ class TestJsDivergence:
 
 class TestOptimalDiscriminator:
     def test_hand_outputs(self):
-        h = optimal_discriminator(_hand_family()).probs
+        h = discriminator_probs(optimal_discriminator(_hand_family()))
         assert h == pytest.approx(np.array([[2.0 / 3.0, 1.0 / 3.0], [0.0, 1.0]]), abs=1e-15)
         assert h[1, 0] == 0.0
 
     def test_dead_support_point_uniform(self):
         fam = DiscreteDistributionFamily(np.array([[1.0, 0.0, 0.0], [0.4, 0.6, 0.0]]))
-        h = optimal_discriminator(fam).probs
+        h = discriminator_probs(optimal_discriminator(fam))
         assert np.array_equal(h[2], np.array([0.5, 0.5]))
 
     def test_achieves_analytic_maximum(self):
@@ -104,8 +108,8 @@ class TestOptimalDiscriminator:
         fam = _random_family(rng, k=3, m=6)
         bound = js_divergence(fam) - math.log(3)
         for _ in range(200):
-            h = SoftmaxDiscriminator(rng.standard_normal((6, 3)))
-            assert cross_entropy_objective(fam, h) <= bound + 1e-12
+            logits = rng.standard_normal((6, 3))
+            assert cross_entropy_objective(fam, logits) <= bound + 1e-12
 
 
 class TestCrossEntropyObjective:
@@ -115,17 +119,16 @@ class TestCrossEntropyObjective:
 
     def test_uniform_discriminator_gives_minus_log_k(self):
         fam = DiscreteDistributionFamily(np.eye(3))
-        h = SoftmaxDiscriminator(np.zeros((3, 3)))
-        assert cross_entropy_objective(fam, h) == pytest.approx(-LOG_3, abs=1e-15)
+        assert cross_entropy_objective(fam, np.zeros((3, 3))) == pytest.approx(-LOG_3, abs=1e-15)
 
     def test_zero_output_on_massive_point_is_minus_inf(self):
         fam = DiscreteDistributionFamily(np.array([[0.5, 0.5], [0.5, 0.5]]))
         logits = np.array([[0.0, -np.inf], [0.0, 0.0]])
-        assert cross_entropy_objective(fam, SoftmaxDiscriminator(logits)) == -math.inf
+        assert cross_entropy_objective(fam, logits) == -math.inf
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            cross_entropy_objective(_hand_family(), SoftmaxDiscriminator(np.zeros((3, 2))))
+            cross_entropy_objective(_hand_family(), np.zeros((3, 2)))
 
 
 def _loop_ascent(
@@ -153,7 +156,7 @@ class TestTrainDiscriminator:
         # where logit ascent closes the gap only at O(1/iters).
         fam = _hand_family()
         (trained,) = train_discriminator([fam], iters=20_000)
-        val = cross_entropy_objective(fam, trained.discriminator)
+        val = cross_entropy_objective(fam, trained.logits)
         assert val == pytest.approx(CE_HAND, abs=1e-4)
         assert val <= CE_HAND + 1e-9
         assert not trained.converged and trained.iterations == 20_000
@@ -162,8 +165,8 @@ class TestTrainDiscriminator:
         rng = np.random.default_rng(4)
         fam = _random_family(rng, k=3, m=5)
         (trained,) = train_discriminator([fam], iters=20_000)
-        target = optimal_discriminator(fam).probs
-        assert trained.discriminator.probs == pytest.approx(target, abs=1e-5)
+        target = discriminator_probs(optimal_discriminator(fam))
+        assert discriminator_probs(trained.logits) == pytest.approx(target, abs=1e-5)
 
     def test_gap_shrinks_across_random_families(self):
         rng = np.random.default_rng(5)
@@ -173,14 +176,14 @@ class TestTrainDiscriminator:
         ]
         for fam, trained in zip(fams, train_discriminator(fams, iters=20_000)):
             bound = js_divergence(fam) - math.log(fam.k)
-            assert abs(cross_entropy_objective(fam, trained.discriminator) - bound) <= 1e-5
+            assert abs(cross_entropy_objective(fam, trained.logits) - bound) <= 1e-5
             assert trained.converged and trained.grad_max < 1e-12
 
     def test_deterministic(self):
         fam = _hand_family()
         (a,) = train_discriminator([fam], iters=500)
         (b,) = train_discriminator([fam], iters=500)
-        assert np.array_equal(a.discriminator.logits, b.discriminator.logits)
+        assert np.array_equal(a.logits, b.logits)
 
     def test_no_families(self):
         assert train_discriminator([]) == []
@@ -195,14 +198,14 @@ class TestTrainDiscriminator:
         batch = train_discriminator(fams)
         for i, (fam, got) in enumerate(zip(fams, batch)):
             (alone,) = train_discriminator([fam])
-            assert got.discriminator.logits.shape == (fam.support_size, fam.k)
-            assert np.array_equal(got.discriminator.logits, alone.discriminator.logits)
+            assert got.logits.shape == (fam.support_size, fam.k)
+            assert np.array_equal(got.logits, alone.logits)
             assert got.iterations == alone.iterations
             assert got.grad_max == alone.grad_max
             assert got.converged and alone.converged
             if i % 10 == 0:
                 logits, iterations = _loop_ascent(fam, 30_000)
-                assert np.array_equal(got.discriminator.logits, logits)
+                assert np.array_equal(got.logits, logits)
                 assert got.iterations == iterations
 
     def test_batch_equals_one_family_calls_past_eight_classes(self):
@@ -214,7 +217,7 @@ class TestTrainDiscriminator:
         batch = train_discriminator(fams, iters=300)
         for fam, got in zip(fams, batch):
             (alone,) = train_discriminator([fam], iters=300)
-            assert np.array_equal(got.discriminator.logits, alone.discriminator.logits)
+            assert np.array_equal(got.logits, alone.logits)
             assert got.iterations == alone.iterations
 
     def test_cap_stops_one_family_and_leaves_the_others(self):
@@ -231,10 +234,10 @@ class TestTrainDiscriminator:
         assert capped.iterations == cap
         assert capped.grad_max >= 1e-12
         logits, iterations = _loop_ascent(_hand_family(), cap)
-        assert np.array_equal(capped.discriminator.logits, logits) and iterations == cap
+        assert np.array_equal(capped.logits, logits) and iterations == cap
         for got, ref in zip(batch, alone):
             assert got.converged and got.iterations == ref.iterations < cap
-            assert np.array_equal(got.discriminator.logits, ref.discriminator.logits)
+            assert np.array_equal(got.logits, ref.logits)
 
     def test_divergence_names_the_family(self):
         # At step 30 the third family overshoots by construction. At its first
@@ -276,16 +279,17 @@ class TestTrainDiscriminator:
         )
         (alone,) = train_discriminator([fam])
         assert alone.converged
-        assert np.array_equal(alone.discriminator.logits[1], np.zeros(3))
-        assert np.array_equal(alone.discriminator.probs[1], optimal_discriminator(fam).probs[1])
+        assert np.array_equal(alone.logits[1], np.zeros(3))
+        best = discriminator_probs(optimal_discriminator(fam))
+        assert np.array_equal(discriminator_probs(alone.logits)[1], best[1])
         logits, iterations = _loop_ascent(fam, 30_000)
-        assert np.array_equal(alone.discriminator.logits, logits)
+        assert np.array_equal(alone.logits, logits)
         assert alone.iterations == iterations
         rng = np.random.default_rng(10)
         others = [_random_family(rng, k=int(rng.integers(2, 6)), m=int(rng.integers(2, 9)))
                   for _ in range(4)]
         got = train_discriminator(others[:2] + [fam] + others[2:])[2]
-        assert np.array_equal(got.discriminator.logits, alone.discriminator.logits)
+        assert np.array_equal(got.logits, alone.logits)
         assert got.iterations == alone.iterations
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -342,7 +346,7 @@ class TestTrainDiscriminator:
         k = np.array([float(f.k) for f in fams])
         got = _stack_objective(q, k, _softmax(logits))
         for value, fam, table in zip(got, fams, tables):
-            want = cross_entropy_objective(fam, SoftmaxDiscriminator(table))
+            want = cross_entropy_objective(fam, table)
             if want == -math.inf:
                 assert value == -math.inf
             else:
@@ -354,7 +358,7 @@ def _oracle_values(families, tables):
     return (
         [cross_entropy_objective(fam, optimal_discriminator(fam)) for fam in families],
         [js_divergence(fam) for fam in families],
-        [cross_entropy_objective(fam, SoftmaxDiscriminator(t)) for fam, t in zip(families, tables)],
+        [cross_entropy_objective(fam, t) for fam, t in zip(families, tables)],
     )
 
 
@@ -365,7 +369,7 @@ class TestJsIdentityValues:
         # must keep the classes on its last, contiguous axis to match.
         families = _js_families(seed, {**_VERIFY_SUITES, "k_max": k_max})
         assert max(fam.k for fam in families) == k_max
-        tables = [t.discriminator.logits for t in train_discriminator(families)]
+        tables = [t.logits for t in train_discriminator(families)]
         got = js_identity_values(families, tables)
         for values, want in zip(got, _oracle_values(families, tables)):
             assert values.tobytes() == np.array(want).tobytes()

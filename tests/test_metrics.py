@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from disentlab import metrics as metrics_module
+from disentlab import lasso, metrics as metrics_module
 from disentlab.datasets import gen_linear_gaussian_dataset
 from disentlab.errors import DegenerateEncoder, NumericFailure
 from disentlab.lasso import _KKT_RTOL, LASSO_TOL, lasso_fit, lasso_gram_fit
@@ -844,14 +844,15 @@ class TestLassoFit:
             crosses.append(x.T @ y / n)
         return np.stack(grams), np.stack(crosses)
 
-    def test_nonconvergence_reports_count_and_step(self):
+    def test_nonconvergence_reports_count_and_step(self, monkeypatch):
         # Ordinary fits certify after their first sweep; the two fits of the
         # design with a repeated column cannot, so one sweep leaves them running.
         gram, cross = self._duplicate_column_designs()
+        monkeypatch.setattr(lasso, "LASSO_MAX_ITERS", 1)
         with pytest.raises(
             NumericFailure, match=r"left 2 of 6 fits unconverged after 1 sweeps"
         ) as info:
-            lasso_gram_fit(gram, cross, 0.01, max_iters=1)
+            lasso_gram_fit(gram, cross, 0.01)
         step = float(str(info.value).split("|Δw| ")[1].split(" ")[0])
         assert step > LASSO_TOL
 
