@@ -4,7 +4,8 @@ Subcommands
 -----------
 verify-theorems   run the four closed-form verification suites, one CSV row per check
                   and one per ascent
-gen-data          write a circular-sprite image set or a sampled linear-Gaussian dataset
+gen-data          write the circular-sprite image set as one multi-image PGM, or a
+                  sampled linear-Gaussian dataset
 optimize          fit a generator to a target covariance; save model JSON + ascent history
 metrics           score a model (and dataset) with the metric suite
 select            rank a pool manifest by centrality or pairwise code relevance
@@ -24,12 +25,13 @@ Report CSVs carry 12 significant digits with LF line endings, and every
 subcommand is byte-identical across reruns with the same inputs, seed, and
 any --threads value; only select --method model-centrality uses threads.
 
-Each subcommand returns its exit code and its files as bytes; main alone
-checks --out (before any input is read), makes it, writes the files and
-prints one "wrote N files to OUT" line.
+Each subcommand returns its exit code and its files as bytes (or one uint8
+buffer); main alone checks --out (before any input is read), makes it, writes
+the files and prints one "wrote N files to OUT" line.
 Exit codes: 0 success, 1 failed verification check (its files are still
-written), 2 usage or I/O error. An exit 2 after a failed write removes the
-files the run wrote, and --out too if the run made it.
+written), 2 usage or I/O error, or an allocation the machine refuses. An exit
+2 after a failed write removes the files the run wrote, and --out too if the
+run made it.
 """
 
 from __future__ import annotations
@@ -419,7 +421,7 @@ def cmd_verify_theorems(args) -> tuple[int, dict[str, bytes]]:
 # gen-data
 
 
-def cmd_gen_data(args) -> tuple[int, dict[str, bytes]]:
+def cmd_gen_data(args) -> tuple[int, dict[str, bytes | np.ndarray]]:
     from .datasets import (
         CircularSpec,
         circular_dataset_files,
@@ -768,7 +770,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     kind = p.add_mutually_exclusive_group(required=True)
     kind.add_argument(
-        "--circular", action="store_true", help="circular-sprite PGMs + factors.csv"
+        "--circular",
+        action="store_true",
+        help="images.pgm (one P5 frame per sprite, in factors.csv row order) + factors.csv",
     )
     kind.add_argument(
         "--linear-gaussian",
@@ -835,8 +839,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand, then write the files it returns into --out.
 
-    On a usage or I/O error, the files this run wrote and --out, if this run
-    made it, are removed, so a run that exits 2 leaves no new --out behind.
+    On a usage or I/O error, or a MemoryError, the files this run wrote and
+    --out, if this run made it, are removed, so a run that exits 2 leaves no
+    new --out behind.
     """
     args = build_parser().parse_args(argv)
     if args.threads < 1:
@@ -859,13 +864,13 @@ def main(argv=None) -> int:
             with open(out / name, "wb") as fh:
                 written.append(out / name)
                 fh.write(data)
-    except (CliError, DisentLabError, ValueError, OSError) as exc:
+    except (CliError, DisentLabError, ValueError, OSError, MemoryError) as exc:
         with contextlib.suppress(OSError):
             for path in written:
                 path.unlink()
             if made:
                 out.rmdir()
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
     print(f"wrote {len(files)} files to {out}")
     return code

@@ -3,7 +3,9 @@ factor datasets.
 
 The disc dataset sweeps a small disc over a polar grid of placements on a
 64×64 canvas; generation is pure arithmetic, so outputs are bit-identical
-across runs and platforms. Images are exchanged as binary PGM (P5) files.
+across runs and platforms. The images are exchanged as one multi-image
+binary PGM: P5 frames, each a header and its raster, back to back in index
+order, which Netpbm's pamsplit splits into one file per image.
 """
 from __future__ import annotations
 
@@ -111,24 +113,27 @@ def gen_circular_dsprites(spec: CircularSpec = CircularSpec()) -> tuple[np.ndarr
     return images, factors
 
 
-def pgm_bytes(image: np.ndarray) -> bytes:
-    """One grayscale image as binary PGM (P5, maxval 255)."""
-    image = np.asarray(image)
-    if image.ndim != 2 or image.dtype != np.uint8:
-        raise ValueError(f"expected a 2-d uint8 image, got {image.dtype} shape {image.shape}")
-    h, w = image.shape
-    return f"P5\n{w} {h}\n255\n".encode("ascii") + image.tobytes()
+def circular_dataset_files(
+    images: np.ndarray, factors: np.ndarray
+) -> dict[str, bytes | np.ndarray]:
+    """images.pgm, every image as a P5 frame (maxval 255) in index order, and factors.csv.
 
-
-def circular_dataset_files(images: np.ndarray, factors: np.ndarray) -> dict[str, bytes]:
-    """One PGM per image plus a factors.csv table, in index order, by file name."""
-    width = len(str(len(images) - 1))
-    files = {f"img_{i:0{width}d}.pgm": pgm_bytes(image) for i, image in enumerate(images)}
+    Frame i is row i of factors.csv. The frames are built in one flat uint8
+    buffer, so the images are copied once and no per-frame bytes are made.
+    """
+    if images.ndim != 3 or images.dtype != np.uint8:
+        raise ValueError(
+            f"expected a stack of 2-d uint8 images, got {images.dtype} shape {images.shape}"
+        )
+    n, h, w = images.shape
+    header = np.frombuffer(f"P5\n{w} {h}\n255\n".encode("ascii"), dtype=np.uint8)
+    frames = np.empty((n, header.size + h * w), dtype=np.uint8)
+    frames[:, : header.size] = header
+    frames[:, header.size :] = images.reshape(n, h * w)
     lines = ["image_index,radius_index,angle_index"]
     for i, (ri, ai) in enumerate(factors):
         lines.append(f"{i},{int(ri)},{int(ai)}")
-    files["factors.csv"] = ("\n".join(lines) + "\n").encode()
-    return files
+    return {"images.pgm": frames, "factors.csv": ("\n".join(lines) + "\n").encode()}
 
 
 def write_circular_dataset(directory, images: np.ndarray, factors: np.ndarray) -> None:

@@ -5,6 +5,7 @@ forms on stacks; the one-case calls below are what the tests use as
 fixtures and oracles.
 """
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -113,9 +114,32 @@ def noisy_linear_pool(sigma: SymMatrix, r: int, noise_levels, seed=0, noise_scal
     return ModelPool(tuple(entries))
 
 
+def pgm_bytes(image) -> bytes:
+    """One grayscale image as a binary PGM frame (P5, maxval 255): the reference writer."""
+    image = np.asarray(image)
+    if image.ndim != 2 or image.dtype != np.uint8:
+        raise ValueError(f"expected a 2-d uint8 image, got {image.dtype} shape {image.shape}")
+    h, w = image.shape
+    return f"P5\n{w} {h}\n255\n".encode("ascii") + image.tobytes()
+
+
+_PGM_HEADER = re.compile(rb"P5\n(\d+) (\d+)\n255\n")
+
+
 def read_pgm(path) -> np.ndarray:
-    """A binary PGM in the layout pgm_bytes writes: P5, width height, 255, then the raster."""
-    magic, size, maxval, raster = Path(path).read_bytes().split(b"\n", 3)
-    w, h = (int(v) for v in size.split())
-    assert (magic, maxval, len(raster)) == (b"P5", b"255", w * h), f"{path} is not such a PGM"
-    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w)
+    """Every frame of a binary PGM in the layout pgm_bytes writes, stacked (frames, h, w).
+
+    A file is one or more frames back to back, each P5, width height, 255,
+    then its raster. A truncated frame or bytes after the last frame fail.
+    """
+    data = Path(path).read_bytes()
+    frames, pos = [], 0
+    while pos < len(data):
+        header = _PGM_HEADER.match(data, pos)
+        assert header, f"{path}: the bytes at offset {pos} do not start a P5 frame"
+        w, h = int(header[1]), int(header[2])
+        pos = header.end() + w * h
+        assert pos <= len(data), f"{path}: the frame at offset {header.start()} is truncated"
+        frames.append(np.frombuffer(data, np.uint8, w * h, header.end()).reshape(h, w))
+    assert frames, f"{path} holds no frame"
+    return np.stack(frames)

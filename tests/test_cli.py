@@ -245,22 +245,39 @@ class TestGenData:
         args = ["gen-data", "--circular", "--n-radii", "3", "--n-angles", "4",
                 "--out", str(out)]
         assert main(args) == 0
-        images = sorted(out.glob("*.pgm"))
-        assert len(images) == 12
-        assert images[0].name == "img_00.pgm"
-        assert read_pgm(images[0]).shape == (64, 64)
+        assert sorted(p.name for p in out.iterdir()) == ["factors.csv", "images.pgm"]
+        assert read_pgm(out / "images.pgm").shape == (12, 64, 64)
         assert len(_read_rows(out / "factors.csv")) == 13
 
     def test_circular_byte_identical_across_runs(self, tmp_path):
         base = ["gen-data", "--circular", "--n-radii", "2", "--n-angles", "4"]
         assert main(base + ["--out", str(tmp_path / "a")]) == 0
         assert main(base + ["--out", str(tmp_path / "b")]) == 0
-        for name in ("img_0.pgm", "factors.csv"):
+        for name in ("images.pgm", "factors.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_circular_rejects_overflowing_disc(self, tmp_path):
         args = ["gen-data", "--circular", "--radius", "40", "--out", str(tmp_path / "x")]
         assert main(args) == 2
+
+    def test_circular_out_of_memory_exits_2(self, tmp_path, monkeypatch, capsys):
+        # numpy refuses the 9.31 GiB image stack of a 100,000-pixel canvas;
+        # the stand-in refuses any request over 1 GiB without allocating it
+        empty = np.empty
+
+        def refuse_large(shape, dtype=float, **kwargs):
+            size = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
+            if size > 2**30:
+                raise MemoryError(f"Unable to allocate {size / 2**30:.2f} GiB")
+            return empty(shape, dtype, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refuse_large)
+        out = tmp_path / "big"
+        args = ["gen-data", "--circular", "--n-radii", "1", "--n-angles", "1", "--radius", "0",
+                "--canvas", "100000", "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 9.31 GiB\n"
+        assert not out.exists()
 
     def test_linear_gaussian_dataset(self, model_dir, tmp_path):
         out = tmp_path / "ds"

@@ -1,18 +1,21 @@
 """Tests for dataset generation and PGM IO."""
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from disentlab.datasets import (
     CircularSpec,
+    circular_dataset_files,
     gen_circular_dsprites,
     gen_linear_gaussian_dataset,
-    pgm_bytes,
     rasterize_disc,
     write_circular_dataset,
 )
 from disentlab.linalg import SymMatrix, spd_sqrt
 from disentlab.metrics import GeneratorSampler
-from support import matched_generator, read_pgm
+from support import matched_generator, pgm_bytes, read_pgm
 
 # lattice points with x² + y² ≤ 25
 DISC_5_PIXELS = 81
@@ -120,7 +123,7 @@ class TestPgmIo:
         img = rasterize_disc((20.0, 30.0), 5.0)
         path = tmp_path / "disc.pgm"
         path.write_bytes(pgm_bytes(img))
-        assert np.array_equal(read_pgm(path), img)
+        assert np.array_equal(read_pgm(path), [img])
 
     def test_header_layout(self):
         data = pgm_bytes(np.zeros((2, 3), dtype=np.uint8))
@@ -135,25 +138,75 @@ class TestPgmIo:
         with pytest.raises(ValueError):
             pgm_bytes(np.zeros((2, 2), dtype=float))
 
+    def test_read_rejects_truncated_frame_and_trailing_bytes(self, tmp_path):
+        two = pgm_bytes(np.zeros((2, 3), dtype=np.uint8)) + pgm_bytes(np.ones((2, 3), np.uint8))
+        path = tmp_path / "two.pgm"
+        path.write_bytes(two)
+        assert np.array_equal(read_pgm(path), [np.zeros((2, 3)), np.ones((2, 3))])
+        for bad in (two[:-1], two + b"\n", two + two[:11]):
+            path.write_bytes(bad)
+            with pytest.raises(AssertionError):
+                read_pgm(path)
+
     def test_write_circular_dataset(self, tmp_path):
         spec = CircularSpec(n_radii=2, n_angles=4)
         images, factors = gen_circular_dsprites(spec)
         write_circular_dataset(tmp_path, images, factors)
-        assert sorted(p.name for p in tmp_path.glob("*.pgm")) == [
-            "img_0.pgm",
-            "img_1.pgm",
-            "img_2.pgm",
-            "img_3.pgm",
-            "img_4.pgm",
-            "img_5.pgm",
-            "img_6.pgm",
-            "img_7.pgm",
-        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["factors.csv", "images.pgm"]
         lines = (tmp_path / "factors.csv").read_text().splitlines()
         assert lines[0] == "image_index,radius_index,angle_index"
         assert lines[1] == "0,0,0"
         assert lines[-1] == "7,1,3"
-        assert np.array_equal(read_pgm(tmp_path / "img_5.pgm"), images[5])
+        frames = read_pgm(tmp_path / "images.pgm")
+        assert frames.shape == (8, 64, 64)
+        assert np.array_equal(frames[5], images[5])
+
+    def test_frames_round_trip_in_index_order(self, tmp_path):
+        spec = CircularSpec(canvas_size=20, disc_radius=2, n_radii=3, n_angles=5)
+        images, factors = gen_circular_dsprites(spec)
+        write_circular_dataset(tmp_path, images, factors)
+        frames = read_pgm(tmp_path / "images.pgm")
+        rows = (tmp_path / "factors.csv").read_text().splitlines()[1:]
+        assert len(frames) == len(rows) == 15
+        for i, (frame, row) in enumerate(zip(frames, rows)):
+            assert np.array_equal(frame, images[i])
+            assert row == f"{i},{factors[i, 0]},{factors[i, 1]}"
+
+    def test_default_images_are_the_concatenated_frames(self):
+        images, factors = gen_circular_dsprites()
+        data = bytes(circular_dataset_files(images, factors)["images.pgm"])
+        # the 1,080 files img_0000.pgm … img_1079.pgm that earlier releases wrote, in order
+        assert data == b"".join(pgm_bytes(image) for image in images)
+        assert len(data) == 4_437_720
+        assert hashlib.sha256(data).hexdigest() == (
+            "99fbc6ac20df77dc761d6389bd804cc32a9b385ce78edd5caa1bc299ddd1d116"
+        )
+
+    def test_files_reject_a_stack_that_is_not_uint8(self):
+        with pytest.raises(ValueError, match="stack of 2-d uint8 images"):
+            circular_dataset_files(np.zeros((2, 3, 3)), np.zeros((2, 2), dtype=int))
+        with pytest.raises(ValueError, match="stack of 2-d uint8 images"):
+            circular_dataset_files(np.zeros((3, 3), np.uint8), np.zeros((3, 2), dtype=int))
+
+    def test_default_files_peak_allocation(self):
+        # The default set is 1,080 frames of 64×64: the image stack holds
+        # 1,080·4,096 = 4,423,680 bytes and the frame buffer 1,080·(13 + 4,096)
+        # = 4,437,720. With factors (17,280 bytes), factors.csv (about 10 kB)
+        # and one rasterization's temporaries (a few 64×64 float arrays, about
+        # 100 kB), the peak is about 8.97 MB. A second full copy of the frames
+        # adds 4.4 MB, over the 10 MB bound. One bytes object per frame fits
+        # under it in place of the buffer, but leaves over 1,080 live blocks
+        # where the buffer, factors.csv and small objects make about a dozen.
+        tracemalloc.start()
+        try:
+            files = circular_dataset_files(*gen_circular_dsprites())
+            peak = tracemalloc.get_traced_memory()[1]
+            live = len(tracemalloc.take_snapshot().traces)
+        finally:
+            tracemalloc.stop()
+        assert len(files) == 2
+        assert peak <= 10_000_000, f"peak {peak:,} bytes"
+        assert live <= 100, f"{live} live allocations"
 
 
 class TestLinearGaussianDataset:
