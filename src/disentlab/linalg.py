@@ -18,8 +18,10 @@ PSD_CLAMP_TOL = 1e-10
 
 # Singular values within a few ulp above 1 count as already contractive, which
 # keeps project_contraction exactly idempotent on its own output (a clipped
-# product can re-factor with a top singular value 1-2 ulp above 1).
-_CONTRACTION_SLACK = 1.0 + 16.0 * np.finfo(float).eps
+# product can re-factor with a top singular value 1-2 ulp above 1). The same
+# 16 ulp, CONTRACTION_SLACK - 1, bound the projection's rounding of a whole
+# matrix: lingauss stops an ascent whose candidate moves B̃ by no more.
+CONTRACTION_SLACK = 1.0 + 16.0 * np.finfo(float).eps
 
 # Components below this magnitude do not anchor the eigenvector sign rule.
 _SIGN_EPS = 1e-12
@@ -134,7 +136,7 @@ def project_contraction(b_tilde) -> np.ndarray:
         raise NumericFailure(f"SVD failed during contraction projection: {exc}") from exc
     if s.shape[-1] == 0:
         return b
-    clip = s[..., 0] > _CONTRACTION_SLACK
+    clip = s[..., 0] > CONTRACTION_SLACK
     count = np.count_nonzero(clip)
     if not count:
         return b

@@ -22,6 +22,7 @@ from .errors import (
     UndefinedDivergence,
 )
 from .linalg import (
+    CONTRACTION_SLACK,
     PSD_CLAMP_TOL,
     Eigendecomposition,
     SymMatrix,
@@ -135,8 +136,10 @@ class TheoremReport:
     permutation: tuple[int, ...]
     history: tuple[float, ...]
     # The stop rule that ended the ascent: "rel_tol" (the last accepted step
-    # gained less than rel_tol), "no_ascent_step" (a line search rejected every
-    # step down to step_size·2⁻⁴⁰) or "max_iters".
+    # gained at most rel_tol·max(1, |f|)), "no_ascent_step" (a rejected
+    # candidate lay within rounding of B̃, which is then a fixed point of the
+    # projected step, or the line search halved the step below
+    # step_size·2⁻⁴⁰) or "max_iters".
     stop: str
     backtracks: int  # candidates the line search rejected
 
@@ -433,13 +436,16 @@ def optimize_generators(
     per round. Each round evaluates the objective and its gradient at every
     row's candidate in one call, and one masked update lands them: a row
     whose candidate rises takes it with its gradient and a fresh step, and
-    any other row keeps its B̃ and gradient and halves its own step. A row
-    leaves the stack when its own stop rule fires. Every run's Σ is
-    decomposed in one stacked eigh call, which also gives its square root.
-    The results come from one stacked residual eigh for the noise maps, and
-    the reports match every run's columns to its eigenvectors in one greedy
-    pass over the stack. A failed SVD names its run, and so does a singular
-    Σ when the stack holds more than one.
+    any other row keeps its B̃ and gradient and halves its own step. A
+    rejected candidate within 16 ulp of its B̃ (‖cand - B̃‖_F at most
+    (CONTRACTION_SLACK - 1)·‖B̃‖_F) ends its run at once: B̃ is then a fixed
+    point of the projected step, and since the contraction set is convex it
+    is one for every step size. A row leaves the stack when its own stop
+    rule fires. Every run's Σ is decomposed in one stacked eigh call, which
+    also gives its square root. The results come from one stacked residual
+    eigh for the noise maps, and the reports match every run's columns to
+    its eigenvectors in one greedy pass over the stack. A failed SVD names
+    its run, and so does a singular Σ when the stack holds more than one.
     """
     runs = list(runs)
     f = len(runs)
@@ -498,6 +504,7 @@ def optimize_generators(
     f_cur, grad = evaluate(bt)
     step = np.full((f, 1, 1), cfg.step_size)  # each row's own step
     min_step = cfg.step_size * 2.0 ** -40
+    rounding = CONTRACTION_SLACK - 1.0
     histories = [[v] for v in f_cur.tolist()]
     backtracks = [0] * f
     stops = [""] * f
@@ -525,7 +532,11 @@ def optimize_generators(
                     continue
             else:
                 backtracks[i] += 1
-                if next_step >= min_step:
+                # A candidate that moved B̃ by more than rounding may rise at
+                # a shorter step. Each norm is a call of this row's own, so
+                # the test does not depend on the stack.
+                moved = np.linalg.norm(cand[k] - bt[k])
+                if next_step >= min_step and moved > rounding * np.linalg.norm(bt[k]):
                     continue
                 stops[i] = "no_ascent_step"
             final[i] = bt[k]
@@ -573,10 +584,11 @@ def optimize_generator(
     constraint is enforced by construction: each candidate B̃ is clipped back
     into the contraction set, and the returned generator carries
     A = (Σ - B Bᵀ)^{1/2}. Backtracking line search keeps the objective
-    non-decreasing across accepted steps. The run stops when the relative
-    objective change drops below rel_tol, when no ascent step exists (the
-    maximizers are exact fixed points of the projected step), or at
-    max_iters; the report's stop names which, and its backtracks counts the
-    rejected candidates.
+    non-decreasing across accepted steps. The run stops when an accepted
+    step gains at most rel_tol·max(1, |f|), when no ascent step exists (a
+    rejected candidate equals B̃ up to rounding, as at the maximizers, which
+    are exact fixed points of the projected step), or at max_iters; the
+    report's stop names which, and its backtracks counts the rejected
+    candidates.
     """
     return optimize_generators([(sigma, cfg.seed)], r, cfg)[0]

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from disentlab.errors import NotPositiveSemidefinite
-from disentlab.linalg import Eigendecomposition, SymMatrix, eig_sym, project_contraction, spd_sqrt
+from disentlab.linalg import (
+    CONTRACTION_SLACK,
+    Eigendecomposition,
+    SymMatrix,
+    eig_sym,
+    project_contraction,
+    spd_sqrt,
+)
 
 
 def _random_sym(rng, d, scale=1.0):
@@ -247,3 +254,20 @@ class TestProjectContraction:
     def test_contractive_stack_returned_unchanged(self):
         stack = 0.1 * np.random.default_rng(7).standard_normal((4, 3, 2))
         assert project_contraction(stack) is stack
+
+    @pytest.mark.parametrize("d, r", [(1, 1), (3, 1), (3, 2), (4, 4), (5, 3), (8, 8), (16, 12)])
+    def test_semi_orthonormal_matrix_is_a_fixed_point_to_16_ulp(self, d, r):
+        # The information objective's gradient at a semi-orthonormal B̃ is B̃
+        # itself, so every projected step P(B̃ + t·B̃) must come back to B̃:
+        # within the 16 ulp of CONTRACTION_SLACK, the rounding by which
+        # lingauss stops such an ascent after one rejected candidate. (For
+        # B̃ + t·B̃·S with a general PSD S the rounding can exceed 16 ulp; such
+        # an ascent keeps halving its step until a candidate moves B̃ by no
+        # more, or the step falls below step_size·2⁻⁴⁰.)
+        rng = np.random.default_rng(100 * d + r)
+        bound = CONTRACTION_SLACK - 1.0
+        for _ in range(20):
+            b = np.linalg.qr(rng.standard_normal((d, r)))[0]
+            for t in 10.0 ** np.arange(-12, 2):  # 1e-12 to 10
+                moved = np.linalg.norm(project_contraction(b + t * b) - b)
+                assert moved <= bound * np.linalg.norm(b), (t, moved)

@@ -26,7 +26,13 @@ from disentlab.lingauss import (
     posterior,
     rank_r_truncation,
 )
-from disentlab.linalg import SymMatrix, eig_sym, project_contraction, spd_sqrt
+from disentlab.linalg import (
+    CONTRACTION_SLACK,
+    SymMatrix,
+    eig_sym,
+    project_contraction,
+    spd_sqrt,
+)
 from support import infogan_objective, matched_generator
 
 
@@ -584,7 +590,10 @@ def _reference_ascent(sigma, r, cfg):
             if f_cand > f_cur:
                 break
             backtracks += 1
-            step *= 0.5
+            if np.linalg.norm(cand - bt) <= (CONTRACTION_SLACK - 1.0) * np.linalg.norm(bt):
+                step = 0.0  # a fixed point of the projected step: no step moves B̃
+            else:
+                step *= 0.5
         else:
             stop = "no_ascent_step"
             break
@@ -647,6 +656,11 @@ class TestOptimizeGenerators:
         runs = [(sigma, seed) for sigma in sigmas for seed in range(3)] + [(sigmas[1], 0)]
         stacked = optimize_generators(runs, 2, OptimizerConfig(objective, **settings))
         assert {rep.stop for _, rep in stacked} == {"rel_tol", "no_ascent_step", "max_iters"}
+        # a row leaves after its accepted and rejected rounds; some row stops
+        # at a fixed point of the projected step while another still ascends
+        rounds = [len(rep.history) - 1 + rep.backtracks for _, rep in stacked]
+        fixed = [n for n, (_, rep) in zip(rounds, stacked) if rep.stop == "no_ascent_step"]
+        assert min(fixed) < max(rounds)
         for (sigma, seed), result in zip(runs, stacked):
             single = optimize_generator(sigma, 2, OptimizerConfig(objective, seed=seed, **settings))
             assert _same_run(result, single), (sigma.entries.diagonal(), seed)
@@ -703,13 +717,52 @@ class TestOptimizeGenerators:
         assert len(rep.history) - 1 == 3
 
     def test_fixed_point_reports_no_ascent_step(self):
-        # on Σ = I the projected step maps a semi-orthonormal B̃ to itself, so
-        # every candidate of the last line search is rejected
+        # on Σ = I the projected step maps a semi-orthonormal B̃ to itself up
+        # to rounding, so its first rejected candidate ends the ascent
         cfg = OptimizerConfig(objective="infogan", seed=2)
         _, rep = optimize_generator(SymMatrix(np.eye(3)), 2, cfg)
         assert rep.stop == "no_ascent_step"
         assert rep.orthonormality_residual <= 1e-12
-        assert rep.backtracks >= 41  # step_size down to step_size·2⁻⁴⁰
+        assert rep.backtracks == 1
+
+    def test_overshooting_candidate_halves_the_step(self):
+        # On this spread spectrum the second step of seed 12 overshoots: six
+        # candidates, each moving B̃ by over 60% of its Frobenius norm, fall
+        # in objective before the seventh, at step_size·2⁻⁶, rises. In the
+        # same stack the Σ = I run stops at a fixed point after one rejection.
+        spread = SymMatrix(np.diag([100.0, 10.0, 1.0, 0.1]))
+        runs = [(spread, 12), (SymMatrix(np.eye(4)), 0)]
+        fits = optimize_generators(runs, 3, OptimizerConfig("cr_frobenius"))
+        assert [(rep.stop, rep.backtracks) for _, rep in fits] == [
+            ("rel_tol", 6), ("no_ascent_step", 1)
+        ]
+        for (sigma, seed), (gen, rep) in zip(runs, fits):
+            _, b, history, stop, backtracks = _reference_ascent(
+                sigma, 3, OptimizerConfig("cr_frobenius", seed=seed)
+            )
+            assert np.array_equal(gen.B, b) and rep.history == history
+            assert (rep.stop, rep.backtracks) == (stop, backtracks)
+
+    def test_verify_stack_ends_at_its_fixed_points(self, monkeypatch):
+        # verify's infogan runs reach semi-orthonormal B̃ within 10 accepted
+        # steps, and each then leaves at its first rejected candidate, so the
+        # stacked projection runs at most 11 times, the draws' included
+        calls = []
+        project = lingauss._project_runs
+
+        def counted(stack, run):
+            calls.append(len(stack))
+            return project(stack, run)
+
+        monkeypatch.setattr(lingauss, "_project_runs", counted)
+        ascents = []
+        opt = cli._defaults(OptimizerConfig, "lam", "alpha")
+        suites, thresholds = dict(cli._VERIFY_SUITES), dict(cli._VERIFY_THRESHOLDS)
+        checks = list(cli._semi_orthonormal(0, suites, opt, thresholds, ascents))
+        assert all(value <= threshold for _, _, value, threshold in checks)
+        assert len(calls) <= 11
+        assert len(ascents) == suites["matrices"] * suites["seeds"] == calls[0]
+        assert max(int(row[3]) for row in ascents) <= 1
 
     def test_default_cr_run_stops_at_rel_tol(self):
         cfg = OptimizerConfig(objective="cr_frobenius")
