@@ -6,6 +6,7 @@ fixtures and oracles.
 """
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from disentlab.contrastive import DiscreteDistributionFamily
 from disentlab.linalg import SymMatrix, eig_sym
 from disentlab.lingauss import LinearGenerator, _noise_maps, _objectives, _pd_eig, posterior
-from disentlab.metrics import LinearEncoder
+from disentlab.metrics import LinearEncoder, _laplace_row_sums, _median_pair_distance
 from disentlab.selection import ModelPool
 
 
@@ -143,3 +144,48 @@ def read_pgm(path) -> np.ndarray:
         frames.append(np.frombuffer(data, np.uint8, w * h, header.end()).reshape(h, w))
     assert frames, f"{path} holds no frame"
     return np.stack(frames)
+
+
+def reference_dhsic(samples) -> float:
+    """dHSIC with the joint kernel summed on strided views of two (32, n) buffers.
+
+    The package's medians and marginal sums, and the joint loop that
+    metrics.dhsic ran before it moved to contiguous row chunks: each block of
+    32 rows builds its exponents coordinate by coordinate in
+    exponent[:size, :n - start] and adds its kernel sum as one term, so
+    dhsic must return the same bits.
+    """
+    x = np.asarray(samples, dtype=float)
+    n, k = x.shape
+    cols = np.ascontiguousarray(x.T)
+    h2 = np.empty(k)
+    product_term = 1.0
+    row_products = np.ones(n)
+    for col in range(k):
+        order = np.argsort(cols[col], kind="stable")
+        xs = cols[col, order]
+        h = _median_pair_distance(xs)
+        if not h * h >= np.finfo(float).tiny:
+            warnings.warn(f"coordinate {col} has zero median distance, or one whose square "
+                          f"underflows ({h:.3g}); bandwidth set to 1.0")
+            h = 1.0
+        h2[col] = h * h
+        sums = _laplace_row_sums(xs, h2[col])
+        product_term *= sums.sum() / (n * n)
+        row_products[order] *= sums / n
+    exponent = np.empty((32, n))
+    work = np.empty((32, n))
+    joint = 0.0
+    for start in range(0, n, 32):
+        size = min(32, n - start)
+        acc = exponent[:size, : n - start]
+        tmp = work[:size, : n - start]
+        acc.fill(0.0)
+        for col in range(k):
+            np.subtract(cols[col, start : start + size, None], cols[col, None, start:], out=tmp)
+            np.abs(tmp, out=tmp)
+            tmp *= -1.0 / h2[col]
+            acc += tmp
+        np.exp(acc, out=acc)
+        joint += acc[:, :size].sum() + 2.0 * acc[:, size:].sum()
+    return float(joint / (n * n) + product_term - 2.0 * row_products.mean())

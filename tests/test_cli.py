@@ -8,6 +8,7 @@ TestModuleEntryPoint starts `python -m disentlab`, to cover __main__.py.
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -19,6 +20,7 @@ import pytest
 import disentlab
 from disentlab import cli
 from disentlab.cli import _VERIFY, _score_labels, main
+from disentlab.metrics import FactorDataset
 from support import read_pgm
 
 SMALL_VERIFY = {
@@ -569,6 +571,33 @@ class TestMetrics:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert "could not load dataset" in err and "hold non-finite entries" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "make, message",
+        [(lambda a, noise: np.column_stack([a, np.where(a < 0.0, -1e308, 1e308) + noise]),
+          r"error: coordinate 1 spans -1e\+308 to 1e\+308, so its pair distances overflow"),
+         (lambda a, noise: np.column_stack([a, a + 0.1 * noise]) * 1e155,
+          r"error: coordinate 0 has median pair distance \S+, whose square overflows")],
+        ids=["range-overflows", "squared-median-overflows"],
+    )
+    def test_dhsic_overflow_exits_2_naming_the_coordinate(self, tmp_path, capsys, make, message):
+        # B = I, A = 0, Σ = I and an identity encoder: the codes are the samples
+        eye = [1.0, 0.0, 0.0, 1.0]
+        model = _write_json(tmp_path / "model.json", {
+            "d": 2, "r": 2, "B": eye, "A": [0.0] * 4, "sigma": eye, "encoder": eye})
+        rng = np.random.default_rng(0)
+        samples = make(rng.standard_normal(50), rng.standard_normal(50))
+        data = tmp_path / "data"
+        data.mkdir()
+        FactorDataset(samples, np.zeros((50, 2))).save(data)
+        out = tmp_path / "met"
+        args = ["metrics", "--model", model, "--metrics", "dhsic", "--data", str(data),
+                "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.fullmatch(message, err[0]), err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")

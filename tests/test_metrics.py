@@ -14,6 +14,7 @@ from disentlab.lasso import _KKT_RTOL, LASSO_TOL, lasso_fit, lasso_gram_fit
 from disentlab.lingauss import LinearGenerator, OptimizerConfig, optimize_generator
 from disentlab.linalg import SymMatrix
 from disentlab.metrics import (
+    _DHSIC_BLOCK,
     _laplace_row_sums,
     _latent_groups,
     _median_pair_distance,
@@ -497,6 +498,27 @@ class TestDhsic:
         with pytest.raises(ValueError, match="samples hold non-finite entries"):
             dhsic(x)
 
+    @pytest.mark.filterwarnings("error")
+    def test_coordinate_whose_distances_overflow_is_rejected_by_name(self):
+        # its pair distances reach 2e308: the kernel would read NaN
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((50, 3))
+        x[:, 1] += np.where(rng.random(50) < 0.5, 1e308, -1e308)
+        with pytest.raises(ValueError, match="^coordinate 1 spans .* pair distances overflow$"):
+            dhsic(x)
+
+    @pytest.mark.filterwarnings("error")
+    def test_coordinate_whose_squared_median_overflows_is_rejected_by_name(self):
+        # h² is inf, so every kernel entry would be 1 and the score exactly 0.0
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal(50)
+        x = np.column_stack([a, a + 0.1 * rng.standard_normal(50)]) * 1e155
+        with pytest.raises(ValueError, match="^coordinate 0 has median pair distance .* overflows$"):
+            dhsic(x)
+        x[:, 0] = a
+        with pytest.raises(ValueError, match="^coordinate 1 has median pair distance"):
+            dhsic(x)
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -698,7 +720,8 @@ class TestDhsic:
         rel = float(np.max(np.abs((got - want) / want)))
         assert rel <= 1e-15, rel
 
-    def test_peak_memory_stays_below_an_eighth_of_one_n_by_n_matrix(self):
+    def test_peak_memory_stays_below_four_joint_blocks(self):
+        # O(n·block): 3.9 MiB at n = 4000, where one n×n matrix takes 122 MiB
         n = 4000
         x = np.random.default_rng(3).standard_normal((n, 4))
         tracemalloc.start()
@@ -707,7 +730,7 @@ class TestDhsic:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < n * n * 8 / 8, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < 4 * _DHSIC_BLOCK * n * 8, f"peak {peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("tied", [1.0, 0.9], ids=["constant", "tied-90"])
     def test_tied_coordinate_stays_below_the_same_memory_bound(self, tied):
@@ -724,7 +747,7 @@ class TestDhsic:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < n * n * 8 / 8, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < 4 * _DHSIC_BLOCK * n * 8, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestSpearman:
