@@ -13,7 +13,7 @@ analyze           rank-correlation matrix across score CSVs
 
 Every subcommand loads errors, linalg and lingauss; each loads the rest of
 the package only when it runs:
-verify-theorems   contrastive
+verify-theorems   verify, contrastive
 gen-data          datasets, metrics, lasso
 optimize          plots
 metrics           metrics, lasso
@@ -52,61 +52,24 @@ import numpy as np
 from .errors import DisentLabError
 from .linalg import SymMatrix
 from .lingauss import (
-    LOG_2PI,
     MATCHED_RTOL,
     LinearGenerator,
     OptimizerConfig,
-    bias_decompositions,
     is_distribution_matched,
-    TheoremReport,
     optimize_generators,
     posterior,
-    rank_r_truncation,
 )
 
-# contrastive, datasets, metrics, plots and selection are imported inside the
+# datasets, metrics, plots, selection and verify are imported inside the
 # functions that use them, so each process loads only what its subcommand
 # runs: numpy and the package's imports are most of a short run's time.
 if TYPE_CHECKING:
-    from .contrastive import DiscreteDistributionFamily
     from .metrics import FactorVaeConfig, LinearEncoder
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-_VERIFY_SUITES = {
-    "matrices": 10,
-    "seeds": 10,
-    "d": 6,
-    "r": 3,
-    "spectrum": [9.0, 4.0, 1.0, 0.25, 0.04],
-    "pca_r": 2,
-    "pca_seeds": 10,
-    "families": 100,
-    "k_max": 5,
-    "support_max": 8,
-    "bias_cases": 100,
-    "bias_d": 4,
-    "bias_r": 2,
-}
-# Counts must be at least 1; a family needs two classes and two support points.
-_VERIFY_MINIMUMS = {
-    **dict.fromkeys(("matrices", "seeds", "pca_seeds", "families", "bias_cases"), 1),
-    "k_max": 2,
-    "support_max": 2,
-}
-_VERIFY_THRESHOLDS = {
-    "orthonormality_residual": 1e-4,
-    "objective_gap": 1e-4,
-    "alignment_gap": 1e-3,
-    "norm_relative_error": 1e-3,
-    "truncation_gap": 1e-3,
-    "js_identity_gap": 1e-12,
-    "js_training_gap": 1e-4,
-    "decomposition_residual": 1e-10,
-    "bias_negative_part": 0.0,
-}
 _METRIC_NAMES = ("factorvae", "dci", "dhsic")
 
 
@@ -211,14 +174,18 @@ def _symmetric(m: np.ndarray, source) -> SymMatrix:
     """m as a SymMatrix, if it is square and symmetric to MATCHED_RTOL; otherwise exit 2.
 
     SymMatrix itself averages m with mᵀ, which would silently turn a
-    mistyped input into another covariance.
+    mistyped input into another covariance. Both norms are taken of m over a
+    power of two near its largest entry, which keeps their bits and keeps
+    them finite past entries of 1e154. m must be finite.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise CliError(f"{source} must hold a square matrix, got shape {m.shape}")
-    skew = np.linalg.norm(m - m.T)
-    if skew > MATCHED_RTOL * np.linalg.norm(m):
+    scale = 2.0 ** (math.frexp(np.abs(m).max())[1] - 1)
+    unit = m / scale
+    skew = np.linalg.norm(unit - unit.T)
+    if skew > MATCHED_RTOL * np.linalg.norm(unit):
         raise CliError(
-            f"{source} holds an asymmetric matrix (‖Σ - Σᵀ‖_F = {skew:.6g}, "
+            f"{source} holds an asymmetric matrix (‖Σ - Σᵀ‖_F = {float(skew) * scale:.6g}, "
             f"over {MATCHED_RTOL:g}·‖Σ‖_F)"
         )
     return SymMatrix(m)
@@ -261,160 +228,12 @@ def _factorvae_config(config: dict, seed: int) -> FactorVaeConfig:
 # verify-theorems
 
 
-def _ascent_row(suite: str, case: str, report: TheoremReport) -> list[str]:
-    """A projected ascent's ascents.csv row; the discriminator columns stay empty."""
-    return [suite, case, str(len(report.history) - 1), str(report.backtracks), report.stop, "", ""]
-
-
-def _semi_orthonormal(seed, suites, opt, thresholds, ascents):
-    """Recovered code maps are semi-orthonormal and hit the closed-form optimum."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    d, r = suites["d"], suites["r"]
-    optimum = -0.5 * r * LOG_2PI
-    runs, cases = [], []
-    for m_idx in range(suites["matrices"]):
-        m = rng.standard_normal((d, d))
-        sigma = SymMatrix(m @ m.T + 0.5 * np.eye(d))
-        for s_idx in range(suites["seeds"]):
-            runs.append((sigma, s_idx))
-            cases.append(f"sigma{m_idx:02d}_seed{s_idx:02d}")
-    fits = optimize_generators(runs, r, OptimizerConfig("infogan", **opt))
-    for case, (_, report) in zip(cases, fits):
-        ascents.append(_ascent_row("semi_orthonormal", case, report))
-        yield (case, "orthonormality_residual", report.orthonormality_residual,
-               thresholds["orthonormality_residual"])
-        yield (case, "objective_gap", abs(report.objective_value - optimum),
-               thresholds["objective_gap"])
-
-
-def _pca_recovery(seed, suites, opt, thresholds, ascents):
-    """The coupling objective recovers the top principal components."""
-    spectrum = np.asarray(suites["spectrum"])
-    pca_r = suites["pca_r"]
-    sigma = SymMatrix(np.diag(spectrum))
-    w_desc = np.sort(spectrum)[::-1]
-    trunc = rank_r_truncation(sigma, pca_r).entries
-    runs = [(sigma, s_idx) for s_idx in range(suites["pca_seeds"])]
-    fits = optimize_generators(runs, pca_r, OptimizerConfig("cr_frobenius", **opt))
-    for s_idx, (gen, report) in enumerate(fits):
-        case = f"seed{s_idx:02d}"
-        ascents.append(_ascent_row("pca_recovery", case, report))
-        yield (case, "alignment_gap", 1.0 - report.pca_alignment.min(),
-               thresholds["alignment_gap"])
-        relative = report.norm_errors / w_desc[list(report.permutation)]
-        yield case, "norm_relative_error", relative.max(), thresholds["norm_relative_error"]
-        yield (case, "truncation_gap", np.linalg.norm(gen.B @ gen.B.T - trunc),
-               thresholds["truncation_gap"])
-
-
-def _js_families(seed, suites) -> list[DiscreteDistributionFamily]:
-    """The js_identity suite's families, each with full support."""
-    from .contrastive import DiscreteDistributionFamily
-
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    families = []
-    for _ in range(suites["families"]):
-        k = int(rng.integers(2, suites["k_max"] + 1))
-        support = int(rng.integers(2, suites["support_max"] + 1))
-        probs = rng.uniform(0.2, 1.0, (k, support))
-        probs /= probs.sum(axis=1, keepdims=True)
-        families.append(DiscreteDistributionFamily(probs))
-    return families
-
-
-def _js_identity(seed, suites, opt, thresholds, ascents):
-    """The best discrimination value is the mixture divergence minus log k; ascent attains it."""
-    from .contrastive import js_identity_values, train_discriminator
-
-    families = _js_families(seed, suites)
-    trained = train_discriminator(families)
-    values = js_identity_values(families, [ascent.logits for ascent in trained])
-    for f_idx, (family, ascent, best, js, fit) in enumerate(zip(families, trained, *values)):
-        case = f"family{f_idx:03d}"
-        ascents.append(["js_identity", case, str(ascent.iterations), "", "",
-                        _fmt(ascent.grad_max), str(ascent.converged).lower()])
-        yield (case, "identity_gap", abs(best - (js - math.log(family.k))),
-               thresholds["js_identity_gap"])
-        yield case, "training_gap", best - fit, thresholds["js_training_gap"]
-
-
-def _bias_identity(seed, suites, opt, thresholds, ascents):
-    """The recognition loss splits into information minus entropy minus a nonnegative bias."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
-    d, r = suites["bias_d"], suites["bias_r"]
-    draws = [(rng.standard_normal((d, d)), rng.standard_normal((d, r)))
-             for _ in range(suites["bias_cases"])]
-    m, bt = map(np.stack, zip(*draws))
-    bt *= 0.9 / np.linalg.svd(bt, compute_uv=False)[:, :1, None]
-    decs = bias_decompositions(m @ m.transpose(0, 2, 1) + 0.5 * np.eye(d), bt)
-    for c_idx, dec in enumerate(decs):
-        case = f"case{c_idx:03d}"
-        split = dec.mutual_information - dec.latent_entropy - dec.implicit_bias
-        yield (case, "decomposition_residual", abs(dec.info_loss - split),
-               thresholds["decomposition_residual"])
-        yield (case, "bias_negative_part", max(0.0, -dec.implicit_bias),
-               thresholds["bias_negative_part"])
-
-
-# Each suite yields (case, quantity, value, threshold); a check passes when
-# value <= threshold, so a NaN value fails. A suite that runs ascents appends
-# one ascents.csv row per ascent to its last argument.
-_VERIFY = {
-    "semi_orthonormal": _semi_orthonormal,
-    "pca_recovery": _pca_recovery,
-    "js_identity": _js_identity,
-    "bias_identity": _bias_identity,
-}
-
-
 def cmd_verify_theorems(args) -> tuple[int, dict[str, bytes]]:
-    config = _load_config(args.config, ("suites", "optimizer", "thresholds"))
-    suites = _section(config, "suites", _VERIFY_SUITES)
-    opt = _section(config, "optimizer", _defaults(OptimizerConfig, "lam", "alpha"))
-    thresholds = _section(config, "thresholds", _VERIFY_THRESHOLDS)
-    for key, least in _VERIFY_MINIMUMS.items():
-        if suites[key] < least:
-            raise CliError(
-                f"config value suites.{key} must be at least {least}, got {suites[key]}"
-            )
-    if len(suites["spectrum"]) < 2:
-        raise CliError("config value suites.spectrum must list at least two eigenvalues")
-    for i, value in enumerate(suites["spectrum"]):
-        if not value > 0:
-            raise CliError(f"config value suites.spectrum[{i}] must be positive, got {value}")
-    # Each code dimension lies between its least value and the dimension it
-    # codes; the coupling divergence of pca_recovery needs two columns.
-    ranks = (
-        ("r", 1, suites["d"], "suites.d"),
-        ("bias_r", 1, suites["bias_d"], "suites.bias_d"),
-        ("pca_r", 2, len(suites["spectrum"]), "the length of suites.spectrum"),
-    )
-    for key, least, most, bound in ranks:
-        if not least <= suites[key] <= most:
-            raise CliError(
-                f"config value suites.{key} must be between {least} and {bound} = {most}, "
-                f"got {suites[key]}"
-            )
+    from .verify import run
 
-    rows, ascents = [], []
-    for suite, checks in _VERIFY.items():
-        for case, quantity, value, threshold in checks(args.seed, suites, opt, thresholds, ascents):
-            status = "pass" if value <= threshold else "fail"
-            rows.append([suite, case, quantity, _fmt(value), _fmt(threshold), status])
-    failures = 0
-    for suite in _VERIFY:
-        statuses = [row[5] for row in rows if row[0] == suite]
-        failures += statuses.count("fail")
-        print(f"{suite}: {len(statuses)} checks, {statuses.count('fail')} failures")
-    return EXIT_CHECK_FAILED if failures else EXIT_OK, {
-        "theorem_checks.csv": _csv(
-            ["suite", "case", "quantity", "value", "threshold", "status"], rows
-        ),
-        "ascents.csv": _csv(
-            ["suite", "case", "iterations", "backtracks", "stop", "grad_max", "converged"],
-            ascents,
-        ),
-    }
+    config = _load_config(args.config, ("suites", "optimizer", "thresholds"))
+    failures, files = run(args.seed, config)
+    return EXIT_CHECK_FAILED if failures else EXIT_OK, files
 
 
 # ---------------------------------------------------------------------------

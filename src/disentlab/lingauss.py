@@ -9,6 +9,7 @@ objective, and the top-r eigenstructure of Σ for the coupling divergence.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -422,6 +423,26 @@ def _project_runs(stack: np.ndarray, run: np.ndarray) -> np.ndarray:
         raise
 
 
+@contextlib.contextmanager
+def _finite_ascent(runs: list, r: int, cfg: OptimizerConfig):
+    """Raise NumericFailure on an overflow or invalid value in the block, naming its run.
+
+    A stack of more than one names the first run that fails alone: a run
+    ascends alone with the bits it has in any stack.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        if len(runs) > 1:
+            for i, one in enumerate(runs):
+                try:
+                    optimize_generators([one], r, cfg)
+                except NumericFailure as alone:
+                    raise NumericFailure(f"run {i}: {alone}") from exc
+        raise NumericFailure(f"the ascent's objective or gradient overflows ({exc})") from exc
+
+
 def optimize_generators(
     runs: Sequence[tuple[SymMatrix, int]], r: int, cfg: OptimizerConfig
 ) -> list[tuple[LinearGenerator, TheoremReport]]:
@@ -446,6 +467,8 @@ def optimize_generators(
     eigh for the noise maps, and the reports match every run's columns to
     its eigenvectors in one greedy pass over the stack. A failed SVD names
     its run, and so does a singular Σ when the stack holds more than one.
+    An objective or gradient that overflows float64 raises NumericFailure,
+    which names its run in the same way.
     """
     runs = list(runs)
     f = len(runs)
@@ -501,52 +524,53 @@ def optimize_generators(
     draw = {seed: np.random.default_rng(seed).standard_normal((d, r)) for seed in seeds}
     draws = np.stack([draw[seed] for _, seed in runs])
     bt = _project_runs(draws, run)
-    f_cur, grad = evaluate(bt)
-    step = np.full((f, 1, 1), cfg.step_size)  # each row's own step
-    min_step = cfg.step_size * 2.0 ** -40
-    rounding = CONTRACTION_SLACK - 1.0
-    histories = [[v] for v in f_cur.tolist()]
-    backtracks = [0] * f
-    stops = [""] * f
-    final: list = [None] * f  # each run's last B̃
-    while run.size:
-        cand = _project_runs(bt + step * grad, run)
-        f_cand, grad_cand = evaluate(cand)
-        up = f_cand > f_cur
-        old = f_cur.tolist()
-        pick = up[:, None, None]
-        bt = np.where(pick, cand, bt)
-        grad = np.where(pick, grad_cand, grad)
-        f_cur = np.where(up, f_cand, f_cur)
-        step = np.where(pick, cfg.step_size, 0.5 * step)
-        leaving = []
-        rows = zip(run.tolist(), up.tolist(), f_cand.tolist(), step.ravel().tolist())
-        for k, (i, took, new, next_step) in enumerate(rows):
-            if took:
-                histories[i].append(new)
-                if new - old[k] <= cfg.rel_tol * max(1.0, abs(new)):
-                    stops[i] = "rel_tol"
-                elif len(histories[i]) > cfg.max_iters:
-                    stops[i] = "max_iters"
+    with _finite_ascent(runs, r, cfg):
+        f_cur, grad = evaluate(bt)
+        step = np.full((f, 1, 1), cfg.step_size)  # each row's own step
+        min_step = cfg.step_size * 2.0 ** -40
+        rounding = CONTRACTION_SLACK - 1.0
+        histories = [[v] for v in f_cur.tolist()]
+        backtracks = [0] * f
+        stops = [""] * f
+        final: list = [None] * f  # each run's last B̃
+        while run.size:
+            cand = _project_runs(bt + step * grad, run)
+            f_cand, grad_cand = evaluate(cand)
+            up = f_cand > f_cur
+            old = f_cur.tolist()
+            pick = up[:, None, None]
+            bt = np.where(pick, cand, bt)
+            grad = np.where(pick, grad_cand, grad)
+            f_cur = np.where(up, f_cand, f_cur)
+            step = np.where(pick, cfg.step_size, 0.5 * step)
+            leaving = []
+            rows = zip(run.tolist(), up.tolist(), f_cand.tolist(), step.ravel().tolist())
+            for k, (i, took, new, next_step) in enumerate(rows):
+                if took:
+                    histories[i].append(new)
+                    if new - old[k] <= cfg.rel_tol * max(1.0, abs(new)):
+                        stops[i] = "rel_tol"
+                    elif len(histories[i]) > cfg.max_iters:
+                        stops[i] = "max_iters"
+                    else:
+                        continue
                 else:
-                    continue
-            else:
-                backtracks[i] += 1
-                # A candidate that moved B̃ by more than rounding may rise at
-                # a shorter step. Each norm is a call of this row's own, so
-                # the test does not depend on the stack.
-                moved = np.linalg.norm(cand[k] - bt[k])
-                if next_step >= min_step and moved > rounding * np.linalg.norm(bt[k]):
-                    continue
-                stops[i] = "no_ascent_step"
-            final[i] = bt[k]
-            leaving.append(k)
-        if leaving:
-            keep = np.ones(run.size, dtype=bool)
-            keep[leaving] = False
-            run, bt, f_cur, grad, step, root = (
-                a[keep] for a in (run, bt, f_cur, grad, step, root)
-            )
+                    backtracks[i] += 1
+                    # A candidate that moved B̃ by more than rounding may rise at
+                    # a shorter step. Each norm is a call of this row's own, so
+                    # the test does not depend on the stack.
+                    moved = np.linalg.norm(cand[k] - bt[k])
+                    if next_step >= min_step and moved > rounding * np.linalg.norm(bt[k]):
+                        continue
+                    stops[i] = "no_ascent_step"
+                final[i] = bt[k]
+                leaving.append(k)
+            if leaving:
+                keep = np.ones(run.size, dtype=bool)
+                keep[leaving] = False
+                run, bt, f_cur, grad, step, root = (
+                    a[keep] for a in (run, bt, f_cur, grad, step, root)
+                )
 
     final = np.stack(final)
     maps = roots @ final

@@ -19,8 +19,9 @@ import pytest
 
 import disentlab
 from disentlab import cli
-from disentlab.cli import _VERIFY, _score_labels, main
+from disentlab.cli import _score_labels, main
 from disentlab.metrics import FactorDataset
+from disentlab.verify import SUITES, THRESHOLDS
 from support import read_pgm
 
 SMALL_VERIFY = {
@@ -181,10 +182,10 @@ class TestVerifyTheorems:
         out = tmp_path / "report"
         assert main(["verify-theorems", "--out", str(out), "--config", config]) == 0
         rows = _read_rows(out / "theorem_checks.csv")[1:]
-        assert list(dict.fromkeys(row[0] for row in rows)) == list(_VERIFY)
+        assert list(dict.fromkeys(row[0] for row in rows)) == list(SUITES)
         expected = [
             f"{suite}: {sum(row[0] == suite for row in rows)} checks, 0 failures"
-            for suite in _VERIFY
+            for suite in SUITES
         ]
         assert capsys.readouterr().out.splitlines()[:-1] == expected
 
@@ -227,6 +228,20 @@ class TestVerifyTheorems:
         out = tmp_path / "report"
         assert main(["verify-theorems", "--out", str(out), "--config", config]) == 2
         assert capsys.readouterr().err == f"error: config value {message}\n"
+        assert not out.exists()
+
+    def test_overflowing_spectrum_exits_2_naming_its_run(self, tmp_path, capsys):
+        spectrum = [1e200, 1e199, 1e198]
+        config = _write_json(
+            tmp_path / "cfg.json", {"suites": {**SMALL_VERIFY["suites"], "spectrum": spectrum}}
+        )
+        out = tmp_path / "report"
+        assert main(["verify-theorems", "--out", str(out), "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: run 0: the ascent's objective or gradient overflows (")
         assert not out.exists()
 
     def test_deterministic_and_thread_independent(self, tmp_path):
@@ -442,8 +457,11 @@ class TestOptimize:
     @pytest.mark.parametrize(
         "rows, message",
         [("4,3\n0,1\n", "holds an asymmetric matrix (‖Σ - Σᵀ‖_F = 4.24264, over 1e-08·‖Σ‖_F)"),
+         # ‖Σ‖_F² overflows float64, so both norms are taken at a power-of-two scale
+         ("1e200,1e199\n1e190,1e200\n",
+          "holds an asymmetric matrix (‖Σ - Σᵀ‖_F = 1.41421e+199, over 1e-08·‖Σ‖_F)"),
          ("1,0\n0,1\n0,0\n", "must hold a square matrix, got shape (3, 2)")],
-        ids=["asymmetric", "non-square"],
+        ids=["asymmetric", "asymmetric-past-1e154", "non-square"],
     )
     def test_sigma_csv_must_be_square_and_symmetric(self, tmp_path, capsys, rows, message):
         sigma = tmp_path / "sigma.csv"
@@ -451,6 +469,18 @@ class TestOptimize:
         out = tmp_path / "o"
         assert main(["optimize", "--r", "1", "--sigma", str(sigma), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {sigma} {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("restarts, prefix", [("1", ""), ("3", "run 0: ")])
+    def test_overflowing_cr_ascent_exits_2_with_one_line(self, tmp_path, capsys, restarts,
+                                                         prefix):
+        # the coupling objective grows as the square of Σ, past float64 at 1e160
+        out = tmp_path / "o"
+        assert main(["optimize", "--objective", "cr", "--r", "2", "--restarts", restarts,
+                     "--sigma-diag", "1e160,1e159,1e158", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {prefix}the ascent's objective or gradient overflows (")
         assert not out.exists()
 
     def test_input_validation(self, tmp_path):
@@ -1045,7 +1075,7 @@ class TestModuleEntryPoint:
         assert done.stdout.splitlines()[-1] == "wrote 2 files to v"
 
     def test_failed_check_exits_1(self, tmp_path):
-        zero = dict.fromkeys(cli._VERIFY_THRESHOLDS, 0.0)
+        zero = dict.fromkeys(THRESHOLDS, 0.0)
         config = _write_json(tmp_path / "cfg.json", {**SMALL_VERIFY, "thresholds": zero})
         done = self._run(tmp_path, "verify-theorems", "--config", config, "--out", "v")
         assert done.returncode == 1, done.stderr

@@ -47,7 +47,7 @@ def test_verify_theorems_adds_only_contrastive(tmp_path):
     config.write_text(json.dumps({"suites": {"matrices": 1, "seeds": 1, "pca_seeds": 1,
                                              "families": 4, "bias_cases": 2}}))
     argv = ["verify-theorems", "--config", str(config), "--out", str(tmp_path / "v")]
-    assert _loaded(argv) == CLI_MODULES | {"disentlab.contrastive"}
+    assert _loaded(argv) == CLI_MODULES | {"disentlab.contrastive", "disentlab.verify"}
 
 
 def test_select_at_one_thread_starts_no_pool(tmp_path):

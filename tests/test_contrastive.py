@@ -13,8 +13,8 @@ from disentlab.contrastive import (
     js_identity_values,
     train_discriminator,
 )
-from disentlab.cli import _VERIFY_SUITES, _js_families
 from disentlab.errors import NumericFailure
+from disentlab.verify import DEFAULTS, _js_families
 from support import (
     cross_entropy_objective,
     discriminator_probs,
@@ -192,7 +192,7 @@ class TestTrainDiscriminator:
     def test_batch_equals_one_family_calls_bit_for_bit(self, seed):
         # The verify families mix k in [2, 5] and m in [2, 8], so the batch
         # pads both axes.
-        fams = _js_families(seed, _VERIFY_SUITES)
+        fams = _js_families(seed, DEFAULTS)
         assert {f.k for f in fams} == {2, 3, 4, 5}
         assert {f.support_size for f in fams} == set(range(2, 9))
         batch = train_discriminator(fams)
@@ -296,7 +296,7 @@ class TestTrainDiscriminator:
     def test_verify_families_converge_within_200_rounds(self, seed):
         # A count guard, not a timing test: at each support point's own 1/L
         # the slowest verify family takes under 200 steps to the stop rule.
-        for got in train_discriminator(_js_families(seed, _VERIFY_SUITES)):
+        for got in train_discriminator(_js_families(seed, DEFAULTS)):
             assert got.converged and got.iterations <= 200
 
     @staticmethod
@@ -367,7 +367,7 @@ class TestJsIdentityValues:
     def test_verify_families_match_the_oracles_bit_for_bit(self, seed, k_max):
         # From k = 8 on, numpy sums each softmax row pairwise, so the stack
         # must keep the classes on its last, contiguous axis to match.
-        families = _js_families(seed, {**_VERIFY_SUITES, "k_max": k_max})
+        families = _js_families(seed, {**DEFAULTS, "k_max": k_max})
         assert max(fam.k for fam in families) == k_max
         tables = [t.logits for t in train_discriminator(families)]
         got = js_identity_values(families, tables)

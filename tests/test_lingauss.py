@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from disentlab import cli, lingauss
+from disentlab import cli, lingauss, verify
 from disentlab.errors import (
     DegenerateConditional,
     NotPositiveSemidefinite,
@@ -241,7 +241,7 @@ def _reference_bias_identity(seed: int, suites: dict) -> list[tuple]:
     """The bias_identity suite's rows from the per-case loop the CLI ran before it stacked."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     d, r = suites["bias_d"], suites["bias_r"]
-    thresholds = cli._VERIFY_THRESHOLDS
+    thresholds = verify.THRESHOLDS
     rows = []
     for c_idx in range(suites["bias_cases"]):
         m = rng.standard_normal((d, d))
@@ -281,8 +281,8 @@ class TestBiasDecompositions:
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_cli_rows_equal_the_per_case_loop(self, seed):
-        suites = cli._VERIFY_SUITES
-        rows = list(cli._bias_identity(seed, suites, {}, cli._VERIFY_THRESHOLDS, []))
+        suites = verify.DEFAULTS
+        rows = list(verify._bias_identity(seed, suites, {}, verify.THRESHOLDS, []))
         assert len(rows) == 2 * suites["bias_cases"]
         assert rows == _reference_bias_identity(seed, suites)
 
@@ -757,8 +757,8 @@ class TestOptimizeGenerators:
         monkeypatch.setattr(lingauss, "_project_runs", counted)
         ascents = []
         opt = cli._defaults(OptimizerConfig, "lam", "alpha")
-        suites, thresholds = dict(cli._VERIFY_SUITES), dict(cli._VERIFY_THRESHOLDS)
-        checks = list(cli._semi_orthonormal(0, suites, opt, thresholds, ascents))
+        suites, thresholds = dict(verify.DEFAULTS), dict(verify.THRESHOLDS)
+        checks = list(verify._semi_orthonormal(0, suites, opt, thresholds, ascents))
         assert all(value <= threshold for _, _, value, threshold in checks)
         assert len(calls) <= 11
         assert len(ascents) == suites["matrices"] * suites["seeds"] == calls[0]
@@ -801,6 +801,32 @@ class TestOptimizeGenerators:
         stack = np.stack([np.eye(3)[:, :2], np.full((3, 2), np.nan)])
         with pytest.raises(NumericFailure, match=r"^run 7: SVD failed"):
             lingauss._project_runs(stack, np.array([4, 7]))
+
+    @pytest.mark.parametrize("objective", ["cr_frobenius", "combined"])
+    def test_overflowing_objective_names_its_run(self, objective):
+        # the coupling objective grows as the square of Σ, past float64 at 1e160
+        huge = SymMatrix(np.diag([1e160, 1e159, 1e158]))
+        runs = [(SymMatrix(np.diag([9.0, 4.0, 1.0])), 0), (huge, 1)]
+        cfg = OptimizerConfig(objective)
+        overflow = r"the ascent's objective or gradient overflows \(overflow encountered in "
+        with pytest.raises(NumericFailure, match=f"^run 1: {overflow}"):
+            optimize_generators(runs, 2, cfg)
+        with pytest.raises(NumericFailure, match=f"^{overflow}"):
+            optimize_generators(runs[1:], 2, cfg)
+
+    @pytest.mark.parametrize("scale", [9.0, 1e153, 6e153, 6.7e153])
+    def test_largest_finite_cr_runs_equal_the_per_run_loop(self, scale):
+        # up to about 6.7e153 every run of Σ = diag(λ, λ/10, λ/100) ends
+        # finite, with the bits it had before overflow raised
+        sigma = SymMatrix(np.diag([scale, scale / 10, scale / 100]))
+        fits = optimize_generators([(sigma, seed) for seed in range(3)], 2,
+                                   OptimizerConfig("cr_frobenius"))
+        for seed, (gen, rep) in enumerate(fits):
+            cfg = OptimizerConfig("cr_frobenius", seed=seed)
+            _, b, history, stop, backtracks = _reference_ascent(sigma, 2, cfg)
+            assert math.isfinite(rep.objective_value)
+            assert np.array_equal(gen.B, b) and rep.history == history
+            assert (rep.stop, rep.backtracks) == (stop, backtracks)
 
     def test_runs_must_share_a_dimension(self):
         runs = [(SymMatrix(np.eye(2)), 0), (SymMatrix(np.eye(3)), 1)]

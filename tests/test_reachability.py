@@ -1,9 +1,12 @@
-"""Every public function or class of the package is reachable from the CLI.
+"""Every public function, class or module-level value of the package is reachable from the CLI.
 
-A public module-level definition is live when cli.py names it, or when the
-source of a live definition names it (a fixed point over the AST). Names the
-tests substitute in or that outside tooling looks up are kept on purpose and
-listed in KEPT with the reason.
+A definition is a module-level function, class or assignment outside cli.py;
+an assignment is keyed by its target names and uses the names its value
+does, so a table such as verify.SUITES is live only when a live definition
+names it, and then so is every function it holds. A public definition is
+live when cli.py names it, or when the source of a live definition names it
+(a fixed point over the AST). Names the tests substitute in or that outside
+tooling looks up are kept on purpose and listed in KEPT with the reason.
 
 The traced benchmark run wraps the functions and methods that
 perfbench/tracer.py lists in TARGETS; each of them must exist in the package.
@@ -53,10 +56,10 @@ def _names(node: ast.AST) -> set[str]:
 
 
 def _definitions() -> dict[str, set[str]]:
-    """Module-level functions and classes outside cli.py, each with the names it uses.
+    """Module-level functions, classes and assignments outside cli.py, each with the names it uses.
 
-    Private helpers are part of the graph, so a public function reached only
-    through one still counts as live.
+    Private helpers and tables are part of the graph, so a public function
+    reached only through one still counts as live.
     """
     defs: dict[str, set[str]] = {}
     for path in sorted(PACKAGE.glob("*.py")):
@@ -65,6 +68,11 @@ def _definitions() -> dict[str, set[str]]:
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.setdefault(node.name, set()).update(_names(node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in _names(target):
+                        defs.setdefault(name, set()).update(_names(node.value))
     return defs
 
 
