@@ -21,6 +21,8 @@ select            selection, datasets, metrics, lasso, plots; concurrent.futures
                   for --method model-centrality at --threads above 1
 analyze           selection, metrics, lasso, plots
 
+Every subcommand takes --seed, --out and --threads; verify-theorems,
+optimize, metrics and select also take --config, a JSON file of overrides.
 Report CSVs carry 12 significant digits with LF line endings, and every
 subcommand is byte-identical across reruns with the same inputs, seed, and
 any --threads value; only select --method model-centrality uses threads.
@@ -42,7 +44,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -50,7 +51,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DisentLabError
-from .linalg import SymMatrix
+from .linalg import SymMatrix, frobenius_norm
 from .lingauss import (
     MATCHED_RTOL,
     LinearGenerator,
@@ -174,18 +175,16 @@ def _symmetric(m: np.ndarray, source) -> SymMatrix:
     """m as a SymMatrix, if it is square and symmetric to MATCHED_RTOL; otherwise exit 2.
 
     SymMatrix itself averages m with mᵀ, which would silently turn a
-    mistyped input into another covariance. Both norms are taken of m over a
-    power of two near its largest entry, which keeps their bits and keeps
-    them finite past entries of 1e154. m must be finite.
+    mistyped input into another covariance. m must be finite.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise CliError(f"{source} must hold a square matrix, got shape {m.shape}")
-    scale = 2.0 ** (math.frexp(np.abs(m).max())[1] - 1)
-    unit = m / scale
-    skew = np.linalg.norm(unit - unit.T)
-    if skew > MATCHED_RTOL * np.linalg.norm(unit):
+    norm, skew = frobenius_norm(np.stack([m, 0.5 * m - 0.5 * m.T]))  # (Σ - Σᵀ)/2 cannot overflow
+    if norm == np.inf:
+        raise CliError(f"{source} holds a matrix whose Frobenius norm overflows float64")
+    if skew > 0.5 * MATCHED_RTOL * norm:
         raise CliError(
-            f"{source} holds an asymmetric matrix (‖Σ - Σᵀ‖_F = {float(skew) * scale:.6g}, "
+            f"{source} holds an asymmetric matrix (‖Σ - Σᵀ‖_F = {2.0 * float(skew):.6g}, "
             f"over {MATCHED_RTOL:g}·‖Σ‖_F)"
         )
     return SymMatrix(m)
@@ -562,7 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--out", required=True, help="output directory (created when its parent exists)"
     )
-    common.add_argument("--config", help="JSON file with parameter overrides")
     common.add_argument(
         "--threads",
         type=int,
@@ -570,6 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker threads; only select --method model-centrality uses them, "
         "and results are identical for any value",
     )
+    configured = argparse.ArgumentParser(add_help=False, parents=[common])
+    configured.add_argument("--config", help="JSON file with parameter overrides")
 
     parser = argparse.ArgumentParser(
         prog="disentlab",
@@ -579,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify-theorems",
-        parents=[common],
+        parents=[configured],
         help="run the four closed-form verification suites",
     )
     p.set_defaults(handler=cmd_verify_theorems)
@@ -607,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_gen_data)
 
     p = sub.add_parser(
-        "optimize", parents=[common], help="fit a generator to a target covariance"
+        "optimize", parents=[configured], help="fit a generator to a target covariance"
     )
     p.add_argument("--objective", choices=("infogan", "cr", "combined"), default="infogan")
     p.add_argument("--r", type=int, required=True, help="number of latent code columns")
@@ -622,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=cmd_optimize)
 
-    p = sub.add_parser("metrics", parents=[common], help="score a model with the metric suite")
+    p = sub.add_parser("metrics", parents=[configured], help="score a model with the metric suite")
     p.add_argument("--model", required=True, help="model JSON")
     p.add_argument("--data", help="dataset directory (needed by dci and dhsic)")
     p.add_argument(
@@ -632,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=cmd_metrics)
 
-    p = sub.add_parser("select", parents=[common], help="rank a pool of models")
+    p = sub.add_parser("select", parents=[configured], help="rank a pool of models")
     p.add_argument(
         "--pool", required=True, help="manifest JSON with model paths relative to it"
     )

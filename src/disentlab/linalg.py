@@ -96,6 +96,19 @@ def sqrt_from_eig(eig: Eigendecomposition) -> np.ndarray:
     return 0.5 * (root + np.swapaxes(root, -1, -2))
 
 
+def frobenius_norm(m):
+    """Frobenius norm of a matrix, or of each matrix in a (..., m, n) stack, at any scale.
+
+    Each matrix is first divided by a power of two near its largest |entry|,
+    which is exact, so no square overflows (Blue 1978): the norm is inf only
+    where it passes float64's max, and then without a warning.
+    """
+    a = np.asarray(m, dtype=float)
+    scale = np.ldexp(1.0, np.frexp(np.abs(a).max(axis=(-2, -1)))[1] - 1)
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(a / scale[..., None, None], axis=(-2, -1)) * scale
+
+
 def spd_sqrt(m, tol=PSD_CLAMP_TOL):
     """Symmetric PSD square root R with R @ R == m (up to round-off).
 

@@ -28,6 +28,7 @@ from .linalg import (
     Eigendecomposition,
     SymMatrix,
     eig_sym,
+    frobenius_norm,
     project_contraction,
     spd_sqrt,
     sqrt_from_eig,
@@ -198,13 +199,14 @@ def _noise_maps(sigma: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     residual = sigma - b @ b.transpose(0, 2, 1)
     residual = 0.5 * (residual + residual.transpose(0, 2, 1))
-    tol = PSD_CLAMP_TOL * np.maximum(1.0, np.linalg.norm(sigma, axis=(1, 2)))
+    tol = PSD_CLAMP_TOL * np.maximum(1.0, frobenius_norm(sigma))
     return spd_sqrt(residual, tol)
 
 
 def is_distribution_matched(gen: LinearGenerator) -> bool:
     gap = gen.B @ gen.B.T + gen.A @ gen.A.T - gen.sigma.entries
-    return bool(np.linalg.norm(gap) <= MATCHED_RTOL * np.linalg.norm(gen.sigma.entries))
+    gap_norm, norm = frobenius_norm(np.stack([gap, gen.sigma.entries]))
+    return bool(gap_norm <= MATCHED_RTOL * norm)
 
 
 def _posterior(eig: Eigendecomposition, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -410,36 +412,25 @@ def _greedy_eigvec_match(b: np.ndarray, eigvecs: np.ndarray) -> tuple[np.ndarray
     return perm, np.take_along_axis(cos, perm[:, :, None], axis=2)[:, :, 0]
 
 
-def _project_runs(stack: np.ndarray, run: np.ndarray) -> np.ndarray:
-    """project_contraction of an (F, d, r) stack whose rows are runs; a failed SVD names its run."""
-    try:
-        return project_contraction(stack)
-    except NumericFailure:
-        for i, m in zip(run.tolist(), stack):
-            try:
-                project_contraction(m)
-            except NumericFailure as exc:
-                raise NumericFailure(f"run {i}: {exc}") from exc
-        raise
-
-
 @contextlib.contextmanager
 def _finite_ascent(runs: list, r: int, cfg: OptimizerConfig):
-    """Raise NumericFailure on an overflow or invalid value in the block, naming its run.
+    """Raise NumericFailure on an overflow, an invalid value or a failed SVD in the block.
 
-    A stack of more than one names the first run that fails alone: a run
-    ascends alone with the bits it has in any stack.
+    An overflow or invalid value raises at once, so every SVD sees finite input. A stack of
+    more than one names the first run that fails alone; no run's bits depend on its stack.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except FloatingPointError as exc:
+    except (FloatingPointError, NumericFailure) as exc:
         if len(runs) > 1:
             for i, one in enumerate(runs):
                 try:
                     optimize_generators([one], r, cfg)
                 except NumericFailure as alone:
                     raise NumericFailure(f"run {i}: {alone}") from exc
+        if isinstance(exc, NumericFailure):
+            raise
         raise NumericFailure(f"the ascent's objective or gradient overflows ({exc})") from exc
 
 
@@ -465,10 +456,10 @@ def optimize_generators(
     rule fires. Every run's Σ is decomposed in one stacked eigh call, which
     also gives its square root. The results come from one stacked residual
     eigh for the noise maps, and the reports match every run's columns to
-    its eigenvectors in one greedy pass over the stack. A failed SVD names
-    its run, and so does a singular Σ when the stack holds more than one.
-    An objective or gradient that overflows float64 raises NumericFailure,
-    which names its run in the same way.
+    its eigenvectors in one greedy pass over the stack. A singular Σ, a
+    failed SVD and an objective or gradient that overflows float64, which
+    raises NumericFailure, each name their run when the stack holds more
+    than one.
     """
     runs = list(runs)
     f = len(runs)
@@ -523,8 +514,8 @@ def optimize_generators(
     seeds = {seed for _, seed in runs}  # each drawn once, for every run that uses it
     draw = {seed: np.random.default_rng(seed).standard_normal((d, r)) for seed in seeds}
     draws = np.stack([draw[seed] for _, seed in runs])
-    bt = _project_runs(draws, run)
     with _finite_ascent(runs, r, cfg):
+        bt = project_contraction(draws)
         f_cur, grad = evaluate(bt)
         step = np.full((f, 1, 1), cfg.step_size)  # each row's own step
         min_step = cfg.step_size * 2.0 ** -40
@@ -534,7 +525,7 @@ def optimize_generators(
         stops = [""] * f
         final: list = [None] * f  # each run's last B̃
         while run.size:
-            cand = _project_runs(bt + step * grad, run)
+            cand = project_contraction(bt + step * grad)
             f_cand, grad_cand = evaluate(cand)
             up = f_cand > f_cur
             old = f_cur.tolist()

@@ -36,6 +36,11 @@ SMALL_VERIFY = {
 SMALL_FACTORVAE = {
     "factorvae": {"groups_per_factor": 15, "group_size": 15, "reference_samples": 500}
 }
+# a matched d = 2, r = 1 model whose encoder holds one weight of the two it needs
+_SHORT_ENCODER = json.dumps(
+    {"d": 2, "r": 1, "B": [1.0, 0.0], "A": [0.0, 0.0, 0.0, 1.0], "sigma": [1.0, 0.0, 0.0, 1.0],
+     "encoder": [1.0]}
+)
 
 
 def _write_json(path, obj) -> str:
@@ -220,8 +225,9 @@ class TestVerifyTheorems:
             ({"pca_r": 1},
              "suites.pca_r must be between 2 and the length of suites.spectrum = 5, got 1"),
             ({"spectrum": [4.0, -1.0]}, "suites.spectrum[1] must be positive, got -1.0"),
+            ({"spectrum": [4.0]}, "suites.spectrum must list at least two eigenvalues"),
         ],
-        ids=["r", "bias_r", "pca_r", "spectrum"],
+        ids=["r", "bias_r", "pca_r", "spectrum", "spectrum-of-one"],
     )
     def test_bad_suite_dimension_names_its_key(self, tmp_path, capsys, given, message):
         config = _write_json(tmp_path / "cfg.json", {"suites": {**SMALL_VERIFY["suites"], **given}})
@@ -362,6 +368,19 @@ class TestGenData:
         err = capsys.readouterr().err
         assert path in err and "does not match sigma" in err
 
+    def test_unmatched_model_past_1e154_exits_2(self, tmp_path, capsys):
+        # ‖Σ‖_F² overflows float64 here, and BBᵀ + AAᵀ = 0 must still miss Σ = 1e160·I
+        model = {"d": 3, "r": 2, "B": [0.0] * 6, "A": [0.0] * 9,
+                 "sigma": [1e160, 0.0, 0.0, 0.0, 1e160, 0.0, 0.0, 0.0, 1e160]}
+        path = _write_json(tmp_path / "huge.json", model)
+        out = tmp_path / "x"
+        args = ["metrics", "--model", path, "--metrics", "factorvae", "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: BBᵀ + AAᵀ does not match sigma (relative tolerance 1e-08)\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("sigma, code", [([1.0, 0.5, -0.5, 1.0], 2), ([1.0, 0.0, 0.0, 1.0], 0)],
                              ids=["asymmetric", "symmetric"])
     def test_model_sigma_must_be_symmetric(self, tmp_path, capsys, sigma, code):
@@ -460,8 +479,15 @@ class TestOptimize:
          # ‖Σ‖_F² overflows float64, so both norms are taken at a power-of-two scale
          ("1e200,1e199\n1e190,1e200\n",
           "holds an asymmetric matrix (‖Σ - Σᵀ‖_F = 1.41421e+199, over 1e-08·‖Σ‖_F)"),
-         ("1,0\n0,1\n0,0\n", "must hold a square matrix, got shape (3, 2)")],
-        ids=["asymmetric", "asymmetric-past-1e154", "non-square"],
+         ("1,0\n0,1\n0,0\n", "must hold a square matrix, got shape (3, 2)"),
+         ("1,0\n0,one\n", "must hold a plain numeric matrix"),
+         # Σ - Σᵀ overflows float64 here, and so does ‖Σ‖_F in the next case
+         ("0,1e308\n-1e308,0\n",
+          "holds an asymmetric matrix (‖Σ - Σᵀ‖_F = inf, over 1e-08·‖Σ‖_F)"),
+         ("1e308,1.5e308\n-1.5e308,1e308\n",
+          "holds a matrix whose Frobenius norm overflows float64")],
+        ids=["asymmetric", "asymmetric-past-1e154", "non-square", "non-numeric",
+             "asymmetric-near-float64-max", "norm-past-float64-max"],
     )
     def test_sigma_csv_must_be_square_and_symmetric(self, tmp_path, capsys, rows, message):
         sigma = tmp_path / "sigma.csv"
@@ -539,6 +565,16 @@ class TestMetrics:
         assert main(args) == 0
         assert (out / "factorvae.csv").exists()
         assert not (out / "dci.csv").exists()
+
+    def test_infogan_fit_past_1e154_scores_without_a_warning(self, tmp_path, capsys):
+        # ‖Σ‖_F² overflows float64 here; a warning would raise under the test settings
+        fit = tmp_path / "fit"
+        assert main(["optimize", "--r", "2", "--sigma-diag", "1e160,1e159,1e158",
+                     "--out", str(fit)]) == 0
+        config = _write_json(tmp_path / "cfg.json", SMALL_FACTORVAE)
+        assert main(["metrics", "--model", str(fit / "model.json"), "--metrics", "factorvae",
+                     "--config", config, "--out", str(tmp_path / "met")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_data_required_for_dci(self, model_dir, tmp_path):
         args = ["metrics", "--model", str(model_dir / "model.json"),
@@ -904,6 +940,19 @@ class TestCommonPlumbing:
         assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen-data", "--circular"], ["analyze", "--scores", "s.csv"]],
+        ids=["gen-data", "analyze"],
+    )
+    def test_config_only_where_it_is_read(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--config", "x.json", "--out", str(out)])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --config x.json" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_path_must_not_be_a_file(self, tmp_path):
         blocker = tmp_path / "taken"
         blocker.write_text("occupied")
@@ -994,6 +1043,36 @@ class TestCommonPlumbing:
                                                            message):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (["verify-theorems", "--config", "{file}"], "not json",
+             "{file} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+            (["verify-theorems", "--config", "{file}"], "[1, 2]",
+             "{file} must hold a JSON object"),
+            (["optimize", "--r", "1", "--sigma-diag", "9,4", "--config", "{file}"],
+             '{"optimizer": 3}', "config section 'optimizer' must be an object"),
+            (["metrics", "--model", "{file}", "--metrics", "factorvae"], _SHORT_ENCODER,
+             "{file}: encoder must hold 2 weights"),
+            (["metrics", "--model", "{file}", "--metrics", ","], _SHORT_ENCODER,
+             "--metrics must list at least one metric"),
+            (["analyze", "--scores", "{file}"], "model,score\n0,0.1\n1,high\n",
+             "{file} has malformed score rows"),
+            (["analyze", "--scores", "{file}"], "model,score\n0,0.1\n",
+             "{file} needs at least two score rows"),
+        ],
+        ids=["invalid-json", "json-list", "section-not-object", "encoder-size", "no-metrics",
+             "malformed-scores", "one-score-row"],
+    )
+    def test_rejected_input_prints_one_error_line(self, tmp_path, capsys, argv, text, message):
+        path = tmp_path / "input"
+        path.write_text(text)
+        out = tmp_path / "out"
+        argv = [arg.format(file=path) for arg in argv]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(file=path)}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, config, key",

@@ -1,11 +1,15 @@
-"""Property test: a stack through eig_sym or spd_sqrt equals its one-matrix calls bit for bit."""
+"""Property tests of the linalg kernels.
+
+A stack through eig_sym, spd_sqrt or frobenius_norm equals its one-matrix
+calls bit for bit, and frobenius_norm is np.linalg.norm's, finite at any scale.
+"""
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from disentlab.linalg import SymMatrix, eig_sym, spd_sqrt  # noqa: E402
+from disentlab.linalg import SymMatrix, eig_sym, frobenius_norm, spd_sqrt  # noqa: E402
 
 
 @st.composite
@@ -53,3 +57,42 @@ def test_stack_equals_one_matrix_calls_bit_for_bit(cases):
     roots = spd_sqrt(gram, tol)
     for g, t, got in zip(gram, tol, roots):
         assert np.array_equal(got, spd_sqrt(SymMatrix(g), t).entries)
+
+
+@st.composite
+def matrices(draw, lo: float, hi: float, stacked: bool = False):
+    """An m x n matrix, m, n ∈ [1, 8], or a stack of up to 3, of entries 0 or ±10^u.
+
+    u is uniform in [lo, hi], so one matrix mixes magnitudes; about one entry
+    in five is 0.
+    """
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    if stacked:
+        shape = (draw(st.integers(1, 3)), *shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(lo, hi, shape)
+    return np.where(rng.random(shape) < 0.2, 0.0, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices(-10, 10), matrices(-10, 10, stacked=True)), st.integers(-400, 400))
+def test_frobenius_norm_scales_by_powers_of_two_bit_for_bit(m, k):
+    assert np.array_equal(frobenius_norm(np.ldexp(m, k)), np.ldexp(frobenius_norm(m), k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(-100, 300, stacked=True))
+def test_frobenius_norm_of_a_stack_is_each_matrix_norm_bit_for_bit(stack):
+    assert np.array_equal(frobenius_norm(stack), [frobenius_norm(m) for m in stack])
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(-100, 100))
+def test_frobenius_norm_is_numpys_to_rounding(m):
+    assert frobenius_norm(m) == pytest.approx(np.linalg.norm(m), rel=1e-14, abs=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(-100, 300))
+def test_frobenius_norm_is_finite_up_to_1e300(m):
+    assert np.isfinite(frobenius_norm(m))

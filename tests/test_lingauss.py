@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,15 @@ class TestGeneratorBasics:
         with pytest.raises(NotPositiveSemidefinite):
             matched_generator(sigma, b)
 
+    def test_matched_rejects_a_negative_residual_past_1e154(self):
+        # ‖Σ‖_F² overflows float64 here, and the clamp must still scale with ‖Σ‖_F
+        c = 1e160
+        sigma = SymMatrix(np.diag([9.0 * c, 4.0 * c, c]))
+        b = np.zeros((3, 1))
+        b[0, 0] = 3.0 * math.sqrt(c * (1.0 + 1e-6))
+        with pytest.raises(NotPositiveSemidefinite):
+            matched_generator(sigma, b)
+
 
 class TestConditionalMean:
     def test_identity_covariance_picks_coordinate(self):
@@ -126,6 +136,15 @@ class TestGeneratedCovariance:
         gen2 = LinearGenerator(np.zeros((2, 1)), np.eye(2), SymMatrix(np.eye(2)))
         assert np.allclose(gen2.B @ gen2.B.T + gen2.A @ gen2.A.T, np.eye(2), atol=1e-15)
         assert is_distribution_matched(gen2)
+
+    def test_matching_holds_past_1e154(self):
+        # ‖Σ‖_F² overflows float64 here: B = A = 0 must still miss Σ = 1e160·I,
+        # and an infogan fit must still match its Σ
+        zero = LinearGenerator(np.zeros((3, 2)), np.zeros((3, 3)), SymMatrix(1e160 * np.eye(3)))
+        assert not is_distribution_matched(zero)
+        sigma = SymMatrix(np.diag([1e160, 1e159, 1e158]))
+        fit, _ = optimize_generator(sigma, 2, OptimizerConfig("infogan"))
+        assert is_distribution_matched(fit)
 
     def test_monte_carlo(self):
         rng = np.random.default_rng(9)
@@ -748,13 +767,12 @@ class TestOptimizeGenerators:
         # steps, and each then leaves at its first rejected candidate, so the
         # stacked projection runs at most 11 times, the draws' included
         calls = []
-        project = lingauss._project_runs
 
-        def counted(stack, run):
+        def counted(stack):
             calls.append(len(stack))
-            return project(stack, run)
+            return project_contraction(stack)
 
-        monkeypatch.setattr(lingauss, "_project_runs", counted)
+        monkeypatch.setattr(lingauss, "project_contraction", counted)
         ascents = []
         opt = cli._defaults(OptimizerConfig, "lam", "alpha")
         suites, thresholds = dict(verify.DEFAULTS), dict(verify.THRESHOLDS)
@@ -797,10 +815,19 @@ class TestOptimizeGenerators:
         for c, (gen, _) in zip(scales, fits):
             assert np.abs(gen.B / math.sqrt(c) - base).max() <= 1e-12 * np.abs(base).max()
 
-    def test_failed_svd_names_its_run(self):
-        stack = np.stack([np.eye(3)[:, :2], np.full((3, 2), np.nan)])
-        with pytest.raises(NumericFailure, match=r"^run 7: SVD failed"):
-            lingauss._project_runs(stack, np.array([4, 7]))
+    def test_failed_svd_names_its_run(self, monkeypatch):
+        # an SVD that fails on finite input: here, on any stack holding run 1's draw
+        failing = np.random.default_rng(1).standard_normal((3, 2))
+
+        def project(stack):
+            if any(np.array_equal(m, failing) for m in stack):
+                raise NumericFailure("SVD failed during contraction projection: no convergence")
+            return project_contraction(stack)
+
+        monkeypatch.setattr(lingauss, "project_contraction", project)
+        sigma = SymMatrix(np.diag([9.0, 4.0, 1.0]))
+        with pytest.raises(NumericFailure, match=r"^run 1: SVD failed"):
+            optimize_generators([(sigma, 0), (sigma, 1), (sigma, 2)], 2, OptimizerConfig())
 
     @pytest.mark.parametrize("objective", ["cr_frobenius", "combined"])
     def test_overflowing_objective_names_its_run(self, objective):
@@ -813,6 +840,15 @@ class TestOptimizeGenerators:
             optimize_generators(runs, 2, cfg)
         with pytest.raises(NumericFailure, match=f"^{overflow}"):
             optimize_generators(runs[1:], 2, cfg)
+
+    def test_infogan_fit_past_1e154_raises_no_warning(self):
+        # the infogan ascent does not overflow at this scale, and neither may the
+        # norm behind its noise maps' PSD clamp
+        sigma = SymMatrix(np.diag([1e160, 1e159, 1e158]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = optimize_generators([(sigma, 0), (sigma, 1)], 2, OptimizerConfig("infogan"))
+        assert all(math.isfinite(rep.objective_value) for _, rep in fits)
 
     @pytest.mark.parametrize("scale", [9.0, 1e153, 6e153, 6.7e153])
     def test_largest_finite_cr_runs_equal_the_per_run_loop(self, scale):
