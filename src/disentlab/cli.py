@@ -100,7 +100,8 @@ def _matrix_report(labels, m: np.ndarray) -> bytes:
 
 
 def _json(obj: dict) -> bytes:
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    """Strict JSON: a NaN or infinite value raises ValueError, which exits 2."""
+    return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
 def _load_json(path_str) -> dict:
@@ -241,20 +242,13 @@ def cmd_verify_theorems(args) -> tuple[int, dict[str, bytes]]:
 
 def cmd_gen_data(args) -> tuple[int, dict[str, bytes | np.ndarray]]:
     from .datasets import (
-        CircularSpec,
         circular_dataset_files,
         gen_circular_dsprites,
         gen_linear_gaussian_dataset,
     )
 
     if args.circular:
-        spec = CircularSpec(
-            canvas_size=args.canvas,
-            disc_radius=args.radius,
-            n_radii=args.n_radii,
-            n_angles=args.n_angles,
-        )
-        return EXIT_OK, circular_dataset_files(*gen_circular_dsprites(spec))
+        return EXIT_OK, circular_dataset_files(*gen_circular_dsprites())
     if args.model is None:
         raise CliError("--linear-gaussian requires --model")
     gen, _ = _load_model(args.model)
@@ -318,14 +312,6 @@ def cmd_optimize(args) -> tuple[int, dict[str, bytes]]:
     rows += [[f"permutation_{i}", str(p)] for i, p in enumerate(report.permutation)]
     rows += [["stop_reason", report.stop], ["backtracks", str(report.backtracks)]]
     history = np.asarray(report.history, dtype=float)
-    chart = line_chart_svg(
-        np.arange(history.size, dtype=float),
-        history,
-        objective,
-        title="objective ascent",
-        x_label="iteration",
-        y_label="objective",
-    )
     print(f"best seed {seeds[best]}: objective {_fmt(report.objective_value)}")
     return EXIT_OK, {
         "model.json": _json(model),
@@ -333,7 +319,7 @@ def cmd_optimize(args) -> tuple[int, dict[str, bytes]]:
         "history.csv": _csv(
             ["iteration", "objective"], [[str(i), _fmt(v)] for i, v in enumerate(history)]
         ),
-        "history.svg": chart.encode(),
+        "history.svg": line_chart_svg(history, objective).encode(),
     }
 
 
@@ -461,12 +447,10 @@ def cmd_select(args) -> tuple[int, dict[str, bytes]]:
         for i, (label, score, err) in enumerate(zip(report.labels, report.scores, report.stderr))
     ]
     order = np.argsort(-report.scores, kind="stable")
-    sorted_labels = [report.labels[i] for i in order]
     heatmap = heatmap_svg(
         matrix[np.ix_(order, order)],
-        sorted_labels,
-        sorted_labels,
-        title=f"{report.method} similarity (sorted by score)",
+        [report.labels[i] for i in order],
+        f"{report.method} similarity (sorted by score)",
     )
     summary = {
         "method": report.method,
@@ -544,7 +528,7 @@ def cmd_analyze(args) -> tuple[int, dict[str, bytes]]:
         named.append((name, vector))
     corr = rank_correlation_analysis(named)
     names = [name for name, _ in named]
-    heatmap = heatmap_svg(corr.entries, names, names, title="rank correlation")
+    heatmap = heatmap_svg(corr.entries, names, "rank correlation")
     return EXIT_OK, {
         "rank_correlation.csv": _matrix_report(names, corr.entries),
         "rank_correlation.svg": heatmap.encode(),
@@ -591,7 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
     kind.add_argument(
         "--circular",
         action="store_true",
-        help="images.pgm (one P5 frame per sprite, in factors.csv row order) + factors.csv",
+        help="the fixed 1080-image disc set: images.pgm (one 64x64 P5 frame per sprite, "
+        "in factors.csv row order) + factors.csv",
     )
     kind.add_argument(
         "--linear-gaussian",
@@ -600,10 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model", help="model JSON (with --linear-gaussian)")
     p.add_argument("--n", type=int, default=10_000, help="sample count (with --linear-gaussian)")
-    p.add_argument("--n-radii", type=int, default=27)
-    p.add_argument("--n-angles", type=int, default=40)
-    p.add_argument("--canvas", type=int, default=64)
-    p.add_argument("--radius", type=int, default=5)
     p.set_defaults(handler=cmd_gen_data)
 
     p = sub.add_parser(

@@ -27,10 +27,20 @@ CONTRACTION_SLACK = 1.0 + 16.0 * np.finfo(float).eps
 _SIGN_EPS = 1e-12
 
 
+def symmetrized(m) -> np.ndarray:
+    """(M + Mᵀ)/2 of a matrix, or of each matrix in a stack, formed as M/2 + Mᵀ/2.
+
+    Halving first cannot overflow where M + Mᵀ would, and outside the
+    subnormal range it gives the same bits as halving the sum.
+    """
+    half = 0.5 * np.asarray(m, dtype=float)
+    return half + np.swapaxes(half, -1, -2)
+
+
 class SymMatrix:
     """Dense real symmetric matrix.
 
-    Construction symmetrizes via (M + M.T)/2 and freezes the storage, so the
+    Construction symmetrizes (see symmetrized) and freezes the storage, so the
     entries are exactly symmetric and safe to share between threads.
     """
 
@@ -40,7 +50,7 @@ class SymMatrix:
         a = np.array(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        a = 0.5 * (a + a.T)
+        a = symmetrized(a)
         a.flags.writeable = False
         self.entries = a
 
@@ -93,7 +103,7 @@ def sqrt_from_eig(eig: Eigendecomposition) -> np.ndarray:
     """V·diag(√max(w, 0))·Vᵀ, symmetrized, of one eigendecomposition or a stack of them."""
     w, v = eig
     root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v, -1, -2)
-    return 0.5 * (root + np.swapaxes(root, -1, -2))
+    return symmetrized(root)
 
 
 def frobenius_norm(m):

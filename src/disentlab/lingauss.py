@@ -32,6 +32,7 @@ from .linalg import (
     project_contraction,
     spd_sqrt,
     sqrt_from_eig,
+    symmetrized,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -197,15 +198,23 @@ def _noise_maps(sigma: np.ndarray, b: np.ndarray) -> np.ndarray:
     judged against PSD_CLAMP_TOL·max(1, ‖Σ‖_F) per case; spd_sqrt names the
     first case where it fails.
     """
-    residual = sigma - b @ b.transpose(0, 2, 1)
-    residual = 0.5 * (residual + residual.transpose(0, 2, 1))
+    residual = symmetrized(sigma - b @ b.transpose(0, 2, 1))
     tol = PSD_CLAMP_TOL * np.maximum(1.0, frobenius_norm(sigma))
     return spd_sqrt(residual, tol)
 
 
 def is_distribution_matched(gen: LinearGenerator) -> bool:
-    gap = gen.B @ gen.B.T + gen.A @ gen.A.T - gen.sigma.entries
-    gap_norm, norm = frobenius_norm(np.stack([gap, gen.sigma.entries]))
+    """Whether ‖B Bᵀ + A Aᵀ - Σ‖_F ≤ MATCHED_RTOL·‖Σ‖_F, at any scale.
+
+    B and A are first divided by 2^e and Σ by 4^e, where 2^e just exceeds
+    the largest |entry| of B and A and e is never below 0. Scaling by powers
+    of two is exact outside the subnormal range, so the scaled gap cannot
+    overflow and any model whose unscaled gap is finite gets the same answer.
+    """
+    e = max(0, int(np.frexp(max(np.abs(gen.B).max(), np.abs(gen.A).max()))[1]))
+    b, a = np.ldexp(gen.B, -e), np.ldexp(gen.A, -e)
+    sigma = np.ldexp(gen.sigma.entries, -2 * e)
+    gap_norm, norm = frobenius_norm(np.stack([b @ b.T + a @ a.T - sigma, sigma]))
     return bool(gap_norm <= MATCHED_RTOL * norm)
 
 
@@ -214,7 +223,7 @@ def _posterior(eig: Eigendecomposition, b: np.ndarray) -> tuple[np.ndarray, np.n
     w, v = eig
     mean_map = b.transpose(0, 2, 1) @ ((v / w[:, None, :]) @ v.transpose(0, 2, 1))
     cov = np.eye(b.shape[2]) - mean_map @ b
-    return mean_map, 0.5 * (cov + cov.transpose(0, 2, 1))
+    return mean_map, symmetrized(cov)
 
 
 def posterior(gen: LinearGenerator) -> ConditionalGaussian:
@@ -292,7 +301,7 @@ def bias_decompositions(sigma, b_tilde) -> list[BiasDecomposition]:
             "expected (F, d, d) and (F, d, r) stacks with 1 <= r <= d, "
             f"got {sigma.shape} and {b_tilde.shape}"
         )
-    sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
+    sigma = symmetrized(sigma)
     eig = _pd_eig(sigma)
     b = sqrt_from_eig(eig) @ b_tilde
     _noise_maps(sigma, b)

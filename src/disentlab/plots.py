@@ -1,4 +1,4 @@
-"""Dependency-free SVG rendering for heat maps and a single-series line chart.
+"""Dependency-free SVG rendering for heat maps and an ascent's line chart.
 
 Layout constants are fixed and every number is formatted explicitly, so a
 given input always renders to byte-identical SVG text. That keeps report
@@ -8,7 +8,6 @@ artifacts diffable without pulling in a plotting package.
 from __future__ import annotations
 
 import math
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -35,52 +34,36 @@ def _fill(t: float) -> str:
     )
 
 
-def _labels_or_indices(labels, n: int, what: str) -> list[str]:
-    if not labels:
-        return [str(i) for i in range(n)]
-    labels = [str(v) for v in labels]
-    if len(labels) != n:
-        raise ValueError(f"expected {n} {what} labels, got {len(labels)}")
-    return labels
+def heatmap_svg(values, labels, title: str) -> str:
+    """Render a square matrix as a colored grid with the cell values printed.
 
-
-def heatmap_svg(values, row_labels=(), col_labels=(), title: str = "") -> str:
-    """Render a matrix as a colored grid with the cell values printed.
-
-    Color encodes the value on a linear ramp between the finite minimum and
-    maximum; non-finite cells are drawn gray with no printed value.
+    labels name both the rows and the columns. Color encodes the value on a
+    linear ramp between the finite minimum and maximum; non-finite cells are
+    drawn gray with no printed value.
     """
     m = np.asarray(values, dtype=float)
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError(f"expected a nonempty 2-d array, got shape {m.shape}")
-    rows = _labels_or_indices(row_labels, m.shape[0], "row")
-    cols = _labels_or_indices(col_labels, m.shape[1], "column")
-
     finite = m[np.isfinite(m)]
     lo = float(finite.min()) if finite.size else 0.0
     span = float(finite.max()) - lo if finite.size else 0.0
 
-    left = 12 + 7 * max(len(v) for v in rows)
-    top = 30 + 7 * max(len(v) for v in cols)
+    longest = max(len(v) for v in labels)
+    left, top = 12 + 7 * longest, 30 + 7 * longest
     width = left + CELL * m.shape[1] + 16
     height = top + CELL * m.shape[0] + 16
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width // 2}" y="16" {_FONT} font-size="13" '
+        f'text-anchor="middle">{_esc(title)}</text>',
     ]
-    if title:
-        out.append(
-            f'<text x="{width // 2}" y="16" {_FONT} font-size="13" '
-            f'text-anchor="middle">{_esc(title)}</text>'
-        )
-    for j, name in enumerate(cols):
+    for j, name in enumerate(labels):
         x = left + CELL * j + CELL // 2
         out.append(
             f'<text x="{x}" y="{top - 6}" {_FONT} font-size="10" text-anchor="end" '
             f'transform="rotate(-45 {x} {top - 6})">{_esc(name)}</text>'
         )
-    for i, name in enumerate(rows):
+    for i, name in enumerate(labels):
         y = top + CELL * i + CELL // 2 + 4
         out.append(
             f'<text x="{left - 6}" y="{y}" {_FONT} font-size="10" '
@@ -110,23 +93,14 @@ def heatmap_svg(values, row_labels=(), col_labels=(), title: str = "") -> str:
     return "\n".join(out) + "\n"
 
 
-def line_chart_svg(
-    xs, ys, label, title: str = "", x_label: str = "", y_label: str = ""
-) -> str:
-    """Render one labelled series against its x values.
+def line_chart_svg(ys, label) -> str:
+    """Render an objective's ascent, ys[i] at iteration i, as one labelled series.
 
-    Non-finite y values break the polyline into separate segments; a segment
-    of one point is drawn as a dot.
+    ys must be finite. A one-point series is drawn as a dot.
     """
-    x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
-    if x.ndim != 1 or x.size < 1 or y.shape != x.shape:
-        raise ValueError(f"need nonempty 1-d x and y of one shape, got {x.shape} and {y.shape}")
-    finite = y[np.isfinite(y)]
-    if finite.size == 0:
-        raise ValueError("all y values are non-finite")
-    x_lo, x_hi = float(x.min()), float(x.max())
-    y_lo, y_hi = float(finite.min()), float(finite.max())
+    x_lo, x_hi = 0.0, float(y.size - 1)
+    y_lo, y_hi = float(y.min()), float(y.max())
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_hi == y_lo:
@@ -148,12 +122,9 @@ def line_chart_svg(
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="black"/>',
+        f'<text x="{width // 2}" y="20" {_FONT} font-size="13" '
+        'text-anchor="middle">objective ascent</text>',
     ]
-    if title:
-        out.append(
-            f'<text x="{width // 2}" y="20" {_FONT} font-size="13" '
-            f'text-anchor="middle">{_esc(title)}</text>'
-        )
     for tick in np.linspace(x_lo, x_hi, 5):
         tx = px(tick)
         out.append(
@@ -174,27 +145,23 @@ def line_chart_svg(
             f'<text x="{left - 8}" y="{ty:.2f}" {_FONT} font-size="10" '
             f'text-anchor="end">{tick:.4g}</text>'
         )
-    if x_label:
+    out.append(
+        f'<text x="{left + plot_w // 2}" y="{height - 10}" {_FONT} '
+        'font-size="11" text-anchor="middle">iteration</text>'
+    )
+    out.append(
+        f'<text x="16" y="{top + plot_h // 2}" {_FONT} font-size="11" '
+        f'text-anchor="middle" transform="rotate(-90 16 {top + plot_h // 2})">'
+        "objective</text>"
+    )
+    if y.size == 1:
+        out.append(f'<circle cx="{px(0):.2f}" cy="{py(y[0]):.2f}" r="2.5" fill="{_LINE_COLOR}"/>')
+    else:
+        points = " ".join(f"{px(i):.2f},{py(v):.2f}" for i, v in enumerate(y))
         out.append(
-            f'<text x="{left + plot_w // 2}" y="{height - 10}" {_FONT} '
-            f'font-size="11" text-anchor="middle">{_esc(x_label)}</text>'
+            f'<polyline points="{points}" fill="none" '
+            f'stroke="{_LINE_COLOR}" stroke-width="1.5"/>'
         )
-    if y_label:
-        out.append(
-            f'<text x="16" y="{top + plot_h // 2}" {_FONT} font-size="11" '
-            f'text-anchor="middle" transform="rotate(-90 16 {top + plot_h // 2})">'
-            f"{_esc(y_label)}</text>"
-        )
-    for drawn, run in groupby(zip(x, y), key=lambda point: math.isfinite(point[1])):
-        seg = [f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in run] if drawn else []
-        if len(seg) == 1:
-            cx, cy = seg[0].split(",")
-            out.append(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{_LINE_COLOR}"/>')
-        elif seg:
-            out.append(
-                f'<polyline points="{" ".join(seg)}" fill="none" '
-                f'stroke="{_LINE_COLOR}" stroke-width="1.5"/>'
-            )
     out.append(
         f'<line x1="{left + plot_w - 120}" y1="{top + 10}" x2="{left + plot_w - 100}" '
         f'y2="{top + 10}" stroke="{_LINE_COLOR}" stroke-width="1.5"/>'

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lasso import lasso_gram_fit
-from .linalg import SymMatrix
+from .linalg import SymMatrix, symmetrized
 from .lingauss import LinearGenerator
 from .metrics import (
     LASSO_LAMBDA,
@@ -150,7 +150,7 @@ def model_centrality(
             fill(pairs[::threads])
             for share in shares:
                 share.result()
-    return 0.5 * (a + a.T)
+    return symmetrized(a)
 
 
 def _subsampled_row_means(

@@ -18,7 +18,7 @@ from disentlab.contrastive import (
     js_identity_values,
     train_discriminator,
 )
-from disentlab.datasets import CircularSpec, gen_circular_dsprites
+from disentlab.datasets import gen_circular_dsprites
 from disentlab.linalg import SymMatrix, spd_sqrt
 from disentlab.lingauss import (
     LOG_2PI,
@@ -316,8 +316,8 @@ def test_criterion_08_centrality_hand_case():
 
 
 def test_criterion_09_disc_dataset_geometry():
-    images, factors = gen_circular_dsprites(CircularSpec())
-    images2, factors2 = gen_circular_dsprites(CircularSpec())
+    images, factors = gen_circular_dsprites()
+    images2, factors2 = gen_circular_dsprites()
     identical = (
         images.tobytes() == images2.tobytes() and factors.tobytes() == factors2.tobytes()
     )

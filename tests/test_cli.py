@@ -6,11 +6,13 @@ TestModuleEntryPoint starts `python -m disentlab`, to cover __main__.py.
 """
 
 import csv
+import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -41,6 +43,10 @@ _SHORT_ENCODER = json.dumps(
     {"d": 2, "r": 1, "B": [1.0, 0.0], "A": [0.0, 0.0, 0.0, 1.0], "sigma": [1.0, 0.0, 0.0, 1.0],
      "encoder": [1.0]}
 )
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
 
 
 def _write_json(path, obj) -> str:
@@ -265,41 +271,32 @@ class TestVerifyTheorems:
 class TestGenData:
     def test_circular_writes_images_and_factors(self, tmp_path):
         out = tmp_path / "circ"
-        args = ["gen-data", "--circular", "--n-radii", "3", "--n-angles", "4",
-                "--out", str(out)]
-        assert main(args) == 0
+        assert main(["gen-data", "--circular", "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["factors.csv", "images.pgm"]
-        assert read_pgm(out / "images.pgm").shape == (12, 64, 64)
-        assert len(_read_rows(out / "factors.csv")) == 13
+        assert read_pgm(out / "images.pgm").shape == (1080, 64, 64)
+        assert len(_read_rows(out / "factors.csv")) == 1081
 
     def test_circular_byte_identical_across_runs(self, tmp_path):
-        base = ["gen-data", "--circular", "--n-radii", "2", "--n-angles", "4"]
+        base = ["gen-data", "--circular"]
         assert main(base + ["--out", str(tmp_path / "a")]) == 0
         assert main(base + ["--out", str(tmp_path / "b")]) == 0
         for name in ("images.pgm", "factors.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_circular_rejects_overflowing_disc(self, tmp_path):
-        args = ["gen-data", "--circular", "--radius", "40", "--out", str(tmp_path / "x")]
-        assert main(args) == 2
-
     def test_circular_out_of_memory_exits_2(self, tmp_path, monkeypatch, capsys):
-        # numpy refuses the 9.31 GiB image stack of a 100,000-pixel canvas;
-        # the stand-in refuses any request over 1 GiB without allocating it
+        # the stand-in refuses the 4.22 MiB image stack, as numpy does on a
+        # machine out of memory, and allocates everything else
         empty = np.empty
 
-        def refuse_large(shape, dtype=float, **kwargs):
-            size = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-            if size > 2**30:
-                raise MemoryError(f"Unable to allocate {size / 2**30:.2f} GiB")
+        def refuse_images(shape, dtype=float, **kwargs):
+            if tuple(shape) == (1080, 64, 64):
+                raise MemoryError("Unable to allocate 4.22 MiB")
             return empty(shape, dtype, **kwargs)
 
-        monkeypatch.setattr(np, "empty", refuse_large)
+        monkeypatch.setattr(np, "empty", refuse_images)
         out = tmp_path / "big"
-        args = ["gen-data", "--circular", "--n-radii", "1", "--n-angles", "1", "--radius", "0",
-                "--canvas", "100000", "--out", str(out)]
-        assert main(args) == 2
-        assert capsys.readouterr().err == "error: Unable to allocate 9.31 GiB\n"
+        assert main(["gen-data", "--circular", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 4.22 MiB\n"
         assert not out.exists()
 
     def test_linear_gaussian_dataset(self, model_dir, tmp_path):
@@ -376,6 +373,21 @@ class TestGenData:
         out = tmp_path / "x"
         args = ["metrics", "--model", path, "--metrics", "factorvae", "--out", str(out)]
         assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: BBᵀ + AAᵀ does not match sigma (relative tolerance 1e-08)\n"
+        )
+        assert not out.exists()
+
+    def test_unmatched_model_near_float64_max_exits_2(self, tmp_path, capsys):
+        # BBᵀ overflows float64 here; the gap is formed at a power-of-two scale
+        model = {"d": 2, "r": 1, "B": [1e308, 0.0], "A": [0.0, 0.0, 0.0, 1.0],
+                 "sigma": [1.0, 0.0, 0.0, 1.0]}
+        path = _write_json(tmp_path / "huge.json", model)
+        out = tmp_path / "x"
+        args = ["metrics", "--model", path, "--metrics", "factorvae", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: BBᵀ + AAᵀ does not match sigma (relative tolerance 1e-08)\n"
         )
@@ -507,6 +519,35 @@ class TestOptimize:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: {prefix}the ascent's objective or gradient overflows (")
+        assert not out.exists()
+
+    def test_sigma_near_float64_max_fits_to_strict_json(self, tmp_path, capsys):
+        # Σ + Σᵀ overflows float64 here, while Σ/2 + Σᵀ/2 does not
+        sigma = tmp_path / "sigma.csv"
+        sigma.write_text("1e308,0\n0,1e308\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["optimize", "--r", "1", "--sigma", str(sigma), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        model = json.loads((out / "model.json").read_text(), parse_constant=_reject_constant)
+        assert model["sigma"] == [1e308, 0.0, 0.0, 1e308]
+        assert all(np.isfinite(model[key]).all() for key in ("A", "B", "encoder"))
+
+    def test_non_finite_model_value_exits_2(self, tmp_path, monkeypatch, capsys):
+        # model.json is strict JSON: a NaN is refused, not written as the token NaN
+        real = cli.posterior
+
+        def nan_encoder(gen):
+            post = real(gen)
+            return dataclasses.replace(post, mean_map=np.full_like(post.mean_map, np.nan))
+
+        monkeypatch.setattr(cli, "posterior", nan_encoder)
+        out = tmp_path / "o"
+        assert main(["optimize", "--r", "1", "--sigma-diag", "4,1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: Out of range float values are not JSON compliant: nan\n"
+        )
         assert not out.exists()
 
     def test_input_validation(self, tmp_path):
@@ -997,7 +1038,6 @@ class TestCommonPlumbing:
         "argv",
         [
             ["verify-theorems", "--config", "{bad_config}"],
-            ["gen-data", "--circular", "--radius", "40"],
             ["gen-data", "--linear-gaussian", "--model", "{bad_model}"],
             ["optimize", "--r", "1", "--sigma-diag", "9,-1"],
             ["optimize", "--r", "1", "--sigma-diag", "1,1e-15"],
@@ -1006,7 +1046,7 @@ class TestCommonPlumbing:
             ["select", "--pool", "{single_pool}"],
             ["analyze", "--scores", "{scores}", "{scores}"],
         ],
-        ids=["verify-theorems", "gen-data-circular", "gen-data-linear-gaussian", "optimize",
+        ids=["verify-theorems", "gen-data-linear-gaussian", "optimize",
              "optimize-nearly-singular", "metrics-model", "metrics-dci-rows", "select", "analyze"],
     )
     def test_exit_2_leaves_no_out_directory(self, model_dir, tmp_path, argv):
@@ -1033,8 +1073,7 @@ class TestCommonPlumbing:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["gen-data", "--circular", "--radius", "40"],
-             "largest disc reaches 66 pixels from center, over the 31 limit"),
+            (["optimize", "--r", "3", "--sigma-diag", "9,4"], "need 1 <= r <= 2, got r=3"),
             (["optimize", "--r", "1", "--sigma-diag", "9,-1"],
              "target covariance must be positive definite (min eigenvalue -1.000000e+00)"),
         ],

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from disentlab.datasets import (
-    CircularSpec,
     circular_dataset_files,
     gen_circular_dsprites,
     gen_linear_gaussian_dataset,
-    rasterize_disc,
     write_circular_dataset,
 )
 from disentlab.linalg import SymMatrix, spd_sqrt
@@ -19,6 +17,9 @@ from support import matched_generator, pgm_bytes, read_pgm
 
 # lattice points with x² + y² ≤ 25
 DISC_5_PIXELS = 81
+
+
+IMAGES, FACTORS = gen_circular_dsprites()
 
 
 def _gen(d=4, r=2):
@@ -31,96 +32,69 @@ def _gen(d=4, r=2):
     return matched_generator(sigma, b)
 
 
-class TestCircularSpec:
-    def test_defaults(self):
-        spec = CircularSpec()
-        assert spec.total == 1080
-        assert spec.center == 32.0
-
-    def test_reach_limit(self):
-        with pytest.raises(ValueError):
-            CircularSpec(n_radii=28)
-        with pytest.raises(ValueError):
-            CircularSpec(disc_radius=6)
-        CircularSpec(n_radii=26, disc_radius=6)  # reach 31 is allowed
-
-    def test_positive_dimensions(self):
-        with pytest.raises(ValueError):
-            CircularSpec(n_angles=0)
+def _frame(ri, ai):
+    """The image of placement (radius_index, angle_index) in the fixed disc set."""
+    return IMAGES[ri * 40 + ai]
 
 
 class TestRasterizeDisc:
     def test_integer_center_radius_5(self):
-        img = rasterize_disc((32.0, 32.0), 5.0)
+        img = _frame(0, 0)
         assert img.shape == (64, 64)
         assert img.dtype == np.uint8
         assert int((img == 255).sum()) == DISC_5_PIXELS
         assert set(np.unique(img)) <= {0, 255}
-
-    def test_radius_zero_single_pixel(self):
-        img = rasterize_disc((10.0, 20.0), 0.0)
-        assert int(img.sum()) == 255
-        assert img[20, 10] == 255
+        rows, cols = np.nonzero(img)
+        assert np.all((rows - 32) ** 2 + (cols - 32) ** 2 <= 25)
 
     def test_px_is_column_py_is_row(self):
-        img = rasterize_disc((40.0, 12.0), 1.0)
-        assert img[12, 40] == 255
-        assert img[40, 12] == 0
+        # angle 0 moves the disc along the columns: frame (10, 0) is centered at column 42, row 32
+        img = _frame(10, 0)
+        assert img[32, 47] == 255
+        assert img[47, 32] == 0
+        assert np.array_equal(img[:, 10:], _frame(0, 0)[:, :-10])
 
     def test_quarter_turn_symmetry(self):
-        img_x = rasterize_disc((42.0, 32.0), 5.0)
-        img_y = rasterize_disc((32.0, 42.0), 5.0)
-        ys, xs = np.nonzero(img_x)
-        # 90° rotation about (32, 32): (x, y) -> (64 - y, x)
-        assert np.all(img_y[xs, 64 - ys] == 255)
-        assert int((img_y == 255).sum()) == int((img_x == 255).sum())
-
-    def test_out_of_canvas_rejected(self):
-        with pytest.raises(ValueError):
-            rasterize_disc((3.0, 32.0), 5.0)
-        with pytest.raises(ValueError):
-            rasterize_disc((32.0, 60.0), 5.0)
-        with pytest.raises(ValueError):
-            rasterize_disc((32.0, 32.0), -1.0)
+        # a quarter turn (angle 10 of 40) moves the disc along the rows instead: the transpose
+        for ri in range(27):
+            assert np.array_equal(_frame(ri, 10), _frame(ri, 0).T)
 
 
 class TestCircularDataset:
-    IMAGES, FACTORS = gen_circular_dsprites()
-
     def test_count_and_order(self):
-        assert self.IMAGES.shape == (1080, 64, 64)
-        assert self.FACTORS.shape == (1080, 2)
-        assert np.array_equal(self.FACTORS[:, 0], np.repeat(np.arange(27), 40))
-        assert np.array_equal(self.FACTORS[:, 1], np.tile(np.arange(40), 27))
+        assert IMAGES.shape == (1080, 64, 64)
+        assert FACTORS.shape == (1080, 2)
+        assert np.array_equal(FACTORS[:, 0], np.repeat(np.arange(27), 40))
+        assert np.array_equal(FACTORS[:, 1], np.tile(np.arange(40), 27))
 
     def test_zero_radius_images_identical(self):
-        first = self.IMAGES[0]
+        first = IMAGES[0]
         for ai in range(1, 40):
-            assert np.array_equal(self.IMAGES[ai], first)
+            assert np.array_equal(IMAGES[ai], first)
 
     def test_binary_with_plausible_counts(self):
-        counts = (self.IMAGES == 255).sum(axis=(1, 2))
-        blank = (self.IMAGES == 0).sum(axis=(1, 2))
+        counts = (IMAGES == 255).sum(axis=(1, 2))
+        blank = (IMAGES == 0).sum(axis=(1, 2))
         assert np.all(counts + blank == 64 * 64)
         assert counts.min() >= 69
         assert counts.max() <= 93
 
     def test_integral_centers_have_exact_count(self):
-        counts = (self.IMAGES == 255).sum(axis=(1, 2))
+        counts = (IMAGES == 255).sum(axis=(1, 2))
         for idx in range(1080):
-            ri, ai = self.FACTORS[idx]
+            ri, ai = FACTORS[idx]
             if ri == 0 or (4 * ai) % 40 == 0:
                 assert counts[idx] == DISC_5_PIXELS
 
     def test_bit_exact_across_runs(self):
         again, factors = gen_circular_dsprites()
-        assert np.array_equal(again, self.IMAGES)
-        assert np.array_equal(factors, self.FACTORS)
+        assert np.array_equal(again, IMAGES)
+        assert np.array_equal(factors, FACTORS)
 
 
 class TestPgmIo:
     def test_round_trip(self, tmp_path):
-        img = rasterize_disc((20.0, 30.0), 5.0)
+        img = _frame(12, 7)
         path = tmp_path / "disc.pgm"
         path.write_bytes(pgm_bytes(img))
         assert np.array_equal(read_pgm(path), [img])
@@ -131,7 +105,7 @@ class TestPgmIo:
         assert len(data) == len(b"P5\n3 2\n255\n") + 6
 
     def test_byte_identical_rewrites(self):
-        img = rasterize_disc((32.0, 32.0), 5.0)
+        img = _frame(0, 0)
         assert pgm_bytes(img) == pgm_bytes(img.copy())
 
     def test_write_validation(self):
@@ -149,28 +123,24 @@ class TestPgmIo:
                 read_pgm(path)
 
     def test_write_circular_dataset(self, tmp_path):
-        spec = CircularSpec(n_radii=2, n_angles=4)
-        images, factors = gen_circular_dsprites(spec)
-        write_circular_dataset(tmp_path, images, factors)
+        write_circular_dataset(tmp_path, IMAGES, FACTORS)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["factors.csv", "images.pgm"]
         lines = (tmp_path / "factors.csv").read_text().splitlines()
         assert lines[0] == "image_index,radius_index,angle_index"
         assert lines[1] == "0,0,0"
-        assert lines[-1] == "7,1,3"
+        assert lines[-1] == "1079,26,39"
         frames = read_pgm(tmp_path / "images.pgm")
-        assert frames.shape == (8, 64, 64)
-        assert np.array_equal(frames[5], images[5])
+        assert frames.shape == (1080, 64, 64)
+        assert np.array_equal(frames[5], IMAGES[5])
 
     def test_frames_round_trip_in_index_order(self, tmp_path):
-        spec = CircularSpec(canvas_size=20, disc_radius=2, n_radii=3, n_angles=5)
-        images, factors = gen_circular_dsprites(spec)
-        write_circular_dataset(tmp_path, images, factors)
+        write_circular_dataset(tmp_path, IMAGES, FACTORS)
         frames = read_pgm(tmp_path / "images.pgm")
         rows = (tmp_path / "factors.csv").read_text().splitlines()[1:]
-        assert len(frames) == len(rows) == 15
+        assert len(frames) == len(rows) == 1080
         for i, (frame, row) in enumerate(zip(frames, rows)):
-            assert np.array_equal(frame, images[i])
-            assert row == f"{i},{factors[i, 0]},{factors[i, 1]}"
+            assert np.array_equal(frame, IMAGES[i])
+            assert row == f"{i},{FACTORS[i, 0]},{FACTORS[i, 1]}"
 
     def test_default_images_are_the_concatenated_frames(self):
         images, factors = gen_circular_dsprites()
