@@ -296,13 +296,13 @@ def cmd_optimize(args) -> tuple[int, dict[str, bytes]]:
     results = optimize_generators(
         [(sigma, seed) for seed in seeds], args.r, OptimizerConfig(objective, **opt)
     )
-    best = max(range(len(seeds)), key=lambda i: results[i][1].objective_value)
+    best = max(range(len(seeds)), key=lambda i: results[i][1].history[-1])
     gen, report = results[best]
     model = gen.to_dict()
-    model["encoder"] = [float(v) for v in posterior(gen).mean_map.ravel()]
+    model["encoder"] = [float(v) for v in posterior(gen).ravel()]
     model.update(objective=objective, seed=seeds[best])
     rows = [
-        ["objective_value", _fmt(report.objective_value)],
+        ["objective_value", _fmt(report.history[-1])],
         ["orthonormality_residual", _fmt(report.orthonormality_residual)],
         ["alignment_min", _fmt(report.pca_alignment.min())],
         ["norm_error_max", _fmt(report.norm_errors.max())],
@@ -312,7 +312,7 @@ def cmd_optimize(args) -> tuple[int, dict[str, bytes]]:
     rows += [[f"permutation_{i}", str(p)] for i, p in enumerate(report.permutation)]
     rows += [["stop_reason", report.stop], ["backtracks", str(report.backtracks)]]
     history = np.asarray(report.history, dtype=float)
-    print(f"best seed {seeds[best]}: objective {_fmt(report.objective_value)}")
+    print(f"best seed {seeds[best]}: objective {_fmt(report.history[-1])}")
     return EXIT_OK, {
         "model.json": _json(model),
         "report.csv": _csv(["quantity", "value"], rows),
@@ -431,40 +431,40 @@ def cmd_select(args) -> tuple[int, dict[str, bytes]]:
         entries.append((gen, enc, label))
     pool = ModelPool(tuple(entries))
 
+    labels = pool.labels
+    method = args.method.replace("-", "_")
     if args.method == "model-centrality":
         matrix = model_centrality(pool, factorvae_cfg, threads=args.threads)
-        report = subsampled_centrality(pool, matrix, args.fraction, args.trials, args.seed)
+        scores, stderr = subsampled_centrality(matrix, args.fraction, args.trials, args.seed)
     else:
         variant = args.method.removeprefix("udr-")
         samples = gen_linear_gaussian_dataset(
             pool.generator(0), udr_cfg["samples"], args.seed
         ).samples
         matrix = udr_pair_scores(pool, samples, variant, udr_cfg["lasso_lambda"])
-        report = udr_select(pool, matrix, variant, args.fraction, args.trials, args.seed)
+        scores, stderr = udr_select(matrix, args.fraction, args.trials, args.seed)
 
-    scores = [
+    selected = int(np.argmax(scores))  # ties go to the lowest index
+    rows = [
         [str(i), label, _fmt(score), _fmt(err)]
-        for i, (label, score, err) in enumerate(zip(report.labels, report.scores, report.stderr))
+        for i, (label, score, err) in enumerate(zip(labels, scores, stderr))
     ]
-    order = np.argsort(-report.scores, kind="stable")
+    order = np.argsort(-scores, kind="stable")
     heatmap = heatmap_svg(
         matrix[np.ix_(order, order)],
-        [report.labels[i] for i in order],
-        f"{report.method} similarity (sorted by score)",
+        [labels[i] for i in order],
+        f"{method} similarity (sorted by score)",
     )
     summary = {
-        "method": report.method,
-        "selected": report.selected,
-        "label": report.labels[report.selected],
-        "score": float(_fmt(report.scores[report.selected])),
+        "method": method,
+        "selected": selected,
+        "label": labels[selected],
+        "score": float(_fmt(scores[selected])),
     }
-    print(
-        f"selected model {report.selected} ({report.labels[report.selected]}) "
-        f"with score {_fmt(report.scores[report.selected])}"
-    )
+    print(f"selected model {selected} ({labels[selected]}) with score {_fmt(scores[selected])}")
     return EXIT_OK, {
-        "scores.csv": _csv(["model", "label", "score", "stderr"], scores),
-        "similarity.csv": _matrix_report(report.labels, matrix),
+        "scores.csv": _csv(["model", "label", "score", "stderr"], rows),
+        "similarity.csv": _matrix_report(labels, matrix),
         "similarity.svg": heatmap.encode(),
         "selection.json": _json(summary),
     }
@@ -528,9 +528,9 @@ def cmd_analyze(args) -> tuple[int, dict[str, bytes]]:
         named.append((name, vector))
     corr = rank_correlation_analysis(named)
     names = [name for name, _ in named]
-    heatmap = heatmap_svg(corr.entries, names, "rank correlation")
+    heatmap = heatmap_svg(corr, names, "rank correlation")
     return EXIT_OK, {
-        "rank_correlation.csv": _matrix_report(names, corr.entries),
+        "rank_correlation.csv": _matrix_report(names, corr),
         "rank_correlation.svg": heatmap.encode(),
     }
 

@@ -76,10 +76,6 @@ def circular_dataset_files(
     Frame i is row i of factors.csv. The frames are built in one flat uint8
     buffer, so the images are copied once and no per-frame bytes are made.
     """
-    if images.ndim != 3 or images.dtype != np.uint8:
-        raise ValueError(
-            f"expected a stack of 2-d uint8 images, got {images.dtype} shape {images.shape}"
-        )
     n, h, w = images.shape
     header = np.frombuffer(f"P5\n{w} {h}\n255\n".encode("ascii"), dtype=np.uint8)
     frames = np.empty((n, header.size + h * w), dtype=np.uint8)

@@ -123,10 +123,11 @@ def spd_sqrt(m, tol=PSD_CLAMP_TOL):
     """Symmetric PSD square root R with R @ R == m (up to round-off).
 
     Eigenvalues in [-tol, 0) are clamped to zero; anything below that is
-    rejected as genuinely not PSD. A SymMatrix gives a SymMatrix. An (F, n, n)
-    array stack gives an array of roots, each bit for bit its own matrix's,
-    from one eigh call; tol is then a scalar or one value per matrix, and a
-    rejected matrix in a stack of more than one is named by its index.
+    rejected as genuinely not PSD. m is a SymMatrix or an array; the root is
+    an array. An (F, n, n) stack gives a stack of roots, each bit for bit its
+    own matrix's, from one eigh call; tol is then a scalar or one value per
+    matrix, and a rejected matrix in a stack of more than one is named by
+    its index.
     """
     w, v = eig = eig_sym(m)
     lowest = np.reshape(w[..., -1], -1)
@@ -137,8 +138,7 @@ def spd_sqrt(m, tol=PSD_CLAMP_TOL):
         raise NotPositiveSemidefinite(
             f"matrix{which} has eigenvalue {lowest[i]:.6e} below the PSD clamp tolerance"
         )
-    root = sqrt_from_eig(eig)
-    return SymMatrix(root) if isinstance(m, SymMatrix) else root
+    return sqrt_from_eig(eig)
 
 
 def project_contraction(b_tilde) -> np.ndarray:
@@ -157,8 +157,6 @@ def project_contraction(b_tilde) -> np.ndarray:
         u, s, vt = np.linalg.svd(b, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"SVD failed during contraction projection: {exc}") from exc
-    if s.shape[-1] == 0:
-        return b
     clip = s[..., 0] > CONTRACTION_SLACK
     count = np.count_nonzero(clip)
     if not count:

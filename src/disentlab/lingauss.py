@@ -6,6 +6,9 @@ mutual-information objective and the pairwise-coupling divergence both have
 closed forms in B alone, and projected gradient ascent over B̃ = Σ^{-1/2} B
 recovers their maximizers: any semi-orthonormal B̃ for the mutual-information
 objective, and the top-r eigenstructure of Σ for the coupling divergence.
+The codes' posterior-mean map Bᵀ Σ⁻¹ is the exact encoder of a generator,
+and an ascent's report carries its objective values as its history, of which
+the last is the final objective.
 """
 from __future__ import annotations
 
@@ -106,14 +109,6 @@ class LinearGenerator:
 
 
 @dataclass(frozen=True)
-class ConditionalGaussian:
-    """Conditional law of the codes given a sample: c | x ~ N(mean_map @ x, cov)."""
-
-    mean_map: np.ndarray  # r x d
-    cov: SymMatrix  # r x r, eigenvalues in [0, 1] for matched generators
-
-
-@dataclass(frozen=True)
 class BiasDecomposition:
     """Split of the recognition objective into information and bias terms.
 
@@ -132,7 +127,6 @@ class BiasDecomposition:
 class TheoremReport:
     """Optimizer outcome summary against the known closed-form maximizers."""
 
-    objective_value: float
     orthonormality_residual: float
     pca_alignment: np.ndarray
     norm_errors: np.ndarray
@@ -155,7 +149,6 @@ class OptimizerConfig:
     step_size: float = 0.1
     max_iters: int = 100_000
     rel_tol: float = 1e-10
-    seed: int = 0
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
@@ -226,14 +219,13 @@ def _posterior(eig: Eigendecomposition, b: np.ndarray) -> tuple[np.ndarray, np.n
     return mean_map, symmetrized(cov)
 
 
-def posterior(gen: LinearGenerator) -> ConditionalGaussian:
-    """Closed-form conditional law of the codes given a generated sample.
+def posterior(gen: LinearGenerator) -> np.ndarray:
+    """The r×d map Bᵀ Σ⁻¹ from a generated sample x to the mean of its codes.
 
     For a matched generator, c | x is Gaussian with mean Bᵀ Σ⁻¹ x and
     covariance S = I - Bᵀ Σ⁻¹ B.
     """
-    mean_map, cov = _posterior(_pd_eig(gen.sigma.entries[None]), gen.B[None])
-    return ConditionalGaussian(mean_map[0], SymMatrix(cov[0]))
+    return _posterior(_pd_eig(gen.sigma.entries[None]), gen.B[None])[0][0]
 
 
 def _objectives(sigma: np.ndarray, eig: Eigendecomposition, b: np.ndarray) -> np.ndarray:
@@ -388,13 +380,13 @@ def cr_frobenius_divergence(b) -> float:
     return value
 
 
-def rank_r_truncation(sigma: SymMatrix, r: int) -> SymMatrix:
-    """Best rank-r PSD approximation: keep the top r eigencomponents."""
+def rank_r_truncation(sigma: SymMatrix, r: int) -> np.ndarray:
+    """Best rank-r PSD approximation, symmetrized: keep the top r eigencomponents."""
     if not 1 <= r <= sigma.dim:
         raise ValueError(f"need 1 <= r <= {sigma.dim}, got {r}")
     w, v = eig_sym(sigma)
     kept = np.clip(w[:r], 0.0, None)
-    return SymMatrix((v[:, :r] * kept) @ v[:, :r].T)
+    return symmetrized((v[:, :r] * kept) @ v[:, :r].T)
 
 
 def _greedy_eigvec_match(b: np.ndarray, eigvecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -449,9 +441,9 @@ def optimize_generators(
     """Projected gradient ascent of many (Σ, seed) runs at once, one result per run.
 
     Each run ascends over B = Σ^{1/2} B̃ with B̃ a contraction, from a draw of
-    its own seed; cfg.seed is not read. The objective, step size, rel_tol and
-    max_iters of cfg are shared. Every run's history, B, A and report are bit
-    for bit those of optimize_generator(Σ, r, cfg) at that seed.
+    its own seed. The objective, step size, rel_tol and max_iters of cfg are
+    shared. Every run's history, B, A and report are bit for bit those of
+    optimize_generator(Σ, r, cfg, seed).
 
     All runs ascend together in one (F, d, r) stack, with one stacked SVD
     per round. Each round evaluates the objective and its gradient at every
@@ -586,7 +578,6 @@ def optimize_generators(
         runs, maps, noise, gaps, perms.tolist(), aligns, norm_errors, histories, stops, backtracks
     ):
         report = TheoremReport(
-            objective_value=history[-1],
             orthonormality_residual=float(np.linalg.norm(gap)),
             pca_alignment=align,
             norm_errors=errors,
@@ -600,13 +591,13 @@ def optimize_generators(
 
 
 def optimize_generator(
-    sigma: SymMatrix, r: int, cfg: OptimizerConfig
+    sigma: SymMatrix, r: int, cfg: OptimizerConfig, seed: int = 0
 ) -> tuple[LinearGenerator, TheoremReport]:
     """Projected gradient ascent over B = Σ^{1/2} B̃ with B̃ a contraction.
 
-    The one-run case of optimize_generators, seeded by cfg.seed. The matching
-    constraint is enforced by construction: each candidate B̃ is clipped back
-    into the contraction set, and the returned generator carries
+    The one-run case of optimize_generators, from a draw of seed. The
+    matching constraint is enforced by construction: each candidate B̃ is
+    clipped back into the contraction set, and the returned generator carries
     A = (Σ - B Bᵀ)^{1/2}. Backtracking line search keeps the objective
     non-decreasing across accepted steps. The run stops when an accepted
     step gains at most rel_tol·max(1, |f|), when no ascent step exists (a
@@ -615,4 +606,4 @@ def optimize_generator(
     report's stop names which, and its backtracks counts the rejected
     candidates.
     """
-    return optimize_generators([(sigma, cfg.seed)], r, cfg)[0]
+    return optimize_generators([(sigma, seed)], r, cfg)[0]

@@ -128,7 +128,7 @@ class LinearEncoder:
     @classmethod
     def from_generator(cls, gen: LinearGenerator) -> "LinearEncoder":
         """The generator's own posterior-mean map x -> Bᵀ Σ⁻¹ x."""
-        return cls(posterior(gen).mean_map)
+        return cls(posterior(gen))
 
     @property
     def code_dim(self) -> int:
@@ -367,37 +367,24 @@ def _pair_ends(xs: np.ndarray, t: float) -> np.ndarray:
     """For each i, the first j with xs[j] - xs[i] > t, over sorted xs and rounded differences.
 
     searchsorted against the rounded xs + t finds the end up to rounding at
-    the boundary. Rounded differences never decrease along a row, so an end
-    that is off is bracketed by galloping from the guess in steps of 1, 2,
-    4, … and then found by bisecting the bracket: an end m places off takes
-    O(log m) passes, each one comparison over the rows still searching. The
-    ends are those of moving one index per pass, which the rounded
-    differences the median sorts define.
+    the boundary. Rounded differences never decrease along a row, so a row
+    whose guess is off is bisected over the rest of its row on that side:
+    (i, guess - 1] if the guess counted a j too far, since j = i is always
+    within, and (guess, n] if it left out a j near enough. The ends are
+    those of moving one index per pass, which the rounded differences the
+    median sorts define.
     """
     n = xs.size
     ends = np.searchsorted(xs, xs + t, side="right")
     xs = np.append(xs, np.inf)  # index n counts as beyond every row
     rows = np.arange(n)
     # Each row's end e is bracketed as lo < e <= hi: xs[lo] - xs[i] <= t and
-    # xs[hi] - xs[i] > t. A guess that counted a j too far moves down; one
-    # that left out a j near enough moves up.
+    # xs[hi] - xs[i] > t.
     lo, hi = ends - 1, ends.copy()
-    down = np.flatnonzero(_beyond(xs, rows, lo, t))
-    hi[down] = lo[down]
-    up = np.flatnonzero(~_beyond(xs, rows, hi, t))
-    lo[up] = hi[up]
-    width = 1
-    while down.size:  # j = i is within, so a probe never passes row i
-        probe = np.maximum(hi[down] - width, down)
-        far = _beyond(xs, down, probe, t)
-        lo[down[~far]], hi[down[far]] = probe[~far], probe[far]
-        down, width = down[far], 2 * width
-    width = 1
-    while up.size:
-        probe = np.minimum(lo[up] + width, n)
-        far = _beyond(xs, up, probe, t)
-        lo[up[~far]], hi[up[far]] = probe[~far], probe[far]
-        up, width = up[~far], 2 * width
+    down = _beyond(xs, rows, lo, t)
+    lo[down], hi[down] = rows[down], lo[down]
+    up = ~_beyond(xs, rows, hi, t)
+    lo[up], hi[up] = hi[up], n
     wide = np.flatnonzero(hi - lo > 1)
     while wide.size:
         mid = (lo[wide] + hi[wide]) // 2

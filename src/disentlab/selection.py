@@ -1,11 +1,12 @@
 """Unsupervised model selection over pools of (generator, encoder) pairs.
 
 Every method reduces a pool to an N×N pair matrix and ranks models by its
-off-diagonal row means, with subsampled standard errors, in a
-SelectionReport. Centrality (arXiv 1906.06034) fills the matrix with
-vote-metric cross-scores of each encoder against every other model's
-generator and symmetrizes it: well-disentangled models land close together
-while poor ones scatter. UDR (Duan et al. 2020) fills it with the
+off-diagonal row means, returned with their subsampled standard errors as
+plain (scores, stderr) arrays; the selection is the argmax of the scores.
+Centrality (arXiv 1906.06034) fills the matrix with vote-metric
+cross-scores of each encoder against every other model's generator and
+symmetrizes it: well-disentangled models land close together while poor
+ones scatter. UDR (Duan et al. 2020) fills it with the
 peakedness of pairwise code-relevance matrices (Lasso or Spearman). UDR's
 Spearman variant and the cross-metric rank-correlation analysis both call
 the one Spearman kernel in metrics.
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lasso import lasso_gram_fit
-from .linalg import SymMatrix, symmetrized
+from .linalg import symmetrized
 from .lingauss import LinearGenerator
 from .metrics import (
     LASSO_LAMBDA,
@@ -66,38 +67,6 @@ class ModelPool:
 
     def encoder(self, i: int) -> LinearEncoder:
         return self.entries[i][1]
-
-
-@dataclass(frozen=True)
-class SelectionReport:
-    """Per-model scores and standard errors; the selection is their argmax."""
-
-    method: str
-    scores: np.ndarray
-    stderr: np.ndarray
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=float)
-        stderr = np.asarray(self.stderr, dtype=float)
-        if scores.ndim != 1 or scores.size < 1:
-            raise ValueError("scores must be a nonempty vector")
-        if not np.all(np.isfinite(scores)):
-            raise ValueError("scores must be finite")
-        if stderr.shape != scores.shape:
-            raise ValueError("stderr must align with scores")
-        if not np.all(np.isfinite(stderr)):
-            raise ValueError("stderr must be finite")
-        if len(self.labels) != scores.size:
-            raise ValueError("labels must align with scores")
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "stderr", stderr)
-        object.__setattr__(self, "labels", tuple(self.labels))
-
-    @property
-    def selected(self) -> int:
-        """Index of the highest score; ties go to the lowest index."""
-        return int(np.argmax(self.scores))
 
 
 def cross_score(enc: LinearEncoder, gen: LinearGenerator, cfg: FactorVaeConfig) -> float:
@@ -187,19 +156,14 @@ def _subsampled_row_means(
 
 
 def subsampled_centrality(
-    pool: ModelPool,
-    similarity: np.ndarray,
-    fraction: float = 0.8,
-    trials: int = 100,
-    seed=0,
-) -> SelectionReport:
-    """Centrality scores where each row mean uses a random subset of the others.
+    similarity: np.ndarray, fraction: float = 1.0, trials: int = 1, seed=0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Centrality scores and standard errors: each row mean over a random subset of the others.
 
     similarity is model_centrality's matrix for the pool; only the averaging
     is resampled, per model and per trial.
     """
-    means, stderr = _subsampled_row_means(similarity, fraction, trials, seed)
-    return SelectionReport("model_centrality", means, stderr, pool.labels)
+    return _subsampled_row_means(similarity, fraction, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -311,26 +275,22 @@ def udr_pair_scores(
 
 
 def udr_select(
-    pool: ModelPool,
-    pair_scores: np.ndarray,
-    variant: str = "lasso",
-    fraction: float = 1.0,
-    trials: int = 1,
-    seed=0,
-) -> SelectionReport:
-    """Rank pool models by their mean pairwise relevance score against the rest.
+    pair_scores: np.ndarray, fraction: float = 1.0, trials: int = 1, seed=0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each model's mean pairwise relevance score against the rest, and its standard error.
 
     pair_scores is udr_pair_scores' matrix for the pool; the averaging (and
     any subsampling) runs on top of it.
     """
-    means, stderr = _subsampled_row_means(pair_scores, fraction, trials, seed)
-    return SelectionReport(f"udr_{variant}", means, stderr, pool.labels)
+    return _subsampled_row_means(pair_scores, fraction, trials, seed)
 
 
-def rank_correlation_analysis(metric_vectors) -> SymMatrix:
-    """Pairwise rank correlation of named score vectors; NaN marks undefined cells."""
+def rank_correlation_analysis(metric_vectors) -> np.ndarray:
+    """Pairwise rank correlation of named score vectors, symmetrized; NaN marks undefined cells."""
     vectors = [np.asarray(values, dtype=float) for _, values in metric_vectors]
     lengths = {v.shape for v in vectors}
     if len(lengths) != 1 or vectors[0].ndim != 1 or vectors[0].size < 2:
         raise ValueError(f"metric vectors must share one length of at least 2, got {lengths}")
-    return SymMatrix(_rank_correlations(np.column_stack([_fractional_ranks(v) for v in vectors])))
+    return symmetrized(
+        _rank_correlations(np.column_stack([_fractional_ranks(v) for v in vectors]))
+    )

@@ -65,7 +65,7 @@ def _semi_orthonormal(seed, suites, opt, thresholds, ascents):
         ascents.append(_ascent_row("semi_orthonormal", case, report))
         yield (case, "orthonormality_residual", report.orthonormality_residual,
                thresholds["orthonormality_residual"])
-        yield (case, "objective_gap", abs(report.objective_value - optimum),
+        yield (case, "objective_gap", abs(report.history[-1] - optimum),
                thresholds["objective_gap"])
 
 
@@ -75,7 +75,7 @@ def _pca_recovery(seed, suites, opt, thresholds, ascents):
     pca_r = suites["pca_r"]
     sigma = SymMatrix(np.diag(spectrum))
     w_desc = np.sort(spectrum)[::-1]
-    trunc = rank_r_truncation(sigma, pca_r).entries
+    trunc = rank_r_truncation(sigma, pca_r)
     runs = [(sigma, s_idx) for s_idx in range(suites["pca_seeds"])]
     fits = optimize_generators(runs, pca_r, OptimizerConfig("cr_frobenius", **opt))
     for s_idx, (gen, report) in enumerate(fits):

@@ -105,7 +105,7 @@ def noisy_linear_pool(sigma: SymMatrix, r: int, noise_levels, seed=0, noise_scal
     """
     w, v = eig_sym(sigma)
     gen = matched_generator(sigma, v[:, :r] * np.sqrt(w[:r]))
-    base = posterior(gen).mean_map
+    base = posterior(gen)
     scale = float(noise_scale) * float(np.linalg.norm(base)) / math.sqrt(base.size)
     entries = []
     for m, level in enumerate(noise_levels):

@@ -6,7 +6,6 @@ TestModuleEntryPoint starts `python -m disentlab`, to cover __main__.py.
 """
 
 import csv
-import dataclasses
 import json
 import os
 import re
@@ -539,8 +538,7 @@ class TestOptimize:
         real = cli.posterior
 
         def nan_encoder(gen):
-            post = real(gen)
-            return dataclasses.replace(post, mean_map=np.full_like(post.mean_map, np.nan))
+            return np.full_like(real(gen), np.nan)
 
         monkeypatch.setattr(cli, "posterior", nan_encoder)
         out = tmp_path / "o"
@@ -795,6 +793,18 @@ class TestSelect:
             assert self._run(pool_dir, out, ("--method", variant)) == 0
             selection = json.loads((out / "selection.json").read_text())
             assert selection["method"] == variant.replace("-", "_")
+
+    def test_identical_models_tie_to_the_first(self, pool_dir, tmp_path):
+        # three copies of one model score alike, and the tie selects index 0
+        root, _ = pool_dir
+        manifest = _write_json(root / "same.json", {"models": ["m0/model.json"] * 3})
+        for method in ("model-centrality", "udr-lasso", "udr-spearman"):
+            out = tmp_path / method
+            assert self._run((root, manifest), out, ("--method", method)) == 0
+            scores = {row[2] for row in _read_rows(out / "scores.csv")[1:]}
+            assert len(scores) == 1, (method, scores)
+            selection = json.loads((out / "selection.json").read_text())
+            assert selection["selected"] == 0 and selection["label"] == "m0/model"
 
     def test_deterministic_across_threads(self, pool_dir, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -28,7 +28,7 @@ def _gen(d=4, r=2):
     sigma = SymMatrix(m @ m.T + d * np.eye(d))
     bt = rng.standard_normal((d, r))
     bt *= 0.9 / np.linalg.svd(bt, compute_uv=False)[0]
-    b = spd_sqrt(sigma).entries @ bt
+    b = spd_sqrt(sigma) @ bt
     return matched_generator(sigma, b)
 
 
@@ -151,12 +151,6 @@ class TestPgmIo:
         assert hashlib.sha256(data).hexdigest() == (
             "99fbc6ac20df77dc761d6389bd804cc32a9b385ce78edd5caa1bc299ddd1d116"
         )
-
-    def test_files_reject_a_stack_that_is_not_uint8(self):
-        with pytest.raises(ValueError, match="stack of 2-d uint8 images"):
-            circular_dataset_files(np.zeros((2, 3, 3)), np.zeros((2, 2), dtype=int))
-        with pytest.raises(ValueError, match="stack of 2-d uint8 images"):
-            circular_dataset_files(np.zeros((3, 3), np.uint8), np.zeros((3, 2), dtype=int))
 
     def test_default_files_peak_allocation(self):
         # The default set is 1,080 frames of 64×64: the image stack holds

@@ -162,31 +162,32 @@ class TestEigSym:
 class TestSpdSqrt:
     def test_identity(self):
         r = spd_sqrt(SymMatrix(np.eye(3)))
-        assert np.allclose(r.entries, np.eye(3), atol=1e-14)
+        assert type(r) is np.ndarray  # a SymMatrix argument gives an array too
+        assert np.allclose(r, np.eye(3), atol=1e-14)
 
     def test_diagonal(self):
         r = spd_sqrt(SymMatrix(np.diag([4.0, 9.0])))
-        assert np.allclose(r.entries, np.diag([2.0, 3.0]), atol=1e-14)
+        assert np.allclose(r, np.diag([2.0, 3.0]), atol=1e-14)
 
     def test_multiply_back(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             m = _random_spd(rng, 5)
             r = spd_sqrt(m)
-            err = np.linalg.norm(r.entries @ r.entries - m.entries)
+            err = np.linalg.norm(r @ r - m.entries)
             assert err <= 1e-9 * np.linalg.norm(m.entries)
 
     def test_commutes_with_input(self):
         rng = np.random.default_rng(4)
         m = _random_spd(rng, 6)
         r = spd_sqrt(m)
-        comm = r.entries @ m.entries - m.entries @ r.entries
+        comm = r @ m.entries - m.entries @ r
         assert np.linalg.norm(comm) <= 1e-10 * np.linalg.norm(m.entries)
 
     def test_clamps_tiny_negative_eigenvalues(self):
         m = SymMatrix(np.diag([1.0, -5e-11]))
         r = spd_sqrt(m)
-        assert np.allclose(r.entries, np.diag([1.0, 0.0]), atol=1e-5)
+        assert np.allclose(r, np.diag([1.0, 0.0]), atol=1e-5)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveSemidefinite, match="^matrix has eigenvalue -1.0"):
@@ -200,7 +201,7 @@ class TestSpdSqrt:
         roots = spd_sqrt(np.stack([m.entries for m in cases]), tol)
         assert isinstance(roots, np.ndarray) and roots.shape == (len(cases), 4, 4)
         for m, t, got in zip(cases, tol, roots):
-            assert np.array_equal(got, spd_sqrt(m, t).entries)
+            assert np.array_equal(got, spd_sqrt(m, t))
         assert np.array_equal(spd_sqrt(np.stack([m.entries for m in cases])), roots)
 
     def test_stack_names_the_rejected_matrix(self):

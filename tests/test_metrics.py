@@ -110,7 +110,7 @@ class TestEncoders:
 
     def test_from_generator_is_posterior_mean_map(self):
         sigma = SymMatrix(np.diag([4.0, 1.0]))
-        gen, _ = optimize_generator(sigma, 1, OptimizerConfig(seed=3))
+        gen, _ = optimize_generator(sigma, 1, OptimizerConfig(), seed=3)
         enc = LinearEncoder.from_generator(gen)
         expected = gen.B.T @ np.linalg.inv(np.asarray(sigma))
         assert enc.weight == pytest.approx(expected, abs=1e-12)
@@ -119,7 +119,7 @@ class TestEncoders:
 class TestSamplers:
     def test_generator_sampler_moments(self):
         sigma = SymMatrix(np.diag([4.0, 1.0, 0.25]))
-        gen, _ = optimize_generator(sigma, 2, OptimizerConfig(objective="cr_frobenius", seed=0))
+        gen, _ = optimize_generator(sigma, 2, OptimizerConfig(objective="cr_frobenius"), seed=0)
         sampler = GeneratorSampler(gen)
         rng = np.random.default_rng(5)
         x = sampler.sample_reference(60_000, rng)
@@ -128,7 +128,7 @@ class TestSamplers:
 
     def test_generator_group_reduces_variance_along_fixed_code(self):
         sigma = SymMatrix(np.diag([9.0, 1.0]))
-        gen, _ = optimize_generator(sigma, 1, OptimizerConfig(seed=0))
+        gen, _ = optimize_generator(sigma, 1, OptimizerConfig(), seed=0)
         sampler = GeneratorSampler(gen)
         enc = LinearEncoder.from_generator(gen)
         rng = np.random.default_rng(6)
@@ -139,7 +139,7 @@ class TestSamplers:
 
 def _linear_generator(seed: int = 0):
     sigma = SymMatrix(np.diag([4.0, 2.0, 1.0, 0.5, 0.25]))
-    gen, _ = optimize_generator(sigma, 3, OptimizerConfig(objective="cr_frobenius", seed=seed))
+    gen, _ = optimize_generator(sigma, 3, OptimizerConfig(objective="cr_frobenius"), seed=seed)
     return gen
 
 

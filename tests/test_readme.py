@@ -19,8 +19,8 @@ def test_library_quick_start_runs(capsys):
     exec(compile(_quick_start(), str(README), "exec"), namespace)
     # the block's own comment promises this alignment
     assert np.allclose(namespace["report"].pca_alignment, 1.0, rtol=0.0, atol=1e-7)
-    selection = namespace["selection"]
-    assert selection.labels == namespace["pool"].labels
-    assert selection.selected == 0  # the noise-free encoder
+    scores = namespace["scores"]
+    assert scores.shape == (namespace["pool"].size,)
+    assert np.argmax(scores) == 0  # the noise-free encoder
     printed = capsys.readouterr().out.splitlines()
-    assert printed[-1].startswith(f"{selection.selected} ")
+    assert printed[-1].startswith("0 ")

@@ -20,7 +20,6 @@ from disentlab import selection
 from disentlab.selection import (
     UDR_EPS,
     ModelPool,
-    SelectionReport,
     _pool_relevance,
     cross_score,
     model_centrality,
@@ -44,8 +43,6 @@ FAST_CFG = FactorVaeConfig(groups_per_factor=15, group_size=15, reference_sample
 # Algorithm 1 hand case: A12=A21=0.9, A13=0.8, A31=0.2, A23=0.9, A32=0.7
 # gives B12=0.9, B13=0.5, B23=0.8 and s=(0.7, 0.85, 0.65); model 2 wins.
 HAND_SCORES = {(0, 1): 0.9, (1, 0): 0.9, (0, 2): 0.8, (2, 0): 0.2, (1, 2): 0.9, (2, 1): 0.7}
-NO_SPREAD = np.zeros(2)
-TWO_LABELS = ("a", "b")
 
 
 def _tiny_pool(n: int) -> ModelPool:
@@ -105,40 +102,6 @@ class TestModelPool:
         assert pool.encoder(1).weight[0, 0] == 2.0
 
 
-class TestSelectionReport:
-    def test_argmax_enforced(self):
-        # the selection is derived from the scores; it cannot be passed in
-        for scores in ([0.1, 0.9], [0.9, 0.1], [0.3, 0.7, 0.7, 0.2]):
-            report = SelectionReport("model_centrality", scores, np.zeros(len(scores)),
-                                     tuple("abcd"[:len(scores)]))
-            assert report.selected == int(np.argmax(scores))
-        with pytest.raises(TypeError):
-            SelectionReport("model_centrality", [0.1, 0.9], NO_SPREAD, TWO_LABELS, selected=0)
-
-    def test_stderr_alignment(self):
-        with pytest.raises(ValueError, match="stderr must align"):
-            SelectionReport("model_centrality", np.array([0.9, 0.1]), np.zeros(3), TWO_LABELS)
-
-    def test_labels_alignment(self):
-        with pytest.raises(ValueError, match="labels must align"):
-            SelectionReport("model_centrality", np.array([0.9, 0.1]), NO_SPREAD, ("a",))
-
-    def test_tie_breaks_low(self):
-        report = SelectionReport("model_centrality", np.array([0.5, 0.5]), NO_SPREAD, TWO_LABELS)
-        assert report.selected == 0
-
-    def test_non_finite_rejected(self):
-        # argmax would pick the NaN at index 0
-        for scores, stderr in (
-            ([math.nan, 0.5], NO_SPREAD),
-            ([0.5, math.inf], NO_SPREAD),
-            ([0.9, 0.1], [0.0, math.nan]),
-        ):
-            with pytest.raises(ValueError, match="must be finite"):
-                SelectionReport("model_centrality", np.array(scores), np.array(stderr),
-                                TWO_LABELS)
-
-
 def _row_means(matrix: np.ndarray) -> np.ndarray:
     return matrix.sum(axis=1) / (matrix.shape[0] - 1)
 
@@ -159,11 +122,10 @@ class TestModelCentrality:
     def test_hand_case(self):
         pool = _tiny_pool(3)
         b = model_centrality(pool, FAST_CFG, metric=_stub_metric(pool, HAND_SCORES))
-        report = subsampled_centrality(pool, b, fraction=1.0, trials=1)
-        assert np.allclose(report.scores, [0.7, 0.85, 0.65], rtol=0.0, atol=1e-15)
-        assert report.selected == 1
-        assert report.method == "model_centrality"
-        assert report.labels == ("m0", "m1", "m2")
+        scores, stderr = subsampled_centrality(b, fraction=1.0, trials=1)
+        assert np.allclose(scores, [0.7, 0.85, 0.65], rtol=0.0, atol=1e-15)
+        assert np.argmax(scores) == 1
+        assert np.array_equal(stderr, np.zeros(3))
 
     def test_symmetrized_with_zero_diagonal(self):
         pool = _tiny_pool(9)
@@ -185,9 +147,9 @@ class TestModelCentrality:
         pool = _tiny_pool(3)
         metric = lambda enc, gen, cfg: 0.75
         b = model_centrality(pool, FAST_CFG, metric=metric)
-        report = subsampled_centrality(pool, b, fraction=1.0, trials=1)
-        assert np.all(report.scores == 0.75)
-        assert report.selected == 0
+        scores, _ = subsampled_centrality(b)
+        assert np.all(scores == 0.75)
+        assert np.argmax(scores) == 0
 
     def test_noise_model_scores_lowest(self):
         pool = _tiny_pool(3)
@@ -264,9 +226,9 @@ class TestSubsampledCentrality:
         table = {(i, j): 0.1 * (i + 1) + 0.03 * j for i in range(4) for j in range(4) if i != j}
         metric = _stub_metric(pool, table)
         b = model_centrality(pool, FAST_CFG, metric=metric)
-        report = subsampled_centrality(pool, b, fraction=1.0, trials=25, seed=0)
-        assert np.array_equal(report.scores, _row_means(b))
-        assert np.array_equal(report.stderr, np.zeros(4))
+        scores, stderr = subsampled_centrality(b, fraction=1.0, trials=25, seed=0)
+        assert np.array_equal(scores, _row_means(b))
+        assert np.array_equal(stderr, np.zeros(4))
 
     def test_partial_fraction_consistent(self):
         pool = _tiny_pool(6)
@@ -274,9 +236,9 @@ class TestSubsampledCentrality:
         table = {(i, j): float(rng.uniform(0.2, 1.0)) for i in range(6) for j in range(6) if i != j}
         metric = _stub_metric(pool, table)
         b = model_centrality(pool, FAST_CFG, metric=metric)
-        report = subsampled_centrality(pool, b, fraction=0.8, trials=100, seed=1)
-        assert np.all(report.stderr > 0.0)
-        assert np.all(np.abs(report.scores - _row_means(b)) <= 3.0 * report.stderr)
+        scores, stderr = subsampled_centrality(b, fraction=0.8, trials=100, seed=1)
+        assert np.all(stderr > 0.0)
+        assert np.all(np.abs(scores - _row_means(b)) <= 3.0 * stderr)
 
     @staticmethod
     def _loop_row_means(scores, fraction, trials, seed):
@@ -307,14 +269,13 @@ class TestSubsampledCentrality:
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_validation(self):
-        pool = _tiny_pool(3)
         b = np.zeros((3, 3))
         with pytest.raises(ValueError):
-            subsampled_centrality(pool, b, fraction=0.0)
+            subsampled_centrality(b, fraction=0.0)
         with pytest.raises(ValueError):
-            subsampled_centrality(pool, b, fraction=1.2)
+            subsampled_centrality(b, fraction=1.2)
         with pytest.raises(ValueError):
-            subsampled_centrality(pool, b, trials=0)
+            subsampled_centrality(b, trials=0)
 
 
 class TestUdrRelevance:
@@ -507,10 +468,9 @@ class TestUdrSelect:
         samples = np.random.default_rng(0).multivariate_normal(
             np.zeros(3), np.asarray(sigma), size=300
         )
-        report = udr_select(pool, udr_pair_scores(pool, samples, "spearman"), variant="spearman")
-        assert report.selected == 0
-        assert np.all(report.scores > 0.95)
-        assert report.method == "udr_spearman"
+        scores, _ = udr_select(udr_pair_scores(pool, samples, "spearman"))
+        assert np.argmax(scores) == 0
+        assert np.all(scores > 0.95)
 
     def test_noise_model_lowest(self):
         sigma = SymMatrix(np.diag([4.0, 1.0, 0.25]))
@@ -519,8 +479,8 @@ class TestUdrSelect:
             np.zeros(3), np.asarray(sigma), size=400
         )
         for variant in ("lasso", "spearman"):
-            report = udr_select(pool, udr_pair_scores(pool, samples, variant), variant=variant)
-            assert np.argmin(report.scores) == 2
+            scores, _ = udr_select(udr_pair_scores(pool, samples, variant))
+            assert np.argmin(scores) == 2
 
     def test_minimal_pool(self):
         sigma = SymMatrix(np.diag([4.0, 1.0]))
@@ -528,25 +488,25 @@ class TestUdrSelect:
         samples = np.random.default_rng(2).multivariate_normal(
             np.zeros(2), np.asarray(sigma), size=100
         )
-        report = udr_select(pool, udr_pair_scores(pool, samples, "spearman"), variant="spearman")
-        assert report.scores.shape == (2,)
+        scores, stderr = udr_select(udr_pair_scores(pool, samples, "spearman"))
+        assert scores.shape == stderr.shape == (2,)
 
 
 class TestRankCorrelationAnalysis:
     def test_self_and_identical(self):
         vectors = [("a", [1.0, 2.0, 3.0, 4.0]), ("b", [1.0, 2.0, 3.0, 4.0])]
         m = rank_correlation_analysis(vectors)
-        assert m.entries[0, 0] == 1.0
-        assert m.entries[0, 1] == 1.0
+        assert m[0, 0] == 1.0
+        assert m[0, 1] == 1.0
 
     def test_negation(self):
         m = rank_correlation_analysis([("a", [1.0, 2.0, 3.0]), ("b", [3.0, 2.0, 1.0])])
-        assert m.entries[0, 1] == -1.0
+        assert m[0, 1] == -1.0
 
     def test_constant_vector_sentinel(self):
         m = rank_correlation_analysis([("a", [1.0, 1.0, 1.0]), ("b", [1.0, 2.0, 3.0])])
-        assert math.isnan(m.entries[0, 1])
-        assert math.isnan(m.entries[0, 0])
+        assert math.isnan(m[0, 1])
+        assert math.isnan(m[0, 0])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -562,7 +522,7 @@ class TestRankCorrelationAnalysis:
         ids=["ties", "constant", "n2"],
     )
     def test_matches_pairwise_spearman_bit_for_bit(self, vectors):
-        m = rank_correlation_analysis([(str(i), v) for i, v in enumerate(vectors)]).entries
+        m = rank_correlation_analysis([(str(i), v) for i, v in enumerate(vectors)])
         pairwise = [[spearman_rho(a, b) for b in vectors] for a in vectors]
         assert np.array_equal(m, pairwise, equal_nan=True)
 
