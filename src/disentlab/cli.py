@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DisentLabError
-from .linalg import SymMatrix, frobenius_norm
+from .linalg import frobenius_norm
 from .lingauss import (
     MATCHED_RTOL,
     LinearGenerator,
@@ -167,16 +167,17 @@ def _section(config: dict, name: str, defaults: dict) -> dict:
 
 
 def _defaults(cls, *omit: str) -> dict:
-    """Config defaults of a dataclass: every field but the seed, the objective and `omit`."""
-    skip = ("seed", "objective", *omit)
+    """Config defaults of a dataclass: every field but the objective and `omit`."""
+    skip = ("objective", *omit)
     return {f.name: f.default for f in dataclasses.fields(cls) if f.name not in skip}
 
 
-def _symmetric(m: np.ndarray, source) -> SymMatrix:
-    """m as a SymMatrix, if it is square and symmetric to MATCHED_RTOL; otherwise exit 2.
+def _symmetric(m: np.ndarray, source) -> np.ndarray:
+    """m unchanged, if it is square and symmetric to MATCHED_RTOL; otherwise exit 2.
 
-    SymMatrix itself averages m with mᵀ, which would silently turn a
-    mistyped input into another covariance. m must be finite.
+    The library symmetrizes a covariance where it enters, averaging m with
+    mᵀ, which would silently turn a mistyped input into another covariance.
+    m must be finite.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise CliError(f"{source} must hold a square matrix, got shape {m.shape}")
@@ -188,7 +189,7 @@ def _symmetric(m: np.ndarray, source) -> SymMatrix:
             f"{source} holds an asymmetric matrix (‖Σ - Σᵀ‖_F = {2.0 * float(skew):.6g}, "
             f"over {MATCHED_RTOL:g}·‖Σ‖_F)"
         )
-    return SymMatrix(m)
+    return m
 
 
 def _load_model(path_str) -> tuple[LinearGenerator, LinearEncoder]:
@@ -201,7 +202,7 @@ def _load_model(path_str) -> tuple[LinearGenerator, LinearEncoder]:
         weight = np.asarray(obj.get("encoder", []), dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{path_str}: not a valid model file ({exc})") from None
-    entries = {"B": gen.B, "A": gen.A, "sigma": gen.sigma.entries, "encoder": weight}
+    entries = {"B": gen.B, "A": gen.A, "sigma": gen.sigma, "encoder": weight}
     for name, values in entries.items():
         if not np.all(np.isfinite(values)):
             raise CliError(f"{path_str}: {name} holds non-finite entries")
@@ -218,10 +219,10 @@ def _load_model(path_str) -> tuple[LinearGenerator, LinearEncoder]:
     return gen, LinearEncoder.from_generator(gen)
 
 
-def _factorvae_config(config: dict, seed: int) -> FactorVaeConfig:
+def _factorvae_config(config: dict) -> FactorVaeConfig:
     from .metrics import FactorVaeConfig
 
-    return FactorVaeConfig(**_section(config, "factorvae", _defaults(FactorVaeConfig)), seed=seed)
+    return FactorVaeConfig(**_section(config, "factorvae", _defaults(FactorVaeConfig)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +260,7 @@ def cmd_gen_data(args) -> tuple[int, dict[str, bytes | np.ndarray]]:
 # optimize
 
 
-def _read_sigma(args) -> SymMatrix:
+def _read_sigma(args) -> np.ndarray:
     if args.sigma_diag is not None:
         source = "--sigma-diag"
         try:
@@ -339,7 +340,7 @@ def cmd_metrics(args) -> tuple[int, dict[str, bytes]]:
 
     config = _load_config(args.config, ("factorvae", "dci"))
     dci_cfg = _section(config, "dci", {"lasso_lambda": LASSO_LAMBDA})
-    factorvae_cfg = _factorvae_config(config, args.seed)
+    factorvae_cfg = _factorvae_config(config)
     names = [v.strip() for v in args.metrics.split(",") if v.strip()]
     if not names:
         raise CliError("--metrics must list at least one metric")
@@ -372,7 +373,7 @@ def cmd_metrics(args) -> tuple[int, dict[str, bytes]]:
     reports = []
     for name in names:
         if name == "factorvae":
-            report = factorvae_metric(gen, enc, factorvae_cfg)
+            report = factorvae_metric(gen, enc, factorvae_cfg, args.seed)
         elif name == "dci":
             report = dci_disentanglement(ds, enc, lasso_lambda=dci_cfg["lasso_lambda"])
         else:
@@ -400,7 +401,6 @@ def cmd_select(args) -> tuple[int, dict[str, bytes]]:
     from .metrics import LASSO_LAMBDA
     from .plots import heatmap_svg
     from .selection import (
-        ModelPool,
         model_centrality,
         subsampled_centrality,
         udr_pair_scores,
@@ -414,7 +414,7 @@ def cmd_select(args) -> tuple[int, dict[str, bytes]]:
         raise CliError(f"--trials must be positive, got {args.trials}")
     config = _load_config(args.config, ("factorvae", "udr"))
     udr_cfg = _section(config, "udr", {"samples": 10_000, "lasso_lambda": LASSO_LAMBDA})
-    factorvae_cfg = _factorvae_config(config, args.seed)
+    factorvae_cfg = _factorvae_config(config)
 
     manifest_path = Path(args.pool)
     manifest = _load_json(manifest_path)
@@ -424,24 +424,27 @@ def cmd_select(args) -> tuple[int, dict[str, bytes]]:
     labels = manifest.get("labels")
     if labels is not None and (not isinstance(labels, list) or len(labels) != len(models)):
         raise CliError("manifest 'labels' must align with 'models'")
-    entries = []
-    for idx, rel in enumerate(models):
-        gen, enc = _load_model(manifest_path.parent / str(rel))
-        label = str(labels[idx]) if labels else str(rel).removesuffix(".json")
-        entries.append((gen, enc, label))
-    pool = ModelPool(tuple(entries))
+    labels = [str(v) for v in labels] if labels else [str(v).removesuffix(".json") for v in models]
+    generators, encoders = zip(*(_load_model(manifest_path.parent / str(rel)) for rel in models))
+    # Pool files come from outside the program, so the pool's shared
+    # dimensions are checked here rather than trusted.
+    dims = sorted({enc.code_dim for enc in encoders})
+    if len(dims) != 1:
+        raise CliError(f"encoders must share one code dimension, got {dims}")
+    dims = sorted({gen.d for gen in generators})
+    if len(dims) != 1:
+        raise CliError(f"generators must share one sample dimension, got {dims}")
 
-    labels = pool.labels
     method = args.method.replace("-", "_")
     if args.method == "model-centrality":
-        matrix = model_centrality(pool, factorvae_cfg, threads=args.threads)
+        matrix = model_centrality(
+            generators, encoders, factorvae_cfg, args.seed, threads=args.threads
+        )
         scores, stderr = subsampled_centrality(matrix, args.fraction, args.trials, args.seed)
     else:
         variant = args.method.removeprefix("udr-")
-        samples = gen_linear_gaussian_dataset(
-            pool.generator(0), udr_cfg["samples"], args.seed
-        ).samples
-        matrix = udr_pair_scores(pool, samples, variant, udr_cfg["lasso_lambda"])
+        samples = gen_linear_gaussian_dataset(generators[0], udr_cfg["samples"], args.seed).samples
+        matrix = udr_pair_scores(encoders, samples, variant, udr_cfg["lasso_lambda"])
         scores, stderr = udr_select(matrix, args.fraction, args.trials, args.seed)
 
     selected = int(np.argmax(scores))  # ties go to the lowest index

@@ -1,5 +1,7 @@
 """Symmetric-matrix kernels shared by every other module.
 
+A symmetric matrix is a plain float array. Each covariance is symmetrized
+once, where it enters the library, and the kernels below read it as given.
 Everything here targets small dense matrices (dimensions up to a few dozen),
 so the implementations prefer robustness and deterministic output over speed.
 """
@@ -31,40 +33,11 @@ def symmetrized(m) -> np.ndarray:
     """(M + Mᵀ)/2 of a matrix, or of each matrix in a stack, formed as M/2 + Mᵀ/2.
 
     Halving first cannot overflow where M + Mᵀ would, and outside the
-    subnormal range it gives the same bits as halving the sum.
+    subnormal range it gives the same bits as halving the sum. A second pass
+    is not idempotent there: it turns an off-diagonal 1-ulp subnormal into 0.
     """
     half = 0.5 * np.asarray(m, dtype=float)
     return half + np.swapaxes(half, -1, -2)
-
-
-class SymMatrix:
-    """Dense real symmetric matrix.
-
-    Construction symmetrizes (see symmetrized) and freezes the storage, so the
-    entries are exactly symmetric and safe to share between threads.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries) -> None:
-        a = np.array(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        a = symmetrized(a)
-        a.flags.writeable = False
-        self.entries = a
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self.entries if not copy else self.entries.copy()
-        return self.entries.astype(dtype)
-
-    def __repr__(self) -> str:
-        return f"SymMatrix(dim={self.dim})"
 
 
 class Eigendecomposition(NamedTuple):
@@ -77,14 +50,14 @@ class Eigendecomposition(NamedTuple):
 def eig_sym(m) -> Eigendecomposition:
     """Full eigendecomposition of a symmetric matrix, or of each matrix in a stack.
 
-    m is a SymMatrix or a (..., n, n) array of symmetric matrices, of which
-    only the lower triangles are read. Eigenvalues come out descending along
+    m is an (n, n) array or a (..., n, n) stack of symmetric matrices, of
+    which only the lower triangles are read. Eigenvalues come out descending along
     the last axis. Each eigenvector's sign is fixed so that its first
     component of noticeable magnitude is positive, making outputs
     deterministic for tests. A stack is one eigh call, and each matrix in it
     comes out bit for bit as it would alone.
     """
-    a = m.entries if isinstance(m, SymMatrix) else np.asarray(m, dtype=float)
+    a = np.asarray(m, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     try:
@@ -123,8 +96,7 @@ def spd_sqrt(m, tol=PSD_CLAMP_TOL):
     """Symmetric PSD square root R with R @ R == m (up to round-off).
 
     Eigenvalues in [-tol, 0) are clamped to zero; anything below that is
-    rejected as genuinely not PSD. m is a SymMatrix or an array; the root is
-    an array. An (F, n, n) stack gives a stack of roots, each bit for bit its
+    rejected as genuinely not PSD. An (F, n, n) stack gives a stack of roots, each bit for bit its
     own matrix's, from one eigh call; tol is then a scalar or one value per
     matrix, and a rejected matrix in a stack of more than one is named by
     its index.

@@ -29,7 +29,6 @@ from .linalg import (
     CONTRACTION_SLACK,
     PSD_CLAMP_TOL,
     Eigendecomposition,
-    SymMatrix,
     eig_sym,
     frobenius_norm,
     project_contraction,
@@ -60,11 +59,16 @@ def _dimension(obj: dict, key: str) -> int:
 
 @dataclass(frozen=True)
 class LinearGenerator:
-    """Linear Gaussian generator x = B c + A z with target covariance sigma."""
+    """Linear Gaussian generator x = B c + A z with target covariance sigma.
+
+    Construction symmetrizes sigma (see linalg.symmetrized) and freezes its
+    storage, so its entries are exactly symmetric and safe to share between
+    threads.
+    """
 
     B: np.ndarray
     A: np.ndarray
-    sigma: SymMatrix
+    sigma: np.ndarray
 
     def __post_init__(self):
         b = np.asarray(self.B, dtype=float)
@@ -76,10 +80,14 @@ class LinearGenerator:
             raise ValueError(f"need 1 <= r <= d, got r={r}, d={d}")
         if a.shape != (d, d):
             raise ValueError(f"A must be {d} x {d}, got shape {a.shape}")
-        if self.sigma.dim != d:
-            raise ValueError(f"sigma must be {d} x {d}, got dim {self.sigma.dim}")
+        sigma = np.asarray(self.sigma, dtype=float)
+        if sigma.shape != (d, d):
+            raise ValueError(f"sigma must be {d} x {d}, got shape {sigma.shape}")
+        sigma = symmetrized(sigma)
+        sigma.flags.writeable = False
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "A", a)
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def d(self) -> int:
@@ -96,7 +104,7 @@ class LinearGenerator:
             "r": self.r,
             "B": [float(v) for v in self.B.ravel()],
             "A": [float(v) for v in self.A.ravel()],
-            "sigma": [float(v) for v in self.sigma.entries.ravel()],
+            "sigma": [float(v) for v in self.sigma.ravel()],
         }
 
     @classmethod
@@ -104,8 +112,7 @@ class LinearGenerator:
         d, r = _dimension(obj, "d"), _dimension(obj, "r")
         b = np.asarray(obj["B"], dtype=float).reshape(d, r)
         a = np.asarray(obj["A"], dtype=float).reshape(d, d)
-        sigma = SymMatrix(np.asarray(obj["sigma"], dtype=float).reshape(d, d))
-        return cls(b, a, sigma)
+        return cls(b, a, np.asarray(obj["sigma"], dtype=float).reshape(d, d))
 
 
 @dataclass(frozen=True)
@@ -206,7 +213,7 @@ def is_distribution_matched(gen: LinearGenerator) -> bool:
     """
     e = max(0, int(np.frexp(max(np.abs(gen.B).max(), np.abs(gen.A).max()))[1]))
     b, a = np.ldexp(gen.B, -e), np.ldexp(gen.A, -e)
-    sigma = np.ldexp(gen.sigma.entries, -2 * e)
+    sigma = np.ldexp(gen.sigma, -2 * e)
     gap_norm, norm = frobenius_norm(np.stack([b @ b.T + a @ a.T - sigma, sigma]))
     return bool(gap_norm <= MATCHED_RTOL * norm)
 
@@ -225,7 +232,7 @@ def posterior(gen: LinearGenerator) -> np.ndarray:
     For a matched generator, c | x is Gaussian with mean Bᵀ Σ⁻¹ x and
     covariance S = I - Bᵀ Σ⁻¹ B.
     """
-    return _posterior(_pd_eig(gen.sigma.entries[None]), gen.B[None])[0][0]
+    return _posterior(_pd_eig(gen.sigma[None]), gen.B[None])[0][0]
 
 
 def _objectives(sigma: np.ndarray, eig: Eigendecomposition, b: np.ndarray) -> np.ndarray:
@@ -277,7 +284,7 @@ def _decompositions(
 def bias_decompositions(sigma, b_tilde) -> list[BiasDecomposition]:
     """bias_decomposition of the matched generator B = Σ^{1/2} B̃ of each case of a stack.
 
-    sigma is an (F, d, d) stack, symmetrized on entry as SymMatrix does, and
+    sigma is an (F, d, d) stack, symmetrized on entry as LinearGenerator does, and
     b_tilde an (F, d, r) stack with 1 <= r <= d. Each Σ is decomposed once,
     and that one eigendecomposition gives Σ^{1/2}, both routes of the
     objective's cross-check and the posterior; B Bᵀ ⪯ Σ is checked through
@@ -311,29 +318,8 @@ def bias_decomposition(gen: LinearGenerator) -> BiasDecomposition:
     A singular S (the semi-orthonormal optimum) makes the mutual information
     diverge, which raises DegenerateConditional.
     """
-    sigma = gen.sigma.entries[None]
+    sigma = gen.sigma[None]
     return _decompositions(sigma, _pd_eig(sigma), gen.B[None])[0]
-
-
-def paired_covariance(gen: LinearGenerator, i: int) -> SymMatrix:
-    """Covariance of a coupled sample pair sharing code coordinate i.
-
-    Both marginals are Σ and the cross block is b⁽ⁱ⁾ b⁽ⁱ⁾ᵀ, the outer product
-    of column i of B. Requires a distribution-matched generator (0-based i).
-    """
-    if not 0 <= i < gen.r:
-        raise IndexError(f"code index {i} out of range for r={gen.r}")
-    if not is_distribution_matched(gen):
-        raise ValueError("generator is not distribution-matched (B Bᵀ + A Aᵀ != Σ)")
-    d = gen.d
-    col = gen.B[:, i : i + 1]
-    cross = col @ col.T
-    out = np.empty((2 * d, 2 * d))
-    out[:d, :d] = gen.sigma.entries
-    out[d:, d:] = gen.sigma.entries
-    out[:d, d:] = cross
-    out[d:, :d] = cross
-    return SymMatrix(out)
 
 
 def _cr_values(g: np.ndarray) -> np.ndarray:
@@ -345,45 +331,10 @@ def _cr_values(g: np.ndarray) -> np.ndarray:
     return (diag[:, None, :] @ diag[:, :, None])[:, 0, 0] - off_sq / (r - 1)
 
 
-def cr_frobenius_divergence(b) -> float:
-    """Average squared Frobenius distance between coupled-pair covariances.
-
-    Equals (1/(4(r-1))) · Σ_{i≠j} ‖C⁽ⁱ⁾ - C⁽ʲ⁾‖_F² over the 2d x 2d coupled
-    covariances, which collapses to Σ_i ‖b⁽ⁱ⁾‖⁴ - (1/(r-1))·Σ_{i≠j}⟨b⁽ⁱ⁾,b⁽ʲ⁾⟩²
-    because the diagonal blocks cancel. Both routes are evaluated and must
-    agree; the collapsed value is returned.
-    """
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 2:
-        raise ValueError(f"expected a d x r matrix, got shape {b.shape}")
-    d, r = b.shape
-    if r < 2:
-        raise UndefinedDivergence(
-            "the pairwise coupling divergence needs at least 2 code columns "
-            "(normalization 1/(4(r-1)))"
-        )
-    value = float(_cr_values((b.T @ b)[None])[0])
-
-    total = 0.0
-    delta = np.zeros((2 * d, 2 * d))
-    for i in range(r):
-        for j in range(r):
-            if i == j:
-                continue
-            block = np.outer(b[:, i], b[:, i]) - np.outer(b[:, j], b[:, j])
-            delta[:d, d:] = block
-            delta[d:, :d] = block
-            total += float(np.sum(delta * delta))
-    direct = total / (4.0 * (r - 1))
-    if abs(value - direct) > 1e-10 * max(1.0, abs(value)):
-        raise NumericFailure(f"divergence cross-check failed: {value!r} vs {direct!r}")
-    return value
-
-
-def rank_r_truncation(sigma: SymMatrix, r: int) -> np.ndarray:
+def rank_r_truncation(sigma: np.ndarray, r: int) -> np.ndarray:
     """Best rank-r PSD approximation, symmetrized: keep the top r eigencomponents."""
-    if not 1 <= r <= sigma.dim:
-        raise ValueError(f"need 1 <= r <= {sigma.dim}, got {r}")
+    if not 1 <= r <= len(sigma):
+        raise ValueError(f"need 1 <= r <= {len(sigma)}, got {r}")
     w, v = eig_sym(sigma)
     kept = np.clip(w[:r], 0.0, None)
     return symmetrized((v[:, :r] * kept) @ v[:, :r].T)
@@ -436,7 +387,7 @@ def _finite_ascent(runs: list, r: int, cfg: OptimizerConfig):
 
 
 def optimize_generators(
-    runs: Sequence[tuple[SymMatrix, int]], r: int, cfg: OptimizerConfig
+    runs: Sequence[tuple[np.ndarray, int]], r: int, cfg: OptimizerConfig
 ) -> list[tuple[LinearGenerator, TheoremReport]]:
     """Projected gradient ascent of many (Σ, seed) runs at once, one result per run.
 
@@ -460,16 +411,18 @@ def optimize_generators(
     its eigenvectors in one greedy pass over the stack. A singular Σ, a
     failed SVD and an objective or gradient that overflows float64, which
     raises NumericFailure, each name their run when the stack holds more
-    than one.
+    than one. Each Σ is symmetrized once: the stack on entry, and each
+    result's generator from its run's own Σ, since a second pass would zero
+    an off-diagonal subnormal.
     """
     runs = list(runs)
     f = len(runs)
     if f == 0:
         return []
-    d = runs[0][0].dim
-    if any(sigma.dim != d for sigma, _ in runs):
-        raise ValueError("every run's target covariance must have the same dimension")
-    sigmas = np.stack([sigma.entries for sigma, _ in runs])  # (F, d, d)
+    d = len(runs[0][0])
+    if any(np.shape(sigma) != (d, d) for sigma, _ in runs):
+        raise ValueError(f"every run's target covariance must be {d} x {d}, the same dimension")
+    sigmas = symmetrized(np.stack([sigma for sigma, _ in runs]))  # (F, d, d)
     eig = _pd_eig(sigmas, "run")
     roots = sqrt_from_eig(eig)
     if not 1 <= r <= d:
@@ -591,7 +544,7 @@ def optimize_generators(
 
 
 def optimize_generator(
-    sigma: SymMatrix, r: int, cfg: OptimizerConfig, seed: int = 0
+    sigma: np.ndarray, r: int, cfg: OptimizerConfig, seed: int = 0
 ) -> tuple[LinearGenerator, TheoremReport]:
     """Projected gradient ascent over B = Σ^{1/2} B̃ with B̃ a contraction.
 

@@ -201,7 +201,6 @@ class FactorVaeConfig:
     group_size: int = 100
     reference_samples: int = 10_000
     variance_floor: float = 1e-10
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("groups_per_factor", "group_size", "reference_samples"):
@@ -212,7 +211,7 @@ class FactorVaeConfig:
 
 
 def factorvae_metric(
-    gen: LinearGenerator, enc: LinearEncoder, cfg: FactorVaeConfig
+    gen: LinearGenerator, enc: LinearEncoder, cfg: FactorVaeConfig, seed: int
 ) -> MetricReport:
     """Majority-vote factor classification accuracy from argmin-variance votes.
 
@@ -225,8 +224,9 @@ def factorvae_metric(
 
     The codes weight·(B c + A z) are formed straight from the latent draws,
     through the k×r map W·B and the k×d map W·A, without forming samples.
-    The draws are the reference batch of _latent_reference, then the groups
-    of _latent_groups for one factor at a time. Within a group the fixed
+    The draws, from default_rng(seed), are the reference batch of
+    _latent_reference, then the groups of _latent_groups for one factor at a
+    time. Within a group the fixed
     factor adds the same amount to every code, so its column of W·B is
     zeroed: the variance is unchanged and the group mean stays near zero,
     which makes the one-pass variance E[x²] - E[x]² safe. At G = S = 100,
@@ -238,7 +238,7 @@ def factorvae_metric(
     r, d, k = gen.r, gen.d, enc.code_dim
     if k < r:
         raise ValueError(f"encoder has {k} codes but {r} factors need votes")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     wb = weight @ gen.B
     wa_t = np.ascontiguousarray((weight @ gen.A).T)
     c, z = _latent_reference(r, d, cfg.reference_samples, rng)

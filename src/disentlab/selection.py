@@ -1,6 +1,8 @@
 """Unsupervised model selection over pools of (generator, encoder) pairs.
 
-Every method reduces a pool to an N×N pair matrix and ranks models by its
+A pool is two parallel lists, its generators and its encoders, and its
+encoders share one code dimension; UDR reads only the encoders. Every
+method reduces a pool to an N×N pair matrix and ranks models by its
 off-diagonal row means, returned with their subsampled standard errors as
 plain (scores, stderr) arrays; the selection is the argmax of the scores.
 Centrality (arXiv 1906.06034) fills the matrix with vote-metric
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,46 +37,15 @@ UDR_EPS = 1e-12
 UDR_VARIANTS = ("lasso", "spearman")
 
 
-@dataclass(frozen=True)
-class ModelPool:
-    """(generator, encoder, label) triples sharing one code and one sample dimension."""
-
-    entries: tuple[tuple[LinearGenerator, LinearEncoder, str], ...]
-
-    def __post_init__(self):
-        entries = tuple((g, e, str(label)) for g, e, label in self.entries)
-        if len(entries) < 2:
-            raise ValueError(f"a pool needs at least 2 models, got {len(entries)}")
-        dims = {e.code_dim for _, e, _ in entries}
-        if len(dims) != 1:
-            raise ValueError(f"encoders must share one code dimension, got {sorted(dims)}")
-        dims = {g.d for g, _, _ in entries}
-        if len(dims) != 1:
-            raise ValueError(f"generators must share one sample dimension, got {sorted(dims)}")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for _, _, label in self.entries)
-
-    def generator(self, i: int) -> LinearGenerator:
-        return self.entries[i][0]
-
-    def encoder(self, i: int) -> LinearEncoder:
-        return self.entries[i][1]
-
-
-def cross_score(enc: LinearEncoder, gen: LinearGenerator, cfg: FactorVaeConfig) -> float:
-    """Vote-metric score of encoder enc against groups generated by gen.
+def cross_score(
+    enc: LinearEncoder, gen: LinearGenerator, cfg: FactorVaeConfig, seed: int
+) -> float:
+    """Vote-metric score of encoder enc against groups generated by gen, drawn under seed.
 
     The generator's own latent codes act as ground-truth factors, so the value
     measures how well enc recovers the code structure of gen.
     """
-    return factorvae_metric(gen, enc, cfg).score
+    return factorvae_metric(gen, enc, cfg, seed).score
 
 
 def _pair_seed(master: int, i: int, j: int) -> int:
@@ -83,26 +53,28 @@ def _pair_seed(master: int, i: int, j: int) -> int:
 
 
 def model_centrality(
-    pool: ModelPool,
+    generators,
+    encoders,
     cfg: FactorVaeConfig,
+    seed: int,
     metric=cross_score,
     threads: int = 1,
 ) -> np.ndarray:
-    """Symmetrized cross-score matrix 0.5·(A + Aᵀ) of the pool, zero on the diagonal.
+    """Symmetrized cross-score matrix 0.5·(A + Aᵀ) of a pool, zero on the diagonal.
 
-    A[i, j] scores encoder i against generator j. Each (i, j) evaluation
-    runs under its own seed derived from (cfg.seed, i, j), so the matrix is
-    identical for any evaluation order or thread count. Its off-diagonal row
-    means are the centrality scores; subsampled_centrality ranks by them.
+    Model m of the pool is (generators[m], encoders[m]). A[i, j] is
+    metric(encoders[i], generators[j], cfg, s), where s is the pair's own
+    seed derived from (seed, i, j), so the matrix is identical for any
+    evaluation order or thread count. Its off-diagonal row means are the
+    centrality scores; subsampled_centrality ranks by them.
     """
-    n = pool.size
+    n = len(encoders)
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     a = np.zeros((n, n))
 
     def fill(share):
         for i, j in share:
-            pair_cfg = replace(cfg, seed=_pair_seed(cfg.seed, i, j))
-            a[i, j] = metric(pool.encoder(i), pool.generator(j), pair_cfg)
+            a[i, j] = metric(encoders[i], generators[j], cfg, _pair_seed(seed, i, j))
 
     # The calling thread takes one share itself, so the work stays on the
     # thread that receives signals. At threads=1 it takes every pair, and
@@ -194,8 +166,6 @@ def _pool_relevance(
     cols = np.empty((n, n_models * k))
     for m, enc in enumerate(encoders):
         codes = enc.encode(x)
-        if codes.shape[1] != k:
-            raise ValueError(f"encoders disagree on code dimension: {k} vs {codes.shape[1]}")
         dead = [a for a in range(k) if np.ptp(codes[:, a]) == 0.0]
         if dead:
             warnings.warn(
@@ -259,16 +229,15 @@ def udr_score(relevance):
 
 
 def udr_pair_scores(
-    pool: ModelPool,
+    encoders,
     samples: np.ndarray,
     variant: str = "lasso",
     lasso_lambda: float = LASSO_LAMBDA,
 ) -> np.ndarray:
-    """All-pairs relevance scores; entry (i, j) scores encoder i probed by j.
+    """All-pairs relevance scores of a pool; entry (i, j) scores encoder i probed by j.
 
     The diagonal, each model against itself, is zero.
     """
-    encoders = [pool.encoder(m) for m in range(pool.size)]
     pair_scores = udr_score(_pool_relevance(encoders, samples, variant, lasso_lambda))
     np.fill_diagonal(pair_scores, 0.0)
     return pair_scores

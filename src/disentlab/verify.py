@@ -13,7 +13,6 @@ import numpy as np
 
 from .cli import CliError, _csv, _defaults, _fmt, _section
 from .contrastive import DiscreteDistributionFamily, js_identity_values, train_discriminator
-from .linalg import SymMatrix
 from .lingauss import (
     LOG_2PI,
     OptimizerConfig,
@@ -56,7 +55,7 @@ def _semi_orthonormal(seed, suites, opt, thresholds, ascents):
     runs, cases = [], []
     for m_idx in range(suites["matrices"]):
         m = rng.standard_normal((d, d))
-        sigma = SymMatrix(m @ m.T + 0.5 * np.eye(d))
+        sigma = m @ m.T + 0.5 * np.eye(d)
         for s_idx in range(suites["seeds"]):
             runs.append((sigma, s_idx))
             cases.append(f"sigma{m_idx:02d}_seed{s_idx:02d}")
@@ -73,7 +72,7 @@ def _pca_recovery(seed, suites, opt, thresholds, ascents):
     """The coupling objective recovers the top principal components."""
     spectrum = np.asarray(suites["spectrum"])
     pca_r = suites["pca_r"]
-    sigma = SymMatrix(np.diag(spectrum))
+    sigma = np.diag(spectrum)
     w_desc = np.sort(spectrum)[::-1]
     trunc = rank_r_truncation(sigma, pca_r)
     runs = [(sigma, s_idx) for s_idx in range(suites["pca_seeds"])]

@@ -2,7 +2,9 @@
 
 The package computes noise maps, objectives and the JS identity's closed
 forms on stacks; the one-case calls below are what the tests use as
-fixtures and oracles.
+fixtures and oracles. paired_covariance and cr_frobenius_divergence are the
+pairwise definition of the coupling divergence, the reference of
+lingauss._cr_values.
 """
 import math
 import re
@@ -12,16 +14,24 @@ from pathlib import Path
 import numpy as np
 
 from disentlab.contrastive import DiscreteDistributionFamily
-from disentlab.linalg import SymMatrix, eig_sym
-from disentlab.lingauss import LinearGenerator, _noise_maps, _objectives, _pd_eig, posterior
+from disentlab.errors import NumericFailure, UndefinedDivergence
+from disentlab.linalg import eig_sym, symmetrized
+from disentlab.lingauss import (
+    LinearGenerator,
+    _cr_values,
+    _noise_maps,
+    _objectives,
+    _pd_eig,
+    is_distribution_matched,
+    posterior,
+)
 from disentlab.metrics import LinearEncoder, _laplace_row_sums, _median_pair_distance
-from disentlab.selection import ModelPool
 
 
-def matched_generator(sigma: SymMatrix, b) -> LinearGenerator:
+def matched_generator(sigma, b) -> LinearGenerator:
     """The distribution-matched generator of code map B: A = (Σ - B Bᵀ)^{1/2}, a one-pair stack."""
     b = np.asarray(b, dtype=float)
-    return LinearGenerator(b, _noise_maps(sigma.entries[None], b[None])[0], sigma)
+    return LinearGenerator(b, _noise_maps(symmetrized(sigma)[None], b[None])[0], sigma)
 
 
 def infogan_objective(gen: LinearGenerator) -> float:
@@ -31,7 +41,7 @@ def infogan_objective(gen: LinearGenerator) -> float:
     with S = I - Bᵀ Σ⁻¹ B; the maximum over B Bᵀ ⪯ Σ is -(r/2)·log 2π, reached
     at semi-orthonormal B̃ = Σ^{-1/2} B.
     """
-    sigma = gen.sigma.entries[None]
+    sigma = gen.sigma[None]
     return float(_objectives(sigma, _pd_eig(sigma), gen.B[None])[0])
 
 
@@ -91,8 +101,10 @@ def cross_entropy_objective(family: DiscreteDistributionFamily, logits) -> float
     return float(np.sum(q[mask] * np.log(out[mask])) / family.k)
 
 
-def noisy_linear_pool(sigma: SymMatrix, r: int, noise_levels, seed=0, noise_scale=1.0) -> ModelPool:
-    """Pool sharing one exact top-r generator, with encoder noise per model.
+def noisy_linear_pool(
+    sigma, r: int, noise_levels, seed=0, noise_scale=1.0
+) -> tuple[list[LinearGenerator], list[LinearEncoder]]:
+    """Pool sharing one exact top-r generator, with encoder noise per model: (generators, encoders).
 
     The generator's code map is the closed-form optimum (top-r eigenvectors
     scaled by their eigenvalues); model m's encoder perturbs the exact
@@ -107,12 +119,69 @@ def noisy_linear_pool(sigma: SymMatrix, r: int, noise_levels, seed=0, noise_scal
     gen = matched_generator(sigma, v[:, :r] * np.sqrt(w[:r]))
     base = posterior(gen)
     scale = float(noise_scale) * float(np.linalg.norm(base)) / math.sqrt(base.size)
-    entries = []
+    encoders = []
     for m, level in enumerate(noise_levels):
         noise_rng = np.random.default_rng(np.random.SeedSequence([seed, m]))
         weight = base + float(level) * scale * noise_rng.standard_normal(base.shape)
-        entries.append((gen, LinearEncoder(weight), f"noise_{float(level):g}"))
-    return ModelPool(tuple(entries))
+        encoders.append(LinearEncoder(weight))
+    return [gen] * len(encoders), encoders
+
+
+def paired_covariance(gen: LinearGenerator, i: int) -> np.ndarray:
+    """Covariance of a coupled sample pair sharing code coordinate i.
+
+    Both marginals are Σ and the cross block is b⁽ⁱ⁾ b⁽ⁱ⁾ᵀ, the outer product
+    of column i of B. Requires a distribution-matched generator (0-based i).
+    """
+    if not 0 <= i < gen.r:
+        raise IndexError(f"code index {i} out of range for r={gen.r}")
+    if not is_distribution_matched(gen):
+        raise ValueError("generator is not distribution-matched (B Bᵀ + A Aᵀ != Σ)")
+    d = gen.d
+    col = gen.B[:, i : i + 1]
+    cross = col @ col.T
+    out = np.empty((2 * d, 2 * d))
+    out[:d, :d] = gen.sigma
+    out[d:, d:] = gen.sigma
+    out[:d, d:] = cross
+    out[d:, :d] = cross
+    return out
+
+
+def cr_frobenius_divergence(b) -> float:
+    """Average squared Frobenius distance between coupled-pair covariances.
+
+    Equals (1/(4(r-1))) · Σ_{i≠j} ‖C⁽ⁱ⁾ - C⁽ʲ⁾‖_F² over the 2d x 2d coupled
+    covariances, which collapses to Σ_i ‖b⁽ⁱ⁾‖⁴ - (1/(r-1))·Σ_{i≠j}⟨b⁽ⁱ⁾,b⁽ʲ⁾⟩²
+    because the diagonal blocks cancel. Both routes are evaluated, the
+    collapsed one by lingauss._cr_values, and must agree; the collapsed
+    value is returned.
+    """
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 2:
+        raise ValueError(f"expected a d x r matrix, got shape {b.shape}")
+    d, r = b.shape
+    if r < 2:
+        raise UndefinedDivergence(
+            "the pairwise coupling divergence needs at least 2 code columns "
+            "(normalization 1/(4(r-1)))"
+        )
+    value = float(_cr_values((b.T @ b)[None])[0])
+
+    total = 0.0
+    delta = np.zeros((2 * d, 2 * d))
+    for i in range(r):
+        for j in range(r):
+            if i == j:
+                continue
+            block = np.outer(b[:, i], b[:, i]) - np.outer(b[:, j], b[:, j])
+            delta[:d, d:] = block
+            delta[d:, :d] = block
+            total += float(np.sum(delta * delta))
+    direct = total / (4.0 * (r - 1))
+    if abs(value - direct) > 1e-10 * max(1.0, abs(value)):
+        raise NumericFailure(f"divergence cross-check failed: {value!r} vs {direct!r}")
+    return value
 
 
 def pgm_bytes(image) -> bytes:

@@ -19,7 +19,7 @@ from disentlab.contrastive import (
     train_discriminator,
 )
 from disentlab.datasets import gen_circular_dsprites
-from disentlab.linalg import SymMatrix, spd_sqrt
+from disentlab.linalg import spd_sqrt, symmetrized
 from disentlab.lingauss import (
     LOG_2PI,
     LinearGenerator,
@@ -36,7 +36,7 @@ from disentlab.metrics import (
     factorvae_metric,
     spearman_rho,
 )
-from disentlab.selection import ModelPool, model_centrality, subsampled_centrality
+from disentlab.selection import model_centrality, subsampled_centrality
 from support import matched_generator, noisy_linear_pool
 
 # Hand-checkable similarity table: cross scores A12=A21=0.9, A13=0.8,
@@ -44,29 +44,25 @@ from support import matched_generator, noisy_linear_pool
 # giving row means s=(0.7, 0.85, 0.65); the middle model wins.
 HAND_SCORES = {(0, 1): 0.9, (1, 0): 0.9, (0, 2): 0.8, (2, 0): 0.2, (1, 2): 0.9, (2, 1): 0.7}
 
-STUB_CFG = FactorVaeConfig(groups_per_factor=15, group_size=15, reference_samples=500, seed=0)
+STUB_CFG = FactorVaeConfig(groups_per_factor=15, group_size=15, reference_samples=500)
 
 
 def _report(num: int, description: str, ok: bool) -> None:
     print(f"criterion {num:02d} [{'PASS' if ok else 'FAIL'}] {description}")
 
 
-def _tiny_pool(n: int) -> ModelPool:
-    sigma = SymMatrix(np.diag([2.0, 1.0]))
-    entries = []
-    for m in range(n):
-        b = np.array([[0.1 * (m + 1)], [0.0]])
-        entries.append(
-            (matched_generator(sigma, b), LinearEncoder(np.array([[m + 1.0, 0.0]])), f"m{m}")
-        )
-    return ModelPool(tuple(entries))
+def _tiny_pool(n: int) -> tuple[list, list]:
+    """(generators, encoders) of n models, each with its own generator and encoder."""
+    sigma = np.diag([2.0, 1.0])
+    generators = [matched_generator(sigma, np.array([[0.1 * (m + 1)], [0.0]])) for m in range(n)]
+    return generators, [LinearEncoder(np.array([[m + 1.0, 0.0]])) for m in range(n)]
 
 
-def _stub_metric(pool: ModelPool, table):
-    enc_index = {id(pool.encoder(i)): i for i in range(pool.size)}
-    gen_index = {id(pool.generator(j)): j for j in range(pool.size)}
+def _stub_metric(generators, encoders, table):
+    enc_index = {id(enc): i for i, enc in enumerate(encoders)}
+    gen_index = {id(gen): j for j, gen in enumerate(generators)}
 
-    def metric(enc, gen, cfg):
+    def metric(enc, gen, cfg, seed):
         return table[(enc_index[id(enc)], gen_index[id(gen)])]
 
     return metric
@@ -80,7 +76,7 @@ def test_criterion_01_semi_orthonormal_optimum():
         q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
         w = np.sort(rng.uniform(0.2, 5.0, 6))[::-1]
         w += np.linspace(0.05, 0.0, 6)  # strictly separates any near-ties
-        sigma = SymMatrix((q * w) @ q.T)
+        sigma = symmetrized((q * w) @ q.T)
         for seed in range(10):
             _, rep = optimize_generator(sigma, 3, OptimizerConfig(objective="infogan"), seed=seed)
             worst_resid = max(worst_resid, rep.orthonormality_residual)
@@ -100,7 +96,7 @@ def test_criterion_01_semi_orthonormal_optimum():
 
 def test_criterion_02_pca_recovery():
     t0 = time.perf_counter()
-    sigma = SymMatrix(np.diag([9.0, 4.0, 1.0, 0.25, 0.04]))
+    sigma = np.diag([9.0, 4.0, 1.0, 0.25, 0.04])
     trunc = rank_r_truncation(sigma, 2)
     worst_align, worst_norm_rel, worst_trunc = 1.0, 0.0, 0.0
     for seed in range(10):
@@ -168,7 +164,7 @@ def test_criterion_04_information_decomposition():
     for _ in range(100):
         d, r = 4, 2
         m = rng.standard_normal((d, d))
-        sigma = SymMatrix(m @ m.T + 0.5 * np.eye(d))
+        sigma = symmetrized(m @ m.T + 0.5 * np.eye(d))
         bt = rng.standard_normal((d, r))
         bt *= 0.9 / np.linalg.svd(bt, compute_uv=False)[0]
         gen = matched_generator(sigma, spd_sqrt(sigma) @ bt)
@@ -207,20 +203,20 @@ def test_criterion_05_factorvae_metric_sanity():
     b, a = np.zeros((8, 5)), np.zeros((8, 8))
     b[np.arange(5), np.arange(5)] = np.sqrt(lam[:5])
     a[np.arange(5, 8), np.arange(5, 8)] = np.sqrt(lam[5:])
-    gen = LinearGenerator(b, a, SymMatrix(np.diag(lam)))
+    gen = LinearGenerator(b, a, np.diag(lam))
     base = np.eye(5, 8) / np.sqrt(lam[:5, None])  # code i reads x_i/√λ_i = c_i
-    perfect = factorvae_metric(gen, LinearEncoder(base), FactorVaeConfig(seed=0)).score
+    perfect = factorvae_metric(gen, LinearEncoder(base), FactorVaeConfig(), 0).score
     # rows over the noise coordinates: W·B = 0, so the codes carry only noise
     noise = np.zeros((5, 8))
     noise[:, 5:] = np.random.default_rng(0).standard_normal((5, 3))
-    chance = factorvae_metric(gen, LinearEncoder(noise), FactorVaeConfig(seed=0)).score
+    chance = factorvae_metric(gen, LinearEncoder(noise), FactorVaeConfig(), 0).score
     rng = np.random.default_rng(5)
     transform_scores = []
     for _ in range(20):
         perm = rng.permutation(5)
         scales = rng.uniform(0.1, 10.0, 5)
         enc = LinearEncoder(scales[:, None] * base[perm])  # diag(s)·P·W
-        transform_scores.append(factorvae_metric(gen, enc, FactorVaeConfig(seed=0)).score)
+        transform_scores.append(factorvae_metric(gen, enc, FactorVaeConfig(), 0).score)
     invariant = all(score == 1.0 for score in transform_scores)
     ok = perfect == 1.0 and chance <= 0.3 and invariant
     _report(
@@ -270,15 +266,13 @@ def test_criterion_07_centrality_tracks_encoder_noise():
     t0 = time.perf_counter()
     levels = np.arange(20) * 0.05
     band = list(5.0 * (0.45 / 5.0) ** (np.arange(10) / 9.0))
-    sigma = SymMatrix(np.diag(band + [0.28, 0.18] + [0.08, 0.05, 0.03, 0.015]))
+    sigma = np.diag(band + [0.28, 0.18] + [0.08, 0.05, 0.03, 0.015])
     rhos, medoids = [], []
     for seed in range(5):
         pool = noisy_linear_pool(sigma, 12, levels, seed=seed, noise_scale=2.4)
-        cfg = FactorVaeConfig(
-            groups_per_factor=40, group_size=35, reference_samples=2000, seed=seed
-        )
-        b = model_centrality(pool, cfg, threads=4)
-        scores = b.sum(axis=1) / (pool.size - 1)
+        cfg = FactorVaeConfig(groups_per_factor=40, group_size=35, reference_samples=2000)
+        b = model_centrality(*pool, cfg, seed, threads=4)
+        scores = b.sum(axis=1) / (b.shape[0] - 1)
         rhos.append(spearman_rho(scores, -levels))
         medoids.append(int(np.argmax(scores)))
     elapsed = time.perf_counter() - t0
@@ -298,7 +292,7 @@ def test_criterion_07_centrality_tracks_encoder_noise():
 
 def test_criterion_08_centrality_hand_case():
     pool = _tiny_pool(3)
-    b = model_centrality(pool, STUB_CFG, metric=_stub_metric(pool, HAND_SCORES))
+    b = model_centrality(*pool, STUB_CFG, 0, metric=_stub_metric(*pool, HAND_SCORES))
     scores, _ = subsampled_centrality(b, fraction=1.0, trials=1, seed=0)
     selected = int(np.argmax(scores))
     # (0.9 + 0.8)/2 lands one ulp above 0.85 in binary floating point, so
@@ -314,7 +308,7 @@ def test_criterion_08_centrality_hand_case():
     assert scores_ok
     assert selected == 1
     # fraction 1.0 reproduces the full row means of B bit for bit
-    assert np.allclose(b.sum(axis=1) / (pool.size - 1), scores, rtol=0.0, atol=0.0)
+    assert np.allclose(b.sum(axis=1) / (b.shape[0] - 1), scores, rtol=0.0, atol=0.0)
 
 
 def test_criterion_09_disc_dataset_geometry():
@@ -349,8 +343,8 @@ def test_criterion_10_subsample_protocol():
     pool = _tiny_pool(6)
     rng = np.random.default_rng(7)
     table = {(i, j): float(rng.uniform(0.2, 1.0)) for i in range(6) for j in range(6) if i != j}
-    b = model_centrality(pool, STUB_CFG, metric=_stub_metric(pool, table))
-    full = b.sum(axis=1) / (pool.size - 1)
+    b = model_centrality(*pool, STUB_CFG, 0, metric=_stub_metric(*pool, table))
+    full = b.sum(axis=1) / (b.shape[0] - 1)
     scores, stderr = subsampled_centrality(b, fraction=1.0, trials=25, seed=0)
     full_ok = np.array_equal(scores, full) and np.array_equal(stderr, np.zeros(6))
     scores, stderr = subsampled_centrality(b, fraction=0.8, trials=100, seed=1)

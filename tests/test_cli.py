@@ -426,6 +426,16 @@ class TestOptimize:
         svg = (model_dir / "history.svg").read_text()
         assert ET.fromstring(svg).tag.endswith("svg")
 
+    def test_subnormal_sigma_is_symmetrized_once(self, tmp_path):
+        # (Σ + Σᵀ)/2 puts the 1-ulp subnormal 5e-324 off the diagonal, and a
+        # second symmetrization would halve it to 0
+        sigma = tmp_path / "s.csv"
+        sigma.write_text("1,5e-324\n1e-323,1\n")
+        out = tmp_path / "opt"
+        assert main(["optimize", "--r", "1", "--sigma", str(sigma), "--out", str(out)]) == 0
+        model = json.loads((out / "model.json").read_text())
+        assert model["sigma"] == [1.0, 5e-324, 5e-324, 1.0]
+
     def test_infogan_reaches_closed_form_optimum(self, tmp_path):
         out = tmp_path / "opt"
         args = ["optimize", "--objective", "infogan", "--r", "2",
@@ -887,6 +897,61 @@ class TestSelect:
             assert main(args) == 2
             err = capsys.readouterr().err
             assert "generators must share one sample dimension, got [3, 4]" in err
+
+    @staticmethod
+    def _refuse_scoring(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pool was scored")
+
+        for name in ("model_centrality", "udr_pair_scores"):
+            monkeypatch.setattr(f"disentlab.selection.{name}", refuse)
+
+    def test_one_model_pool_exits_2_before_scoring(self, pool_dir, tmp_path, monkeypatch,
+                                                   capsys):
+        self._refuse_scoring(monkeypatch)
+        single = _write_json(tmp_path / "one.json", {"models": ["m0/model.json"]})
+        out = tmp_path / "sel"
+        assert main(["select", "--pool", single, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {single} must list at least two entries under 'models'\n"
+        )
+        assert not out.exists()
+
+    def test_mixed_sample_dimensions_exit_2_before_scoring(self, pool_dir, tmp_path,
+                                                           monkeypatch, capsys):
+        root, _ = pool_dir
+        wide = tmp_path / "wide"
+        assert main(["optimize", "--r", "2", "--sigma-diag", "9,4,1,0.25",
+                     "--out", str(wide), "--seed", "0"]) == 0
+        manifest = _write_json(
+            root / "wide.json", {"models": [str(wide / "model.json"), "m0/model.json"]}
+        )
+        self._refuse_scoring(monkeypatch)
+        capsys.readouterr()
+        for method in ("model-centrality", "udr-lasso", "udr-spearman"):
+            out = tmp_path / method
+            assert main(["select", "--pool", manifest, "--method", method,
+                         "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "error: generators must share one sample dimension, got [3, 4]\n"
+            )
+            assert not out.exists()
+
+    def test_mixed_code_dimensions_exit_2(self, pool_dir, tmp_path, capsys):
+        root, _ = pool_dir
+        narrow = tmp_path / "narrow"
+        assert main(["optimize", "--r", "1", "--sigma-diag", "9,4,1",
+                     "--out", str(narrow), "--seed", "0"]) == 0
+        manifest = _write_json(
+            root / "codes.json", {"models": ["m0/model.json", str(narrow / "model.json")]}
+        )
+        capsys.readouterr()
+        for method in ("model-centrality", "udr-lasso"):
+            args = ["select", "--pool", manifest, "--method", method,
+                    "--out", str(tmp_path / method)]
+            assert main(args) == 2
+            err = capsys.readouterr().err
+            assert err == "error: encoders must share one code dimension, got [1, 2]\n"
 
 
 class TestAnalyze:

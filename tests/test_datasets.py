@@ -11,7 +11,7 @@ from disentlab.datasets import (
     gen_linear_gaussian_dataset,
     write_circular_dataset,
 )
-from disentlab.linalg import SymMatrix, spd_sqrt
+from disentlab.linalg import spd_sqrt, symmetrized
 from disentlab.metrics import GeneratorSampler
 from support import matched_generator, pgm_bytes, read_pgm
 
@@ -25,7 +25,7 @@ IMAGES, FACTORS = gen_circular_dsprites()
 def _gen(d=4, r=2):
     rng = np.random.default_rng(0)
     m = rng.standard_normal((d, d))
-    sigma = SymMatrix(m @ m.T + d * np.eye(d))
+    sigma = symmetrized(m @ m.T + d * np.eye(d))
     bt = rng.standard_normal((d, r))
     bt *= 0.9 / np.linalg.svd(bt, compute_uv=False)[0]
     b = spd_sqrt(sigma) @ bt

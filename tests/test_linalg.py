@@ -5,51 +5,33 @@ from disentlab.errors import NotPositiveSemidefinite
 from disentlab.linalg import (
     CONTRACTION_SLACK,
     Eigendecomposition,
-    SymMatrix,
     eig_sym,
     project_contraction,
     spd_sqrt,
+    symmetrized,
 )
 
 
 def _random_sym(rng, d, scale=1.0):
     m = rng.standard_normal((d, d)) * scale
-    return SymMatrix(m + m.T)
+    return m + m.T
 
 
 def _random_spd(rng, d, lo=0.1, hi=10.0):
     q = np.linalg.qr(rng.standard_normal((d, d)))[0]
     w = rng.uniform(lo, hi, size=d)
-    return SymMatrix((q * w) @ q.T)
-
-
-class TestSymMatrix:
-    def test_symmetrizes_by_averaging(self):
-        m = SymMatrix([[1.0, 2.0], [0.0, 1.0]])
-        assert np.array_equal(m.entries, [[1.0, 1.0], [1.0, 1.0]])
-        assert np.array_equal(m.entries, m.entries.T)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            SymMatrix(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            SymMatrix(np.zeros((0, 0)))
-
-    def test_entries_frozen(self):
-        m = SymMatrix(np.eye(2))
-        with pytest.raises(ValueError):
-            m.entries[0, 0] = 5.0
+    return symmetrized((q * w) @ q.T)
 
 
 class TestEigSym:
     def test_diagonal_case(self):
-        w, v = eig_sym(SymMatrix(np.diag([3.0, 1.0])))
+        w, v = eig_sym(np.diag([3.0, 1.0]))
         assert np.allclose(w, [3.0, 1.0], atol=1e-14)
         assert np.allclose(np.abs(v), np.eye(2), atol=1e-14)
 
     def test_hand_solved_two_by_two(self):
         # [[2,1],[1,2]] has eigenpairs (3, (1,1)/sqrt(2)) and (1, (1,-1)/sqrt(2)).
-        w, v = eig_sym(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
+        w, v = eig_sym([[2.0, 1.0], [1.0, 2.0]])
         s = 1.0 / np.sqrt(2.0)
         assert np.allclose(w, [3.0, 1.0], atol=1e-14)
         assert np.allclose(v[:, 0], [s, s], atol=1e-14)
@@ -60,8 +42,8 @@ class TestEigSym:
         for _ in range(25):
             m = _random_sym(rng, 6, scale=3.0)
             w, v = eig_sym(m)
-            scale = np.linalg.norm(m.entries)
-            assert np.linalg.norm((v * w) @ v.T - m.entries) <= 1e-10 * max(scale, 1.0)
+            scale = np.linalg.norm(m)
+            assert np.linalg.norm((v * w) @ v.T - m) <= 1e-10 * max(scale, 1.0)
             assert np.linalg.norm(v.T @ v - np.eye(6)) <= 1e-10
             assert np.all(np.diff(w) <= 1e-12)
 
@@ -74,9 +56,9 @@ class TestEigSym:
             assert v[nz[0], col] > 0
 
     @staticmethod
-    def _loop_sign_rule(m: SymMatrix):
+    def _loop_sign_rule(m: np.ndarray):
         """The per-column sign rule that eig_sym's one pass must reproduce bit for bit."""
-        w, v = np.linalg.eigh(m.entries)
+        w, v = np.linalg.eigh(m)
         w = w[::-1].copy()
         v = v[:, ::-1].copy()
         for col in range(v.shape[1]):
@@ -99,20 +81,20 @@ class TestEigSym:
         perm = np.eye(d)[rng.permutation(d)]
         tiny = np.diag(rng.uniform(1.0, 5.0, d))
         tiny[0, -1] = tiny[-1, 0] = 1e-12 * (d > 1)
-        faint = _random_sym(rng, d).entries.copy()
+        faint = _random_sym(rng, d)
         faint[0, 1:] *= 1e-15
         faint[1:, 0] *= 1e-15
         q = np.linalg.qr(rng.standard_normal((d, d)))[0]
         repeated = np.repeat(rng.uniform(0.5, 3.0, (d + 1) // 2), 2)[:d]
         return [
             _random_sym(rng, d, scale=3.0),
-            SymMatrix(np.diag(rng.uniform(-2.0, 2.0, d))),
-            SymMatrix(perm @ np.diag(-rng.uniform(0.5, 2.0, d)) @ perm.T),
-            SymMatrix(tiny),
-            SymMatrix(faint),
-            SymMatrix((q * repeated) @ q.T),
-            SymMatrix(np.eye(d)),
-            SymMatrix(np.zeros((d, d))),
+            np.diag(rng.uniform(-2.0, 2.0, d)),
+            symmetrized(perm @ np.diag(-rng.uniform(0.5, 2.0, d)) @ perm.T),
+            symmetrized(tiny),
+            symmetrized(faint),
+            symmetrized((q * repeated) @ q.T),
+            np.eye(d),
+            symmetrized(np.zeros((d, d))),
         ]
 
     def test_sign_rule_matches_per_column_loop(self):
@@ -129,18 +111,17 @@ class TestEigSym:
         rng = np.random.default_rng(13)
         for d in range(1, 9):
             cases = self._sign_rule_cases(rng, d) + self._sign_rule_cases(rng, d)
-            stack = np.stack([m.entries for m in cases])
+            stack = np.stack(cases)
             w, v = eig_sym(stack)
             assert w.shape == (len(cases), d) and v.shape == stack.shape
             for m, got_w, got_v in zip(cases, w, v):
                 want_w, want_v = eig_sym(m)
                 assert np.array_equal(got_w, want_w)
                 assert np.array_equal(got_v, want_v)
-            # a (2, F/2, d, d) stack too, and a plain 2-D array as a SymMatrix
+            # a (2, F/2, d, d) stack too
             w4, v4 = eig_sym(stack.reshape(2, -1, d, d))
             assert np.array_equal(w4.reshape(w.shape), w)
             assert np.array_equal(v4.reshape(v.shape), v)
-            assert all(np.array_equal(a, b) for a, b in zip(eig_sym(stack[0]), eig_sym(cases[0])))
 
     def test_faint_coupling_leads_with_components_below_the_anchor(self):
         # the case that makes the sign rule skip a component must occur
@@ -155,18 +136,18 @@ class TestEigSym:
                 eig_sym(np.zeros(shape))
 
     def test_returns_named_tuple(self):
-        out = eig_sym(SymMatrix(np.eye(3)))
+        out = eig_sym(np.eye(3))
         assert isinstance(out, Eigendecomposition)
 
 
 class TestSpdSqrt:
     def test_identity(self):
-        r = spd_sqrt(SymMatrix(np.eye(3)))
-        assert type(r) is np.ndarray  # a SymMatrix argument gives an array too
+        r = spd_sqrt(np.eye(3))
+        assert type(r) is np.ndarray
         assert np.allclose(r, np.eye(3), atol=1e-14)
 
     def test_diagonal(self):
-        r = spd_sqrt(SymMatrix(np.diag([4.0, 9.0])))
+        r = spd_sqrt(np.diag([4.0, 9.0]))
         assert np.allclose(r, np.diag([2.0, 3.0]), atol=1e-14)
 
     def test_multiply_back(self):
@@ -174,35 +155,35 @@ class TestSpdSqrt:
         for _ in range(20):
             m = _random_spd(rng, 5)
             r = spd_sqrt(m)
-            err = np.linalg.norm(r @ r - m.entries)
-            assert err <= 1e-9 * np.linalg.norm(m.entries)
+            err = np.linalg.norm(r @ r - m)
+            assert err <= 1e-9 * np.linalg.norm(m)
 
     def test_commutes_with_input(self):
         rng = np.random.default_rng(4)
         m = _random_spd(rng, 6)
         r = spd_sqrt(m)
-        comm = r @ m.entries - m.entries @ r
-        assert np.linalg.norm(comm) <= 1e-10 * np.linalg.norm(m.entries)
+        comm = r @ m - m @ r
+        assert np.linalg.norm(comm) <= 1e-10 * np.linalg.norm(m)
 
     def test_clamps_tiny_negative_eigenvalues(self):
-        m = SymMatrix(np.diag([1.0, -5e-11]))
+        m = np.diag([1.0, -5e-11])
         r = spd_sqrt(m)
         assert np.allclose(r, np.diag([1.0, 0.0]), atol=1e-5)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveSemidefinite, match="^matrix has eigenvalue -1.0"):
-            spd_sqrt(SymMatrix(np.diag([1.0, -1.0])))
+            spd_sqrt(np.diag([1.0, -1.0]))
 
     def test_stack_equals_one_matrix_calls_bit_for_bit(self):
         rng = np.random.default_rng(9)
         cases = [_random_spd(rng, 4) for _ in range(5)]
-        cases += [SymMatrix(np.diag([3.0, 2.0, 0.0, -5e-11])), SymMatrix(np.eye(4))]
+        cases += [np.diag([3.0, 2.0, 0.0, -5e-11]), np.eye(4)]
         tol = rng.uniform(1e-10, 1e-9, len(cases))
-        roots = spd_sqrt(np.stack([m.entries for m in cases]), tol)
+        roots = spd_sqrt(np.stack(cases), tol)
         assert isinstance(roots, np.ndarray) and roots.shape == (len(cases), 4, 4)
         for m, t, got in zip(cases, tol, roots):
             assert np.array_equal(got, spd_sqrt(m, t))
-        assert np.array_equal(spd_sqrt(np.stack([m.entries for m in cases])), roots)
+        assert np.array_equal(spd_sqrt(np.stack(cases)), roots)
 
     def test_stack_names_the_rejected_matrix(self):
         stack = np.stack([np.eye(2), np.diag([1.0, -1e-9]), np.diag([1.0, -2.0])])

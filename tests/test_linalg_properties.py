@@ -9,7 +9,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from disentlab.linalg import SymMatrix, eig_sym, frobenius_norm, spd_sqrt  # noqa: E402
+from disentlab.linalg import eig_sym, frobenius_norm, spd_sqrt, symmetrized  # noqa: E402
 
 
 @st.composite
@@ -37,14 +37,14 @@ def stacks(draw):
             m = (q * rng.choice(rng.uniform(-2.0, 2.0, 2), n)) @ q.T
         else:
             m = np.diag(rng.standard_normal(n))
-        out.append(SymMatrix(m * 10.0 ** draw(st.integers(-8, 8))))
+        out.append(symmetrized(m * 10.0 ** draw(st.integers(-8, 8))))
     return out
 
 
 @settings(max_examples=150, deadline=None)
 @given(stacks())
 def test_stack_equals_one_matrix_calls_bit_for_bit(cases):
-    stack = np.stack([m.entries for m in cases])
+    stack = np.stack(cases)
     w, v = eig_sym(stack)
     for m, got_w, got_v in zip(cases, w, v):
         want_w, want_v = eig_sym(m)
@@ -52,11 +52,11 @@ def test_stack_equals_one_matrix_calls_bit_for_bit(cases):
         assert np.array_equal(got_v, want_v)
     # m·mᵀ is PSD up to round-off, which the scaled tolerance admits
     gram = stack @ stack.transpose(0, 2, 1)
-    gram = 0.5 * (gram + gram.transpose(0, 2, 1))  # as SymMatrix stores it
+    gram = 0.5 * (gram + gram.transpose(0, 2, 1))  # exactly symmetric
     tol = 1e-10 * np.maximum(1.0, np.linalg.norm(gram, axis=(1, 2)))
     roots = spd_sqrt(gram, tol)
     for g, t, got in zip(gram, tol, roots):
-        assert np.array_equal(got, spd_sqrt(SymMatrix(g), t))
+        assert np.array_equal(got, spd_sqrt(symmetrized(g), t))
 
 
 @st.composite

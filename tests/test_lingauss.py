@@ -19,27 +19,30 @@ from disentlab.lingauss import (
     OptimizerConfig,
     bias_decomposition,
     bias_decompositions,
-    cr_frobenius_divergence,
     is_distribution_matched,
     optimize_generator,
     optimize_generators,
-    paired_covariance,
     posterior,
     rank_r_truncation,
 )
 from disentlab.linalg import (
     CONTRACTION_SLACK,
-    SymMatrix,
     eig_sym,
     project_contraction,
     spd_sqrt,
+    symmetrized,
 )
-from support import infogan_objective, matched_generator
+from support import (
+    cr_frobenius_divergence,
+    infogan_objective,
+    matched_generator,
+    paired_covariance,
+)
 
 
 def _random_spd(rng, d, lo=0.3, hi=4.0):
     q = np.linalg.qr(rng.standard_normal((d, d)))[0]
-    return SymMatrix((q * rng.uniform(lo, hi, size=d)) @ q.T)
+    return symmetrized((q * rng.uniform(lo, hi, size=d)) @ q.T)
 
 
 def _random_matched(rng, d, r, fill=0.9):
@@ -60,16 +63,16 @@ def _sample(gen, n, rng):
 class TestGeneratorBasics:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            LinearGenerator(np.zeros((2, 3)), np.eye(2), SymMatrix(np.eye(2)))
+            LinearGenerator(np.zeros((2, 3)), np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
-            LinearGenerator(np.zeros((2, 1)), np.eye(3), SymMatrix(np.eye(2)))
+            LinearGenerator(np.zeros((2, 1)), np.eye(3), np.eye(2))
 
     def test_matched_construction(self):
         rng = np.random.default_rng(0)
         gen = _random_matched(rng, 4, 2)
         assert is_distribution_matched(gen)
         cov = gen.B @ gen.B.T + gen.A @ gen.A.T
-        assert np.allclose(cov, gen.sigma.entries, atol=1e-10)
+        assert np.allclose(cov, gen.sigma, atol=1e-10)
 
     def test_dict_round_trip(self):
         rng = np.random.default_rng(1)
@@ -77,21 +80,51 @@ class TestGeneratorBasics:
         back = LinearGenerator.from_dict(gen.to_dict())
         assert np.array_equal(back.B, gen.B)
         assert np.array_equal(back.A, gen.A)
-        assert np.array_equal(back.sigma.entries, gen.sigma.entries)
+        assert np.array_equal(back.sigma, gen.sigma)
+
+    def test_sigma_is_symmetrized_by_averaging(self):
+        gen = LinearGenerator(np.zeros((2, 1)), np.eye(2), [[1.0, 2.0], [0.0, 1.0]])
+        assert np.array_equal(gen.sigma, [[1.0, 1.0], [1.0, 1.0]])
+        assert np.array_equal(gen.sigma, gen.sigma.T)
+
+    def test_sigma_must_be_d_by_d(self):
+        for sigma in (np.zeros((2, 3)), np.zeros((0, 0)), np.eye(3), np.ones(4)):
+            with pytest.raises(ValueError, match=r"^sigma must be 2 x 2"):
+                LinearGenerator(np.zeros((2, 1)), np.eye(2), sigma)
+
+    def test_sigma_storage_is_read_only(self):
+        sigma = np.eye(2)
+        gen = LinearGenerator(np.zeros((2, 1)), np.eye(2), sigma)
+        with pytest.raises(ValueError):
+            gen.sigma[0, 0] = 5.0
+        sigma[0, 0] = 5.0  # the caller's array is not the stored one
+        assert gen.sigma[0, 0] == 1.0
+
+    def test_subnormal_sigma_is_symmetrized_once(self):
+        # (M + Mᵀ)/2 of this M puts the 1-ulp subnormal 5e-324 off the
+        # diagonal; a second pass would halve it to 0
+        raw = np.array([[1.0, 5e-324], [1e-323, 1.0]])
+        once = [1.0, 5e-324, 5e-324, 1.0]
+        assert symmetrized(raw).ravel().tolist() == once
+        assert symmetrized(symmetrized(raw)).ravel().tolist() == [1.0, 0.0, 0.0, 1.0]
+        gen, _ = optimize_generators([(raw, 0)], 1, OptimizerConfig())[0]
+        assert gen.sigma.ravel().tolist() == once
+        model = {**gen.to_dict(), "sigma": raw.ravel().tolist()}
+        assert LinearGenerator.from_dict(model).sigma.ravel().tolist() == once
 
     @pytest.mark.parametrize("c", [1.0, 1e6, 1e8])
     def test_matched_rejects_a_negative_residual_at_any_scale(self, c):
         # the clamp scales with Σ, so a residual eigenvalue of -1e-6·‖Σ‖ is still an error
-        sigma = SymMatrix(np.diag([9.0 * c, 4.0 * c, c]))
+        sigma = np.diag([9.0 * c, 4.0 * c, c])
         b = np.zeros((3, 1))
-        b[0, 0] = math.sqrt(9.0 * c + 1e-6 * np.linalg.norm(sigma.entries))
+        b[0, 0] = math.sqrt(9.0 * c + 1e-6 * np.linalg.norm(sigma))
         with pytest.raises(NotPositiveSemidefinite):
             matched_generator(sigma, b)
 
     def test_matched_rejects_a_negative_residual_past_1e154(self):
         # ‖Σ‖_F² overflows float64 here, and the clamp must still scale with ‖Σ‖_F
         c = 1e160
-        sigma = SymMatrix(np.diag([9.0 * c, 4.0 * c, c]))
+        sigma = np.diag([9.0 * c, 4.0 * c, c])
         b = np.zeros((3, 1))
         b[0, 0] = 3.0 * math.sqrt(c * (1.0 + 1e-6))
         with pytest.raises(NotPositiveSemidefinite):
@@ -100,15 +133,15 @@ class TestGeneratorBasics:
 
 class TestConditionalMean:
     def test_identity_covariance_picks_coordinate(self):
-        gen = matched_generator(SymMatrix(np.eye(2)), np.array([[1.0], [0.0]]))
+        gen = matched_generator(np.eye(2), np.array([[1.0], [0.0]]))
         assert np.allclose(posterior(gen) @ [3.0, 7.0], [3.0], atol=1e-12)
 
     def test_zero_map(self):
-        gen = matched_generator(SymMatrix(np.diag([2.0, 3.0])), np.zeros((2, 1)))
+        gen = matched_generator(np.diag([2.0, 3.0]), np.zeros((2, 1)))
         assert np.allclose(posterior(gen) @ [5.0, -1.0], [0.0], atol=1e-15)
 
     def test_singular_covariance_raises(self):
-        gen = LinearGenerator(np.zeros((2, 1)), np.eye(2), SymMatrix(np.diag([1.0, 0.0])))
+        gen = LinearGenerator(np.zeros((2, 1)), np.eye(2), np.diag([1.0, 0.0]))
         with pytest.raises(SingularCovariance):
             posterior(gen)
 
@@ -130,20 +163,20 @@ class TestConditionalMean:
 class TestGeneratedCovariance:
     def test_direct_products(self):
         gen = LinearGenerator(
-            np.array([[1.0], [0.0]]), np.diag([0.0, 1.0]), SymMatrix(np.eye(2))
+            np.array([[1.0], [0.0]]), np.diag([0.0, 1.0]), np.eye(2)
         )
         assert np.allclose(gen.B @ gen.B.T + gen.A @ gen.A.T, np.eye(2), atol=1e-15)
         assert is_distribution_matched(gen)
-        gen2 = LinearGenerator(np.zeros((2, 1)), np.eye(2), SymMatrix(np.eye(2)))
+        gen2 = LinearGenerator(np.zeros((2, 1)), np.eye(2), np.eye(2))
         assert np.allclose(gen2.B @ gen2.B.T + gen2.A @ gen2.A.T, np.eye(2), atol=1e-15)
         assert is_distribution_matched(gen2)
 
     def test_matching_holds_past_1e154(self):
         # ‖Σ‖_F² overflows float64 here: B = A = 0 must still miss Σ = 1e160·I,
         # and an infogan fit must still match its Σ
-        zero = LinearGenerator(np.zeros((3, 2)), np.zeros((3, 3)), SymMatrix(1e160 * np.eye(3)))
+        zero = LinearGenerator(np.zeros((3, 2)), np.zeros((3, 3)), 1e160 * np.eye(3))
         assert not is_distribution_matched(zero)
-        sigma = SymMatrix(np.diag([1e160, 1e159, 1e158]))
+        sigma = np.diag([1e160, 1e159, 1e158])
         fit, _ = optimize_generator(sigma, 2, OptimizerConfig("infogan"))
         assert is_distribution_matched(fit)
 
@@ -151,7 +184,7 @@ class TestGeneratedCovariance:
         rng = np.random.default_rng(9)
         b = rng.standard_normal((3, 2))
         a = rng.standard_normal((3, 3))
-        gen = LinearGenerator(b, a, SymMatrix(np.eye(3)))
+        gen = LinearGenerator(b, a, np.eye(3))
         cov = gen.B @ gen.B.T + gen.A @ gen.A.T
         n = 100_000
         x, _ = _sample(gen, n, rng)
@@ -162,11 +195,11 @@ class TestGeneratedCovariance:
 
 class TestInfoganObjective:
     def test_zero_code_map(self):
-        gen = matched_generator(SymMatrix(np.eye(2)), np.zeros((2, 1)))
+        gen = matched_generator(np.eye(2), np.zeros((2, 1)))
         assert infogan_objective(gen) == pytest.approx(-1.4189385332046727, abs=1e-12)
 
     def test_unit_column_reaches_optimum(self):
-        gen = matched_generator(SymMatrix(np.eye(2)), np.array([[1.0], [0.0]]))
+        gen = matched_generator(np.eye(2), np.array([[1.0], [0.0]]))
         assert infogan_objective(gen) == pytest.approx(-0.9189385332046727, abs=1e-12)
 
     def test_matches_trace_form(self):
@@ -197,7 +230,7 @@ class TestInfoganObjective:
 
 class TestBiasDecomposition:
     def test_standard_gaussian_case(self):
-        gen = matched_generator(SymMatrix(np.eye(3)), np.zeros((3, 2)))
+        gen = matched_generator(np.eye(3), np.zeros((3, 2)))
         out = bias_decomposition(gen)
         assert out.mutual_information == pytest.approx(0.0, abs=1e-12)
         assert out.implicit_bias == pytest.approx(0.0, abs=1e-12)
@@ -206,7 +239,7 @@ class TestBiasDecomposition:
     def test_hand_evaluated_kl(self):
         # Σ = I and B = diag(√0.5, √0.2) give S = I - BᵀB = diag(0.5, 0.8), so the
         # bias is (1/2)(tr S - r - log det S) = (1/2)(1.3 - 2 - log 0.4).
-        gen = matched_generator(SymMatrix(np.eye(2)), np.diag(np.sqrt([0.5, 0.2])))
+        gen = matched_generator(np.eye(2), np.diag(np.sqrt([0.5, 0.2])))
         expected = 0.5 * (1.3 - 2.0 - math.log(0.4))
         assert bias_decomposition(gen).implicit_bias == pytest.approx(expected, abs=1e-14)
 
@@ -230,27 +263,27 @@ class TestBiasDecomposition:
         assert bias_decomposition(gen).info_loss == pytest.approx(vals.mean(), abs=3 * se)
 
     def test_degenerate_raises_by_default(self):
-        sigma = SymMatrix(np.eye(3))
+        sigma = np.eye(3)
         u = np.eye(3)[:, :2]
         gen = matched_generator(sigma, u)
         with pytest.raises(DegenerateConditional):
             bias_decomposition(gen)
 
 
-def _reference_sqrt(m: SymMatrix) -> np.ndarray:
+def _reference_sqrt(m: np.ndarray) -> np.ndarray:
     """spd_sqrt's arithmetic on one matrix before it took stacks, without its check."""
     w, v = eig_sym(m)
-    return SymMatrix((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T).entries
+    return symmetrized((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T)
 
 
-def _reference_decomposition(sigma: SymMatrix, b: np.ndarray) -> BiasDecomposition:
+def _reference_decomposition(sigma: np.ndarray, b: np.ndarray) -> BiasDecomposition:
     """bias_decomposition's per-case arithmetic before it was stacked (its value routes)."""
     r = b.shape[1]
     w, v = eig_sym(sigma)
     b_tilde = (v / np.sqrt(w)) @ (v.T @ b)
     primal = 0.5 * float(np.sum(b_tilde * b_tilde)) - 0.5 * r * (1.0 + LOG_2PI)
     mean_map = b.T @ ((v / w) @ v.T)
-    s = eig_sym(SymMatrix(np.eye(r) - mean_map @ b)).eigenvalues
+    s = eig_sym(symmetrized(np.eye(r) - mean_map @ b)).eigenvalues
     log_s = np.log(s)
     mi = -0.5 * float(np.sum(log_s))
     bias = 0.5 * float(np.sum(s) - r - np.sum(log_s))
@@ -265,7 +298,7 @@ def _reference_bias_identity(seed: int, suites: dict) -> list[tuple]:
     rows = []
     for c_idx in range(suites["bias_cases"]):
         m = rng.standard_normal((d, d))
-        sigma = SymMatrix(m @ m.T + 0.5 * np.eye(d))
+        sigma = symmetrized(m @ m.T + 0.5 * np.eye(d))
         bt = rng.standard_normal((d, r))
         bt *= 0.9 / np.linalg.svd(bt, compute_uv=False)[0]
         dec = _reference_decomposition(sigma, _reference_sqrt(sigma) @ bt)
@@ -294,7 +327,7 @@ class TestBiasDecompositions:
         decs = bias_decompositions(sigma, bt)
         assert len(decs) == 12
         for s, t, dec in zip(sigma, bt, decs):
-            sym = SymMatrix(s)
+            sym = symmetrized(s)
             b = spd_sqrt(sym) @ t
             assert dec == bias_decomposition(matched_generator(sym, b))
             assert dec == _reference_decomposition(sym, _reference_sqrt(sym) @ t)
@@ -333,17 +366,17 @@ class TestBiasDecompositions:
     def test_noise_maps_equal_per_pair_calls_bit_for_bit(self):
         sigma, bt = _bias_cases(np.random.default_rng(5), 6, 4, 3)
         bt[::2] /= np.linalg.svd(bt[::2], compute_uv=False)[:, :1, None]  # on the boundary
-        b = np.stack([spd_sqrt(SymMatrix(s)) @ t for s, t in zip(sigma, bt)])
+        b = np.stack([spd_sqrt(symmetrized(s)) @ t for s, t in zip(sigma, bt)])
         noise = lingauss._noise_maps(sigma, b)
         for s, bb, a in zip(sigma, b, noise):
-            assert np.array_equal(a, matched_generator(SymMatrix(s), bb).A)
-            assert np.array_equal(a, _reference_sqrt(SymMatrix(s - bb @ bb.T)))
+            assert np.array_equal(a, matched_generator(symmetrized(s), bb).A)
+            assert np.array_equal(a, _reference_sqrt(symmetrized(s - bb @ bb.T)))
 
 
 class TestPairedCovariance:
     def test_direct_construction(self):
-        gen = matched_generator(SymMatrix(np.eye(2)), np.eye(2))
-        out = paired_covariance(gen, 0).entries
+        gen = matched_generator(np.eye(2), np.eye(2))
+        out = paired_covariance(gen, 0)
         e11 = np.outer([1.0, 0.0], [1.0, 0.0])
         assert np.allclose(out[:2, :2], np.eye(2), atol=1e-12)
         assert np.allclose(out[:2, 2:], e11, atol=1e-12)
@@ -351,18 +384,18 @@ class TestPairedCovariance:
 
     def test_zero_column(self):
         b = np.array([[1.0, 0.0], [0.0, 0.0]])
-        gen = matched_generator(SymMatrix(np.diag([1.0, 2.0])), b)
-        assert np.allclose(paired_covariance(gen, 1).entries[:2, 2:], 0.0, atol=1e-15)
+        gen = matched_generator(np.diag([1.0, 2.0]), b)
+        assert np.allclose(paired_covariance(gen, 1)[:2, 2:], 0.0, atol=1e-15)
 
     def test_index_out_of_range(self):
-        gen = matched_generator(SymMatrix(np.eye(2)), np.eye(2))
+        gen = matched_generator(np.eye(2), np.eye(2))
         with pytest.raises(IndexError):
             paired_covariance(gen, 2)
 
     def test_monte_carlo_coupling(self):
         rng = np.random.default_rng(15)
         gen = _random_matched(rng, 3, 2)
-        target = paired_covariance(gen, 1).entries
+        target = paired_covariance(gen, 1)
         n = 100_000
         c1 = rng.standard_normal((n, 2))
         c2 = rng.standard_normal((n, 2))
@@ -407,21 +440,21 @@ class TestCrFrobeniusDivergence:
 
 class TestRankRTruncation:
     def test_diagonal(self):
-        out = rank_r_truncation(SymMatrix(np.diag([4.0, 1.0, 0.25])), 2)
+        out = rank_r_truncation(np.diag([4.0, 1.0, 0.25]), 2)
         assert np.allclose(out, np.diag([4.0, 1.0, 0.0]), atol=1e-12)
 
     def test_full_rank_is_identity_map(self):
         rng = np.random.default_rng(17)
         m = _random_spd(rng, 4)
         out = rank_r_truncation(m, 4)
-        assert np.allclose(out, m.entries, atol=1e-10)
+        assert np.allclose(out, m, atol=1e-10)
 
     def test_sandwich(self):
         rng = np.random.default_rng(18)
         m = _random_spd(rng, 5)
         t = rank_r_truncation(m, 2)
         w_t = np.linalg.eigvalsh(t)
-        w_gap = np.linalg.eigvalsh(m.entries - t)
+        w_gap = np.linalg.eigvalsh(m - t)
         assert w_t.min() >= -1e-10
         assert w_gap.min() >= -1e-10
 
@@ -429,11 +462,11 @@ class TestRankRTruncation:
         rng = np.random.default_rng(19)
         m = _random_spd(rng, 5)
         t = rank_r_truncation(m, 2)
-        best = np.linalg.norm(m.entries - t) ** 2
+        best = np.linalg.norm(m - t) ** 2
         for _ in range(1000):
             w = rng.standard_normal((5, 2)) * rng.uniform(0.2, 1.5)
             cand = w @ w.T
-            assert best <= np.linalg.norm(m.entries - cand) ** 2 + 1e-12
+            assert best <= np.linalg.norm(m - cand) ** 2 + 1e-12
 
 
 def test_greedy_eigvec_match_breaks_ties_by_column_then_eigenvector():
@@ -491,13 +524,13 @@ class TestOptimizeGenerator:
     def test_infogan_identity_sigma(self):
         for seed in range(10):
             cfg = OptimizerConfig(objective="infogan")
-            gen, rep = optimize_generator(SymMatrix(np.eye(3)), 1, cfg, seed)
+            gen, rep = optimize_generator(np.eye(3), 1, cfg, seed)
             assert rep.orthonormality_residual <= 1e-4
             assert np.linalg.norm(gen.B) == pytest.approx(1.0, abs=1e-4)
             assert rep.history[-1] == pytest.approx(-0.5 * LOG_2PI, abs=1e-4)
 
     def test_cr_recovers_top_eigenstructure(self):
-        sigma = SymMatrix(np.diag([9.0, 4.0, 1.0]))
+        sigma = np.diag([9.0, 4.0, 1.0])
         for seed in range(10):
             cfg = OptimizerConfig(objective="cr_frobenius")
             gen, rep = optimize_generator(sigma, 2, cfg, seed)
@@ -510,12 +543,12 @@ class TestOptimizeGenerator:
 
     def test_monotone_history(self):
         cfg = OptimizerConfig(objective="cr_frobenius")
-        _, rep = optimize_generator(SymMatrix(np.diag([5.0, 2.0, 0.5])), 2, cfg, seed=3)
+        _, rep = optimize_generator(np.diag([5.0, 2.0, 0.5]), 2, cfg, seed=3)
         h = np.array(rep.history)
         assert np.all(np.diff(h) >= 0.0)
 
     def test_combined_weight_degenerations(self):
-        sigma = SymMatrix(np.diag([4.0, 2.0, 1.0]))
+        sigma = np.diag([4.0, 2.0, 1.0])
         pure_info = optimize_generator(sigma, 2, OptimizerConfig(objective="infogan"), seed=5)
         comb_info = optimize_generator(
             sigma, 2, OptimizerConfig(objective="combined", lam=1.0, alpha=0.0), seed=5
@@ -532,20 +565,20 @@ class TestOptimizeGenerator:
 
     def test_result_is_matched(self):
         gen, _ = optimize_generator(
-            SymMatrix(np.diag([3.0, 1.0, 0.5])), 2, OptimizerConfig(objective="cr_frobenius")
+            np.diag([3.0, 1.0, 0.5]), 2, OptimizerConfig(objective="cr_frobenius")
         )
         assert is_distribution_matched(gen)
 
     def test_cr_with_r1_rejected(self):
         with pytest.raises(UndefinedDivergence):
             optimize_generator(
-                SymMatrix(np.diag([4.0, 1.0])), 1, OptimizerConfig(objective="cr_frobenius")
+                np.diag([4.0, 1.0]), 1, OptimizerConfig(objective="cr_frobenius")
             )
 
     def test_non_pd_sigma_rejected(self):
         with pytest.raises(SingularCovariance):
             optimize_generator(
-                SymMatrix(np.diag([1.0, 0.0])), 1, OptimizerConfig(objective="infogan")
+                np.diag([1.0, 0.0]), 1, OptimizerConfig(objective="infogan")
             )
 
     def test_config_validation(self):
@@ -598,7 +631,7 @@ def _reference_ascent(sigma, r, cfg, seed):
             grad += w_cr * (root @ grad_b)
         return grad
 
-    bt = project_contraction(np.random.default_rng(seed).standard_normal((sigma.dim, r)))
+    bt = project_contraction(np.random.default_rng(seed).standard_normal((len(sigma), r)))
     f_cur = value(bt)
     history, stop, backtracks = [f_cur], "max_iters", 0
     for _ in range(cfg.max_iters):
@@ -667,9 +700,9 @@ class TestOptimizeGenerators:
         # search while the others still ascend
         m = np.random.default_rng(4).standard_normal((3, 3))
         sigmas = [
-            SymMatrix(np.eye(3)),
-            SymMatrix(np.diag([9.0, 4.0, 1.0])),
-            SymMatrix(m @ m.T + 0.5 * np.eye(3)),
+            np.eye(3),
+            np.diag([9.0, 4.0, 1.0]),
+            symmetrized(m @ m.T + 0.5 * np.eye(3)),
         ]
         # seeds repeat across covariances, and one (Σ, seed) run comes twice
         runs = [(sigma, seed) for sigma in sigmas for seed in range(3)] + [(sigmas[1], 0)]
@@ -682,7 +715,7 @@ class TestOptimizeGenerators:
         assert min(fixed) < max(rounds)
         for (sigma, seed), result in zip(runs, stacked):
             single = optimize_generator(sigma, 2, OptimizerConfig(objective, **settings), seed)
-            assert _same_run(result, single), (sigma.entries.diagonal(), seed)
+            assert _same_run(result, single), (sigma.diagonal(), seed)
 
     @pytest.mark.parametrize(
         "objective, settings",
@@ -696,13 +729,13 @@ class TestOptimizeGenerators:
     )
     def test_single_run_equals_the_per_run_loop_bit_for_bit(self, objective, settings):
         m = np.random.default_rng(12).standard_normal((4, 4))
-        for sigma in (SymMatrix(np.eye(4)), SymMatrix(m @ m.T + 0.5 * np.eye(4))):
+        for sigma in (np.eye(4), symmetrized(m @ m.T + 0.5 * np.eye(4))):
             for seed in range(3):
                 cfg = OptimizerConfig(objective, **settings)
                 gen, rep = optimize_generator(sigma, 2, cfg, seed)
                 _, b, history, stop, backtracks = _reference_ascent(sigma, 2, cfg, seed)
                 assert np.array_equal(gen.B, b)
-                assert np.array_equal(gen.A, _reference_sqrt(SymMatrix(sigma.entries - b @ b.T)))
+                assert np.array_equal(gen.A, _reference_sqrt(symmetrized(sigma - b @ b.T)))
                 assert rep.history == history
                 assert (rep.stop, rep.backtracks) == (stop, backtracks)
 
@@ -713,7 +746,7 @@ class TestOptimizeGenerators:
         # np.linalg.norm's dot product and a summed square round differently
         # on some cases: 3 of the 12 runs at r = 12, whose residual sums 144 cells.
         m = np.random.default_rng(d).standard_normal((4, d, d))
-        runs = [(SymMatrix(x @ x.T + 0.5 * np.eye(d)), seed) for x in m for seed in range(3)]
+        runs = [(symmetrized(x @ x.T + 0.5 * np.eye(d)), seed) for x in m for seed in range(3)]
         settings = {"max_iters": 8}
         cfg = OptimizerConfig(objective, **settings)
         fits = optimize_generators(runs, r, cfg)
@@ -731,7 +764,7 @@ class TestOptimizeGenerators:
 
     def test_max_iters_cap_is_reported(self):
         cfg = OptimizerConfig(objective="cr_frobenius", max_iters=3)
-        _, rep = optimize_generator(SymMatrix(np.diag([9.0, 4.0, 1.0])), 2, cfg)
+        _, rep = optimize_generator(np.diag([9.0, 4.0, 1.0]), 2, cfg)
         assert rep.stop == "max_iters"
         assert len(rep.history) - 1 == 3
 
@@ -739,7 +772,7 @@ class TestOptimizeGenerators:
         # on Σ = I the projected step maps a semi-orthonormal B̃ to itself up
         # to rounding, so its first rejected candidate ends the ascent
         cfg = OptimizerConfig(objective="infogan")
-        _, rep = optimize_generator(SymMatrix(np.eye(3)), 2, cfg, seed=2)
+        _, rep = optimize_generator(np.eye(3), 2, cfg, seed=2)
         assert rep.stop == "no_ascent_step"
         assert rep.orthonormality_residual <= 1e-12
         assert rep.backtracks == 1
@@ -749,8 +782,8 @@ class TestOptimizeGenerators:
         # candidates, each moving B̃ by over 60% of its Frobenius norm, fall
         # in objective before the seventh, at step_size·2⁻⁶, rises. In the
         # same stack the Σ = I run stops at a fixed point after one rejection.
-        spread = SymMatrix(np.diag([100.0, 10.0, 1.0, 0.1]))
-        runs = [(spread, 12), (SymMatrix(np.eye(4)), 0)]
+        spread = np.diag([100.0, 10.0, 1.0, 0.1])
+        runs = [(spread, 12), (np.eye(4), 0)]
         fits = optimize_generators(runs, 3, OptimizerConfig("cr_frobenius"))
         assert [(rep.stop, rep.backtracks) for _, rep in fits] == [
             ("rel_tol", 6), ("no_ascent_step", 1)
@@ -784,19 +817,19 @@ class TestOptimizeGenerators:
 
     def test_default_cr_run_stops_at_rel_tol(self):
         cfg = OptimizerConfig(objective="cr_frobenius")
-        _, rep = optimize_generator(SymMatrix(np.diag([9.0, 4.0, 1.0])), 2, cfg)
+        _, rep = optimize_generator(np.diag([9.0, 4.0, 1.0]), 2, cfg)
         assert rep.stop == "rel_tol"
         gain = rep.history[-1] - rep.history[-2]
         assert gain <= cfg.rel_tol * max(1.0, abs(rep.history[-1]))
 
     def test_singular_sigma_names_its_run(self):
-        runs = [(SymMatrix(np.eye(2)), 0), (SymMatrix(np.diag([1.0, 0.0])), 1)]
+        runs = [(np.eye(2), 0), (np.diag([1.0, 0.0]), 1)]
         with pytest.raises(SingularCovariance, match=r"^run 1: target covariance"):
             optimize_generators(runs, 1, OptimizerConfig())
 
     def test_nearly_singular_sigma_names_its_run(self):
         # posterior could not invert this Σ, so no ascent may start on it
-        runs = [(SymMatrix(np.eye(2)), 0), (SymMatrix(np.diag([1.0, 1e-15])), 1)]
+        runs = [(np.eye(2), 0), (np.diag([1.0, 1e-15]), 1)]
         with pytest.raises(SingularCovariance, match=r"^run 1: .* under 1e-14 times the max"):
             optimize_generators(runs, 1, OptimizerConfig())
 
@@ -806,7 +839,7 @@ class TestOptimizeGenerators:
         # the fitted B̃ ends on the contraction boundary, so Σ - BBᵀ has a zero
         # eigenvalue whose round-off grows with Σ
         scales = (1e-6, 1.0, 1e6, 1e8)
-        runs = [(SymMatrix(np.diag(c * np.asarray(diag))), 0) for c in scales]
+        runs = [(np.diag(c * np.asarray(diag)), 0) for c in scales]
         for objective in ("cr_frobenius", "infogan"):
             fits = optimize_generators(runs, r, OptimizerConfig(objective))
             assert all(is_distribution_matched(gen) for gen, _ in fits)
@@ -825,15 +858,15 @@ class TestOptimizeGenerators:
             return project_contraction(stack)
 
         monkeypatch.setattr(lingauss, "project_contraction", project)
-        sigma = SymMatrix(np.diag([9.0, 4.0, 1.0]))
+        sigma = np.diag([9.0, 4.0, 1.0])
         with pytest.raises(NumericFailure, match=r"^run 1: SVD failed"):
             optimize_generators([(sigma, 0), (sigma, 1), (sigma, 2)], 2, OptimizerConfig())
 
     @pytest.mark.parametrize("objective", ["cr_frobenius", "combined"])
     def test_overflowing_objective_names_its_run(self, objective):
         # the coupling objective grows as the square of Σ, past float64 at 1e160
-        huge = SymMatrix(np.diag([1e160, 1e159, 1e158]))
-        runs = [(SymMatrix(np.diag([9.0, 4.0, 1.0])), 0), (huge, 1)]
+        huge = np.diag([1e160, 1e159, 1e158])
+        runs = [(np.diag([9.0, 4.0, 1.0]), 0), (huge, 1)]
         cfg = OptimizerConfig(objective)
         overflow = r"the ascent's objective or gradient overflows \(overflow encountered in "
         with pytest.raises(NumericFailure, match=f"^run 1: {overflow}"):
@@ -844,7 +877,7 @@ class TestOptimizeGenerators:
     def test_infogan_fit_past_1e154_raises_no_warning(self):
         # the infogan ascent does not overflow at this scale, and neither may the
         # norm behind its noise maps' PSD clamp
-        sigma = SymMatrix(np.diag([1e160, 1e159, 1e158]))
+        sigma = np.diag([1e160, 1e159, 1e158])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fits = optimize_generators([(sigma, 0), (sigma, 1)], 2, OptimizerConfig("infogan"))
@@ -854,7 +887,7 @@ class TestOptimizeGenerators:
     def test_largest_finite_cr_runs_equal_the_per_run_loop(self, scale):
         # up to about 6.7e153 every run of Σ = diag(λ, λ/10, λ/100) ends
         # finite, with the bits it had before overflow raised
-        sigma = SymMatrix(np.diag([scale, scale / 10, scale / 100]))
+        sigma = np.diag([scale, scale / 10, scale / 100])
         cfg = OptimizerConfig("cr_frobenius")
         fits = optimize_generators([(sigma, seed) for seed in range(3)], 2, cfg)
         for seed, (gen, rep) in enumerate(fits):
@@ -864,6 +897,6 @@ class TestOptimizeGenerators:
             assert (rep.stop, rep.backtracks) == (stop, backtracks)
 
     def test_runs_must_share_a_dimension(self):
-        runs = [(SymMatrix(np.eye(2)), 0), (SymMatrix(np.eye(3)), 1)]
+        runs = [(np.eye(2), 0), (np.eye(3), 1)]
         with pytest.raises(ValueError, match="same dimension"):
             optimize_generators(runs, 1, OptimizerConfig())

@@ -46,7 +46,7 @@ def test_symmetric_sigma_csv_loads_bit_for_bit(m):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             loaded = _read_sigma(argparse.Namespace(sigma_diag=None, sigma=str(path)))
-    assert loaded.entries.tobytes() == m.tobytes()
+    assert loaded.tobytes() == m.tobytes()
 
 
 @st.composite

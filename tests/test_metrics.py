@@ -12,7 +12,6 @@ from disentlab.datasets import gen_linear_gaussian_dataset
 from disentlab.errors import DegenerateEncoder, NumericFailure
 from disentlab.lasso import _KKT_RTOL, LASSO_TOL, lasso_fit, lasso_gram_fit
 from disentlab.lingauss import LinearGenerator, OptimizerConfig, optimize_generator
-from disentlab.linalg import SymMatrix
 from disentlab.metrics import (
     _DHSIC_BLOCK,
     _laplace_row_sums,
@@ -60,7 +59,7 @@ def _dense_median(v: np.ndarray) -> float:
     return float(np.median(dist[np.triu_indices(v.size, 1)]))
 
 
-SMALL_CFG = FactorVaeConfig(groups_per_factor=40, group_size=25, reference_samples=2000, seed=0)
+SMALL_CFG = FactorVaeConfig(groups_per_factor=40, group_size=25, reference_samples=2000)
 
 
 class TestFactorDataset:
@@ -109,7 +108,7 @@ class TestEncoders:
         assert np.array_equal(out, np.array([[2.0, 5.0]]))
 
     def test_from_generator_is_posterior_mean_map(self):
-        sigma = SymMatrix(np.diag([4.0, 1.0]))
+        sigma = np.diag([4.0, 1.0])
         gen, _ = optimize_generator(sigma, 1, OptimizerConfig(), seed=3)
         enc = LinearEncoder.from_generator(gen)
         expected = gen.B.T @ np.linalg.inv(np.asarray(sigma))
@@ -118,7 +117,7 @@ class TestEncoders:
 
 class TestSamplers:
     def test_generator_sampler_moments(self):
-        sigma = SymMatrix(np.diag([4.0, 1.0, 0.25]))
+        sigma = np.diag([4.0, 1.0, 0.25])
         gen, _ = optimize_generator(sigma, 2, OptimizerConfig(objective="cr_frobenius"), seed=0)
         sampler = GeneratorSampler(gen)
         rng = np.random.default_rng(5)
@@ -127,7 +126,7 @@ class TestSamplers:
         assert cov == pytest.approx(np.asarray(sigma), abs=0.1)
 
     def test_generator_group_reduces_variance_along_fixed_code(self):
-        sigma = SymMatrix(np.diag([9.0, 1.0]))
+        sigma = np.diag([9.0, 1.0])
         gen, _ = optimize_generator(sigma, 1, OptimizerConfig(), seed=0)
         sampler = GeneratorSampler(gen)
         enc = LinearEncoder.from_generator(gen)
@@ -138,7 +137,7 @@ class TestSamplers:
 
 
 def _linear_generator(seed: int = 0):
-    sigma = SymMatrix(np.diag([4.0, 2.0, 1.0, 0.5, 0.25]))
+    sigma = np.diag([4.0, 2.0, 1.0, 0.5, 0.25])
     gen, _ = optimize_generator(sigma, 3, OptimizerConfig(objective="cr_frobenius"), seed=seed)
     return gen
 
@@ -164,10 +163,10 @@ class TestBatchedGroups:
             assert np.array_equal(group, c @ gen.B.T + z @ gen.A.T)
 
 
-def _reference_votes(gen: LinearGenerator, enc, cfg: FactorVaeConfig) -> np.ndarray:
+def _reference_votes(gen: LinearGenerator, enc, cfg: FactorVaeConfig, seed: int) -> np.ndarray:
     """The vote matrix from one draw of samples, encode and variance per group."""
     sampler = GeneratorSampler(gen)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     ref_var = enc.encode(sampler.sample_reference(cfg.reference_samples, rng)).var(axis=0)
     active = ref_var >= cfg.variance_floor
     votes = np.zeros((enc.code_dim, gen.r))
@@ -186,20 +185,20 @@ class TestFactorVaeMetricOracle:
         rng = np.random.default_rng(8)
         enc = LinearEncoder.from_generator(gen)
         noisy = LinearEncoder(enc.weight + 0.8 * rng.standard_normal(enc.weight.shape))
-        cfg = FactorVaeConfig(groups_per_factor=30, group_size=12, reference_samples=500, seed=3)
+        cfg = FactorVaeConfig(groups_per_factor=30, group_size=12, reference_samples=500)
         for e in (enc, noisy):
-            report = factorvae_metric(gen, e, cfg)
-            assert np.array_equal(report.matrix, _reference_votes(gen, e, cfg))
+            report = factorvae_metric(gen, e, cfg, 3)
+            assert np.array_equal(report.matrix, _reference_votes(gen, e, cfg, 3))
         # the noisy encoder must split its votes, or the comparison is trivial
         assert np.count_nonzero(report.matrix) > gen.r
 
     def test_inactive_codes_never_vote(self):
         gen = _axis_generator()
         weight = np.vstack([_perfect_weight(gen), np.zeros((1, gen.d))])
-        cfg = FactorVaeConfig(groups_per_factor=20, group_size=10, reference_samples=300, seed=2)
+        cfg = FactorVaeConfig(groups_per_factor=20, group_size=10, reference_samples=300)
         enc = LinearEncoder(weight)
-        report = factorvae_metric(gen, enc, cfg)
-        assert np.array_equal(report.matrix, _reference_votes(gen, enc, cfg))
+        report = factorvae_metric(gen, enc, cfg, 2)
+        assert np.array_equal(report.matrix, _reference_votes(gen, enc, cfg, 2))
         assert not report.matrix[3].any()
 
 
@@ -215,12 +214,12 @@ def _axis_generator(lam=(4.0, 2.0, 1.0, 0.5, 0.25), r=3) -> LinearGenerator:
     b[np.arange(r), np.arange(r)] = np.sqrt(lam[:r])
     a = np.zeros((d, d))
     a[np.arange(r, d), np.arange(r, d)] = np.sqrt(lam[r:])
-    return LinearGenerator(b, a, SymMatrix(np.diag(lam)))
+    return LinearGenerator(b, a, np.diag(lam))
 
 
 def _perfect_weight(gen: LinearGenerator) -> np.ndarray:
     """An axis generator's perfect encoder: code i reads x_i/√λ_i = c_i."""
-    return np.eye(gen.r, gen.d) / np.sqrt(np.diag(gen.sigma.entries)[: gen.r, None])
+    return np.eye(gen.r, gen.d) / np.sqrt(np.diag(gen.sigma)[: gen.r, None])
 
 
 def _noise_weight(gen: LinearGenerator, seed: int) -> np.ndarray:
@@ -257,9 +256,9 @@ class TestFactorVaeLinearRoute:
     def test_votes_match_per_group_loop(self, case, seed):
         gen, weight = _oracle_case(case, seed)
         enc = LinearEncoder(weight)
-        cfg = FactorVaeConfig(groups_per_factor=30, group_size=12, reference_samples=500, seed=seed)
-        votes = factorvae_metric(gen, enc, cfg).matrix
-        assert np.array_equal(votes, _reference_votes(gen, enc, cfg))
+        cfg = FactorVaeConfig(groups_per_factor=30, group_size=12, reference_samples=500)
+        votes = factorvae_metric(gen, enc, cfg, seed).matrix
+        assert np.array_equal(votes, _reference_votes(gen, enc, cfg, seed))
         if case == "tied-rows":
             # the copy of row 0 ties it exactly in every group; the lower index wins
             assert votes[0].any() and not votes[-1].any()
@@ -277,7 +276,7 @@ class TestFactorVaeLinearRoute:
             monkeypatch.setattr(GeneratorSampler, name, refuse)
         monkeypatch.setattr(LinearEncoder, "encode", refuse)
         gen = _linear_generator()
-        report = factorvae_metric(gen, LinearEncoder.from_generator(gen), SMALL_CFG)
+        report = factorvae_metric(gen, LinearEncoder.from_generator(gen), SMALL_CFG, 0)
         assert report.matrix.sum() == gen.r * SMALL_CFG.groups_per_factor
 
     @pytest.mark.parametrize("groups,size", [(1, 5), (7, 9)])
@@ -301,7 +300,7 @@ class TestFactorVaeLinearRoute:
         enc = LinearEncoder(exact + 0.3 * np.random.default_rng(0).standard_normal(exact.shape))
         tracemalloc.start()
         try:
-            factorvae_metric(gen, enc, FactorVaeConfig())
+            factorvae_metric(gen, enc, FactorVaeConfig(), 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -311,7 +310,7 @@ class TestFactorVaeLinearRoute:
 class TestFactorVaeMetric:
     def test_perfect_encoder_scores_one(self):
         gen = _axis_generator()
-        report = factorvae_metric(gen, LinearEncoder(_perfect_weight(gen)), SMALL_CFG)
+        report = factorvae_metric(gen, LinearEncoder(_perfect_weight(gen)), SMALL_CFG, 0)
         assert report.score == 1.0
         assert report.name == "factorvae"
         assert report.matrix.shape == (3, 3)
@@ -326,32 +325,32 @@ class TestFactorVaeMetric:
             perm = rng.permutation(4)
             scales = rng.uniform(0.1, 10.0, size=4)
             enc = LinearEncoder(scales[:, None] * perfect[perm])  # diag(s)·P·W
-            assert factorvae_metric(gen, enc, SMALL_CFG).score == 1.0
+            assert factorvae_metric(gen, enc, SMALL_CFG, 0).score == 1.0
 
     def test_noise_encoder_near_chance(self):
-        cfg = FactorVaeConfig(groups_per_factor=100, group_size=20, reference_samples=2000, seed=1)
+        cfg = FactorVaeConfig(groups_per_factor=100, group_size=20, reference_samples=2000)
         gen = _axis_generator(lam=0.8 ** np.arange(8), r=5)
         enc = LinearEncoder(_noise_weight(gen, 0))
         assert not (enc.weight @ gen.B).any()
-        report = factorvae_metric(gen, enc, cfg)
+        report = factorvae_metric(gen, enc, cfg, 1)
         assert report.score <= 0.3
 
     def test_constant_encoder_degenerate(self):
         gen = _axis_generator()
         with pytest.raises(DegenerateEncoder):
-            factorvae_metric(gen, LinearEncoder(np.zeros((3, gen.d))), SMALL_CFG)
+            factorvae_metric(gen, LinearEncoder(np.zeros((3, gen.d))), SMALL_CFG, 0)
 
     def test_too_few_codes(self):
         gen = _axis_generator()
         with pytest.raises(ValueError):
-            factorvae_metric(gen, LinearEncoder(np.eye(2, gen.d)), SMALL_CFG)
+            factorvae_metric(gen, LinearEncoder(np.eye(2, gen.d)), SMALL_CFG, 0)
 
     def test_deterministic_per_seed(self):
         gen = _axis_generator()
         enc = LinearEncoder(_noise_weight(gen, 4))
-        cfg = FactorVaeConfig(groups_per_factor=10, group_size=10, reference_samples=200, seed=9)
-        a = factorvae_metric(gen, enc, cfg)
-        b = factorvae_metric(gen, enc, cfg)
+        cfg = FactorVaeConfig(groups_per_factor=10, group_size=10, reference_samples=200)
+        a = factorvae_metric(gen, enc, cfg, 9)
+        b = factorvae_metric(gen, enc, cfg, 9)
         assert a.score == b.score
         assert np.array_equal(a.matrix, b.matrix)
 
@@ -883,10 +882,10 @@ class TestLassoFit:
         # DCI's regression on the criterion-07 spectrum: 12 standardized
         # codes of the noise-0.5 encoder, its 12 standardized factors
         band = [5.0 * (0.45 / 5.0) ** (i / 9.0) for i in range(10)]
-        sigma = SymMatrix(np.diag(band + [0.28, 0.18, 0.08, 0.05, 0.03, 0.015]))
-        pool = noisy_linear_pool(sigma, 12, [0.0, 0.5], seed=0, noise_scale=2.4)
-        ds = gen_linear_gaussian_dataset(pool.generator(1), 3000, 0)
-        x = _standardize_columns(pool.encoder(1).encode(ds.samples))
+        sigma = np.diag(band + [0.28, 0.18, 0.08, 0.05, 0.03, 0.015])
+        generators, encoders = noisy_linear_pool(sigma, 12, [0.0, 0.5], seed=0, noise_scale=2.4)
+        ds = gen_linear_gaussian_dataset(generators[1], 3000, 0)
+        x = _standardize_columns(encoders[1].encode(ds.samples))
         y = _standardize_columns(ds.factors)
         gram = (x.T @ x / ds.n)[None]
         cross = (x.T @ y / ds.n)[None]

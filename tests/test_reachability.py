@@ -1,12 +1,15 @@
-"""Every public function, class or module-level value of the package is reachable from the CLI.
+"""Every public function, class, method or module-level value of the package is reachable from the CLI.
 
-A definition is a module-level function, class or assignment outside cli.py;
-an assignment is keyed by its target names and uses the names its value
-does, so a table such as verify.SUITES is live only when a live definition
-names it, and then so is every function it holds. A public definition is
-live when cli.py names it, or when the source of a live definition names it
-(a fixed point over the AST). Names the tests substitute in or that outside
-tooling looks up are kept on purpose and listed in KEPT with the reason.
+A definition is a module-level function, class or assignment outside cli.py,
+or a public method or property of such a class; an assignment is keyed by
+its target names and uses the names its value does, so a table such as
+verify.SUITES is live only when a live definition names it, and then so is
+every function it holds. A method is keyed Class.method and is named by its
+bare name; its class uses what its other statements and private methods use.
+A public definition is live when cli.py names it, or when the source of a
+live definition names it (a fixed point over the AST). Names the tests
+substitute in or that outside tooling looks up are kept on purpose and listed
+in KEPT with the reason; what a kept definition names is kept with it.
 
 The traced benchmark run wraps the functions and methods that
 perfbench/tracer.py lists in TARGETS; each of them must exist in the package.
@@ -23,10 +26,6 @@ PACKAGE = Path(disentlab.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 TRACED = "the tracer wraps it; ROADMAP item 1 retargets the tracer"
-CR_IDENTITY = (
-    "ROADMAP item 4's cr_identity suite makes it live; until then its tests check "
-    "_cr_values against the definition"
-)
 KEPT = {
     "udr_relevance": TRACED,
     "spearman_rho": TRACED,
@@ -39,8 +38,9 @@ KEPT = {
         "tracer. sample_groups is the stream oracle of "
         "test_buffer_draws_follow_sample_groups_stream"
     ),
-    "paired_covariance": CR_IDENTITY,
-    "cr_frobenius_divergence": CR_IDENTITY,
+    "GeneratorSampler.sample_group": TRACED,
+    "GeneratorSampler.sample_reference": TRACED,
+    "FactorDataset.save": TRACED,
 }
 
 
@@ -55,47 +55,68 @@ def _names(node: ast.AST) -> set[str]:
     return out
 
 
-def _definitions() -> dict[str, set[str]]:
-    """Module-level functions, classes and assignments outside cli.py, each with the names it uses.
+def _definitions() -> dict[str, tuple[str, set[str]]]:
+    """Each definition outside cli.py: its key, the name code calls it by, and the names it uses.
 
     Private helpers and tables are part of the graph, so a public function
     reached only through one still counts as live.
     """
-    defs: dict[str, set[str]] = {}
+    defs: dict[str, tuple[str, set[str]]] = {}
+
+    def add(key: str, name: str, nodes) -> None:
+        uses = defs.setdefault(key, (name, set()))[1]
+        for node in nodes:
+            uses.update(_names(node))
+
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "cli.py":
             continue
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.setdefault(node.name, set()).update(_names(node))
+            if isinstance(node, ast.FunctionDef):
+                add(node.name, node.name, [node])
+            elif isinstance(node, ast.ClassDef):
+                methods = [
+                    sub for sub in node.body
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")
+                ]
+                for method in methods:
+                    add(f"{node.name}.{method.name}", method.name, [method])
+                rest = [sub for sub in node.body if sub not in methods]
+                add(node.name, node.name, [*node.bases, *node.decorator_list, *rest])
             elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for target in targets:
                     for name in _names(target):
-                        defs.setdefault(name, set()).update(_names(node.value))
+                        add(name, name, [node.value])
     return defs
 
 
-def _live(defs: dict[str, set[str]]) -> set[str]:
-    live = set()
-    frontier = _names(ast.parse((PACKAGE / "cli.py").read_text())) & set(defs)
+def _reached(defs: dict[str, tuple[str, set[str]]], names: set[str]) -> set[str]:
+    """Keys of the definitions that names name, directly or through a reached definition."""
+    reached: set[str] = set()
+    frontier = {key for key, (name, _) in defs.items() if name in names}
     while frontier:
-        live |= frontier
-        reached = set().union(*(defs[name] for name in frontier))
-        frontier = (reached & set(defs)) - live
-    return live
+        reached |= frontier
+        names = set().union(*(defs[key][1] for key in frontier))
+        frontier = {key for key, (name, _) in defs.items() if name in names} - reached
+    return reached
+
+
+def _cli_names() -> set[str]:
+    return _names(ast.parse((PACKAGE / "cli.py").read_text()))
 
 
 def test_every_public_definition_is_reachable_or_kept():
     defs = _definitions()
-    public = {name for name in defs if not name.startswith("_")}
-    dead = sorted(public - _live(defs) - set(KEPT))
+    public = {key for key in defs if not key.startswith("_")}
+    kept = _reached(defs, _cli_names().union(*(defs[key][1] for key in KEPT)))
+    dead = sorted(public - kept - set(KEPT))
     assert not dead, f"unreachable from the CLI and not in KEPT: {dead}"
 
 
 def test_kept_names_exist_and_are_not_live():
     defs = _definitions()
-    live = _live(defs)
+    live = _reached(defs, _cli_names())
     assert set(KEPT) <= set(defs), sorted(set(KEPT) - set(defs))
     stale = sorted(set(KEPT) & live)
     assert not stale, f"reachable from the CLI, drop from KEPT: {stale}"

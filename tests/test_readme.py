@@ -20,7 +20,7 @@ def test_library_quick_start_runs(capsys):
     # the block's own comment promises this alignment
     assert np.allclose(namespace["report"].pca_alignment, 1.0, rtol=0.0, atol=1e-7)
     scores = namespace["scores"]
-    assert scores.shape == (namespace["pool"].size,)
+    assert scores.shape == (len(namespace["encoders"]),)
     assert np.argmax(scores) == 0  # the noise-free encoder
     printed = capsys.readouterr().out.splitlines()
     assert printed[-1].startswith("0 ")

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from disentlab.lasso import lasso_fit, lasso_gram_fit
-from disentlab.linalg import SymMatrix
 from disentlab.lingauss import rank_r_truncation
 from disentlab.metrics import (
     FactorVaeConfig,
@@ -19,7 +18,6 @@ from disentlab.metrics import (
 from disentlab import selection
 from disentlab.selection import (
     UDR_EPS,
-    ModelPool,
     _pool_relevance,
     cross_score,
     model_centrality,
@@ -38,68 +36,28 @@ def _average_ranks(v: np.ndarray) -> np.ndarray:
     return np.array([np.sum(v < x) + (np.sum(v == x) + 1) / 2 for x in v])
 
 
-FAST_CFG = FactorVaeConfig(groups_per_factor=15, group_size=15, reference_samples=500, seed=0)
+FAST_CFG = FactorVaeConfig(groups_per_factor=15, group_size=15, reference_samples=500)
 
 # Algorithm 1 hand case: A12=A21=0.9, A13=0.8, A31=0.2, A23=0.9, A32=0.7
 # gives B12=0.9, B13=0.5, B23=0.8 and s=(0.7, 0.85, 0.65); model 2 wins.
 HAND_SCORES = {(0, 1): 0.9, (1, 0): 0.9, (0, 2): 0.8, (2, 0): 0.2, (1, 2): 0.9, (2, 1): 0.7}
 
 
-def _tiny_pool(n: int) -> ModelPool:
-    sigma = SymMatrix(np.diag([2.0, 1.0]))
-    entries = []
-    for m in range(n):
-        b = np.array([[0.1 * (m + 1)], [0.0]])
-        entries.append(
-            (matched_generator(sigma, b), LinearEncoder(np.array([[m + 1.0, 0.0]])), f"m{m}")
-        )
-    return ModelPool(tuple(entries))
+def _tiny_pool(n: int) -> tuple[list, list]:
+    """(generators, encoders) of n models, each with its own generator and encoder."""
+    sigma = np.diag([2.0, 1.0])
+    generators = [matched_generator(sigma, np.array([[0.1 * (m + 1)], [0.0]])) for m in range(n)]
+    return generators, [LinearEncoder(np.array([[m + 1.0, 0.0]])) for m in range(n)]
 
 
-def _stub_metric(pool: ModelPool, table):
-    enc_index = {id(pool.encoder(i)): i for i in range(pool.size)}
-    gen_index = {id(pool.generator(j)): j for j in range(pool.size)}
+def _stub_metric(generators, encoders, table):
+    enc_index = {id(enc): i for i, enc in enumerate(encoders)}
+    gen_index = {id(gen): j for j, gen in enumerate(generators)}
 
-    def metric(enc, gen, cfg):
+    def metric(enc, gen, cfg, seed):
         return table[(enc_index[id(enc)], gen_index[id(gen)])]
 
     return metric
-
-
-class TestModelPool:
-    def test_too_small(self):
-        sigma = SymMatrix(np.eye(2))
-        gen = matched_generator(sigma, np.array([[0.5], [0.0]]))
-        with pytest.raises(ValueError):
-            ModelPool(((gen, LinearEncoder(np.eye(1, 2)), "only"),))
-
-    def test_mismatched_code_dims(self):
-        sigma = SymMatrix(np.eye(2))
-        gen = matched_generator(sigma, np.array([[0.5], [0.0]]))
-        with pytest.raises(ValueError):
-            ModelPool(
-                (
-                    (gen, LinearEncoder(np.eye(1, 2)), "a"),
-                    (gen, LinearEncoder(np.eye(2)), "b"),
-                )
-            )
-
-    def test_mismatched_sample_dims(self):
-        gen_2 = matched_generator(SymMatrix(np.eye(2)), np.array([[0.5], [0.0]]))
-        gen_3 = matched_generator(SymMatrix(np.eye(3)), np.array([[0.5], [0.0], [0.0]]))
-        with pytest.raises(ValueError, match=r"sample dimension, got \[2, 3\]"):
-            ModelPool(
-                (
-                    (gen_2, LinearEncoder(np.eye(1, 2)), "a"),
-                    (gen_3, LinearEncoder(np.eye(1, 3)), "b"),
-                )
-            )
-
-    def test_accessors(self):
-        pool = _tiny_pool(3)
-        assert pool.size == 3
-        assert pool.labels == ("m0", "m1", "m2")
-        assert pool.encoder(1).weight[0, 0] == 2.0
 
 
 def _row_means(matrix: np.ndarray) -> np.ndarray:
@@ -110,7 +68,7 @@ class TestSimilarityMatrix:
     def test_hand_case(self):
         # the similarity matrix model_centrality returns holds B = (A + A^T) / 2
         pool = _tiny_pool(3)
-        b = model_centrality(pool, FAST_CFG, metric=_stub_metric(pool, HAND_SCORES))
+        b = model_centrality(*pool, FAST_CFG, 0, metric=_stub_metric(*pool, HAND_SCORES))
         assert b[0, 1] == b[1, 0] == 0.9
         assert b[0, 2] == b[2, 0] == 0.5
         assert b[1, 2] == b[2, 1] == 0.8
@@ -121,7 +79,7 @@ class TestSimilarityMatrix:
 class TestModelCentrality:
     def test_hand_case(self):
         pool = _tiny_pool(3)
-        b = model_centrality(pool, FAST_CFG, metric=_stub_metric(pool, HAND_SCORES))
+        b = model_centrality(*pool, FAST_CFG, 0, metric=_stub_metric(*pool, HAND_SCORES))
         scores, stderr = subsampled_centrality(b, fraction=1.0, trials=1)
         assert np.allclose(scores, [0.7, 0.85, 0.65], rtol=0.0, atol=1e-15)
         assert np.argmax(scores) == 1
@@ -130,13 +88,13 @@ class TestModelCentrality:
     def test_symmetrized_with_zero_diagonal(self):
         pool = _tiny_pool(9)
         table = {(i, j): 1.0 + i + 0.01 * j for i in range(9) for j in range(9) if i != j}
-        metric = _stub_metric(pool, table)
+        metric = _stub_metric(*pool, table)
         interval = sys.getswitchinterval()
         # frequent thread switches, so that a share lost or written twice shows
         sys.setswitchinterval(1e-6)
         try:
             for threads in (1, 5):
-                b = model_centrality(pool, FAST_CFG, metric=metric, threads=threads)
+                b = model_centrality(*pool, FAST_CFG, 0, metric=metric, threads=threads)
                 assert np.array_equal(np.diag(b), np.zeros(9))
                 for (i, j), value in table.items():
                     assert b[i, j] == b[j, i] == 0.5 * (value + table[(j, i)])
@@ -145,8 +103,8 @@ class TestModelCentrality:
 
     def test_identical_models_tie_break(self):
         pool = _tiny_pool(3)
-        metric = lambda enc, gen, cfg: 0.75
-        b = model_centrality(pool, FAST_CFG, metric=metric)
+        metric = lambda enc, gen, cfg, seed: 0.75
+        b = model_centrality(*pool, FAST_CFG, 0, metric=metric)
         scores, _ = subsampled_centrality(b)
         assert np.all(scores == 0.75)
         assert np.argmax(scores) == 0
@@ -158,14 +116,15 @@ class TestModelCentrality:
             for j in range(3):
                 if i != j:
                     table[(i, j)] = 0.2 if 2 in (i, j) else 0.9
-        scores = _row_means(model_centrality(pool, FAST_CFG, metric=_stub_metric(pool, table)))
+        b = model_centrality(*pool, FAST_CFG, 0, metric=_stub_metric(*pool, table))
+        scores = _row_means(b)
         assert scores[2] < scores[0]
         assert scores[2] < scores[1]
 
     def test_thread_count_does_not_change_output(self):
-        pool = noisy_linear_pool(SymMatrix(np.diag([4.0, 1.0, 0.25])), 2, [0.0, 0.3, 0.8], seed=1)
-        b1 = model_centrality(pool, FAST_CFG)
-        b3 = model_centrality(pool, FAST_CFG, threads=3)
+        pool = noisy_linear_pool(np.diag([4.0, 1.0, 0.25]), 2, [0.0, 0.3, 0.8], seed=1)
+        b1 = model_centrality(*pool, FAST_CFG, 0)
+        b3 = model_centrality(*pool, FAST_CFG, 0, threads=3)
         assert np.array_equal(b1, b3)
 
     def test_workers_capped_at_pair_count(self, monkeypatch):
@@ -189,34 +148,37 @@ class TestModelCentrality:
                 return future
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
-        pool = noisy_linear_pool(SymMatrix(np.diag([4.0, 1.0, 0.25])), 2, [0.0, 0.3], seed=1)
-        b1 = model_centrality(pool, FAST_CFG, threads=1)
-        many = model_centrality(pool, FAST_CFG, threads=100_000)
+        pool = noisy_linear_pool(np.diag([4.0, 1.0, 0.25]), 2, [0.0, 0.3], seed=1)
+        b1 = model_centrality(*pool, FAST_CFG, 0, threads=1)
+        many = model_centrality(*pool, FAST_CFG, 0, threads=100_000)
         # threads=1 makes no executor; a 2-model pool has 2 pairs
         assert requested == [2]
         assert np.array_equal(many, b1)
 
     def test_repeat_runs_identical(self):
-        pool = noisy_linear_pool(SymMatrix(np.diag([4.0, 1.0, 0.25])), 2, [0.0, 0.5], seed=2)
-        assert np.array_equal(model_centrality(pool, FAST_CFG), model_centrality(pool, FAST_CFG))
+        pool = noisy_linear_pool(np.diag([4.0, 1.0, 0.25]), 2, [0.0, 0.5], seed=2)
+        first = model_centrality(*pool, FAST_CFG, 0)
+        assert np.array_equal(first, model_centrality(*pool, FAST_CFG, 0))
 
 
 class TestCrossScore:
     def test_self_consistency(self):
-        pool = noisy_linear_pool(SymMatrix(np.diag([9.0, 4.0, 1.0, 0.25])), 3, [0.0, 0.5], seed=0)
-        cfg = FactorVaeConfig(groups_per_factor=20, group_size=20, reference_samples=1000, seed=3)
-        score = cross_score(pool.encoder(0), pool.generator(0), cfg)
+        generators, encoders = noisy_linear_pool(
+            np.diag([9.0, 4.0, 1.0, 0.25]), 3, [0.0, 0.5], seed=0
+        )
+        cfg = FactorVaeConfig(groups_per_factor=20, group_size=20, reference_samples=1000)
+        score = cross_score(encoders[0], generators[0], cfg, 3)
         assert score >= 0.99
 
     def test_chance_level(self):
-        sigma = SymMatrix(np.diag([9.0, 4.0, 1.0, 0.5, 0.25, 0.1, 0.05, 0.02]))
-        pool = noisy_linear_pool(sigma, 5, [0.0, 0.1], seed=0)
-        cfg = FactorVaeConfig(groups_per_factor=100, group_size=20, reference_samples=2000, seed=4)
+        sigma = np.diag([9.0, 4.0, 1.0, 0.5, 0.25, 0.1, 0.05, 0.02])
+        gen = noisy_linear_pool(sigma, 5, [0.0, 0.1], seed=0)[0][0]
+        cfg = FactorVaeConfig(groups_per_factor=100, group_size=20, reference_samples=2000)
         # rows over the three noise coordinates: W·B = 0, so the codes carry only noise
         weight = np.zeros((5, 8))
         weight[:, 5:] = np.random.default_rng(1).standard_normal((5, 3))
-        assert not (weight @ pool.generator(0).B).any()
-        score = cross_score(LinearEncoder(weight), pool.generator(0), cfg)
+        assert not (weight @ gen.B).any()
+        score = cross_score(LinearEncoder(weight), gen, cfg, 4)
         assert score <= 0.3
 
 
@@ -224,8 +186,8 @@ class TestSubsampledCentrality:
     def test_full_fraction_reproduces_centrality(self):
         pool = _tiny_pool(4)
         table = {(i, j): 0.1 * (i + 1) + 0.03 * j for i in range(4) for j in range(4) if i != j}
-        metric = _stub_metric(pool, table)
-        b = model_centrality(pool, FAST_CFG, metric=metric)
+        metric = _stub_metric(*pool, table)
+        b = model_centrality(*pool, FAST_CFG, 0, metric=metric)
         scores, stderr = subsampled_centrality(b, fraction=1.0, trials=25, seed=0)
         assert np.array_equal(scores, _row_means(b))
         assert np.array_equal(stderr, np.zeros(4))
@@ -234,8 +196,8 @@ class TestSubsampledCentrality:
         pool = _tiny_pool(6)
         rng = np.random.default_rng(7)
         table = {(i, j): float(rng.uniform(0.2, 1.0)) for i in range(6) for j in range(6) if i != j}
-        metric = _stub_metric(pool, table)
-        b = model_centrality(pool, FAST_CFG, metric=metric)
+        metric = _stub_metric(*pool, table)
+        b = model_centrality(*pool, FAST_CFG, 0, metric=metric)
         scores, stderr = subsampled_centrality(b, fraction=0.8, trials=100, seed=1)
         assert np.all(stderr > 0.0)
         assert np.all(np.abs(scores - _row_means(b)) <= 3.0 * stderr)
@@ -344,26 +306,26 @@ class TestUdrRelevance:
 
 class TestUdrPairScores:
     def _pool_and_samples(self):
-        sigma = SymMatrix(np.diag([4.0, 2.0, 1.0, 0.5]))
-        pool = noisy_linear_pool(sigma, 3, [0.0, 0.4, 1.0, 2.5], seed=5)
+        sigma = np.diag([4.0, 2.0, 1.0, 0.5])
+        _, encoders = noisy_linear_pool(sigma, 3, [0.0, 0.4, 1.0, 2.5], seed=5)
         samples = np.random.default_rng(5).multivariate_normal(
             np.zeros(4), np.asarray(sigma), size=300
         )
-        return pool, samples
+        return encoders, samples
 
     def test_entries_are_pairwise_relevance_scores(self):
-        pool, samples = self._pool_and_samples()
+        encoders, samples = self._pool_and_samples()
         for variant in ("lasso", "spearman"):
-            scores = udr_pair_scores(pool, samples, variant)
+            scores = udr_pair_scores(encoders, samples, variant)
             assert np.all(np.diag(scores) == 0.0)
-            for i in range(pool.size):
-                for j in range(pool.size):
+            for i, q_i in enumerate(encoders):
+                for j, q_j in enumerate(encoders):
                     if i != j:
-                        r = udr_relevance(pool.encoder(i), pool.encoder(j), samples, variant)
+                        r = udr_relevance(q_i, q_j, samples, variant)
                         assert scores[i, j] == pytest.approx(udr_score(r), abs=1e-12)
         # lasso relevance is not transpose-symmetric, so the loop above pins
         # which model's codes are the regression targets
-        lasso = udr_pair_scores(pool, samples, "lasso")
+        lasso = udr_pair_scores(encoders, samples, "lasso")
         assert np.abs(lasso - lasso.T).max() > 1e-3
 
     def test_matches_per_pair_loop_bit_for_bit(self):
@@ -371,30 +333,34 @@ class TestUdrPairScores:
         # numpy's summation order depends on memory layout, and reducing over
         # the strided spearman blocks moves some scores by 1.1e-16
         band = [5.0 * (0.45 / 5.0) ** (i / 9.0) for i in range(10)]
-        sigma = SymMatrix(np.diag(band + [0.28, 0.18, 0.08, 0.05, 0.03, 0.015]))
-        pool = noisy_linear_pool(sigma, 12, [0.0, 0.05, 0.1, 0.15], seed=1, noise_scale=2.4)
+        sigma = np.diag(band + [0.28, 0.18, 0.08, 0.05, 0.03, 0.015])
+        _, encoders = noisy_linear_pool(
+            sigma, 12, [0.0, 0.05, 0.1, 0.15], seed=1, noise_scale=2.4
+        )
         samples = np.random.default_rng(1).multivariate_normal(
             np.zeros(16), np.asarray(sigma), size=1000
         )
-        encoders = [pool.encoder(m) for m in range(pool.size)]
+        n = len(encoders)
         for variant in ("lasso", "spearman"):
             relevance = _pool_relevance(encoders, samples, variant, 0.01)
-            loop = np.zeros((pool.size, pool.size))
-            for i in range(pool.size):
-                for j in range(pool.size):
+            loop = np.zeros((n, n))
+            for i in range(n):
+                for j in range(n):
                     if i != j:
                         r = relevance[i, j]
                         rows = (r.max(axis=1) / (r.sum(axis=1) + UDR_EPS)).mean()
                         cols = (r.max(axis=0) / (r.sum(axis=0) + UDR_EPS)).mean()
                         loop[i, j] = 0.5 * (rows + cols)
-            assert np.array_equal(udr_pair_scores(pool, samples, variant), loop)
+            assert np.array_equal(udr_pair_scores(encoders, samples, variant), loop)
 
     def test_lasso_fits_are_exact(self, lasso_oracle, monkeypatch):
         # the udr design on the criterion-07 spectrum: each model's 12
         # standardized codes regressed on every other model's
         band = [5.0 * (0.45 / 5.0) ** (i / 9.0) for i in range(10)]
-        sigma = SymMatrix(np.diag(band + [0.28, 0.18, 0.08, 0.05, 0.03, 0.015]))
-        pool = noisy_linear_pool(sigma, 12, [0.0, 0.05, 0.1, 0.15], seed=0, noise_scale=2.4)
+        sigma = np.diag(band + [0.28, 0.18, 0.08, 0.05, 0.03, 0.015])
+        _, encoders = noisy_linear_pool(
+            sigma, 12, [0.0, 0.05, 0.1, 0.15], seed=0, noise_scale=2.4
+        )
         samples = np.random.default_rng(0).multivariate_normal(
             np.zeros(16), np.asarray(sigma), size=1000
         )
@@ -406,7 +372,7 @@ class TestUdrPairScores:
             return w
 
         monkeypatch.setattr(selection, "lasso_gram_fit", recording)
-        udr_pair_scores(pool, samples, "lasso")
+        udr_pair_scores(encoders, samples, "lasso")
         ((gram, cross, lam, w),) = calls
         assert gram.shape == (4, 12, 12) and cross.shape == (4, 12, 36)
         lasso_oracle(gram, cross, lam, w)
@@ -463,32 +429,32 @@ class TestUdrScore:
 
 class TestUdrSelect:
     def test_identical_models(self):
-        sigma = SymMatrix(np.diag([4.0, 1.0, 0.25]))
-        pool = noisy_linear_pool(sigma, 2, [0.0, 0.0, 0.0], seed=0)
+        sigma = np.diag([4.0, 1.0, 0.25])
+        _, encoders = noisy_linear_pool(sigma, 2, [0.0, 0.0, 0.0], seed=0)
         samples = np.random.default_rng(0).multivariate_normal(
             np.zeros(3), np.asarray(sigma), size=300
         )
-        scores, _ = udr_select(udr_pair_scores(pool, samples, "spearman"))
+        scores, _ = udr_select(udr_pair_scores(encoders, samples, "spearman"))
         assert np.argmax(scores) == 0
         assert np.all(scores > 0.95)
 
     def test_noise_model_lowest(self):
-        sigma = SymMatrix(np.diag([4.0, 1.0, 0.25]))
-        pool = noisy_linear_pool(sigma, 2, [0.0, 0.0, 3.0], seed=1)
+        sigma = np.diag([4.0, 1.0, 0.25])
+        _, encoders = noisy_linear_pool(sigma, 2, [0.0, 0.0, 3.0], seed=1)
         samples = np.random.default_rng(1).multivariate_normal(
             np.zeros(3), np.asarray(sigma), size=400
         )
         for variant in ("lasso", "spearman"):
-            scores, _ = udr_select(udr_pair_scores(pool, samples, variant))
+            scores, _ = udr_select(udr_pair_scores(encoders, samples, variant))
             assert np.argmin(scores) == 2
 
     def test_minimal_pool(self):
-        sigma = SymMatrix(np.diag([4.0, 1.0]))
-        pool = noisy_linear_pool(sigma, 1, [0.0, 0.2], seed=2)
+        sigma = np.diag([4.0, 1.0])
+        _, encoders = noisy_linear_pool(sigma, 1, [0.0, 0.2], seed=2)
         samples = np.random.default_rng(2).multivariate_normal(
             np.zeros(2), np.asarray(sigma), size=100
         )
-        scores, stderr = udr_select(udr_pair_scores(pool, samples, "spearman"))
+        scores, stderr = udr_select(udr_pair_scores(encoders, samples, "spearman"))
         assert scores.shape == stderr.shape == (2,)
 
 
@@ -529,45 +495,44 @@ class TestRankCorrelationAnalysis:
 
 class TestNoisyLinearPool:
     def test_zero_level_matches_exact_map(self):
-        sigma = SymMatrix(np.diag([9.0, 4.0, 1.0]))
-        pool = noisy_linear_pool(sigma, 2, [0.0, 0.5], seed=0)
-        gen = pool.generator(0)
+        sigma = np.diag([9.0, 4.0, 1.0])
+        generators, encoders = noisy_linear_pool(sigma, 2, [0.0, 0.5], seed=0)
+        gen = generators[0]
         exact = gen.B.T @ np.linalg.inv(np.asarray(sigma))
-        assert pool.encoder(0).weight == pytest.approx(exact, abs=1e-12)
-        assert pool.labels == ("noise_0", "noise_0.5")
+        assert encoders[0].weight == pytest.approx(exact, abs=1e-12)
+        assert len(generators) == len(encoders) == 2
 
     def test_generator_is_top_r(self):
-        sigma = SymMatrix(np.diag([9.0, 4.0, 1.0]))
-        pool = noisy_linear_pool(sigma, 2, [0.0, 0.1], seed=0)
-        gen = pool.generator(1)
+        sigma = np.diag([9.0, 4.0, 1.0])
+        gen = noisy_linear_pool(sigma, 2, [0.0, 0.1], seed=0)[0][1]
         bbt = gen.B @ gen.B.T
         assert bbt == pytest.approx(np.asarray(rank_r_truncation(sigma, 2)), abs=1e-10)
 
     def test_noise_grows_with_level(self):
-        sigma = SymMatrix(np.diag([9.0, 4.0, 1.0]))
-        pool = noisy_linear_pool(sigma, 2, [0.0, 0.1, 0.9], seed=3)
-        base = pool.encoder(0).weight
-        d1 = np.linalg.norm(pool.encoder(1).weight - base)
-        d2 = np.linalg.norm(pool.encoder(2).weight - base)
+        sigma = np.diag([9.0, 4.0, 1.0])
+        _, encoders = noisy_linear_pool(sigma, 2, [0.0, 0.1, 0.9], seed=3)
+        base = encoders[0].weight
+        d1 = np.linalg.norm(encoders[1].weight - base)
+        d2 = np.linalg.norm(encoders[2].weight - base)
         assert 0.0 < d1 < d2
 
     def test_noise_scale_multiplies_perturbation(self):
-        sigma = SymMatrix(np.diag([9.0, 4.0, 1.0]))
-        base = noisy_linear_pool(sigma, 2, [0.0, 0.4], seed=7)
-        wide = noisy_linear_pool(sigma, 2, [0.0, 0.4], seed=7, noise_scale=3.0)
-        clean = base.encoder(0).weight
-        assert np.array_equal(wide.encoder(0).weight, clean)
-        delta_base = base.encoder(1).weight - clean
-        wide_delta = wide.encoder(1).weight - clean
+        sigma = np.diag([9.0, 4.0, 1.0])
+        _, base = noisy_linear_pool(sigma, 2, [0.0, 0.4], seed=7)
+        _, wide = noisy_linear_pool(sigma, 2, [0.0, 0.4], seed=7, noise_scale=3.0)
+        clean = base[0].weight
+        assert np.array_equal(wide[0].weight, clean)
+        delta_base = base[1].weight - clean
+        wide_delta = wide[1].weight - clean
         assert wide_delta == pytest.approx(3.0 * delta_base, rel=1e-12)
 
     def test_zero_noise_scale_keeps_exact_map_at_any_level(self):
-        sigma = SymMatrix(np.diag([4.0, 1.0]))
-        pool = noisy_linear_pool(sigma, 1, [0.0, 0.9], seed=2, noise_scale=0.0)
-        assert np.array_equal(pool.encoder(1).weight, pool.encoder(0).weight)
+        sigma = np.diag([4.0, 1.0])
+        _, encoders = noisy_linear_pool(sigma, 1, [0.0, 0.9], seed=2, noise_scale=0.0)
+        assert np.array_equal(encoders[1].weight, encoders[0].weight)
 
     def test_deterministic(self):
-        sigma = SymMatrix(np.diag([4.0, 1.0]))
-        a = noisy_linear_pool(sigma, 1, [0.3, 0.6], seed=5)
-        b = noisy_linear_pool(sigma, 1, [0.3, 0.6], seed=5)
-        assert np.array_equal(a.encoder(1).weight, b.encoder(1).weight)
+        sigma = np.diag([4.0, 1.0])
+        _, a = noisy_linear_pool(sigma, 1, [0.3, 0.6], seed=5)
+        _, b = noisy_linear_pool(sigma, 1, [0.3, 0.6], seed=5)
+        assert np.array_equal(a[1].weight, b[1].weight)
