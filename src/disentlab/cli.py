@@ -332,7 +332,6 @@ def cmd_metrics(args) -> tuple[int, dict[str, bytes]]:
     from .metrics import (
         LASSO_LAMBDA,
         FactorDataset,
-        MetricReport,
         dci_disentanglement,
         dhsic,
         factorvae_metric,
@@ -370,25 +369,24 @@ def cmd_metrics(args) -> tuple[int, dict[str, bytes]]:
                 f"but the model has d = {gen.d}"
             )
 
-    reports = []
+    scores, files = [], {}
     for name in names:
         if name == "factorvae":
-            report = factorvae_metric(gen, enc, factorvae_cfg, args.seed)
+            score, accuracy, _ = factorvae_metric(gen, enc, factorvae_cfg, args.seed)
+            detail = [[f"factor_{i}_accuracy", _fmt(v)] for i, v in enumerate(accuracy)]
         elif name == "dci":
-            report = dci_disentanglement(ds, enc, lasso_lambda=dci_cfg["lasso_lambda"])
+            score, per_code, _ = dci_disentanglement(ds, enc, lasso_lambda=dci_cfg["lasso_lambda"])
+            detail = [[f"code_{i}_disentanglement", _fmt(per_code[i])]
+                      for i in np.flatnonzero(np.isfinite(per_code))]
         else:
-            report = MetricReport("dhsic", dhsic(enc.encode(ds.samples)))
-        reports.append(report)
-    files = {}
-    for name, report in zip(names, reports):
-        detail = [[key, _fmt(value)] for key, value in report.detail] or [["", ""]]
-        files[f"{name}.csv"] = _csv(
-            ["metric", "score", "detail_key", "detail_value"],
-            [[report.name, _fmt(report.score), *row] for row in detail],
-        )
-    files["summary.csv"] = _csv(["metric", "score"], [[r.name, _fmt(r.score)] for r in reports])
-    for r in reports:
-        print(f"{r.name}: {_fmt(r.score)}")
+            score, detail = dhsic(enc.encode(ds.samples)), [["", ""]]
+        scores.append(score)
+        files[f"{name}.csv"] = _csv(["metric", "score", "detail_key", "detail_value"],
+                                    [[name, _fmt(score), *row] for row in detail])
+    files["summary.csv"] = _csv(["metric", "score"],
+                                [[name, _fmt(score)] for name, score in zip(names, scores)])
+    for name, score in zip(names, scores):
+        print(f"{name}: {_fmt(score)}")
     return EXIT_OK, files
 
 

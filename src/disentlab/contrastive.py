@@ -9,8 +9,8 @@ verifies the identity numerically.
 train_discriminator runs that ascent for many families at once, in one
 padded (F, k_max, m_max) stack that drops each family when its own stop rule
 fires. Every family's logits and step count are bit for bit those of a call
-with that family alone, and each result says how its ascent ended: steps
-taken, final max|grad|, and whether it converged or hit the step cap.
+with that family alone, and per family it returns how its ascent ended:
+steps taken, final max|grad|, and whether it converged or hit the step cap.
 js_identity_values then gives both sides of the identity and the trained
 objective for the whole list in one call, one stack per (k, m) shape.
 """
@@ -66,16 +66,6 @@ class DiscreteDistributionFamily:
     @property
     def support_size(self) -> int:
         return self.probs.shape[1]
-
-
-@dataclass(frozen=True)
-class TrainedDiscriminator:
-    """One family's trained logits and how its ascent ended."""
-
-    logits: np.ndarray  # (m, k): row x holds support point x's logit of each class
-    iterations: int  # gradient steps taken
-    grad_max: float  # largest |gradient| entry at the returned logits
-    converged: bool  # grad_max met the stop rule within the iters cap
 
 
 def _softmax(logits: np.ndarray, axis: int = 1) -> np.ndarray:
@@ -137,8 +127,13 @@ def train_discriminator(
     families: Sequence[DiscreteDistributionFamily],
     iters: int = 30_000,
     step: float = DISCRIMINATOR_STEP,
-) -> list[TrainedDiscriminator]:
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
     """Full-batch gradient ascent on the logits of each family's discrimination objective.
+
+    Returns each family's (m, k) logits, row x holding support point x's
+    logit of each class, and three (F,) arrays: the gradient steps taken,
+    the largest |gradient| entry at the returned logits, and whether that
+    met the stop rule within the iters cap.
 
     Each support point x ascends at its own 1/L: its logits move by
     step·k/z_x times the gradient, that is by step·(q_x/z_x - softmax_x),
@@ -172,9 +167,11 @@ def train_discriminator(
     if not 0.0 < step < math.inf:  # written so that nan fails
         raise ValueError(f"step must be positive and finite, got {step!r}")
     families = list(families)
-    if not families:
-        return []
     f = len(families)
+    tables: list = [None] * f  # each family's (m, k) logits, filled in as it stops
+    taken, final_grad, met = np.zeros(f, dtype=int), np.zeros(f), np.zeros(f, dtype=bool)
+    if not families:
+        return tables, taken, final_grad, met
     k_max = max(fam.k for fam in families)
     m_max = max(fam.support_size for fam in families)
     q = np.zeros((f, k_max, m_max))
@@ -190,7 +187,6 @@ def train_discriminator(
     run = np.arange(f)
     last = np.full(f, -math.inf)
     drops = np.zeros(f, dtype=int)
-    results: list[TrainedDiscriminator | None] = [None] * f
     for it in range(iters + 1):
         grad = (q - z * _softmax(logits)) / k
         grad_max = np.abs(grad).max(axis=(1, 2))
@@ -199,10 +195,9 @@ def train_discriminator(
         if np.any(stop):
             for row in np.flatnonzero(stop):
                 fam = families[run[row]]
-                table = logits[row, : fam.k, : fam.support_size].T.copy()
-                results[run[row]] = TrainedDiscriminator(
-                    table, it, float(grad_max[row]), bool(converged[row])
-                )
+                tables[run[row]] = logits[row, : fam.k, : fam.support_size].T.copy()
+            out = run[stop]
+            taken[out], final_grad[out], met[out] = it, grad_max[stop], converged[stop]
             keep = ~stop
             if not np.any(keep):
                 break
@@ -220,4 +215,4 @@ def train_discriminator(
                     f"({float(last[row])!r} -> {float(value[row])!r})"
                 )
             last = value
-    return results
+    return tables, taken, final_grad, met

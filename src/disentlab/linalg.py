@@ -33,11 +33,13 @@ def symmetrized(m) -> np.ndarray:
     """(M + Mᵀ)/2 of a matrix, or of each matrix in a stack, formed as M/2 + Mᵀ/2.
 
     Halving first cannot overflow where M + Mᵀ would, and outside the
-    subnormal range it gives the same bits as halving the sum. A second pass
-    is not idempotent there: it turns an off-diagonal 1-ulp subnormal into 0.
+    subnormal range it gives the same bits as halving the sum. An entry
+    whose mirror has the same bits is kept as it is, so a symmetric matrix,
+    subnormals included, comes back unchanged and the map is idempotent.
     """
-    half = 0.5 * np.asarray(m, dtype=float)
-    return half + np.swapaxes(half, -1, -2)
+    a = np.asarray(m, dtype=float)
+    t = np.swapaxes(a, -1, -2)
+    return np.where(a.view(np.int64) == t.view(np.int64), a, 0.5 * a + 0.5 * t)
 
 
 class Eigendecomposition(NamedTuple):

@@ -116,21 +116,6 @@ class LinearGenerator:
 
 
 @dataclass(frozen=True)
-class BiasDecomposition:
-    """Split of the recognition objective into information and bias terms.
-
-    All quantities are in nats. The identity
-    info_loss == mutual_information - latent_entropy - implicit_bias
-    holds whenever the conditional covariance is nonsingular.
-    """
-
-    mutual_information: float
-    latent_entropy: float
-    implicit_bias: float
-    info_loss: float
-
-
-@dataclass(frozen=True)
 class TheoremReport:
     """Optimizer outcome summary against the known closed-form maximizers."""
 
@@ -259,7 +244,7 @@ def _objectives(sigma: np.ndarray, eig: Eigendecomposition, b: np.ndarray) -> np
 
 def _decompositions(
     sigma: np.ndarray, eig: Eigendecomposition, b: np.ndarray
-) -> list[BiasDecomposition]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The bias decomposition of each case of a stack, from its Σ eigendecomposition."""
     r = b.shape[2]
     losses = _objectives(sigma, eig, b)
@@ -274,16 +259,15 @@ def _decompositions(
     log_w = np.log(w)
     mis = -0.5 * log_w.sum(axis=1)
     biases = 0.5 * (w.sum(axis=1) - r - log_w.sum(axis=1))
-    entropy = 0.5 * r * (1.0 + LOG_2PI)
-    return [
-        BiasDecomposition(mi, entropy, bias, loss)
-        for mi, bias, loss in zip(mis.tolist(), biases.tolist(), losses.tolist())
-    ]
+    entropy = np.full(len(b), 0.5 * r * (1.0 + LOG_2PI))
+    return mis, entropy, biases, losses
 
 
-def bias_decompositions(sigma, b_tilde) -> list[BiasDecomposition]:
+def bias_decompositions(sigma, b_tilde) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """bias_decomposition of the matched generator B = Σ^{1/2} B̃ of each case of a stack.
 
+    Returns four (F,) arrays: mutual_information, latent_entropy,
+    implicit_bias and info_loss, as bias_decomposition defines them.
     sigma is an (F, d, d) stack, symmetrized on entry as LinearGenerator does, and
     b_tilde an (F, d, r) stack with 1 <= r <= d. Each Σ is decomposed once,
     and that one eigendecomposition gives Σ^{1/2}, both routes of the
@@ -307,11 +291,11 @@ def bias_decompositions(sigma, b_tilde) -> list[BiasDecomposition]:
     return _decompositions(sigma, eig, b)
 
 
-def bias_decomposition(gen: LinearGenerator) -> BiasDecomposition:
-    """Split the recognition objective into information and bias terms.
+def bias_decomposition(gen: LinearGenerator) -> tuple[float, float, float, float]:
+    """Split the recognition objective into information and bias terms, in nats.
 
-    mutual_information = -(1/2)·log det S, latent_entropy = (r/2)(1 + log 2π),
-    implicit_bias = KL(N(0,S) ‖ N(0,I)) ≥ 0, and
+    Returns mutual_information = -(1/2)·log det S, latent_entropy =
+    (r/2)(1 + log 2π), implicit_bias = KL(N(0,S) ‖ N(0,I)) ≥ 0, and
     info_loss = mutual_information - latent_entropy - implicit_bias, which
     equals the recognition objective (1/2)·‖Σ^{-1/2} B‖_F² - (r/2)(1 + log 2π).
 
@@ -319,7 +303,7 @@ def bias_decomposition(gen: LinearGenerator) -> BiasDecomposition:
     diverge, which raises DegenerateConditional.
     """
     sigma = gen.sigma[None]
-    return _decompositions(sigma, _pd_eig(sigma), gen.B[None])[0]
+    return tuple(float(a[0]) for a in _decompositions(sigma, _pd_eig(sigma), gen.B[None]))
 
 
 def _cr_values(g: np.ndarray) -> np.ndarray:
@@ -411,9 +395,7 @@ def optimize_generators(
     its eigenvectors in one greedy pass over the stack. A singular Σ, a
     failed SVD and an objective or gradient that overflows float64, which
     raises NumericFailure, each name their run when the stack holds more
-    than one. Each Σ is symmetrized once: the stack on entry, and each
-    result's generator from its run's own Σ, since a second pass would zero
-    an off-diagonal subnormal.
+    than one.
     """
     runs = list(runs)
     f = len(runs)
@@ -527,8 +509,8 @@ def optimize_generators(
     w_matched = np.take_along_axis(eig.eigenvalues, perms, axis=1)
     norm_errors = np.abs(np.sum(maps * maps, axis=1) - w_matched)
     results = []
-    for (sigma, _), b, a, gap, perm, align, errors, history, stop, rejected in zip(
-        runs, maps, noise, gaps, perms.tolist(), aligns, norm_errors, histories, stops, backtracks
+    for sigma, b, a, gap, perm, align, errors, history, stop, rejected in zip(
+        sigmas, maps, noise, gaps, perms.tolist(), aligns, norm_errors, histories, stops, backtracks
     ):
         report = TheoremReport(
             orthonormality_residual=float(np.linalg.norm(gap)),

@@ -6,7 +6,8 @@ Lasso-importance disentanglement (DCI) and the kernel independence score
 dHSIC work on plain arrays: the encoder's codes of a factor dataset. One
 Spearman kernel over columns of fractional ranks serves spearman_rho,
 UDR-Spearman and the rank-correlation analysis, and one Lasso solver
-(lasso.py) serves DCI and UDR-Lasso.
+(lasso.py) serves DCI and UDR-Lasso. The vote metric and DCI return their
+score with plain arrays, per factor or per code, that the CLI names.
 """
 from __future__ import annotations
 
@@ -176,20 +177,6 @@ class GeneratorSampler:
 
 
 # ---------------------------------------------------------------------------
-# reports
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Named scalar score with optional per-dimension breakdown and pair matrix."""
-
-    name: str
-    score: float
-    detail: tuple[tuple[str, float], ...] = ()
-    matrix: np.ndarray | None = None
-
-
-# ---------------------------------------------------------------------------
 # vote-based factor metric
 
 
@@ -212,7 +199,7 @@ class FactorVaeConfig:
 
 def factorvae_metric(
     gen: LinearGenerator, enc: LinearEncoder, cfg: FactorVaeConfig, seed: int
-) -> MetricReport:
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Majority-vote factor classification accuracy from argmin-variance votes.
 
     Per group (one factor fixed), every member is encoded, each code dimension
@@ -220,7 +207,9 @@ def factorvae_metric(
     dimension with the smallest normalized variance. A majority classifier
     maps each vote to the factor it most frequently co-occurs with; the score
     is that classifier's accuracy. Dimensions whose reference variance falls
-    below the floor are excluded from voting.
+    below the floor are excluded from voting. Returns the score, each
+    factor's (r,) share of its groups that the classifier gets right, and
+    the (k, r) votes of each code for each factor.
 
     The codes weight·(B c + A z) are formed straight from the latent draws,
     through the k×r map W·B and the k×d map W·A, without forming samples.
@@ -271,11 +260,7 @@ def factorvae_metric(
     votes = np.bincount(choice.ravel(), minlength=k * r).reshape(r, k).T.astype(float)
     score = float(votes.max(axis=1).sum() / votes.sum())
     per_factor = np.bincount(votes.argmax(axis=1), weights=votes.max(axis=1), minlength=r)
-    detail = tuple(
-        (f"factor_{i}_accuracy", float(per_factor[i] / cfg.groups_per_factor))
-        for i in range(r)
-    )
-    return MetricReport("factorvae", score, detail, votes)
+    return score, per_factor / cfg.groups_per_factor, votes
 
 
 def _latent_reference(r: int, d: int, n: int, rng: np.random.Generator):
@@ -318,13 +303,14 @@ def _standardize_columns(m: np.ndarray) -> np.ndarray:
 
 def dci_disentanglement(
     ds: FactorDataset, enc: LinearEncoder, lasso_lambda: float = LASSO_LAMBDA
-) -> MetricReport:
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Disentanglement from Lasso relevance: D_i = 1 - H(W_i), H in base k̂.
 
     R[i, j] is the absolute Lasso coefficient of code i when regressing
     (standardized) factor j on all (standardized) codes; W normalizes each
     code's row. Codes with an all-zero relevance row carry no information and
-    are excluded from the average with a warning.
+    are excluded from the average with a warning. Returns the score, each
+    code's (k,) D_i, NaN for an excluded code, and the (k, k̂) relevance R.
     """
     k_hat = ds.n_factors
     if k_hat < 2:
@@ -345,13 +331,9 @@ def dci_disentanglement(
         warnings.warn(f"codes {dead} have all-zero relevance rows and are excluded")
     w = relevance[live] / row_sum[live, None]
     entropy = np.where(w > 0.0, -w * np.log(np.where(w > 0.0, w, 1.0)), 0.0).sum(axis=1)
-    per_code = 1.0 - entropy / math.log(k_hat)
-    score = float(per_code.mean())
-    live_idx = [i for i in range(k) if live[i]]
-    detail = tuple(
-        (f"code_{i}_disentanglement", float(d)) for i, d in zip(live_idx, per_code)
-    )
-    return MetricReport("dci", score, detail, relevance)
+    per_code = np.full(k, np.nan)
+    per_code[live] = 1.0 - entropy / math.log(k_hat)
+    return float(per_code[live].mean()), per_code, relevance
 
 
 # ---------------------------------------------------------------------------

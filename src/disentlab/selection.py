@@ -45,7 +45,7 @@ def cross_score(
     The generator's own latent codes act as ground-truth factors, so the value
     measures how well enc recovers the code structure of gen.
     """
-    return factorvae_metric(gen, enc, cfg, seed).score
+    return factorvae_metric(gen, enc, cfg, seed)[0]
 
 
 def _pair_seed(master: int, i: int, j: int) -> int:

@@ -104,12 +104,12 @@ def _js_families(seed, suites) -> list[DiscreteDistributionFamily]:
 def _js_identity(seed, suites, opt, thresholds, ascents):
     """The best discrimination value is the mixture divergence minus log k; ascent attains it."""
     families = _js_families(seed, suites)
-    trained = train_discriminator(families)
-    values = js_identity_values(families, [ascent.logits for ascent in trained])
-    for f_idx, (family, ascent, best, js, fit) in enumerate(zip(families, trained, *values)):
+    logits, steps, grad_max, converged = train_discriminator(families)
+    rows = zip(families, steps.tolist(), grad_max.tolist(), converged.tolist(),
+               *js_identity_values(families, logits))
+    for f_idx, (family, n_steps, grad, ok, best, js, fit) in enumerate(rows):
         case = f"family{f_idx:03d}"
-        ascents.append(["js_identity", case, str(ascent.iterations), "", "",
-                        _fmt(ascent.grad_max), str(ascent.converged).lower()])
+        ascents.append(["js_identity", case, str(n_steps), "", "", _fmt(grad), str(ok).lower()])
         yield (case, "identity_gap", abs(best - (js - math.log(family.k))),
                thresholds["js_identity_gap"])
         yield case, "training_gap", best - fit, thresholds["js_training_gap"]
@@ -124,13 +124,11 @@ def _bias_identity(seed, suites, opt, thresholds, ascents):
     m, bt = map(np.stack, zip(*draws))
     bt *= 0.9 / np.linalg.svd(bt, compute_uv=False)[:, :1, None]
     decs = bias_decompositions(m @ m.transpose(0, 2, 1) + 0.5 * np.eye(d), bt)
-    for c_idx, dec in enumerate(decs):
+    for c_idx, (mi, entropy, bias, loss) in enumerate(zip(*(a.tolist() for a in decs))):
         case = f"case{c_idx:03d}"
-        split = dec.mutual_information - dec.latent_entropy - dec.implicit_bias
-        yield (case, "decomposition_residual", abs(dec.info_loss - split),
+        yield (case, "decomposition_residual", abs(loss - (mi - entropy - bias)),
                thresholds["decomposition_residual"])
-        yield (case, "bias_negative_part", max(0.0, -dec.implicit_bias),
-               thresholds["bias_negative_part"])
+        yield case, "bias_negative_part", max(0.0, -bias), thresholds["bias_negative_part"]
 
 
 # Counts are at least 1, a family needs two classes and two support points,

@@ -140,8 +140,7 @@ def test_criterion_03_discriminator_objective_identity():
         p = rng.uniform(0.2, 1.0, (k, m))
         p /= p.sum(axis=1, keepdims=True)
         fams.append(DiscreteDistributionFamily(p))
-    ascents = train_discriminator(fams)
-    best, js, trained = js_identity_values(fams, [a.logits for a in ascents])
+    best, js, trained = js_identity_values(fams, train_discriminator(fams)[0])
     log_k = np.array([math.log(fam.k) for fam in fams])
     worst_identity = float(np.abs(best - (js - log_k)).max())
     worst_training = float((best - trained).max())
@@ -168,12 +167,9 @@ def test_criterion_04_information_decomposition():
         bt = rng.standard_normal((d, r))
         bt *= 0.9 / np.linalg.svd(bt, compute_uv=False)[0]
         gen = matched_generator(sigma, spd_sqrt(sigma) @ bt)
-        dec = bias_decomposition(gen)
-        worst_resid = max(
-            worst_resid,
-            abs(dec.info_loss - (dec.mutual_information - dec.latent_entropy - dec.implicit_bias)),
-        )
-        min_bias = min(min_bias, dec.implicit_bias)
+        mi, entropy, bias, loss = bias_decomposition(gen)
+        worst_resid = max(worst_resid, abs(loss - (mi - entropy - bias)))
+        min_bias = min(min_bias, bias)
         # Monte Carlo oracle for the closed-form loss: the optimal factorized
         # readout is the unit-variance Gaussian around the posterior mean.
         n = 100_000
@@ -183,7 +179,7 @@ def test_criterion_04_information_decomposition():
         w = posterior(gen)
         vals = -0.5 * r * LOG_2PI - 0.5 * ((c - x @ w.T) ** 2).sum(axis=1)
         se = vals.std(ddof=1) / math.sqrt(n)
-        worst_z = max(worst_z, abs(vals.mean() - dec.info_loss) / se)
+        worst_z = max(worst_z, abs(vals.mean() - loss) / se)
     ok = worst_resid <= 1e-10 and min_bias >= 0.0 and worst_z < 3.0
     _report(
         4,
@@ -205,18 +201,18 @@ def test_criterion_05_factorvae_metric_sanity():
     a[np.arange(5, 8), np.arange(5, 8)] = np.sqrt(lam[5:])
     gen = LinearGenerator(b, a, np.diag(lam))
     base = np.eye(5, 8) / np.sqrt(lam[:5, None])  # code i reads x_i/√λ_i = c_i
-    perfect = factorvae_metric(gen, LinearEncoder(base), FactorVaeConfig(), 0).score
+    perfect = factorvae_metric(gen, LinearEncoder(base), FactorVaeConfig(), 0)[0]
     # rows over the noise coordinates: W·B = 0, so the codes carry only noise
     noise = np.zeros((5, 8))
     noise[:, 5:] = np.random.default_rng(0).standard_normal((5, 3))
-    chance = factorvae_metric(gen, LinearEncoder(noise), FactorVaeConfig(), 0).score
+    chance = factorvae_metric(gen, LinearEncoder(noise), FactorVaeConfig(), 0)[0]
     rng = np.random.default_rng(5)
     transform_scores = []
     for _ in range(20):
         perm = rng.permutation(5)
         scales = rng.uniform(0.1, 10.0, 5)
         enc = LinearEncoder(scales[:, None] * base[perm])  # diag(s)·P·W
-        transform_scores.append(factorvae_metric(gen, enc, FactorVaeConfig(), 0).score)
+        transform_scores.append(factorvae_metric(gen, enc, FactorVaeConfig(), 0)[0])
     invariant = all(score == 1.0 for score in transform_scores)
     ok = perfect == 1.0 and chance <= 0.3 and invariant
     _report(

@@ -21,6 +21,7 @@ import pytest
 import disentlab
 from disentlab import cli
 from disentlab.cli import _score_labels, main
+from disentlab.lingauss import LinearGenerator
 from disentlab.metrics import FactorDataset
 from disentlab.verify import SUITES, THRESHOLDS
 from support import read_pgm
@@ -436,6 +437,16 @@ class TestOptimize:
         model = json.loads((out / "model.json").read_text())
         assert model["sigma"] == [1.0, 5e-324, 5e-324, 1.0]
 
+    def test_subnormal_sigma_reads_back_as_written(self, tmp_path):
+        # the stored Σ is already symmetric, so loading it keeps the subnormal
+        sigma = tmp_path / "s.csv"
+        sigma.write_text("1,5e-324\n1e-323,1\n")
+        out = tmp_path / "opt"
+        assert main(["optimize", "--r", "1", "--sigma", str(sigma), "--out", str(out)]) == 0
+        model = json.loads((out / "model.json").read_text())
+        back = LinearGenerator.from_dict(model).sigma
+        assert back.ravel().tolist() == [1.0, 5e-324, 5e-324, 1.0]
+
     def test_infogan_reaches_closed_form_optimum(self, tmp_path):
         out = tmp_path / "opt"
         args = ["optimize", "--objective", "infogan", "--r", "2",
@@ -595,6 +606,23 @@ class TestMetrics:
             b"factorvae,1,factor_0_accuracy,1\n"
             b"factorvae,1,factor_1_accuracy,1\n"
         )
+
+    def test_dead_code_has_no_dci_row(self, model_dir, data_dir, tmp_path):
+        # A zero encoder row never votes and has an all-zero relevance row:
+        # factorvae.csv still lists every factor, dci.csv leaves that code out.
+        model = json.loads((model_dir / "model.json").read_text())
+        model["encoder"][model["d"]:] = [0.0] * model["d"]  # code 1 of r = 2
+        path = _write_json(tmp_path / "model.json", model)
+        out = tmp_path / "met"
+        config = _write_json(tmp_path / "cfg.json", SMALL_FACTORVAE)
+        args = ["metrics", "--model", path, "--data", str(data_dir),
+                "--metrics", "factorvae,dci", "--out", str(out), "--config", config]
+        with pytest.warns(UserWarning, match=r"^codes \[1\] have all-zero relevance rows"):
+            assert main(args) == 0
+        factorvae = _read_rows(out / "factorvae.csv")[1:]
+        assert [row[2] for row in factorvae] == ["factor_0_accuracy", "factor_1_accuracy"]
+        dci = _read_rows(out / "dci.csv")[1:]
+        assert [row[2] for row in dci] == ["code_0_disentanglement"]
 
     def test_dhsic_csv_has_an_empty_detail_row(self, model_dir, data_dir, tmp_path):
         out = tmp_path / "met"

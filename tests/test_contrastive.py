@@ -150,23 +150,35 @@ def _loop_ascent(
     return logits, iters
 
 
+def _train_one(family: DiscreteDistributionFamily, **kwargs) -> tuple:
+    """train_discriminator of one family: its logits, steps, final max|grad| and convergence."""
+    (logits,), *ends = train_discriminator([family], **kwargs)
+    return (logits, *(a.item() for a in ends))
+
+
+def _per_family(trained) -> list[tuple]:
+    """train_discriminator's result split into one (logits, steps, grad_max, converged) each."""
+    logits, *ends = trained
+    return list(zip(logits, *(a.tolist() for a in ends)))
+
+
 class TestTrainDiscriminator:
     def test_matches_analytic_maximum(self):
         # The optimum here sits on the simplex boundary (Q1 has a zero entry),
         # where logit ascent closes the gap only at O(1/iters).
         fam = _hand_family()
-        (trained,) = train_discriminator([fam], iters=20_000)
-        val = cross_entropy_objective(fam, trained.logits)
+        logits, steps, _, converged = _train_one(fam, iters=20_000)
+        val = cross_entropy_objective(fam, logits)
         assert val == pytest.approx(CE_HAND, abs=1e-4)
         assert val <= CE_HAND + 1e-9
-        assert not trained.converged and trained.iterations == 20_000
+        assert not converged and steps == 20_000
 
     def test_outputs_match_normalized_densities(self):
         rng = np.random.default_rng(4)
         fam = _random_family(rng, k=3, m=5)
-        (trained,) = train_discriminator([fam], iters=20_000)
+        logits = _train_one(fam, iters=20_000)[0]
         target = discriminator_probs(optimal_discriminator(fam))
-        assert discriminator_probs(trained.logits) == pytest.approx(target, abs=1e-5)
+        assert discriminator_probs(logits) == pytest.approx(target, abs=1e-5)
 
     def test_gap_shrinks_across_random_families(self):
         rng = np.random.default_rng(5)
@@ -174,19 +186,21 @@ class TestTrainDiscriminator:
             _random_family(rng, k=int(rng.integers(2, 5)), m=int(rng.integers(3, 8)))
             for _ in range(5)
         ]
-        for fam, trained in zip(fams, train_discriminator(fams, iters=20_000)):
+        trained = _per_family(train_discriminator(fams, iters=20_000))
+        for fam, (logits, _, grad_max, converged) in zip(fams, trained):
             bound = js_divergence(fam) - math.log(fam.k)
-            assert abs(cross_entropy_objective(fam, trained.logits) - bound) <= 1e-5
-            assert trained.converged and trained.grad_max < 1e-12
+            assert abs(cross_entropy_objective(fam, logits) - bound) <= 1e-5
+            assert converged and grad_max < 1e-12
 
     def test_deterministic(self):
         fam = _hand_family()
-        (a,) = train_discriminator([fam], iters=500)
-        (b,) = train_discriminator([fam], iters=500)
-        assert np.array_equal(a.logits, b.logits)
+        a = _train_one(fam, iters=500)[0]
+        b = _train_one(fam, iters=500)[0]
+        assert np.array_equal(a, b)
 
     def test_no_families(self):
-        assert train_discriminator([]) == []
+        logits, *ends = train_discriminator([])
+        assert logits == [] and [a.shape for a in ends] == [(0,)] * 3
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_batch_equals_one_family_calls_bit_for_bit(self, seed):
@@ -195,18 +209,17 @@ class TestTrainDiscriminator:
         fams = _js_families(seed, DEFAULTS)
         assert {f.k for f in fams} == {2, 3, 4, 5}
         assert {f.support_size for f in fams} == set(range(2, 9))
-        batch = train_discriminator(fams)
+        batch = _per_family(train_discriminator(fams))
         for i, (fam, got) in enumerate(zip(fams, batch)):
-            (alone,) = train_discriminator([fam])
-            assert got.logits.shape == (fam.support_size, fam.k)
-            assert np.array_equal(got.logits, alone.logits)
-            assert got.iterations == alone.iterations
-            assert got.grad_max == alone.grad_max
-            assert got.converged and alone.converged
+            alone = _train_one(fam)
+            assert got[0].shape == (fam.support_size, fam.k)
+            assert np.array_equal(got[0], alone[0])
+            assert got[1:] == alone[1:]  # steps, final max|grad| and convergence
+            assert got[3] and alone[3]
             if i % 10 == 0:
                 logits, iterations = _loop_ascent(fam, 30_000)
-                assert np.array_equal(got.logits, logits)
-                assert got.iterations == iterations
+                assert np.array_equal(got[0], logits)
+                assert got[1] == iterations
 
     def test_batch_equals_one_family_calls_past_eight_classes(self):
         # numpy sums eight or more contiguous terms pairwise, where trailing
@@ -214,30 +227,30 @@ class TestTrainDiscriminator:
         # in the middle, where numpy sums in class order.
         rng = np.random.default_rng(9)
         fams = [_random_family(rng, k=k, m=int(rng.integers(1, 10))) for k in range(1, 13)]
-        batch = train_discriminator(fams, iters=300)
+        batch = _per_family(train_discriminator(fams, iters=300))
         for fam, got in zip(fams, batch):
-            (alone,) = train_discriminator([fam], iters=300)
-            assert np.array_equal(got.logits, alone.logits)
-            assert got.iterations == alone.iterations
+            alone = _train_one(fam, iters=300)
+            assert np.array_equal(got[0], alone[0])
+            assert got[1] == alone[1]
 
     def test_cap_stops_one_family_and_leaves_the_others(self):
         rng = np.random.default_rng(6)
         easy = [_random_family(rng, k=int(rng.integers(2, 6)), m=int(rng.integers(2, 9)))
                 for _ in range(4)]
-        alone = [train_discriminator([fam])[0] for fam in easy]
-        cap = max(a.iterations for a in alone) + 1
+        alone = [_train_one(fam) for fam in easy]
+        cap = max(steps for _, steps, _, _ in alone) + 1
         # The boundary optimum of the hand family needs far more than cap steps.
         fams = [easy[0], easy[1], _hand_family(), easy[2], easy[3]]
-        batch = train_discriminator(fams, iters=cap)
-        capped = batch.pop(2)
-        assert not capped.converged
-        assert capped.iterations == cap
-        assert capped.grad_max >= 1e-12
+        batch = _per_family(train_discriminator(fams, iters=cap))
+        capped_logits, capped_steps, capped_grad, capped_converged = batch.pop(2)
+        assert not capped_converged
+        assert capped_steps == cap
+        assert capped_grad >= 1e-12
         logits, iterations = _loop_ascent(_hand_family(), cap)
-        assert np.array_equal(capped.logits, logits) and iterations == cap
+        assert np.array_equal(capped_logits, logits) and iterations == cap
         for got, ref in zip(batch, alone):
-            assert got.converged and got.iterations == ref.iterations < cap
-            assert np.array_equal(got.logits, ref.logits)
+            assert got[3] and got[1] == ref[1] < cap
+            assert np.array_equal(got[0], ref[0])
 
     def test_divergence_names_the_family(self):
         # At step 30 the third family overshoots by construction. At its first
@@ -255,8 +268,8 @@ class TestTrainDiscriminator:
         flat = DiscreteDistributionFamily(np.full((2, 2), 0.5))
         pure = DiscreteDistributionFamily(np.array([[0.999, 0.001], [0.001, 0.999]]))
         swing = DiscreteDistributionFamily(np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]]))
-        (alone,) = train_discriminator([pure], step=30.0)
-        assert alone.converged and alone.iterations > 250
+        _, steps, _, converged = _train_one(pure, step=30.0)
+        assert converged and steps > 250
         with pytest.raises(NumericFailure, match="family 2 diverged"):
             train_discriminator([flat, pure, swing], step=30.0)
 
@@ -277,27 +290,27 @@ class TestTrainDiscriminator:
         fam = DiscreteDistributionFamily(
             np.array([[0.3, 0.0, 0.7], [0.6, 0.0, 0.4], [0.2, 0.0, 0.8]])
         )
-        (alone,) = train_discriminator([fam])
-        assert alone.converged
-        assert np.array_equal(alone.logits[1], np.zeros(3))
+        alone_logits, alone_steps, _, converged = _train_one(fam)
+        assert converged
+        assert np.array_equal(alone_logits[1], np.zeros(3))
         best = discriminator_probs(optimal_discriminator(fam))
-        assert np.array_equal(discriminator_probs(alone.logits)[1], best[1])
+        assert np.array_equal(discriminator_probs(alone_logits)[1], best[1])
         logits, iterations = _loop_ascent(fam, 30_000)
-        assert np.array_equal(alone.logits, logits)
-        assert alone.iterations == iterations
+        assert np.array_equal(alone_logits, logits)
+        assert alone_steps == iterations
         rng = np.random.default_rng(10)
         others = [_random_family(rng, k=int(rng.integers(2, 6)), m=int(rng.integers(2, 9)))
                   for _ in range(4)]
-        got = train_discriminator(others[:2] + [fam] + others[2:])[2]
-        assert np.array_equal(got.logits, alone.logits)
-        assert got.iterations == alone.iterations
+        got = _per_family(train_discriminator(others[:2] + [fam] + others[2:]))[2]
+        assert np.array_equal(got[0], alone_logits)
+        assert got[1] == alone_steps
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_verify_families_converge_within_200_rounds(self, seed):
         # A count guard, not a timing test: at each support point's own 1/L
         # the slowest verify family takes under 200 steps to the stop rule.
-        for got in train_discriminator(_js_families(seed, DEFAULTS)):
-            assert got.converged and got.iterations <= 200
+        _, steps, _, converged = train_discriminator(_js_families(seed, DEFAULTS))
+        assert converged.all() and steps.max() <= 200
 
     @staticmethod
     def _scripted_guard(monkeypatch, script):
@@ -317,9 +330,9 @@ class TestTrainDiscriminator:
         # from converged after 600 steps, so every scripted value is read.
         script = [0.0, -1.0, -2.0, -3.0, -4.0, 10.0, 9.0, 8.0, 7.0, 6.0]
         calls = self._scripted_guard(monkeypatch, script)
-        (got,) = train_discriminator([_hand_family()], iters=600)
+        _, steps, _, converged = _train_one(_hand_family(), iters=600)
         assert len(calls) >= len(script)
-        assert got.iterations == 600 and not got.converged
+        assert steps == 600 and not converged
 
     def test_divergence_guard_raises_on_five_drops_in_a_row(self, monkeypatch):
         calls = self._scripted_guard(monkeypatch, [0.0, -1.0, -2.0, -3.0, -4.0, -5.0])
@@ -369,7 +382,7 @@ class TestJsIdentityValues:
         # must keep the classes on its last, contiguous axis to match.
         families = _js_families(seed, {**DEFAULTS, "k_max": k_max})
         assert max(fam.k for fam in families) == k_max
-        tables = [t.logits for t in train_discriminator(families)]
+        tables = train_discriminator(families)[0]
         got = js_identity_values(families, tables)
         for values, want in zip(got, _oracle_values(families, tables)):
             assert values.tobytes() == np.array(want).tobytes()

@@ -96,3 +96,30 @@ def test_frobenius_norm_is_numpys_to_rounding(m):
 @given(matrices(-100, 300))
 def test_frobenius_norm_is_finite_up_to_1e300(m):
     assert np.isfinite(frobenius_norm(m))
+
+
+@st.composite
+def square_stacks(draw):
+    """Up to 3 n x n matrices, n ∈ [1, 6], of finite floats, signed zeros and subnormals.
+
+    About half the entries are ±0.0 or a few-ulp subnormal, whose halves
+    round. With one draw in two the stack is first made bit-symmetric, so
+    that mirrored entries with equal bits occur as well as unequal ones.
+    """
+    f, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-323, 1.5e-323])
+    floats = st.one_of(edge, st.floats(allow_nan=False, allow_infinity=False))
+    m = np.array(draw(st.lists(floats, min_size=f * n * n, max_size=f * n * n))).reshape(f, n, n)
+    if draw(st.booleans()):
+        m = np.where(np.tri(n, dtype=bool), m, np.swapaxes(m, -1, -2))
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_stacks())
+def test_symmetrized_is_bit_symmetric_and_idempotent(m):
+    # bit for bit: a -0.0 facing a 0.0 is symmetric in value but not in its bits
+    bits = symmetrized(m).view(np.int64)
+    assert np.array_equal(bits, np.swapaxes(bits, -1, -2))
+    assert np.array_equal(symmetrized(symmetrized(m)).view(np.int64), bits)
+    assert np.array_equal(symmetrized(m[0]).view(np.int64), bits[0])

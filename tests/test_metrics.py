@@ -187,19 +187,19 @@ class TestFactorVaeMetricOracle:
         noisy = LinearEncoder(enc.weight + 0.8 * rng.standard_normal(enc.weight.shape))
         cfg = FactorVaeConfig(groups_per_factor=30, group_size=12, reference_samples=500)
         for e in (enc, noisy):
-            report = factorvae_metric(gen, e, cfg, 3)
-            assert np.array_equal(report.matrix, _reference_votes(gen, e, cfg, 3))
+            votes = factorvae_metric(gen, e, cfg, 3)[2]
+            assert np.array_equal(votes, _reference_votes(gen, e, cfg, 3))
         # the noisy encoder must split its votes, or the comparison is trivial
-        assert np.count_nonzero(report.matrix) > gen.r
+        assert np.count_nonzero(votes) > gen.r
 
     def test_inactive_codes_never_vote(self):
         gen = _axis_generator()
         weight = np.vstack([_perfect_weight(gen), np.zeros((1, gen.d))])
         cfg = FactorVaeConfig(groups_per_factor=20, group_size=10, reference_samples=300)
         enc = LinearEncoder(weight)
-        report = factorvae_metric(gen, enc, cfg, 2)
-        assert np.array_equal(report.matrix, _reference_votes(gen, enc, cfg, 2))
-        assert not report.matrix[3].any()
+        votes = factorvae_metric(gen, enc, cfg, 2)[2]
+        assert np.array_equal(votes, _reference_votes(gen, enc, cfg, 2))
+        assert not votes[3].any()
 
 
 def _axis_generator(lam=(4.0, 2.0, 1.0, 0.5, 0.25), r=3) -> LinearGenerator:
@@ -257,7 +257,7 @@ class TestFactorVaeLinearRoute:
         gen, weight = _oracle_case(case, seed)
         enc = LinearEncoder(weight)
         cfg = FactorVaeConfig(groups_per_factor=30, group_size=12, reference_samples=500)
-        votes = factorvae_metric(gen, enc, cfg, seed).matrix
+        votes = factorvae_metric(gen, enc, cfg, seed)[2]
         assert np.array_equal(votes, _reference_votes(gen, enc, cfg, seed))
         if case == "tied-rows":
             # the copy of row 0 ties it exactly in every group; the lower index wins
@@ -276,8 +276,8 @@ class TestFactorVaeLinearRoute:
             monkeypatch.setattr(GeneratorSampler, name, refuse)
         monkeypatch.setattr(LinearEncoder, "encode", refuse)
         gen = _linear_generator()
-        report = factorvae_metric(gen, LinearEncoder.from_generator(gen), SMALL_CFG, 0)
-        assert report.matrix.sum() == gen.r * SMALL_CFG.groups_per_factor
+        votes = factorvae_metric(gen, LinearEncoder.from_generator(gen), SMALL_CFG, 0)[2]
+        assert votes.sum() == gen.r * SMALL_CFG.groups_per_factor
 
     @pytest.mark.parametrize("groups,size", [(1, 5), (7, 9)])
     def test_buffer_draws_follow_sample_groups_stream(self, groups, size):
@@ -310,12 +310,13 @@ class TestFactorVaeLinearRoute:
 class TestFactorVaeMetric:
     def test_perfect_encoder_scores_one(self):
         gen = _axis_generator()
-        report = factorvae_metric(gen, LinearEncoder(_perfect_weight(gen)), SMALL_CFG, 0)
-        assert report.score == 1.0
-        assert report.name == "factorvae"
-        assert report.matrix.shape == (3, 3)
-        assert report.matrix.sum() == 3 * SMALL_CFG.groups_per_factor
-        assert dict(report.detail)["factor_0_accuracy"] == 1.0
+        score, accuracy, votes = factorvae_metric(
+            gen, LinearEncoder(_perfect_weight(gen)), SMALL_CFG, 0
+        )
+        assert score == 1.0
+        assert votes.shape == (3, 3)
+        assert votes.sum() == 3 * SMALL_CFG.groups_per_factor
+        assert np.array_equal(accuracy, np.ones(3))
 
     def test_scale_and_permutation_invariance(self):
         gen = _axis_generator(lam=(4.0, 2.0, 1.0, 0.5, 0.25, 0.1), r=4)
@@ -325,15 +326,14 @@ class TestFactorVaeMetric:
             perm = rng.permutation(4)
             scales = rng.uniform(0.1, 10.0, size=4)
             enc = LinearEncoder(scales[:, None] * perfect[perm])  # diag(s)·P·W
-            assert factorvae_metric(gen, enc, SMALL_CFG, 0).score == 1.0
+            assert factorvae_metric(gen, enc, SMALL_CFG, 0)[0] == 1.0
 
     def test_noise_encoder_near_chance(self):
         cfg = FactorVaeConfig(groups_per_factor=100, group_size=20, reference_samples=2000)
         gen = _axis_generator(lam=0.8 ** np.arange(8), r=5)
         enc = LinearEncoder(_noise_weight(gen, 0))
         assert not (enc.weight @ gen.B).any()
-        report = factorvae_metric(gen, enc, cfg, 1)
-        assert report.score <= 0.3
+        assert factorvae_metric(gen, enc, cfg, 1)[0] <= 0.3
 
     def test_constant_encoder_degenerate(self):
         gen = _axis_generator()
@@ -351,8 +351,8 @@ class TestFactorVaeMetric:
         cfg = FactorVaeConfig(groups_per_factor=10, group_size=10, reference_samples=200)
         a = factorvae_metric(gen, enc, cfg, 9)
         b = factorvae_metric(gen, enc, cfg, 9)
-        assert a.score == b.score
-        assert np.array_equal(a.matrix, b.matrix)
+        assert a[0] == b[0]
+        assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -368,30 +368,29 @@ class TestDci:
 
     def test_identity_encoder_scores_one(self):
         ds = self._dataset(np.random.default_rng(0))
-        report = dci_disentanglement(ds, LinearEncoder(np.eye(3)))
-        assert report.score == 1.0
-        assert all(v == 1.0 for _, v in report.detail)
-        assert report.matrix.shape == (3, 3)
+        score, per_code, relevance = dci_disentanglement(ds, LinearEncoder(np.eye(3)))
+        assert score == 1.0
+        assert np.array_equal(per_code, np.ones(3))
+        assert relevance.shape == (3, 3)
 
     def test_scaled_permuted_encoder_scores_one(self):
         ds = self._dataset(np.random.default_rng(1))
         enc = LinearEncoder(np.diag([3.0, 0.5, 4.0]) @ np.eye(3)[[2, 0, 1]])
-        assert dci_disentanglement(ds, enc).score == 1.0
+        assert dci_disentanglement(ds, enc)[0] == 1.0
 
     def test_mixing_code_near_zero(self):
         rng = np.random.default_rng(2)
         factors = rng.standard_normal((600, 2))
         ds = FactorDataset(factors, factors)
         enc = LinearEncoder(np.array([[0.5, 0.5]]))
-        report = dci_disentanglement(ds, enc)
-        assert report.score == pytest.approx(0.0, abs=0.05)
+        assert dci_disentanglement(ds, enc)[0] == pytest.approx(0.0, abs=0.05)
 
     def test_random_encoder_in_range(self):
         rng = np.random.default_rng(3)
         ds = self._dataset(rng)
         for _ in range(5):
             enc = LinearEncoder(rng.standard_normal((3, 3)))
-            score = dci_disentanglement(ds, enc).score
+            score = dci_disentanglement(ds, enc)[0]
             assert 0.0 <= score <= 1.0
 
     def test_dead_code_excluded_with_warning(self):
@@ -400,9 +399,10 @@ class TestDci:
         ds = FactorDataset(factors, factors)
         enc = LinearEncoder(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.warns(UserWarning):
-            report = dci_disentanglement(ds, enc)
-        assert report.score == 1.0
-        assert len(report.detail) == 1
+            score, per_code, relevance = dci_disentanglement(ds, enc)
+        assert score == 1.0
+        assert per_code[0] == 1.0 and np.isnan(per_code[1])
+        assert not relevance[1].any()
 
     def test_all_dead_degenerate(self):
         rng = np.random.default_rng(5)
