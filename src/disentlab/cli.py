@@ -45,6 +45,7 @@ import dataclasses
 import io
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -294,11 +295,11 @@ def cmd_optimize(args) -> tuple[int, dict[str, bytes]]:
     if args.restarts < 1:
         raise CliError(f"--restarts must be positive, got {args.restarts}")
     seeds = [args.seed + i for i in range(args.restarts)]
-    results = optimize_generators(
+    maps, noise, reports = optimize_generators(
         [(sigma, seed) for seed in seeds], args.r, OptimizerConfig(objective, **opt)
     )
-    best = max(range(len(seeds)), key=lambda i: results[i][1].history[-1])
-    gen, report = results[best]
+    best = max(range(len(seeds)), key=lambda i: reports[i].history[-1])
+    gen, report = LinearGenerator(maps[best], noise[best], sigma), reports[best]
     model = gen.to_dict()
     model["encoder"] = [float(v) for v in posterior(gen).ravel()]
     model.update(objective=objective, seed=seeds[best])
@@ -642,7 +643,8 @@ def main(argv=None) -> int:
 
     On a usage or I/O error, or a MemoryError, the files this run wrote and
     --out, if this run made it, are removed, so a run that exits 2 leaves no
-    new --out behind.
+    new --out behind. Each warning the subcommand raises is printed as one
+    "warning: <message>" line on stderr.
     """
     args = build_parser().parse_args(argv)
     if args.threads < 1:
@@ -657,7 +659,12 @@ def main(argv=None) -> int:
             raise CliError(f"{out} exists and is not a directory")
         if not out.parent.is_dir():
             raise CliError(f"output directory {out} has no existing parent")
-        code, files = args.handler(args)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                code, files = args.handler(args)
+            finally:
+                for warning in caught:
+                    print(f"warning: {warning.message}", file=sys.stderr)
         if not out.is_dir():
             out.mkdir()
             made = True

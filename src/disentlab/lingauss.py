@@ -372,21 +372,30 @@ def _finite_ascent(runs: list, r: int, cfg: OptimizerConfig):
 
 def optimize_generators(
     runs: Sequence[tuple[np.ndarray, int]], r: int, cfg: OptimizerConfig
-) -> list[tuple[LinearGenerator, TheoremReport]]:
-    """Projected gradient ascent of many (Σ, seed) runs at once, one result per run.
+) -> tuple[np.ndarray, np.ndarray, list[TheoremReport]]:
+    """Projected gradient ascent of many (Σ, seed) runs at once.
 
     Each run ascends over B = Σ^{1/2} B̃ with B̃ a contraction, from a draw of
     its own seed. The objective, step size, rel_tol and max_iters of cfg are
-    shared. Every run's history, B, A and report are bit for bit those of
-    optimize_generator(Σ, r, cfg, seed).
+    shared. Returns the (F, d, r) stack of code maps B, the (F, d, d) stack
+    of noise maps A and one report per run; every run's B, A and report are
+    bit for bit those of optimize_generator(Σ, r, cfg, seed).
 
-    All runs ascend together in one (F, d, r) stack, with one stacked SVD
+    A run's ascent reads its seed and, when the coupling divergence has a
+    nonzero weight, its Σ: the mutual-information gradient in B̃ is B̃ itself.
+    Runs that agree on what their ascent reads share one ascent: by seed
+    alone when the coupling weight is 0, else by seed and the bytes of the
+    symmetrized Σ. Each run takes its ascent's history, stop, backtracks,
+    final B̃ and orthonormality residual; B = Σ^{1/2} B̃, A, the alignments
+    and the norm errors are its own.
+
+    The ascents run together in one stack, one row each, with one stacked SVD
     per round. Each round evaluates the objective and its gradient at every
     row's candidate in one call, and one masked update lands them: a row
     whose candidate rises takes it with its gradient and a fresh step, and
     any other row keeps its B̃ and gradient and halves its own step. A
     rejected candidate within 16 ulp of its B̃ (‖cand - B̃‖_F at most
-    (CONTRACTION_SLACK - 1)·‖B̃‖_F) ends its run at once: B̃ is then a fixed
+    (CONTRACTION_SLACK - 1)·‖B̃‖_F) ends its ascent at once: B̃ is then a fixed
     point of the projected step, and since the contraction set is convex it
     is one for every step size. A row leaves the stack when its own stop
     rule fires. Every run's Σ is decomposed in one stacked eigh call, which
@@ -398,9 +407,8 @@ def optimize_generators(
     than one.
     """
     runs = list(runs)
-    f = len(runs)
-    if f == 0:
-        return []
+    if not runs:
+        return np.empty((0, 0, r)), np.empty((0, 0, 0)), []
     d = len(runs[0][0])
     if any(np.shape(sigma) != (d, d) for sigma, _ in runs):
         raise ValueError(f"every run's target covariance must be {d} x {d}, the same dimension")
@@ -420,7 +428,16 @@ def optimize_generators(
             "the pairwise coupling divergence needs r >= 2 code columns"
         )
 
-    root = roots  # the rows still ascending
+    # Each run takes ascent ascent_of[run]; ascent k starts from the seed and
+    # square root of run first[k], the first run that takes it.
+    keys = [seed if w_cr == 0.0 else (seed, sigma.tobytes())
+            for sigma, (_, seed) in zip(sigmas, runs)]
+    ascents: dict = {}
+    ascent_of = np.array([ascents.setdefault(key, len(ascents)) for key in keys])
+    first = np.unique(ascent_of, return_index=True)[1]
+    n = len(first)
+
+    root = roots[first]  # the rows still ascending
     const_info = -0.5 * r * (1.0 + LOG_2PI)
 
     def evaluate(bt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -445,22 +462,20 @@ def optimize_generators(
             grad = grad + w_cr * (root @ grad_b)
         return value, grad
 
-    # The running stack: row k holds run[k]. A row leaves when its run stops.
-    run = np.arange(f)
-    seeds = {seed for _, seed in runs}  # each drawn once, for every run that uses it
-    draw = {seed: np.random.default_rng(seed).standard_normal((d, r)) for seed in seeds}
-    draws = np.stack([draw[seed] for _, seed in runs])
+    # The running stack: row k holds ascent[k]. A row leaves when its ascent stops.
+    ascent = np.arange(n)
+    draws = [np.random.default_rng(runs[i][1]).standard_normal((d, r)) for i in first]
     with _finite_ascent(runs, r, cfg):
-        bt = project_contraction(draws)
+        bt = project_contraction(np.stack(draws))
         f_cur, grad = evaluate(bt)
-        step = np.full((f, 1, 1), cfg.step_size)  # each row's own step
+        step = np.full((n, 1, 1), cfg.step_size)  # each row's own step
         min_step = cfg.step_size * 2.0 ** -40
         rounding = CONTRACTION_SLACK - 1.0
         histories = [[v] for v in f_cur.tolist()]
-        backtracks = [0] * f
-        stops = [""] * f
-        final: list = [None] * f  # each run's last B̃
-        while run.size:
+        backtracks = [0] * n
+        stops = [""] * n
+        final: list = [None] * n  # each ascent's last B̃
+        while ascent.size:
             cand = project_contraction(bt + step * grad)
             f_cand, grad_cand = evaluate(cand)
             up = f_cand > f_cur
@@ -471,7 +486,7 @@ def optimize_generators(
             f_cur = np.where(up, f_cand, f_cur)
             step = np.where(pick, cfg.step_size, 0.5 * step)
             leaving = []
-            rows = zip(run.tolist(), up.tolist(), f_cand.tolist(), step.ravel().tolist())
+            rows = zip(ascent.tolist(), up.tolist(), f_cand.tolist(), step.ravel().tolist())
             for k, (i, took, new, next_step) in enumerate(rows):
                 if took:
                     histories[i].append(new)
@@ -493,36 +508,35 @@ def optimize_generators(
                 final[i] = bt[k]
                 leaving.append(k)
             if leaving:
-                keep = np.ones(run.size, dtype=bool)
+                keep = np.ones(ascent.size, dtype=bool)
                 keep[leaving] = False
-                run, bt, f_cur, grad, step, root = (
-                    a[keep] for a in (run, bt, f_cur, grad, step, root)
+                ascent, bt, f_cur, grad, step, root = (
+                    a[keep] for a in (ascent, bt, f_cur, grad, step, root)
                 )
 
     final = np.stack(final)
-    maps = roots @ final
-    noise = _noise_maps(sigmas, maps)
     # np.linalg.norm's Frobenius norm is a dot product, which no stacked sum
-    # matches bit for bit at every r, so each run's residual keeps its own call.
+    # matches bit for bit at every r, so each ascent's residual keeps its own call.
     gaps = final.transpose(0, 2, 1) @ final - np.eye(r)
+    residuals = [float(np.linalg.norm(gap)) for gap in gaps]
+    maps = roots @ final[ascent_of]
+    noise = _noise_maps(sigmas, maps)
     perms, aligns = _greedy_eigvec_match(maps, eig.eigenvectors)
     w_matched = np.take_along_axis(eig.eigenvalues, perms, axis=1)
     norm_errors = np.abs(np.sum(maps * maps, axis=1) - w_matched)
-    results = []
-    for sigma, b, a, gap, perm, align, errors, history, stop, rejected in zip(
-        sigmas, maps, noise, gaps, perms.tolist(), aligns, norm_errors, histories, stops, backtracks
-    ):
-        report = TheoremReport(
-            orthonormality_residual=float(np.linalg.norm(gap)),
+    reports = [
+        TheoremReport(
+            orthonormality_residual=residuals[i],
             pca_alignment=align,
             norm_errors=errors,
             permutation=tuple(perm),
-            history=tuple(history),
-            stop=stop,
-            backtracks=rejected,
+            history=tuple(histories[i]),
+            stop=stops[i],
+            backtracks=backtracks[i],
         )
-        results.append((LinearGenerator(b, a, sigma), report))
-    return results
+        for i, perm, align, errors in zip(ascent_of.tolist(), perms.tolist(), aligns, norm_errors)
+    ]
+    return maps, noise, reports
 
 
 def optimize_generator(
@@ -539,6 +553,7 @@ def optimize_generator(
     rejected candidate equals B̃ up to rounding, as at the maximizers, which
     are exact fixed points of the projected step), or at max_iters; the
     report's stop names which, and its backtracks counts the rejected
-    candidates.
+    candidates. The one run's B and A come back as a LinearGenerator.
     """
-    return optimize_generators([(sigma, seed)], r, cfg)[0]
+    (b,), (a,), (report,) = optimize_generators([(sigma, seed)], r, cfg)
+    return LinearGenerator(b, a, sigma), report

@@ -59,8 +59,8 @@ def _semi_orthonormal(seed, suites, opt, thresholds, ascents):
         for s_idx in range(suites["seeds"]):
             runs.append((sigma, s_idx))
             cases.append(f"sigma{m_idx:02d}_seed{s_idx:02d}")
-    fits = optimize_generators(runs, r, OptimizerConfig("infogan", **opt))
-    for case, (_, report) in zip(cases, fits):
+    _, _, reports = optimize_generators(runs, r, OptimizerConfig("infogan", **opt))
+    for case, report in zip(cases, reports):
         ascents.append(_ascent_row("semi_orthonormal", case, report))
         yield (case, "orthonormality_residual", report.orthonormality_residual,
                thresholds["orthonormality_residual"])
@@ -76,15 +76,15 @@ def _pca_recovery(seed, suites, opt, thresholds, ascents):
     w_desc = np.sort(spectrum)[::-1]
     trunc = rank_r_truncation(sigma, pca_r)
     runs = [(sigma, s_idx) for s_idx in range(suites["pca_seeds"])]
-    fits = optimize_generators(runs, pca_r, OptimizerConfig("cr_frobenius", **opt))
-    for s_idx, (gen, report) in enumerate(fits):
+    maps, _, reports = optimize_generators(runs, pca_r, OptimizerConfig("cr_frobenius", **opt))
+    for s_idx, (b, report) in enumerate(zip(maps, reports)):
         case = f"seed{s_idx:02d}"
         ascents.append(_ascent_row("pca_recovery", case, report))
         yield (case, "alignment_gap", 1.0 - report.pca_alignment.min(),
                thresholds["alignment_gap"])
         relative = report.norm_errors / w_desc[list(report.permutation)]
         yield case, "norm_relative_error", relative.max(), thresholds["norm_relative_error"]
-        yield (case, "truncation_gap", np.linalg.norm(gen.B @ gen.B.T - trunc),
+        yield (case, "truncation_gap", np.linalg.norm(b @ b.T - trunc),
                thresholds["truncation_gap"])
 
 

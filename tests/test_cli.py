@@ -607,7 +607,7 @@ class TestMetrics:
             b"factorvae,1,factor_1_accuracy,1\n"
         )
 
-    def test_dead_code_has_no_dci_row(self, model_dir, data_dir, tmp_path):
+    def test_dead_code_has_no_dci_row(self, model_dir, data_dir, tmp_path, capsys):
         # A zero encoder row never votes and has an all-zero relevance row:
         # factorvae.csv still lists every factor, dci.csv leaves that code out.
         model = json.loads((model_dir / "model.json").read_text())
@@ -617,8 +617,10 @@ class TestMetrics:
         config = _write_json(tmp_path / "cfg.json", SMALL_FACTORVAE)
         args = ["metrics", "--model", path, "--data", str(data_dir),
                 "--metrics", "factorvae,dci", "--out", str(out), "--config", config]
-        with pytest.warns(UserWarning, match=r"^codes \[1\] have all-zero relevance rows"):
-            assert main(args) == 0
+        assert main(args) == 0
+        assert capsys.readouterr().err == (
+            "warning: codes [1] have all-zero relevance rows and are excluded\n"
+        )
         factorvae = _read_rows(out / "factorvae.csv")[1:]
         assert [row[2] for row in factorvae] == ["factor_0_accuracy", "factor_1_accuracy"]
         dci = _read_rows(out / "dci.csv")[1:]
@@ -743,6 +745,23 @@ class TestMetrics:
         assert len(err) == 1 and re.fullmatch(message, err[0]), err
         assert not out.exists()
 
+    def test_constant_coordinate_warns_on_one_stderr_line(self, tmp_path, capsys):
+        # B = I, A = 0, Σ = I and an identity encoder: the codes are the samples
+        eye = [1.0, 0.0, 0.0, 1.0]
+        model = _write_json(tmp_path / "model.json", {
+            "d": 2, "r": 2, "B": eye, "A": [0.0] * 4, "sigma": eye, "encoder": eye})
+        samples = np.column_stack([np.random.default_rng(0).standard_normal(50), np.ones(50)])
+        data = tmp_path / "data"
+        data.mkdir()
+        FactorDataset(samples, np.zeros((50, 2))).save(data)
+        args = ["metrics", "--model", model, "--metrics", "dhsic", "--data", str(data),
+                "--out", str(tmp_path / "met")]
+        assert main(args) == 0
+        assert capsys.readouterr().err == (
+            "warning: coordinate 1 has zero median distance, or one whose square underflows "
+            "(0); bandwidth set to 1.0\n"
+        )
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -831,6 +850,21 @@ class TestSelect:
             assert self._run(pool_dir, out, ("--method", variant)) == 0
             selection = json.loads((out / "selection.json").read_text())
             assert selection["method"] == variant.replace("-", "_")
+
+    def test_zero_variance_code_warns_on_one_stderr_line(self, pool_dir, tmp_path, capsys):
+        # a zero encoder row gives a constant code, whose relevances are zeroed
+        root, _ = pool_dir
+        model = json.loads((root / "m0" / "model.json").read_text())
+        model["encoder"][model["d"]:] = [0.0] * model["d"]  # code 1 of r = 2
+        _write_json(root / "dead.json", model)
+        manifest = _write_json(root / "dead_pool.json", {"models": ["m0/model.json", "dead.json"]})
+        out = tmp_path / "sel"
+        assert main(["select", "--pool", manifest, "--method", "udr-spearman",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: encoder 1 has zero-variance codes [1]; "
+            "their relevance rows/columns are zeroed\n"
+        )
 
     def test_identical_models_tie_to_the_first(self, pool_dir, tmp_path):
         # three copies of one model score alike, and the tie selects index 0

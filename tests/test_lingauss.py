@@ -106,7 +106,7 @@ class TestGeneratorBasics:
         once = [1.0, 5e-324, 5e-324, 1.0]
         assert symmetrized(raw).ravel().tolist() == once
         assert symmetrized(symmetrized(raw)).ravel().tolist() == once  # idempotent
-        gen, _ = optimize_generators([(raw, 0)], 1, OptimizerConfig())[0]
+        gen, _ = optimize_generator(raw, 1, OptimizerConfig())
         assert gen.sigma.ravel().tolist() == once
         model = {**gen.to_dict(), "sigma": raw.ravel().tolist()}
         assert LinearGenerator.from_dict(model).sigma.ravel().tolist() == once
@@ -667,12 +667,23 @@ def _reference_report(sigma, bt, b):
     return residual, perm, align, np.abs(np.sum(b * b, axis=0) - w[list(perm)])
 
 
+def _fits(runs, r, cfg) -> list[tuple]:
+    """optimize_generators' result as one (B, A, report) triple per run."""
+    return list(zip(*optimize_generators(runs, r, cfg)))
+
+
+def _one(sigma, r, cfg, seed) -> tuple:
+    """optimize_generator's result as a (B, A, report) triple."""
+    gen, report = optimize_generator(sigma, r, cfg, seed)
+    return gen.B, gen.A, report
+
+
 def _same_run(one, other) -> bool:
-    """Whether two (generator, report) results agree bit for bit."""
-    (gen_a, rep_a), (gen_b, rep_b) = one, other
+    """Whether two (B, A, report) results agree bit for bit."""
+    (b_a, a_a, rep_a), (b_b, a_b, rep_b) = one, other
     return (
-        np.array_equal(gen_a.B, gen_b.B)
-        and np.array_equal(gen_a.A, gen_b.A)
+        np.array_equal(b_a, b_b)
+        and np.array_equal(a_a, a_b)
         and rep_a.history == rep_b.history
         and rep_a.orthonormality_residual == rep_b.orthonormality_residual
         and np.array_equal(rep_a.pca_alignment, rep_b.pca_alignment)
@@ -703,15 +714,15 @@ class TestOptimizeGenerators:
         ]
         # seeds repeat across covariances, and one (Σ, seed) run comes twice
         runs = [(sigma, seed) for sigma in sigmas for seed in range(3)] + [(sigmas[1], 0)]
-        stacked = optimize_generators(runs, 2, OptimizerConfig(objective, **settings))
-        assert {rep.stop for _, rep in stacked} == {"rel_tol", "no_ascent_step", "max_iters"}
+        stacked = _fits(runs, 2, OptimizerConfig(objective, **settings))
+        assert {rep.stop for *_, rep in stacked} == {"rel_tol", "no_ascent_step", "max_iters"}
         # a row leaves after its accepted and rejected rounds; some row stops
         # at a fixed point of the projected step while another still ascends
-        rounds = [len(rep.history) - 1 + rep.backtracks for _, rep in stacked]
-        fixed = [n for n, (_, rep) in zip(rounds, stacked) if rep.stop == "no_ascent_step"]
+        rounds = [len(rep.history) - 1 + rep.backtracks for *_, rep in stacked]
+        fixed = [n for n, (*_, rep) in zip(rounds, stacked) if rep.stop == "no_ascent_step"]
         assert min(fixed) < max(rounds)
         for (sigma, seed), result in zip(runs, stacked):
-            single = optimize_generator(sigma, 2, OptimizerConfig(objective, **settings), seed)
+            single = _one(sigma, 2, OptimizerConfig(objective, **settings), seed)
             assert _same_run(result, single), (sigma.diagonal(), seed)
 
     @pytest.mark.parametrize(
@@ -746,18 +757,71 @@ class TestOptimizeGenerators:
         runs = [(symmetrized(x @ x.T + 0.5 * np.eye(d)), seed) for x in m for seed in range(3)]
         settings = {"max_iters": 8}
         cfg = OptimizerConfig(objective, **settings)
-        fits = optimize_generators(runs, r, cfg)
-        for (sigma, seed), (gen, rep) in zip(runs, fits):
+        for (sigma, seed), (b_fit, _, rep) in zip(runs, _fits(runs, r, cfg)):
             bt, b, history, _, _ = _reference_ascent(sigma, r, cfg, seed)
             residual, perm, align, errors = _reference_report(sigma, bt, b)
-            assert np.array_equal(gen.B, b) and rep.history == history
+            assert np.array_equal(b_fit, b) and rep.history == history
             assert rep.orthonormality_residual == residual
             assert rep.permutation == perm
             assert rep.pca_alignment.tobytes() == align.tobytes()
             assert rep.norm_errors.tobytes() == errors.tobytes()
 
     def test_empty_stack(self):
-        assert optimize_generators([], 2, OptimizerConfig()) == []
+        maps, noise, reports = optimize_generators([], 2, OptimizerConfig())
+        assert (len(maps), len(noise), reports) == (0, 0, [])
+
+    @staticmethod
+    def _rows(monkeypatch) -> list[int]:
+        """The stack size of each projection the ascent makes, recorded as it runs."""
+        sizes = []
+
+        def counted(stack):
+            sizes.append(len(stack))
+            return project_contraction(stack)
+
+        monkeypatch.setattr(lingauss, "project_contraction", counted)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "objective, settings",
+        [("infogan", {}), ("combined", {"lam": 0.5, "alpha": 0.0})],
+    )
+    def test_runs_that_share_a_seed_ascend_once_without_coupling(
+        self, monkeypatch, objective, settings
+    ):
+        # 10 covariances × 10 seeds: the ascent in B̃ never reads Σ, so the
+        # stack holds one row per seed, and every run equals its one-run call
+        rng = np.random.default_rng(9)
+        sigmas = [symmetrized(m @ m.T + 0.5 * np.eye(5)) for m in rng.standard_normal((10, 5, 5))]
+        runs = [(sigma, seed) for sigma in sigmas for seed in range(10)]
+        cfg = OptimizerConfig(objective, **settings)
+        sizes = self._rows(monkeypatch)
+        stacked = _fits(runs, 3, cfg)
+        assert sizes[0] == 10
+        for (sigma, seed), result in zip(runs, stacked):
+            assert _same_run(result, _one(sigma, 3, cfg, seed)), seed
+
+    def test_coupling_runs_of_distinct_sigma_are_not_merged(self, monkeypatch):
+        # the coupling ascent reads Σ, so runs that share only their seed keep
+        # rows of their own
+        runs = [(np.diag([9.0, 4.0, 1.0]), 0), (np.diag([5.0, 2.0, 0.5]), 0)]
+        cfg = OptimizerConfig("cr_frobenius")
+        sizes = self._rows(monkeypatch)
+        stacked = _fits(runs, 2, cfg)
+        assert sizes[0] == 2
+        assert stacked[0][2].history != stacked[1][2].history
+        for (sigma, seed), result in zip(runs, stacked):
+            assert _same_run(result, _one(sigma, 2, cfg, seed))
+
+    def test_coupling_runs_of_equal_sigma_and_seed_are_merged(self, monkeypatch):
+        sigma = np.diag([9.0, 4.0, 1.0])
+        runs = [(sigma, 0), (sigma.copy(), 0), (sigma, 1)]
+        cfg = OptimizerConfig("combined", alpha=0.5)
+        sizes = self._rows(monkeypatch)
+        stacked = _fits(runs, 2, cfg)
+        assert sizes[0] == 2
+        assert _same_run(stacked[0], stacked[1])
+        assert _same_run(stacked[2], _one(sigma, 2, cfg, 1))
 
     def test_max_iters_cap_is_reported(self):
         cfg = OptimizerConfig(objective="cr_frobenius", max_iters=3)
@@ -781,35 +845,31 @@ class TestOptimizeGenerators:
         # same stack the Σ = I run stops at a fixed point after one rejection.
         spread = np.diag([100.0, 10.0, 1.0, 0.1])
         runs = [(spread, 12), (np.eye(4), 0)]
-        fits = optimize_generators(runs, 3, OptimizerConfig("cr_frobenius"))
-        assert [(rep.stop, rep.backtracks) for _, rep in fits] == [
+        fits = _fits(runs, 3, OptimizerConfig("cr_frobenius"))
+        assert [(rep.stop, rep.backtracks) for *_, rep in fits] == [
             ("rel_tol", 6), ("no_ascent_step", 1)
         ]
-        for (sigma, seed), (gen, rep) in zip(runs, fits):
+        for (sigma, seed), (b_fit, _, rep) in zip(runs, fits):
             _, b, history, stop, backtracks = _reference_ascent(
                 sigma, 3, OptimizerConfig("cr_frobenius"), seed
             )
-            assert np.array_equal(gen.B, b) and rep.history == history
+            assert np.array_equal(b_fit, b) and rep.history == history
             assert (rep.stop, rep.backtracks) == (stop, backtracks)
 
     def test_verify_stack_ends_at_its_fixed_points(self, monkeypatch):
         # verify's infogan runs reach semi-orthonormal B̃ within 10 accepted
         # steps, and each then leaves at its first rejected candidate, so the
-        # stacked projection runs at most 11 times, the draws' included
-        calls = []
-
-        def counted(stack):
-            calls.append(len(stack))
-            return project_contraction(stack)
-
-        monkeypatch.setattr(lingauss, "project_contraction", counted)
+        # stacked projection runs at most 11 times, the draws' included; the
+        # ascent never reads Σ, so the stack holds one row per seed
+        calls = self._rows(monkeypatch)
         ascents = []
         opt = cli._defaults(OptimizerConfig, "lam", "alpha")
         suites, thresholds = dict(verify.DEFAULTS), dict(verify.THRESHOLDS)
         checks = list(verify._semi_orthonormal(0, suites, opt, thresholds, ascents))
         assert all(value <= threshold for _, _, value, threshold in checks)
         assert len(calls) <= 11
-        assert len(ascents) == suites["matrices"] * suites["seeds"] == calls[0]
+        assert len(ascents) == suites["matrices"] * suites["seeds"]
+        assert calls[0] == suites["seeds"]
         assert max(int(row[3]) for row in ascents) <= 1
 
     def test_default_cr_run_stops_at_rel_tol(self):
@@ -838,12 +898,12 @@ class TestOptimizeGenerators:
         scales = (1e-6, 1.0, 1e6, 1e8)
         runs = [(np.diag(c * np.asarray(diag)), 0) for c in scales]
         for objective in ("cr_frobenius", "infogan"):
-            fits = optimize_generators(runs, r, OptimizerConfig(objective))
-            assert all(is_distribution_matched(gen) for gen, _ in fits)
+            maps, noise, _ = optimize_generators(runs, r, OptimizerConfig(objective))
+            for (sigma, _), b, a in zip(runs, maps, noise):
+                assert is_distribution_matched(LinearGenerator(b, a, sigma))
         # the infogan ascent over B̃ does not depend on Σ, so B = Σ^{1/2}B̃ scales by √c
-        base = fits[1][0].B
-        for c, (gen, _) in zip(scales, fits):
-            assert np.abs(gen.B / math.sqrt(c) - base).max() <= 1e-12 * np.abs(base).max()
+        for c, b in zip(scales, maps):
+            assert np.abs(b / math.sqrt(c) - maps[1]).max() <= 1e-12 * np.abs(maps[1]).max()
 
     def test_failed_svd_names_its_run(self, monkeypatch):
         # an SVD that fails on finite input: here, on any stack holding run 1's draw
@@ -855,9 +915,13 @@ class TestOptimizeGenerators:
             return project_contraction(stack)
 
         monkeypatch.setattr(lingauss, "project_contraction", project)
-        sigma = np.diag([9.0, 4.0, 1.0])
+        sigma, other = np.diag([9.0, 4.0, 1.0]), np.diag([5.0, 2.0, 0.5])
         with pytest.raises(NumericFailure, match=r"^run 1: SVD failed"):
             optimize_generators([(sigma, 0), (sigma, 1), (sigma, 2)], 2, OptimizerConfig())
+        # runs 2 and 3 share seed 1's ascent, which is named by its first run
+        with pytest.raises(NumericFailure, match=r"^run 2: SVD failed"):
+            optimize_generators([(sigma, 0), (other, 0), (sigma, 1), (other, 1)], 2,
+                                OptimizerConfig())
 
     @pytest.mark.parametrize("objective", ["cr_frobenius", "combined"])
     def test_overflowing_objective_names_its_run(self, objective):
@@ -868,6 +932,9 @@ class TestOptimizeGenerators:
         overflow = r"the ascent's objective or gradient overflows \(overflow encountered in "
         with pytest.raises(NumericFailure, match=f"^run 1: {overflow}"):
             optimize_generators(runs, 2, cfg)
+        # duplicates share one ascent; the failing one is named by its first run
+        with pytest.raises(NumericFailure, match=f"^run 2: {overflow}"):
+            optimize_generators([runs[0], runs[0], runs[1], runs[1]], 2, cfg)
         with pytest.raises(NumericFailure, match=f"^{overflow}"):
             optimize_generators(runs[1:], 2, cfg)
 
@@ -877,8 +944,9 @@ class TestOptimizeGenerators:
         sigma = np.diag([1e160, 1e159, 1e158])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fits = optimize_generators([(sigma, 0), (sigma, 1)], 2, OptimizerConfig("infogan"))
-        assert all(math.isfinite(rep.history[-1]) for _, rep in fits)
+            _, _, reports = optimize_generators([(sigma, 0), (sigma, 1)], 2,
+                                                OptimizerConfig("infogan"))
+        assert all(math.isfinite(rep.history[-1]) for rep in reports)
 
     @pytest.mark.parametrize("scale", [9.0, 1e153, 6e153, 6.7e153])
     def test_largest_finite_cr_runs_equal_the_per_run_loop(self, scale):
@@ -886,11 +954,11 @@ class TestOptimizeGenerators:
         # finite, with the bits it had before overflow raised
         sigma = np.diag([scale, scale / 10, scale / 100])
         cfg = OptimizerConfig("cr_frobenius")
-        fits = optimize_generators([(sigma, seed) for seed in range(3)], 2, cfg)
-        for seed, (gen, rep) in enumerate(fits):
+        fits = _fits([(sigma, seed) for seed in range(3)], 2, cfg)
+        for seed, (b_fit, _, rep) in enumerate(fits):
             _, b, history, stop, backtracks = _reference_ascent(sigma, 2, cfg, seed)
             assert math.isfinite(rep.history[-1])
-            assert np.array_equal(gen.B, b) and rep.history == history
+            assert np.array_equal(b_fit, b) and rep.history == history
             assert (rep.stop, rep.backtracks) == (stop, backtracks)
 
     def test_runs_must_share_a_dimension(self):

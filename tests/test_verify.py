@@ -5,13 +5,14 @@ for every suite the table lists, a new one included.
 """
 import contextlib
 import io
+import sys
 from collections import Counter
 
 import pytest
 
-from disentlab import verify
+from disentlab import linalg, verify
 from disentlab.cli import _defaults
-from disentlab.lingauss import OptimizerConfig
+from disentlab.lingauss import LinearGenerator, OptimizerConfig
 from disentlab.verify import SUITES
 
 # The suites' smallest useful sizes, so each entry runs in milliseconds.
@@ -62,3 +63,28 @@ def test_theorem_checks_list_their_suites_in_suites_order():
     order = list(dict.fromkeys(row[0] for row in ascents))
     assert order == [name for name in SUITES if name in order]
     assert [line.split(":")[0] for line in out.getvalue().splitlines()] == list(SUITES)
+
+
+def test_default_run_builds_no_generator_and_symmetrizes_each_input_once(monkeypatch):
+    # the ascents return plain B and A stacks, so no generator re-symmetrizes
+    # its Σ; 14 calls cover every covariance, square root and residual
+    symmetrized, post_init = linalg.symmetrized, LinearGenerator.__post_init__
+    built, calls = [], []
+
+    def counted(m):
+        calls.append(1)
+        return symmetrized(m)
+
+    def counted_post_init(self):
+        built.append(1)
+        post_init(self)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("disentlab") and getattr(module, "symmetrized", None) is symmetrized:
+            monkeypatch.setattr(module, "symmetrized", counted)
+    monkeypatch.setattr(LinearGenerator, "__post_init__", counted_post_init)
+    with contextlib.redirect_stdout(io.StringIO()):
+        failures, _ = verify.run(0, {})
+    assert failures == 0
+    assert len(built) == 0
+    assert len(calls) <= 14
